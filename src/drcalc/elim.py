@@ -1,177 +1,121 @@
-"""Exact linear algebra entry points.
+"""Exact linear algebra over the rationals.
 
-Rank computations run fraction-free (Bareiss) on integer rows after
-clearing denominators.  Before the dense condensation we peel off
-structural pivots: any row or column with a single nonzero entry
-contributes 1 to the rank and can be removed without arithmetic.  The
-complexes produced elsewhere in the package are extremely sparse, so
-this usually shrinks the dense core by an order of magnitude.
+Every entry point here runs on one routine, ``_echelon``: left-looking
+sparse elimination (Bouillaguet & Delaplace, SpaSM, 2016).  Rows are
+sparse ``{col: Fraction}`` dicts taken one at a time; each is reduced
+against the pivots found so far, always at its smallest column, until
+it opens a new pivot (scaled to 1) or vanishes.  The complexes and
+divergence systems built elsewhere in the package are very sparse, so
+only the fill-in a row actually meets is ever computed.
 
-The dense core is compiled (Cython) when available; a pure-Python twin
-is selected at import time otherwise.  ``backend_name()`` reports which
-one is active.  ``benchmarks/bench_elim.py`` compares the two.
+No pivot choice is needed for determinism: in any left-to-right echelon
+form, column ``c`` is a pivot exactly when it is not a combination of
+the columns before it.  Ranks, the canonical kernel basis and the
+solution with free unknowns at zero therefore do not depend on the
+order of the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-try:  # pragma: no cover - depends on build environment
-    from . import _elim_c as _kernel
-    _BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    from . import _elim_py as _kernel
-    _BACKEND = "pure"
-
-from . import _elim_py
+from heapq import heapify, heappop, heappush
 
 
-def backend_name() -> str:
-    return _BACKEND
+def _axpy(target, scale, source, heap=None):
+    """``target += scale * source`` on sparse dicts; new keys go on ``heap``."""
+    for j, w in source.items():
+        v = target.get(j)
+        if v is None:
+            target[j] = scale * w
+            if heap is not None:
+                heappush(heap, j)
+        else:
+            v += scale * w
+            if v:
+                target[j] = v
+            else:
+                del target[j]
 
 
-def available_kernels():
-    """(name, rank_function) pairs for every importable kernel."""
-    kernels = [("pure", _elim_py.bareiss_rank)]
-    if _BACKEND == "compiled":
-        kernels.append(("compiled", _kernel.bareiss_rank))
-    return kernels
+def _echelon(rows, track=False):
+    """Row echelon form of sparse rational rows.
 
-
-def _integer_rows(entries, nrows, ncols):
-    """Sparse Fraction dict -> list of sparse integer row dicts."""
-    rows = [dict() for _ in range(nrows)]
-    for (r, c), v in entries.items():
-        if v:
-            rows[r][c] = rows[r].get(c, Fraction(0)) + v
-    out = []
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            out.append({})
-            continue
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        out.append({c: int(v * denom) for c, v in row.items()})
-    return out
-
-
-def _peel_structural(rows):
-    """Remove singleton rows/columns; returns (count, residual row dicts)."""
-    rows = [dict(r) for r in rows if r]
-    col_rows: dict = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    alive = set(range(len(rows)))
-    rank = 0
-    changed = True
-    while changed:
-        changed = False
-        # singleton rows
-        for i in sorted(alive):
-            if len(rows[i]) == 1:
-                (c,) = rows[i]
-                rank += 1
-                alive.discard(i)
-                for j in col_rows.pop(c, ()):  # drop the column everywhere
-                    if j != i and j in alive:
-                        rows[j].pop(c, None)
-                        if not rows[j]:
-                            alive.discard(j)
-                changed = True
+    Returns ``{pivot column: (row, combo)}``.  Each pivot row is 1 at its
+    pivot column and has nonzero entries only at larger columns.  With
+    ``track``, ``combo`` is ``{input row index: Fraction}`` such that
+    the pivot row equals ``sum(combo[i] * rows[i])``; otherwise None.
+    """
+    pivots = {}
+    for i, source in enumerate(rows):
+        row = {c: v for c, v in source.items() if v}
+        combo = {i: Fraction(1)} if track else None
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            v = row.get(c)
+            if v is None:  # cancelled by an earlier step
+                continue
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = 1 / Fraction(v)
+                pivots[c] = (
+                    {j: w * inv for j, w in row.items()},
+                    {k: w * inv for k, w in combo.items()} if track else None,
+                )
                 break
-        if changed:
-            continue
-        # singleton columns
-        for c in sorted(col_rows):
-            members = col_rows[c] & alive
-            if len(members) == 1:
-                (i,) = members
-                rank += 1
-                alive.discard(i)
-                del col_rows[c]
-                for cc in rows[i]:
-                    if cc != c and cc in col_rows:
-                        col_rows[cc].discard(i)
-                changed = True
-                break
-            if not members:
-                del col_rows[c]
-                changed = True
-                break
-    residual = [rows[i] for i in sorted(alive) if rows[i]]
-    return rank, residual
+            prow, pcombo = pivot
+            _axpy(row, -v, prow, heap)
+            if track:
+                _axpy(combo, -v, pcombo)
+    return pivots
+
+
+def _back_substitute(pivots, x):
+    """Complete sparse ``x`` at the pivot columns so every pivot row . x = 0.
+
+    ``x`` holds the chosen values at non-pivot columns; pivot rows are
+    solved from the largest pivot column down.
+    """
+    for c in sorted(pivots, reverse=True):
+        s = sum(w * x[j] for j, w in pivots[c][0].items() if j != c and j in x)
+        if s:
+            x[c] = -s
+    return x
+
+
+def _sparse_row(row):
+    return {j: Fraction(v) for j, v in enumerate(row) if v}
 
 
 def rank_sparse(entries, nrows, ncols) -> int:
     """Exact rank of a sparse rational matrix {(row, col): Fraction}."""
-    if nrows == 0 or ncols == 0:
-        return 0
-    int_rows = [r for r in _integer_rows(entries, nrows, ncols) if r]
-    if not int_rows:
-        return 0
-    peeled, residual = _peel_structural(int_rows)
-    if not residual:
-        return peeled
-    cols = sorted({c for r in residual for c in r})
-    index = {c: i for i, c in enumerate(cols)}
-    dense = [[0] * len(cols) for _ in residual]
-    for i, r in enumerate(residual):
-        for c, v in r.items():
-            dense[i][index[c]] = v
-    return peeled + _kernel.bareiss_rank(dense, len(cols))
+    rows = [{} for _ in range(nrows)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    return len(_echelon(rows))
 
 
 def rank_dense(rows) -> int:
     """Exact rank of a dense rational matrix (list of row lists)."""
-    entries = {}
-    ncols = 0
-    for i, row in enumerate(rows):
-        ncols = max(ncols, len(row))
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = Fraction(v)
-    return rank_sparse(entries, len(rows), ncols)
+    return len(_echelon([_sparse_row(row) for row in rows]))
 
 
 def nullspace(rows, ncols):
     """Basis of the right kernel of a dense rational matrix.
 
     Returns a list of Fraction vectors of length ``ncols``, one per free
-    column of the reduced row echelon form, in ascending column order.
+    column in ascending order: the vector for free column ``f`` is 1 at
+    ``f`` and 0 at every other free column (the basis read off the
+    reduced row echelon form).
     """
-    a = [[Fraction(v) for v in row] for row in rows]
-    m = len(a)
-    pivots = []  # (row, col)
-    prow = 0
-    for c in range(ncols):
-        pr = next((r for r in range(prow, m) if a[r][c]), None)
-        if pr is None:
-            continue
-        a[pr], a[prow] = a[prow], a[pr]
-        inv = Fraction(1) / a[prow][c]
-        a[prow] = [v * inv for v in a[prow]]
-        for r in range(m):
-            if r != prow and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
-        pivots.append((prow, c))
-        prow += 1
-        if prow == m:
-            break
-    pivot_cols = {c for _, c in pivots}
+    pivots = _echelon([_sparse_row(row) for row in rows])
     basis = []
-    for c in range(ncols):
-        if c in pivot_cols:
+    for f in range(ncols):
+        if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for r, pc in pivots:
-            v[pc] = -a[r][c]
-        basis.append(v)
+        x = _back_substitute(pivots, {f: Fraction(1)})
+        basis.append([x.get(c, Fraction(0)) for c in range(ncols)])
     return basis
 
 
@@ -182,49 +126,26 @@ def solve_rational(rows, rhs):
     side.  Returns ``("feasible", x)`` with free unknowns set to zero,
     or ``("infeasible", lam)`` where ``lam`` are row multipliers with
     lam . A = 0 and lam . b = 1 (checked before returning).
+
+    b is eliminated as column ``n`` of the augmented matrix: a pivot
+    there is the row (0 | 1), and its combination of input rows is lam.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    # transform tracks row operations: current system = T * original
-    t = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    pivots = []  # (row, col)
-    prow = 0
-    for c in range(n):
-        pr = -1
-        for r in range(prow, m):
-            if a[r][c]:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        a[pr], a[prow] = a[prow], a[pr]
-        b[pr], b[prow] = b[prow], b[pr]
-        t[pr], t[prow] = t[prow], t[pr]
-        inv = Fraction(1) / a[prow][c]
-        a[prow] = [v * inv for v in a[prow]]
-        b[prow] *= inv
-        t[prow] = [v * inv for v in t[prow]]
-        for r in range(m):
-            if r != prow and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
-                b[r] -= f * b[prow]
-                t[r] = [x - f * y for x, y in zip(t[r], t[prow])]
-        pivots.append((prow, c))
-        prow += 1
-        if prow == m:
-            break
-    for r in range(m):
-        if b[r] and not any(a[r]):
-            lam = [v / b[r] for v in t[r]]
-            # verify the certificate against the original data
-            for c in range(n):
-                assert sum(lam[i] * Fraction(rows[i][c]) for i in range(m)) == 0
-            assert sum(lam[i] * Fraction(rhs[i]) for i in range(m)) == 1
-            return "infeasible", lam
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = b[r]
-    return "feasible", x
+    augmented = []
+    for row, b in zip(rows, rhs):
+        aug = _sparse_row(row)
+        if b:
+            aug[n] = Fraction(b)
+        augmented.append(aug)
+    pivots = _echelon(augmented, track=True)
+    if n in pivots:
+        combo = pivots[n][1]
+        lam = [combo.get(i, Fraction(0)) for i in range(m)]
+        # verify the certificate against the original data
+        for c in range(n):
+            assert sum(lam[i] * Fraction(rows[i][c]) for i in combo) == 0
+        assert sum(lam[i] * Fraction(rhs[i]) for i in combo) == 1
+        return "infeasible", lam
+    x = _back_substitute(pivots, {n: Fraction(-1)})
+    return "feasible", [x.get(c, Fraction(0)) for c in range(n)]

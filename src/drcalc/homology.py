@@ -5,7 +5,7 @@ weight makes the monomials of weight above ``W`` span a subcomplex, so
 the quotient spanned by the light monomials is again a complex; that
 quotient is what ``weight_truncate`` materializes, one sparse rational
 matrix per adjacent degree pair.  Cohomology is rank-nullity
-bookkeeping on top of fraction-free elimination.
+bookkeeping on top of exact sparse elimination (``elim``).
 
 Truncation does not commute with cohomology in general.  The stability
 flags reported by ``stability_report`` compare dimensions at ``W`` and
@@ -25,7 +25,7 @@ from .errors import StructuralError
 
 
 def rank_ff(rows) -> int:
-    """Exact rank of a dense rational matrix, fraction-free."""
+    """Exact rank of a dense rational matrix."""
     return elim.rank_dense(rows)
 
 
@@ -67,22 +67,12 @@ class MatrixComplex:
     def check_composition(self):
         """Raise unless consecutive differentials compose to zero."""
         for n, first in self.diffs.items():
-            second = self.diffs.get(n + 1)
-            if not second or not first:
-                continue
-            by_col = {}
-            for (r, c), v in first.items():
-                by_col.setdefault(c, []).append((r, v))
-            for c, col in by_col.items():
-                acc = {}
-                for mid, v in col:
-                    for (r, m), w in second.items():
-                        if m == mid:
-                            acc[r] = acc.get(r, Fraction(0)) + w * v
-                if any(acc.values()):
-                    raise StructuralError(
-                        f"d o d != 0 out of degree {n}, column {c}"
-                    )
+            product = _compose(self.diffs.get(n + 1, {}), first)
+            if product:
+                _, c = next(iter(product))
+                raise StructuralError(
+                    f"d o d != 0 out of degree {n}, column {c}"
+                )
 
     def cohomology(self):
         """{degree: dim H} via dim ker(d^n) - rank(d^{n-1})."""
@@ -234,8 +224,8 @@ def chain_map_check(morphism, weight) -> "ChainMapReport":
         d_tgt = tgt.diffs.get(n, {})
         phi_n = mats.get(n, {})
         phi_up = mats.get(n + 1, {})
-        lhs = _compose(phi_up, d_src, tgt.dims.get(n + 1, 0))
-        rhs = _compose(d_tgt, phi_n, tgt.dims.get(n + 1, 0))
+        lhs = _compose(phi_up, d_src)
+        rhs = _compose(d_tgt, phi_n)
         if lhs != rhs:
             return ChainMapReport(False, n)
     return ChainMapReport(True, None)
@@ -250,7 +240,7 @@ class ChainMapReport:
         return self.ok
 
 
-def _compose(second, first, nrows):
+def _compose(second, first):
     """Sparse product second o first (entries dicts)."""
     by_col = {}
     for (r, c), v in first.items():

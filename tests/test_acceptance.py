@@ -284,7 +284,7 @@ def test_criterion_11_engine_invariant_suite():
         rhs = total(a) * b + (a * total(b)).scale(sign)
         assert lhs == rhs
 
-    # fraction-free rank against a plain Gaussian oracle
+    # exact rank against a plain Gaussian oracle
     def gauss_rank(rows):
         m = [list(map(Fraction, r)) for r in rows]
         rank = 0

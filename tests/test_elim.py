@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
 
-from drcalc import elim
-from drcalc._elim_py import bareiss_rank as pure_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-try:
-    from drcalc._elim_c import bareiss_rank as compiled_rank
-except ImportError:
-    compiled_rank = None
+from drcalc import elim
+from drcalc.parse import parse_poly
+from drcalc.reiffen import divergence_system
 
 
 def gauss_rank(rows):
@@ -66,9 +65,7 @@ def test_both_kernels_agree_with_oracle():
             [rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)
         ]
         want = gauss_rank([[Fraction(v) for v in row] for row in ints])
-        assert pure_rank([list(r) for r in ints], nc) == want
-        if compiled_rank is not None:
-            assert compiled_rank([list(r) for r in ints], nc) == want
+        assert elim.rank_dense(ints) == want
 
 
 def test_rank_sparse_structural_cases():
@@ -167,24 +164,144 @@ def test_solve_rational_random_infeasible():
     assert hits > 5  # overdetermined random systems are usually infeasible
 
 
-def test_backend_dispatch():
-    assert elim.backend_name() in ("compiled", "pure")
-    names = [name for name, _ in elim.available_kernels()]
-    assert "pure" in names
-    if compiled_rank is not None:
-        assert "compiled" in names
-        assert elim.backend_name() == "compiled"
+# ---------------------------------------------------------------------------
+# pivot columns do not depend on row order, so pinned CLI lines do not either
 
 
-def test_kernels_shared_contract():
-    # every importable kernel gives the same answers on the same input
-    rng = random.Random(48)
-    kernels = elim.available_kernels()
-    for _ in range(30):
-        nr = rng.randrange(1, 6)
-        nc = rng.randrange(1, 6)
-        ints = [
-            [rng.randrange(-20, 21) for _ in range(nc)] for _ in range(nr)
-        ]
-        got = {name: fn([list(r) for r in ints], nc) for name, fn in kernels}
-        assert len(set(got.values())) == 1
+def rref_nullspace(rows, ncols):
+    """Independent oracle: kernel basis read off a reduced row echelon form."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        m[top] = [v / m[top][col] for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][free]
+        basis.append(v)
+    return basis
+
+
+def _dense_system(f_text, degree):
+    f = parse_poly(("x", "y"), f_text)
+    system = divergence_system(f, parse_poly(("x", "y"), "1"), degree)
+    dense = [[Fraction(0)] * system.unknown_count for _ in system.rows]
+    for r, row in enumerate(system.rows):
+        for j, c in row:
+            dense[r][j] = c
+    return system, dense, list(system.rhs)
+
+
+def test_solve_feasible_is_independent_of_row_order():
+    system, dense, rhs = _dense_system("x^2+y^2", 6)
+    tag, x = elim.solve_rational(dense, rhs)
+    assert tag == "feasible"
+    # the CLI line witness=[1/4*x; 1/4*y]: h_x = x/4, h_y = y/4
+    support = {
+        system.unknown_labels[j][1:]: v for j, v in enumerate(x) if v
+    }
+    assert support == {(0, (1, 0)): Fraction(1, 4), (1, (0, 1)): Fraction(1, 4)}
+    rng = random.Random(49)
+    for _ in range(10):
+        perm = list(range(len(dense)))
+        rng.shuffle(perm)
+        assert elim.solve_rational(
+            [dense[p] for p in perm], [rhs[p] for p in perm]
+        ) == ("feasible", x)
+
+
+def test_certificate_is_independent_of_row_order():
+    _, dense, rhs = _dense_system("x^4+y^5+y^4*x", 5)
+    pinned = [0, 0, 0, 7, 23, -29, 0, 0, 0, 0]
+    assert elim.solve_rational(dense, rhs) == ("infeasible", pinned)
+    rng = random.Random(50)
+    for _ in range(10):
+        perm = list(range(len(dense)))
+        rng.shuffle(perm)
+        tag, lam = elim.solve_rational(
+            [dense[p] for p in perm], [rhs[p] for p in perm]
+        )
+        assert tag == "infeasible"
+        assert lam == [pinned[p] for p in perm]
+
+
+def test_nullspace_is_the_canonical_basis():
+    rng = random.Random(51)
+    for _ in range(40):
+        nr = rng.randrange(1, 7)
+        nc = rng.randrange(1, 8)
+        m = _random_matrix(rng, nr, nc, density=0.4)
+        # a dependent row so that free columns appear among pivots
+        m.append([a + 2 * b for a, b in zip(m[0], m[-1])])
+        want = rref_nullspace(m, nc)
+        assert elim.nullspace(m, nc) == want
+        rng.shuffle(m)
+        assert elim.nullspace(m, nc) == want
+
+
+_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Sparse matrix with some rows forced to be combinations of others."""
+    nr = draw(st.integers(1, 20))
+    nc = draw(st.integers(1, 25))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+        _small, max_size=3 * nr,
+    ))
+    dense = [[Fraction(0)] * nc for _ in range(nr)]
+    for (r, c), v in cells.items():
+        dense[r][c] = v
+    for _ in range(draw(st.integers(0, 5))):
+        picks = draw(st.lists(st.integers(0, len(dense) - 1), min_size=1, max_size=3))
+        coeffs = draw(st.lists(_small, min_size=len(picks), max_size=len(picks)))
+        dense.append([
+            sum((k * dense[p][c] for p, k in zip(picks, coeffs)), Fraction(0))
+            for c in range(nc)
+        ])
+    order = draw(st.permutations(range(len(dense))))
+    dense = [dense[p] for p in order]
+    if draw(st.booleans()):
+        xstar = draw(st.lists(_small, min_size=nc, max_size=nc))
+        rhs = [sum(a * b for a, b in zip(row, xstar)) for row in dense]
+    else:
+        rhs = draw(st.lists(_small, min_size=len(dense), max_size=len(dense)))
+    return dense, rhs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sparse_systems())
+def test_sparse_kernel_property(system):
+    dense, rhs = system
+    nr, nc = len(dense), len(dense[0])
+    entries = {
+        (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v
+    }
+    rank = gauss_rank(dense)
+    assert elim.rank_sparse(entries, nr, nc) == rank
+    tag, payload = elim.solve_rational(dense, rhs)
+    augmented = gauss_rank([row + [b] for row, b in zip(dense, rhs)])
+    assert (tag == "infeasible") == (augmented > rank)
+    if tag == "feasible":
+        for row, b in zip(dense, rhs):
+            assert sum(a * v for a, v in zip(row, payload)) == b
+    else:
+        for c in range(nc):
+            assert sum(payload[r] * dense[r][c] for r in range(nr)) == 0
+        assert sum(payload[r] * rhs[r] for r in range(nr)) == 1
