@@ -1,40 +1,45 @@
-"""Log-domain evidence that a flat 1-form has no flat antiderivative.
+"""A proof by interval enclosure that a flat 1-form has no flat antiderivative.
 
 The function phi(x) = sin^2(1/x) e^{-1/x^2} vanishes to infinite order
 at 0 and on the null sequence 1/(k*pi).  Any antiderivative T of
 tau = e^{-1/phi} with T(0) = 0 that lived in the ideal of functions
 flat on the zero set would vanish at every 1/n; but tau > 0 off the
 zeros, so T(1/n) is a strictly positive integral.  This module
-computes certified-positive lower bounds for those integrals.
+computes certified lower bounds for those integrals.
 
 Near 1/3 the integrand is of order e^{-400000}: no fixed-exponent
 binary format can represent it, which is why everything here is a
 (sign, log magnitude) pair at 200-bit-or-better precision.  The bounds
-are numerical evidence with a wide margin, not a formal proof: the
-per-cell minimum is taken over sampled points and discounted by the
-observed local variation, and floating-point rounding is tracked as an
-operation count.
+are proofs, not estimates: on each grid cell, mpmath's interval
+arithmetic (Moore 1966; Tucker 2011, *Validated Numerics*) encloses
+phi over the whole cell with every operation rounded outward, and the
+cells are summed in the log domain with the result rounded downward.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
+
+from .errors import StructuralError
 
 DEFAULT_PRECISION = 200
 DEFAULT_GRID = 1024
-MARGIN_FACTOR = 10
 
 
 @dataclass(frozen=True)
 class LogValue:
     """A nonnegative real held as (sign, log magnitude, operation count).
 
-    ``ops`` counts the floating operations that produced the value;
-    each is correct to about one unit in the last place, so the
-    accumulated relative error is bounded by ``ops * 2^(1-bits)``.
+    ``ops`` counts the rounded floating operations that produced the
+    value; each is correct to about one unit in the last place, so the
+    accumulated relative error is bounded by ``ops * 2^(1-bits)``.  A
+    bound from an outward-rounded enclosure carries no such error and
+    has ``ops == 0``.
     """
 
     sign: str  # "zero" | "positive"
@@ -49,25 +54,23 @@ class LogValue:
     def from_log(cls, log, ops: int = 1) -> "LogValue":
         return cls(sign="positive", log=log, ops=ops)
 
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.sign == "zero":
-            return other
-        if other.sign == "zero":
-            return self
-        hi, lo = (self, other) if self.log >= other.log else (other, self)
-        log = hi.log + mpmath.log1p(mpmath.exp(lo.log - hi.log))
-        return LogValue(sign="positive", log=log, ops=self.ops + other.ops + 1)
-
-    def scaled(self, log_factor) -> "LogValue":
-        """Multiply by e^log_factor (exact sign, one tracked operation)."""
-        if self.sign == "zero":
-            return self
-        return LogValue(
-            sign="positive", log=self.log + log_factor, ops=self.ops + 1
-        )
-
     def relative_error_bound(self, bits: int):
         return self.ops * mpmath.mpf(2) ** (1 - bits)
+
+
+def _interval_context(precision_bits: int) -> MPIntervalContext:
+    """A fresh interval context: the shared ``mpmath.iv`` keeps its prec."""
+    if precision_bits < 1:
+        raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
+    ctx = MPIntervalContext()
+    ctx.prec = precision_bits
+    return ctx
+
+
+def _lower(x, precision_bits: int):
+    """The lower end of an interval as an mpf (exact: it fits the prec)."""
+    with mpmath.workprec(precision_bits):
+        return mpmath.mpf(x.a)
 
 
 def phi_eval(x, precision_bits: int = DEFAULT_PRECISION):
@@ -100,66 +103,65 @@ def tau_log_eval(x, precision_bits: int = DEFAULT_PRECISION) -> LogValue:
         return LogValue.from_log(-1 / p, ops=8)
 
 
-def _cell_bound(a, b, precision_bits) -> LogValue:
-    """min sampled tau, discounted by the observed log variation, * width.
+def log_sum_lower_bound(
+    logs, precision_bits: int = DEFAULT_PRECISION
+) -> LogValue:
+    """A lower bound for log(sum of e^l over logs), rounded downward.
 
-    If log tau swings by s across the samples, the conservative guess
-    is that it can swing by s again inside the cell, so the sampled
-    minimum is scaled by e^{-s}.  Any zero sample voids the cell.
+    Evaluated as max + log sum e^(l - max) in interval arithmetic, so
+    the lower end of the enclosure is certified; an empty sum is zero.
     """
-    samples = [
-        tau_log_eval(t, precision_bits) for t in (a, (a + b) / 2, b)
-    ]
-    if any(s.sign == "zero" for s in samples):
+    if not logs:
         return LogValue.zero()
-    logs = [s.log for s in samples]
-    spread = max(logs) - min(logs)
-    ops = sum(s.ops for s in samples) + 4
-    return LogValue(
-        sign="positive",
-        log=min(logs) - spread + mpmath.log(b - a),
-        ops=ops,
-    )
+    ctx = _interval_context(precision_bits)
+    top = max(logs)
+    total = ctx.mpf(0)
+    for log in logs:
+        total += ctx.exp(ctx.mpf(log) - top)
+    return LogValue.from_log(_lower(ctx.ln(total) + top, precision_bits), 0)
 
 
 def log_integral_lower_bound(
     a, b, grid: int = DEFAULT_GRID, precision_bits: int = DEFAULT_PRECISION
 ) -> LogValue:
-    """A positive lower bound for the integral of tau over [a, b].
+    """A certified lower bound for the integral of tau over [a, b].
 
-    The bound at the requested grid is compared with its dyadic
-    coarsenings and the best is reported, so doubling the grid never
-    loses ground.  A result of zero is valid but says nothing.
+    A cell of width w adds at least w e^{-1/phi_lo}, phi_lo being the
+    lower end of an interval enclosure of phi over it; a cell whose
+    enclosure reaches 0 is void.  Cell edges enclose a + (b - a) i/grid,
+    the same intervals wherever i/grid is, so halved cells nest in their
+    parents and, by inclusion isotonicity, refining never loses ground
+    beyond the final rounding.  A zero result says nothing.
     """
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
-    with mpmath.workprec(precision_bits):
-        a = mpmath.mpf(a)
-        b = mpmath.mpf(b)
-        best = LogValue.zero()
-        g = max(int(grid), 1)
-        while True:
-            total = LogValue.zero()
-            width = (b - a) / g
-            for i in range(g):
-                total = total + _cell_bound(
-                    a + i * width, a + (i + 1) * width, precision_bits
-                )
-            if total.sign == "positive" and (
-                best.sign == "zero" or total.log > best.log
-            ):
-                best = total
-            if g == 1:
-                return best
-            g //= 2
+    if grid < 1:
+        raise StructuralError(f"grid must be at least 1, got {grid}")
+    ctx = _interval_context(precision_bits)
+    a = ctx.mpf(a)
+    span = ctx.mpf(b) - a
+    log_width = ctx.ln(span / grid)
+    logs = []
+    right = a
+    for i in range(1, grid + 1):
+        left, right = right, a + span * i / grid
+        cell = ctx.mpf([left.a, right.b])
+        if cell.a <= 0:
+            continue
+        u = 1 / cell
+        s = ctx.sin(u)
+        phi_lo = (s * s * ctx.exp(-u * u)).a
+        if phi_lo > 0:
+            logs.append(_lower(log_width - 1 / phi_lo, precision_bits))
+    return log_sum_lower_bound(logs, precision_bits)
 
 
 def zero_free_window(n: int):
-    """An interval inside (0, 1/n] bounded away from the zeros of tau.
+    """A window up to binary64 1/n, bounded away from the zeros of tau.
 
     The window runs from the largest null point 1/(k*pi) below 1/n up
-    to 1/n itself, stepping a tenth of its length off the null end.
-    1/n is never a null point, so only that end needs a margin.
+    to 1/n (which binary64 may round up), stepping a tenth of its
+    length off the null end; 1/n is never a null point.
     """
     k = 1
     while 1.0 / (k * math.pi) >= 1.0 / n:
@@ -201,24 +203,20 @@ def nonexactness_witness(
     grid: int = DEFAULT_GRID,
     precision_bits: int = DEFAULT_PRECISION,
 ) -> WitnessReport:
-    """Positive lower bounds for T(1/n) = integral of tau over (0, 1/n].
+    """Certified lower bounds for T(1/n) = integral of tau over (0, 1/n].
 
-    The verdict is positive only when the bound is nonzero and exceeds
-    its accumulated rounding error by a factor of at least ten.
+    The verdict is positive exactly when the bound is nonzero: the
+    bound is an outward-rounded enclosure, so it is a proof.
     """
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise StructuralError(f"nmax must be at least 1, got {n_max}")
     entries = []
     for n in range(1, n_max + 1):
         a, b = zero_free_window(n)
+        if Fraction(b) > Fraction(1, n):  # binary64 rounded 1/n upward
+            b = math.nextafter(b, 0.0)
         bound = log_integral_lower_bound(a, b, grid, precision_bits)
-        if (
-            bound.sign == "positive"
-            and bound.relative_error_bound(precision_bits) * MARGIN_FACTOR < 1
-        ):
-            verdict = "positive"
-        else:
-            verdict = "indeterminate"
+        verdict = "positive" if bound.sign == "positive" else "indeterminate"
         entries.append(WitnessEntry(n=n, bound=bound, verdict=verdict))
     return WitnessReport(
         entries=tuple(entries), precision_bits=precision_bits, grid=grid
@@ -226,10 +224,12 @@ def nonexactness_witness(
 
 
 def float64_lower_bound(a: float, b: float, grid: int = DEFAULT_GRID) -> float:
-    """The same cell scheme in plain binary64, for contrast.
+    """The sampled binary64 contrast: an estimate, not a bound.
 
-    Past n = 2 the integrand is far below the smallest subnormal and
-    every cell collapses to zero — the reason LogValue exists.
+    Each cell takes the least of three samples of tau, discounted by
+    their spread.  Past n = 2 the integrand is far below the smallest
+    subnormal and every cell collapses to zero — the reason LogValue
+    exists.
     """
 
     def tau(x):

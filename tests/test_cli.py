@@ -165,7 +165,18 @@ def test_witness(capsys):
     code, out, _ = run(capsys, ["witness", "--nmax", "1", "--grid", "128"])
     assert code == 0
     assert out[1] == "params: nmax=1 precision-bits=200 grid=128"
-    assert out[2] == "n=1 logT_lower=-5.877337607 verdict=positive"
+    assert out[2] == "n=1 logT_lower=-5.868070226 verdict=positive"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--nmax", "0"], ["--grid", "0"], ["--grid", "-5"], ["--precision-bits", "0"]],
+)
+def test_bad_witness_parameters_exit_2(capsys, flags):
+    code, out, err = run(capsys, ["witness", *flags])
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
 
 
 def test_fibre_report(capsys):

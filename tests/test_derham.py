@@ -242,6 +242,18 @@ def test_amitsur_matches_stage_node():
     assert lines[-1] == "n=2 amitsur=0 derham=0 verdict=equal"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="amitsur_vs_derham ignores derham_stable (ROADMAP item 3)",
+)
+def test_amitsur_unstable_degree_is_inconclusive():
+    # the stage is unstable in degree 1 between W = 5 and W = 6, so the
+    # comparison there proves nothing and must not read "equal"
+    rep = amitsur_vs_derham(P("x^2+y^3"), 3, 3, 5)
+    assert dict(rep.derham_stable)[1] is False
+    assert dict(rep.verdicts)[1] == "inconclusive"
+
+
 def test_amitsur_guards():
     with pytest.raises(StructuralError):
         amitsur_vs_derham(P("x^2", X), 1, 3, 6)
