@@ -45,6 +45,7 @@ from .homology import (
     CohomologyReport,
     MatrixComplex,
     morphism_matrices,
+    restricted_report,
     stability_report,
     weight_truncate,
 )
@@ -92,14 +93,10 @@ class DeRhamStage:
     hodge_level: int
     weight: int
 
-    @property
-    def context(self):
-        return _stage_context(self.presentation)
-
     def truncation_data(self):
         ctx = _stage_context(self.presentation)
         boundary, d_dr = _stage_derivations(self.presentation, ctx)
-        return ctx, boundary + d_dr, self.hodge_level, None
+        return ctx, boundary + d_dr, range(self.hodge_level + 1), None
 
     def complex(self, weight=None) -> MatrixComplex:
         return weight_truncate(self, weight or self.weight)
@@ -138,34 +135,27 @@ class CotangentPresentation:
 
     Internal degrees: the ``dx`` span sits in degree 0, each ``dxi``
     generator one step below; the differential sends ``dxi`` to the
-    exterior derivative of the equation it bounds.
+    exterior derivative of the equation it bounds.  As a truncation
+    source it is the Hodge column ``column`` of the stage under the
+    internal boundary alone; column 1 is the cotangent complex itself,
+    column k its k-th wedge power in the stage's own realization.
     """
 
     base: DGPresentation
-
-    def module_generators(self):
-        names = ["d" + n for n in self.base.even]
-        names += ["d" + g.name for g in self.base.odd]
-        return tuple(names)
+    column: int = 1
 
     def truncation_data(self):
         ctx = _stage_context(self.base)
         boundary, _ = _stage_derivations(self.base, ctx)
-        return ctx, boundary, None, None
+        return ctx, boundary, range(self.column, self.column + 1), None
 
     def complex(self, weight) -> MatrixComplex:
-        """The one-form slice, graded by internal degree."""
-        sliced = _hodge_slice(self, 1, weight)
-        return _shift_degrees(sliced, -1)
+        """The column slice, graded by internal degree."""
+        return _shift_degrees(weight_truncate(self, weight), -self.column)
 
     def report(self, weight) -> CohomologyReport:
-        here = self.complex(weight).cohomology()
-        above = self.complex(weight + 1).cohomology()
-        degrees = sorted(set(here) | set(above))
-        return CohomologyReport(
-            dims=tuple(sorted(here.items())),
-            stable=tuple((n, here.get(n, 0) == above.get(n, 0)) for n in degrees),
-        )
+        ctx = _stage_context(self.base)
+        return restricted_report(self.complex, ctx, weight)
 
 
 def cotangent_complex(pres: DGPresentation) -> CotangentPresentation:
@@ -175,35 +165,6 @@ def cotangent_complex(pres: DGPresentation) -> CotangentPresentation:
     if pres.relations:
         raise StructuralError("cotangent presentation needs a free ambient")
     return CotangentPresentation(pres)
-
-
-def _hodge_slice(source, column, weight) -> MatrixComplex:
-    """Assemble a single Hodge column with its internal differential."""
-    ctx, boundary, _, _ = source.truncation_data()
-    mons = enumerate_monomials(ctx, max_weight=weight, hodge=column)
-    buckets = {}
-    for m in mons:
-        buckets.setdefault(ctx.degree_of(m), []).append(m)
-    index = {n: {m: i for i, m in enumerate(ms)} for n, ms in buckets.items()}
-    dims = {n: len(ms) for n, ms in buckets.items()}
-    labels = {
-        n: [ctx.monomial_str(m) for m in ms] for n, ms in buckets.items()
-    }
-    diffs = {}
-    for n, ms in buckets.items():
-        entries = {}
-        target = index.get(n + 1, {})
-        for col, m in enumerate(ms):
-            image = boundary(GradedElement.monomial(ctx, m)).weight_filter(weight)
-            for exps, coeff in image.terms.items():
-                row = target.get(exps)
-                if row is None:
-                    raise StructuralError(
-                        f"column differential left the column at degree {n}"
-                    )
-                entries[(row, col)] = coeff
-        diffs[n] = entries
-    return MatrixComplex(dims, labels, diffs)
 
 
 def _shift_degrees(cx: MatrixComplex, shift: int) -> MatrixComplex:
@@ -222,8 +183,9 @@ class _WedgeSource:
     an actual check rather than a tautology.
     """
 
-    def __init__(self, base: DGPresentation):
+    def __init__(self, base: DGPresentation, k: int):
         self.base = base
+        self.k = k
         gens = []
         for name in base.even:
             gens.append(Generator("d" + name, 1, 1, 1))
@@ -246,11 +208,8 @@ class _WedgeSource:
                 term = GradedElement.monomial(ctx, exps, coeff)
                 exterior = exterior + _exterior_derivative(term, ctx)
             del_images["d" + g.name] = -exterior
-        return ctx, Derivation(ctx, del_images), None, None
-
-
-def base_names(pres: DGPresentation):
-    return tuple(pres.even) + tuple(g.name for g in pres.odd)
+        hodge = range(self.k, self.k + 1)
+        return ctx, Derivation(ctx, del_images), hodge, None
 
 
 def _exterior_derivative(term: GradedElement, ctx: GradedContext):
@@ -288,27 +247,14 @@ def wedge_power(cotangent: CotangentPresentation, k: int, weight: int) -> Matrix
     """
     if k < 0:
         raise StructuralError("wedge exponent must be non-negative")
-    source = _WedgeSource(cotangent.base)
-    return _hodge_slice(source, k, weight)
-
-
-class _StageColumns:
-    """Stage context with only the internal boundary, for column slices."""
-
-    def __init__(self, pres: DGPresentation):
-        self.pres = pres
-
-    def truncation_data(self):
-        ctx = _stage_context(self.pres)
-        boundary, _ = _stage_derivations(self.pres, ctx)
-        return ctx, boundary, None, None
+    return weight_truncate(_WedgeSource(cotangent.base, k), weight)
 
 
 def hodge_graded(pres: DGPresentation, k: int, weight: int) -> MatrixComplex:
     """The Hodge-degree-k column of the stage, internal differential only."""
     if k < 0:
         raise StructuralError("column index must be non-negative")
-    return _hodge_slice(_StageColumns(pres), k, weight)
+    return weight_truncate(CotangentPresentation(pres, k), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +286,6 @@ class CartierReport:
         return f"cartier k={self.k} verdict={self.verdict}"
 
 
-def _dims_with_stability(build, weight):
-    here = build(weight).cohomology()
-    above = build(weight + 1).cohomology()
-    degrees = sorted(set(here) | set(above))
-    dims = {n: here.get(n, 0) for n in degrees}
-    stable = {n: here.get(n, 0) == above.get(n, 0) for n in degrees}
-    return dims, stable
-
-
 def cartier_check(pres: DGPresentation, k: int, weight: int) -> CartierReport:
     """Compare the k-th Hodge column against the k-th wedge of 𝕃.
 
@@ -357,24 +294,25 @@ def cartier_check(pres: DGPresentation, k: int, weight: int) -> CartierReport:
     not.
     """
     cot = cotangent_complex(pres)
-    g_dims, g_stable = _dims_with_stability(
-        lambda w: hodge_graded(pres, k, w), weight
+    graded = restricted_report(
+        lambda w: hodge_graded(pres, k, w), _stage_context(pres), weight
     )
-    w_dims, w_stable = _dims_with_stability(
-        lambda w: wedge_power(cot, k, w), weight
+    wedge = restricted_report(
+        lambda w: wedge_power(cot, k, w), _WedgeSource(pres, k).context, weight
     )
-    degrees = sorted(set(g_dims) | set(w_dims))
+    g_stable = dict(graded.stable)
+    w_stable = dict(wedge.stable)
     verdicts = []
-    for n in degrees:
+    for n in sorted(set(g_stable) | set(w_stable)):
         if g_stable.get(n, True) and w_stable.get(n, True):
-            ok = g_dims.get(n, 0) == w_dims.get(n, 0)
+            ok = graded.dim(n) == wedge.dim(n)
             verdicts.append((n, "equal" if ok else "mismatch"))
         else:
             verdicts.append((n, "inconclusive"))
     return CartierReport(
         k=k,
-        graded_dims=tuple(sorted(g_dims.items())),
-        wedge_dims=tuple(sorted(w_dims.items())),
+        graded_dims=tuple((n, graded.dim(n)) for n in g_stable),
+        wedge_dims=tuple((n, wedge.dim(n)) for n in w_stable),
         verdicts=tuple(verdicts),
     )
 
@@ -620,15 +558,15 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
             degrees.add(p + q)
     for n in sorted(degrees):
         total = 0
-        labs = []
+        keys = []
         for p, (_, cx) in enumerate(columns):
             q = n - p
             if q in cx.dims:
                 offsets[(n, p)] = total
                 total += cx.dims[q]
-                labs.extend(f"p{p}:{l}" for l in cx.labels[q])
+                keys.extend((p, exps) for exps in cx.labels[q])
         dims[n] = total
-        labels[n] = labs
+        labels[n] = keys
     diffs = {}
     for n in sorted(degrees):
         entries = {}

@@ -11,15 +11,15 @@ relation ideal singles out the standard monomials, and every
 differential image is reduced before it is read off.  Only the even
 part is ever rewritten.
 
-Koszul algebras, their tower transition maps, and the stages of the
-Amitsur conerve of a principal quotient are the three constructors the
-rest of the package consumes.
+Koszul algebras and their tower transition maps are the two
+constructors the rest of the package consumes; the conerve of a
+principal quotient is modelled in ``derham`` on disjoint copies of the
+variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 import random
 
 from .algebra import Derivation, GradedContext, GradedElement, Generator
@@ -282,51 +282,3 @@ def tower_map(variables, polys, big, small, relations=()) -> DGMorphism:
     if bad is not None:
         raise StructuralError(f"tower map fails to commute on {bad!r}")
     return phi
-
-
-@dataclass(frozen=True)
-class AmitsurStage:
-    """Level-``p`` stage of the conerve of a principal quotient.
-
-    The presentation models the (p+1)-fold derived tensor power of
-    A/(f) over A: one odd generator per tensor factor, all bounding the
-    same ``f``.  ``cofaces`` are the p+1 maps from the previous stage,
-    inserting a fresh factor at each slot.
-    """
-
-    f: Poly
-    level: int
-    presentation: DGPresentation
-    cofaces: tuple
-
-
-def _amitsur_presentation(variables, f, p, n=1):
-    odd = []
-    images = {}
-    md = f.min_degree()
-    for j in range(p + 1):
-        name = f"xi{j}"
-        odd.append(OddGenerator(name, -1, n * md))
-        images[name] = f ** n
-    return DGPresentation(tuple(variables), odd, images)
-
-
-def amitsur_stage(variables, f: Poly, p: int) -> AmitsurStage:
-    if not f:
-        raise StructuralError("conerve of the zero section rejected")
-    if p < 0:
-        raise StructuralError("level must be non-negative")
-    variables = tuple(variables)
-    pres = _amitsur_presentation(variables, f, p)
-    cofaces = []
-    if p >= 1:
-        prev = _amitsur_presentation(variables, f, p - 1)
-        for i in range(p + 1):
-            images = {}
-            for j in range(p):
-                new = j if j < i else j + 1
-                images[f"xi{j}"] = GradedElement.generator(
-                    pres.context, f"xi{new}"
-                )
-            cofaces.append(DGMorphism(prev, pres, images))
-    return AmitsurStage(f, p, pres, tuple(cofaces))

@@ -4,14 +4,18 @@ Everything here is finite and exact.  A differential that never lowers
 weight makes the monomials of weight above ``W`` span a subcomplex, so
 the quotient spanned by the light monomials is again a complex; that
 quotient is what ``weight_truncate`` materializes, one sparse rational
-matrix per adjacent degree pair.  Cohomology is rank-nullity
-bookkeeping on top of exact sparse elimination (``elim``).
+matrix per adjacent degree pair, with exponent tuples as basis keys.
+Cohomology is rank-nullity bookkeeping on top of exact sparse
+elimination (``elim``).
 
 Truncation does not commute with cohomology in general.  The stability
 flags reported by ``stability_report`` compare dimensions at ``W`` and
-``W + 1``: evidence, not proof, that a dimension has settled.  Callers
-that compare two constructions are expected to restrict attention to
-degrees where both sides are stable.
+``W + 1``: evidence, not proof, that a dimension has settled.  The
+complex is assembled once, at ``W + 1``; the ``W`` complex is its
+quotient by the weight-``(W + 1)`` part, i.e. the same matrices
+restricted to the basis keys of weight at most ``W``.  Callers that
+compare two constructions are expected to restrict attention to degrees
+where both sides are stable.
 """
 
 from __future__ import annotations
@@ -24,17 +28,15 @@ from .algebra import GradedElement, enumerate_monomials
 from .errors import StructuralError
 
 
-def rank_ff(rows) -> int:
-    """Exact rank of a dense rational matrix."""
-    return elim.rank_dense(rows)
-
-
 class MatrixComplex:
-    """Bases (as label lists) per degree plus one matrix per step up.
+    """Bases (as key lists) per degree plus one matrix per step up.
 
-    ``diffs[n]`` maps degree ``n`` to degree ``n + 1``; entries are
-    sparse ``{(row, col): Fraction}`` with rows indexed by the target
-    basis and columns by the source basis.
+    ``labels[n]`` lists opaque hashable basis keys: exponent tuples for
+    assembled complexes, ``(column, exponents)`` pairs for the conerve
+    totalization, anything hashable for hand-built ones.  ``diffs[n]``
+    maps degree ``n`` to degree ``n + 1``; entries are sparse
+    ``{(row, col): Fraction}`` with rows indexed by the target basis and
+    columns by the source basis.
     """
 
     __slots__ = ("dims", "labels", "diffs")
@@ -63,6 +65,39 @@ class MatrixComplex:
         return elim.rank_sparse(
             entries, self.dims.get(n + 1, 0), self.dims.get(n, 0)
         )
+
+    def restrict(self, keep) -> "MatrixComplex":
+        """Quotient by the span of the basis keys failing ``keep``.
+
+        The dropped keys must span a subcomplex (for a weight cut: the
+        differential never lowers weight); the matrices of the quotient
+        are then the old ones with dropped rows and columns deleted.
+        Degrees left without a basis disappear.
+        """
+        dims, labels, renumber = {}, {}, {}
+        for n, keys in self.labels.items():
+            kept = [i for i, key in enumerate(keys) if keep(key)]
+            if kept:
+                dims[n] = len(kept)
+                labels[n] = [keys[i] for i in kept]
+                renumber[n] = {old: new for new, old in enumerate(kept)}
+        diffs = {}
+        for n, old in self.diffs.items():
+            cols = renumber.get(n, {})
+            rows = renumber.get(n + 1, {})
+            entries = {}
+            for (r, c), v in old.items():
+                if r not in rows:
+                    continue
+                if c not in cols:
+                    raise StructuralError(
+                        f"restriction is not a quotient: dropped column {c} "
+                        f"of degree {n} reaches a kept row"
+                    )
+                entries[(rows[r], cols[c])] = v
+            if n in dims:
+                diffs[n] = entries
+        return MatrixComplex(dims, labels, diffs)
 
     def check_composition(self):
         """Raise unless consecutive differentials compose to zero."""
@@ -120,17 +155,17 @@ class CohomologyReport:
         return "\n".join(lines)
 
 
-def weight_truncate(source, weight, max_hodge=None) -> MatrixComplex:
+def weight_truncate(source, weight) -> MatrixComplex:
     """Finite quotient complex of everything of weight at most ``weight``.
 
-    ``source`` is any object exposing ``truncation_data()`` — a Koszul
-    or Amitsur presentation, a de Rham stage, or a stalk complex.  An
-    explicit ``max_hodge`` further cuts to the first columns of the
-    Hodge grading.
+    ``source`` is any object exposing ``truncation_data()``, which
+    returns ``(context, differential, hodge, normal_form)``: ``hodge``
+    is ``None`` or the range of Hodge columns kept (columns above it
+    span a subcomplex and are quotiented away), and ``normal_form`` is
+    ``None`` or the relation normal form whose standard monomials form
+    the basis.  Basis keys are exponent tuples in sorted order.
     """
-    ctx, diff, own_hodge, nf = source.truncation_data()
-    if max_hodge is None:
-        max_hodge = own_hodge
+    ctx, diff, hodge, nf = source.truncation_data()
     for i, image in diff.images.items():
         gen = ctx.gens[i]
         light = image.min_weight()
@@ -139,28 +174,24 @@ def weight_truncate(source, weight, max_hodge=None) -> MatrixComplex:
                 f"differential lowers weight on generator {gen.name!r}: "
                 f"image has weight {light} < {gen.weight}"
             )
-    mons = enumerate_monomials(ctx, max_weight=weight, max_hodge=max_hodge)
-    if nf is not None:
-        mons = [m for m in mons if nf.is_standard(m)]
     buckets = {}
-    for m in mons:
+    for m in enumerate_monomials(ctx, max_weight=weight):
+        if hodge is not None and ctx.hodge_of(m) not in hodge:
+            continue
+        if nf is not None and not nf.is_standard(m):
+            continue
         buckets.setdefault(ctx.degree_of(m), []).append(m)
-    index = {
-        n: {m: i for i, m in enumerate(ms)} for n, ms in buckets.items()
-    }
-    dims = {n: len(ms) for n, ms in buckets.items()}
-    labels = {n: [ctx.monomial_str(m) for m in ms] for n, ms in buckets.items()}
     diffs = {}
     for n, ms in buckets.items():
         entries = {}
-        target = index.get(n + 1, {})
+        target = {m: i for i, m in enumerate(buckets.get(n + 1, ()))}
         for col, m in enumerate(ms):
             image = diff(GradedElement.monomial(ctx, m))
             if nf is not None:
                 image = nf.reduce(image)
             image = image.weight_filter(weight)
-            if max_hodge is not None:
-                image = image.hodge_filter(max_hodge)
+            if hodge is not None:
+                image = image.hodge_filter(hodge.stop - 1)
             for exps, coeff in image.terms.items():
                 try:
                     row = target[exps]
@@ -171,27 +202,44 @@ def weight_truncate(source, weight, max_hodge=None) -> MatrixComplex:
                     ) from None
                 entries[(row, col)] = coeff
         diffs[n] = entries
-    return MatrixComplex(dims, labels, diffs)
+    dims = {n: len(ms) for n, ms in buckets.items()}
+    return MatrixComplex(dims, buckets, diffs)
 
 
-def cohomology_dims(complex_: MatrixComplex) -> CohomologyReport:
-    dims = complex_.cohomology()
-    return CohomologyReport(
-        dims=tuple(sorted(dims.items())),
-        stable=(),
-    )
+def stability_report(source, weight) -> CohomologyReport:
+    """Cohomology at ``weight`` with per-degree (W vs W+1) flags.
+
+    The source is assembled once, at ``weight + 1``.
+    """
+    ctx = source.truncation_data()[0]
+    return restricted_report(lambda w: weight_truncate(source, w), ctx, weight)
 
 
-def stability_report(source, weight, max_hodge=None) -> CohomologyReport:
-    """Cohomology at ``weight`` with per-degree (W vs W+1) flags."""
-    here = weight_truncate(source, weight, max_hodge).cohomology()
-    above = weight_truncate(source, weight + 1, max_hodge).cohomology()
+def restricted_report(build, ctx, weight) -> CohomologyReport:
+    """Flagged report from one build, ``build(weight + 1)``.
+
+    The W complex is read off the W+1 one by restricting to the basis
+    keys (exponent tuples over ``ctx``) of weight at most ``weight``;
+    both are checked for d o d = 0 on the way to their cohomology.  A
+    differential that lowers weight after all (through a relation's
+    normal form) leaves no such quotient and raises.
+    """
+    above = build(weight + 1)
+    here = above.restrict(lambda exps: ctx.weight_of(exps) <= weight)
+    return flag_stability(here.cohomology(), above.cohomology())
+
+
+def flag_stability(here, above) -> CohomologyReport:
+    """Report the dims ``here`` flagged by agreement with ``above``.
+
+    Both are ``{degree: dim}``; the flags cover every degree either
+    side has.
+    """
     degrees = sorted(set(here) | set(above))
-    dims = tuple((n, here.get(n, 0)) for n in sorted(here))
-    stable = tuple(
-        (n, here.get(n, 0) == above.get(n, 0)) for n in degrees
+    return CohomologyReport(
+        dims=tuple(sorted(here.items())),
+        stable=tuple((n, here.get(n, 0) == above.get(n, 0)) for n in degrees),
     )
-    return CohomologyReport(dims=dims, stable=stable)
 
 
 def _matrix_apply(entries, vec, nrows):
@@ -263,44 +311,28 @@ def _compose(second, first):
 def morphism_matrices(morphism, src_cx, tgt_cx, weight):
     """Degree-indexed sparse matrices of a morphism between truncations.
 
-    Requires label-consistent bases: the matrices are computed by
-    pushing each source basis monomial through the generator images and
+    Both complexes must be keyed by exponent tuples over the morphism's
+    source and target contexts: the matrices are computed by pushing
+    each source basis monomial through the generator images and
     expanding in the target basis (terms falling outside the truncation
     are projected away).
     """
     src_ctx = morphism.source.context
-    tgt_ctx = morphism.target.context
     mats = {}
     for n in src_cx.degrees():
-        target_index = {}
-        if n in tgt_cx.dims:
-            for i, label in enumerate(tgt_cx.labels[n]):
-                target_index[label] = i
+        target_index = {
+            exps: i for i, exps in enumerate(tgt_cx.labels.get(n, ()))
+        }
         entries = {}
-        for col, label in enumerate(src_cx.labels[n]):
-            exps = _exps_from_label(src_ctx, label)
+        for col, exps in enumerate(src_cx.labels[n]):
             image = morphism.apply(GradedElement.monomial(src_ctx, exps))
             image = image.weight_filter(weight)
             for t_exps, coeff in image.terms.items():
-                key = tgt_ctx.monomial_str(t_exps)
-                row = target_index.get(key)
-                if row is None:
-                    continue
-                entries[(row, col)] = coeff
+                row = target_index.get(t_exps)
+                if row is not None:
+                    entries[(row, col)] = coeff
         mats[n] = entries
     return mats
-
-
-def _exps_from_label(ctx, label):
-    exps = [0] * len(ctx)
-    if label != "1":
-        for factor in label.split("*"):
-            if "^" in factor:
-                name, e = factor.split("^")
-                exps[ctx.index(name)] = int(e)
-            else:
-                exps[ctx.index(factor)] = 1
-    return tuple(exps)
 
 
 def induced_map_vanishes(src_cx, tgt_cx, mats, degree) -> bool:

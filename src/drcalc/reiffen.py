@@ -32,7 +32,7 @@ from .algebra import (
     enumerate_monomials,
 )
 from .errors import StructuralError
-from .homology import CohomologyReport
+from .homology import CohomologyReport, flag_stability
 from .poly import Poly
 
 SOUNDNESS_NOTE = (
@@ -62,7 +62,7 @@ def _exterior(ctx: GradedContext, variables) -> Derivation:
 class KIdealComplex:
     """Spanning data for K^k = I*Omega^k + dI ^ Omega^{k-1} below W.
 
-    ``form_bases[k]`` lists the monomial labels of the ambient k-forms,
+    ``form_bases[k]`` lists the exponent tuples of the ambient k-forms,
     ``spans[k]`` the coordinates of the computed spanning set of K^k in
     that basis (one sparse column per spanning form).  By convention
     K^0 is the ideal itself.
@@ -71,7 +71,7 @@ class KIdealComplex:
     variables: tuple
     gens: tuple
     weight: int
-    form_bases: tuple  # per k: tuple of labels
+    form_bases: tuple  # per k: tuple of exponent tuples
     spans: tuple  # per k: dict {(row, col): Fraction}, plus column count
     span_cols: tuple
 
@@ -105,7 +105,7 @@ def k_ideal_complex(gens, weight) -> KIdealComplex:
     indexes = []
     for k in range(n + 1):
         mons = enumerate_monomials(ctx, max_weight=weight, hodge=k)
-        bases.append(tuple(ctx.monomial_str(m) for m in mons))
+        bases.append(tuple(mons))
         indexes.append({m: i for i, m in enumerate(mons)})
 
     spans = []
@@ -150,12 +150,10 @@ def differential_ideal_check(kc: KIdealComplex) -> bool:
     ctx = _form_context(kc.variables)
     d = _exterior(ctx, kc.variables)
     n = len(kc.variables)
-    label_index = [
-        {label: i for i, label in enumerate(kc.form_bases[k])}
+    index = [
+        {exps: i for i, exps in enumerate(kc.form_bases[k])}
         for k in range(n + 1)
     ]
-    from .homology import _exps_from_label  # shared label parsing
-
     for k in range(n):
         base_rank = elim.rank_sparse(
             kc.spans[k + 1], len(kc.form_bases[k + 1]), kc.span_cols[k + 1]
@@ -168,11 +166,11 @@ def differential_ideal_check(kc: KIdealComplex) -> bool:
         for c, entries in by_col.items():
             elem = GradedElement.zero(ctx)
             for r, v in entries:
-                exps = _exps_from_label(ctx, kc.form_bases[k][r])
+                exps = kc.form_bases[k][r]
                 elem = elem + GradedElement.monomial(ctx, exps, v)
             image = d(elem).weight_filter(kc.weight)
             for exps, coeff in image.terms.items():
-                aug[(label_index[k + 1][ctx.monomial_str(exps)], col)] = coeff
+                aug[(index[k + 1][exps], col)] = coeff
             col += 1
         if (
             elim.rank_sparse(aug, len(kc.form_bases[k + 1]), col)
@@ -189,12 +187,8 @@ def _stalk_dims(gens, weight):
     ctx = _form_context(variables)
     d = _exterior(ctx, variables)
     n = len(variables)
-    mons = []
-    indexes = []
-    for k in range(n + 1):
-        ms = enumerate_monomials(ctx, max_weight=weight, hodge=k)
-        mons.append(ms)
-        indexes.append({m: i for i, m in enumerate(ms)})
+    mons = kc.form_bases
+    indexes = [{m: i for i, m in enumerate(ms)} for ms in mons]
 
     k_rank = [kc.k_dimension(k) for k in range(n + 1)]
     induced_rank = []
@@ -228,14 +222,7 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     Flags compare the dimensions at ``weight`` and ``weight + 1``.
     """
     here = _stalk_dims(gens, weight)
-    above = _stalk_dims(gens, weight + 1)
-    degrees = sorted(set(here) | set(above))
-    return CohomologyReport(
-        dims=tuple(sorted(here.items())),
-        stable=tuple(
-            (k, here.get(k, 0) == above.get(k, 0)) for k in degrees
-        ),
-    )
+    return flag_stability(here, _stalk_dims(gens, weight + 1))
 
 
 # ---------------------------------------------------------------------------

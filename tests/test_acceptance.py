@@ -26,7 +26,6 @@ from drcalc.homology import (
     chain_map_check,
     induced_map_vanishes,
     morphism_matrices,
-    rank_ff,
     weight_truncate,
 )
 from drcalc.parse import parse_poly
@@ -309,7 +308,7 @@ def test_criterion_11_engine_invariant_suite():
             [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        assert rank_ff(mat) == gauss_rank(mat), trial
+        assert elim.rank_dense(mat) == gauss_rank(mat), trial
 
     # order-independence of ideal membership
     for trial in range(20):

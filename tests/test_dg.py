@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from drcalc.algebra import GradedElement
+from drcalc.derham import _conerve_cofaces, _conerve_presentation
 from drcalc.dg import (
     DGMorphism,
     DGPresentation,
     OddGenerator,
-    amitsur_stage,
     koszul_presentation,
     presentation_check,
     tower_map,
 )
 from drcalc.errors import StructuralError
-from drcalc.homology import chain_map_check, weight_truncate
+from drcalc.homology import chain_map_check
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
 
@@ -157,54 +157,34 @@ def test_tower_chain_map_at_window():
 
 
 # ---------------------------------------------------------------------------
-# Amitsur stages
+# conerve cofaces (the disjoint-copies model the comparison runs on)
 
-
-def test_amitsur_stage_level_zero_and_one():
-    st0 = amitsur_stage(X, P("x^2", X), 0)
-    assert [g.name for g in st0.presentation.odd] == ["xi0"]
-    st1 = amitsur_stage(X, P("x^2", X), 1)
-    assert [g.name for g in st1.presentation.odd] == ["xi0", "xi1"]
-    for name in ("xi0", "xi1"):
-        assert str(st1.presentation.images[name]) == "x^2"
-    cx = weight_truncate(st1.presentation, 6)
-    dims = cx.cohomology()
-    assert dims[0] == 2
-    assert dims[-1] == 2
-
-
-def test_amitsur_stage_smooth_point():
-    st1 = amitsur_stage(X, P("x", X), 1)
-    dims = weight_truncate(st1.presentation, 6).cohomology()
-    assert dims[0] == 1
-    assert dims.get(-1, 0) == 1
+CONERVE_CASES = ((X, P("x^2", X)), (XY, P("x*y")))
 
 
 def test_coface_count_and_targets():
-    st2 = amitsur_stage(X, P("x^2", X), 2)
-    assert len(st2.cofaces) == 3
-    for coface in st2.cofaces:
-        assert coface.source.odd == amitsur_stage(X, P("x^2", X), 1).presentation.odd
-        assert coface.commutes_on_generators() is None
+    for variables, f in CONERVE_CASES:
+        for p in (1, 2, 3):
+            cofaces = _conerve_cofaces(variables, f, p)
+            assert len(cofaces) == p + 1
+            for coface in cofaces:
+                assert coface.source == _conerve_presentation(variables, f, p - 1)
+                assert coface.target == _conerve_presentation(variables, f, p)
+                assert coface.commutes_on_generators() is None
 
 
 def test_cosimplicial_identities():
-    # d^j d^i = d^i d^(j-1) for i < j, checked on generators at levels 1..3
-    f = P("x^2", X)
-    for p in range(1, 4):
-        here = amitsur_stage(X, f, p)
-        above = amitsur_stage(X, f, p + 1)
-        for i in range(p + 1):
-            for j in range(i + 1, p + 2):
-                left = above.cofaces[j].compose(here.cofaces[i])
-                right = above.cofaces[i].compose(here.cofaces[j - 1])
-                for g in left.source.odd:
-                    assert left.images[g.name] == right.images[g.name]
-
-
-def test_amitsur_rejects_zero():
-    with pytest.raises(StructuralError):
-        amitsur_stage(X, Poly.zero(X), 1)
+    # d^j d^i = d^i d^(j-1) for i < j, checked on every generator (the
+    # variable copies as well as the odd ones) at levels 1..3
+    for variables, f in CONERVE_CASES:
+        for p in range(1, 4):
+            here = _conerve_cofaces(variables, f, p)
+            above = _conerve_cofaces(variables, f, p + 1)
+            for i in range(p + 1):
+                for j in range(i + 1, p + 2):
+                    left = above[j].compose(here[i])
+                    right = above[i].compose(here[j - 1])
+                    assert left.images == right.images, (f, p, i, j)
 
 
 # ---------------------------------------------------------------------------

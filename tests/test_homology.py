@@ -3,14 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from drcalc.derham import (
+    CotangentPresentation,
+    _WedgeSource,
+    cotangent_complex,
+    derham_stage,
+    hodge_graded,
+    wedge_power,
+)
 from drcalc.dg import koszul_presentation, tower_map
 from drcalc.errors import StructuralError
 from drcalc.homology import (
     MatrixComplex,
     chain_map_check,
-    cohomology_dims,
     induced_map_vanishes,
     morphism_matrices,
+    restricted_report,
     stability_report,
     weight_truncate,
 )
@@ -125,7 +133,7 @@ def test_koszul_fat_point_window_2():
     cx = weight_truncate(pres, 2)
     assert cx.dims[0] == 3          # 1, x, x^2
     assert cx.dims[-1] == 1         # t alone; x*t has weight 3
-    assert set(cx.labels[-1]) == {"t"}
+    assert {pres.context.monomial_str(k) for k in cx.labels[-1]} == {"t"}
     assert cx.cohomology() == {-1: 0, 0: 2}
 
 
@@ -185,11 +193,70 @@ def test_report_format_lines():
         assert line.endswith(("true", "false"))
 
 
-def test_cohomology_dims_has_no_flags():
-    pres = koszul_presentation(("x",), [P("x", ("x",))], 1)
-    report = cohomology_dims(weight_truncate(pres, 4))
+def _restriction_cases():
+    koszul = koszul_presentation(XY, [P("x*y"), P("x^2 + y^3")], 1)
+    related = koszul_presentation(XY, [P("x*y")], 1, (P("x^2 - y^2"),))
+    node = koszul_presentation(XY, [P("x*y")], 1)
+    stage_ctx = derham_stage(node, 2, 1).truncation_data()[0]
+    return [
+        ("koszul", koszul.context, lambda w: weight_truncate(koszul, w)),
+        ("relations", related.context, lambda w: weight_truncate(related, w)),
+        (
+            "stage",
+            stage_ctx,
+            lambda w: weight_truncate(derham_stage(node, 2, w), w),
+        ),
+        (
+            "graded",
+            CotangentPresentation(node, 2).truncation_data()[0],
+            lambda w: hodge_graded(node, 2, w),
+        ),
+        (
+            "wedge",
+            _WedgeSource(node, 2).context,
+            lambda w: wedge_power(cotangent_complex(node), 2, w),
+        ),
+    ]
+
+
+def test_restriction_matches_direct_build():
+    # the W complex is the W+1 complex restricted to weight <= W: same
+    # basis keys, same entries, for every way a complex is assembled;
+    # the flagged report read off one W+1 build must agree with two
+    # direct builds
+    for name, ctx, build in _restriction_cases():
+        for weight in (2, 3, 4, 6):
+            above = build(weight + 1)
+            here = above.restrict(lambda e: ctx.weight_of(e) <= weight)
+            direct = build(weight)
+            assert here.dims == direct.dims, (name, weight)
+            assert here.labels == direct.labels, (name, weight)
+            assert here.diffs == direct.diffs, (name, weight)
+            low, high = direct.cohomology(), above.cohomology()
+            report = restricted_report(build, ctx, weight)
+            assert report.dims == tuple(sorted(low.items())), (name, weight)
+            assert dict(report.stable) == {
+                n: low.get(n, 0) == high.get(n, 0) for n in set(low) | set(high)
+            }, (name, weight)
+
+
+def test_restriction_must_drop_a_subcomplex():
+    pres = koszul_presentation(XY, [P("x*y")], 1)
+    cx = weight_truncate(pres, 4)
+    # dropping degree -1 keeps the boundaries of what was dropped
+    with pytest.raises(StructuralError) as err:
+        cx.restrict(lambda e: pres.context.degree_of(e) >= 0)
+    assert "not a quotient" in str(err.value)
+    # a relation whose normal form lowers weight (y^3 -> x^2) leaves the
+    # heavy monomials no subcomplex, so no report is read off the window
+    lowering = koszul_presentation(XY, [P("x*y")], 1, (P("x^2 - y^3"),))
     with pytest.raises(StructuralError):
-        report.format()
+        stability_report(lowering, 4)
+    # hand-built keys: dropping the target of a map is a quotient
+    two = _two_term({(0, 0): Fraction(1), (0, 1): Fraction(1)}, 2, 1)
+    low = two.restrict(lambda key: key != "f0")
+    assert low.dims == {0: 2} and low.diffs == {0: {}}
+    assert low.cohomology() == {0: 2}
 
 
 # ---------------------------------------------------------------------------
