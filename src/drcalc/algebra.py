@@ -15,12 +15,20 @@ Derivations are determined by generator images and extended by the
 graded Leibniz rule ``D(ab) = D(a) b + (-1)^|a| a D(b)``.  The sum of
 two derivations of the same degree is again one, which is how total
 differentials are assembled downstream.
+
+Products, derivations and presentation morphisms all expand on
+exponent tuples: an image is kept as a list of ``(exps, coeff)`` terms,
+every term of an expansion goes through ``_mul_exps`` into one
+accumulator dict, and zero coefficients are dropped once at the end.
+While an expansion runs, integral coefficients travel as ``int``; every
+coefficient stored in a ``GradedElement`` is a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import StructuralError
 from .poly import Poly
@@ -39,12 +47,24 @@ class Generator:
 
 
 class GradedContext:
-    """Ordered generator tuple; provides index lookup and grading sums."""
+    """Ordered generator tuple; provides index lookup and grading sums.
 
-    __slots__ = ("gens", "_index")
+    ``_odd_desc`` lists the positions of the odd generators, last first:
+    the only positions the Koszul sign of a product depends on.
+    """
+
+    __slots__ = (
+        "gens", "_index", "_odd_desc", "_degrees", "_weights", "_hodges"
+    )
 
     def __init__(self, gens):
         self.gens = tuple(gens)
+        self._odd_desc = tuple(
+            i for i in reversed(range(len(self.gens))) if self.gens[i].odd
+        )
+        self._degrees = tuple(g.degree for g in self.gens)
+        self._weights = tuple(g.weight for g in self.gens)
+        self._hodges = tuple(g.hodge for g in self.gens)
         self._index = {}
         for i, g in enumerate(self.gens):
             if g.name in self._index:
@@ -72,13 +92,13 @@ class GradedContext:
         return hash(self.gens)
 
     def degree_of(self, exps) -> int:
-        return sum(e * g.degree for e, g in zip(exps, self.gens))
+        return sum(map(mul, exps, self._degrees))
 
     def weight_of(self, exps) -> int:
-        return sum(e * g.weight for e, g in zip(exps, self.gens))
+        return sum(map(mul, exps, self._weights))
 
     def hodge_of(self, exps) -> int:
-        return sum(e * g.hodge for e, g in zip(exps, self.gens))
+        return sum(map(mul, exps, self._hodges))
 
     def ring_variables(self):
         """Names of the underlying polynomial variables (degree 0, column 0)."""
@@ -95,23 +115,45 @@ class GradedContext:
 
 
 def _mul_exps(ctx: GradedContext, a, b):
-    """Combine exponent tuples; returns (sign, exps) or None if zero."""
-    sign = 1
-    count_above = 0  # odd generators of `a` with index above the cursor
-    n = len(a)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        ai, bi = a[i], b[i]
-        out[i] = ai + bi
-        if ctx.gens[i].odd:
-            if bi:
-                if ai:
-                    return None
-                if count_above % 2:
-                    sign = -sign
-            if ai:
-                count_above += 1
-    return sign, tuple(out)
+    """Combine exponent tuples; returns (sign, exps) or None if zero.
+
+    The sign is the parity of the pairs (odd factor of ``b``, odd factor
+    of ``a`` at a later position) that the product has to swap.
+    """
+    parity = 0
+    above = 0  # parity of the odd factors of `a` past the cursor
+    for i in ctx._odd_desc:
+        if b[i]:
+            if a[i]:
+                return None
+            parity ^= above
+        if a[i]:
+            above ^= 1
+    return (-1 if parity else 1), tuple(map(add, a, b))
+
+
+def term_list(elem):
+    """``(exps, coeff)`` pairs of ``elem``, integral coefficients as ``int``."""
+    return tuple(
+        (e, c.numerator if c.denominator == 1 else c)
+        for e, c in elem.terms.items()
+    )
+
+
+def multiply_terms(ctx: GradedContext, left, right):
+    """Product of two term lists as an accumulator dict.
+
+    Coefficients are summed as they come; zeros are left for
+    ``GradedElement.from_accumulator`` to drop.
+    """
+    acc = {}
+    for ea, ca in left:
+        for eb, cb in right:
+            hit = _mul_exps(ctx, ea, eb)
+            if hit is not None:
+                sign, exps = hit
+                acc[exps] = acc.get(exps, 0) + sign * ca * cb
+    return acc
 
 
 class GradedElement:
@@ -143,11 +185,16 @@ class GradedElement:
         return cls(context, {tuple(exps): Fraction(1)})
 
     @classmethod
-    def monomial(cls, context, exps, coeff=Fraction(1)):
+    def monomial(cls, context, exps, coeff=1):
         coeff = Fraction(coeff)
         if not coeff:
             return cls(context)
         return cls(context, {tuple(exps): coeff})
+
+    @classmethod
+    def from_accumulator(cls, context, acc):
+        """Element of an expansion dict: zeros dropped, Fraction coefficients."""
+        return cls(context, {e: Fraction(c) for e, c in acc.items() if c})
 
     @classmethod
     def from_poly(cls, context, poly: Poly):
@@ -206,20 +253,8 @@ class GradedElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        ctx = self.context
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                hit = _mul_exps(ctx, ea, eb)
-                if hit is None:
-                    continue
-                sign, exps = hit
-                s = terms.get(exps, Fraction(0)) + sign * ca * cb
-                if s:
-                    terms[exps] = s
-                else:
-                    terms.pop(exps, None)
-        return GradedElement(ctx, terms)
+        acc = multiply_terms(self.context, term_list(self), term_list(other))
+        return GradedElement.from_accumulator(self.context, acc)
 
     __rmul__ = __mul__
 
@@ -299,19 +334,17 @@ class GradedElement:
         ctx = self.context
         var_names = ctx.ring_variables()
         var_pos = {name: ctx.index(name) for name in var_names}
-        out = GradedElement(ctx)
+        acc = {}
         for residual, poly in self.even_poly_parts().items():
             image = fn(poly)
-            if not image:
-                continue
-            terms = {}
+            positions = [var_pos[name] for name in image.context]
             for pex, coeff in image.terms.items():
                 exps = list(residual)
-                for name, e in zip(image.context, pex):
-                    exps[var_pos[name]] = e
-                terms[tuple(exps)] = coeff
-            out = out + GradedElement(ctx, terms)
-        return out
+                for pos, e in zip(positions, pex):
+                    exps[pos] = e
+                key = tuple(exps)
+                acc[key] = acc.get(key, 0) + coeff
+        return GradedElement.from_accumulator(ctx, acc)
 
     def cast_to(self, new_context: "GradedContext", rename=None):
         """Move to another context, matching generators by name.
@@ -383,10 +416,12 @@ class Derivation:
     ``images`` maps generator names to elements; omitted generators map
     to zero.  Application follows the graded Leibniz rule, so the sign
     in front of the ``i``-th factor of a monomial is the parity of the
-    degree of everything to its left.
+    degree of everything to its left.  Each image is also kept as a term
+    list, and every Leibniz term prefix·image·rest is formed by two
+    tuple products straight into one accumulator.
     """
 
-    __slots__ = ("context", "images")
+    __slots__ = ("context", "images", "_terms")
 
     def __init__(self, context: GradedContext, images):
         self.context = context
@@ -404,6 +439,7 @@ class Derivation:
                             f"degree {expect}"
                         )
                 self.images[i] = elem
+        self._terms = {i: term_list(elem) for i, elem in self.images.items()}
 
     def __add__(self, other):
         if self.context != other.context:
@@ -422,34 +458,40 @@ class Derivation:
         ctx = self.context
         if elem.context != ctx:
             raise StructuralError("mixed graded contexts")
-        out = GradedElement(ctx)
-        for exps, coeff in elem.terms.items():
-            out = out + self._apply_monomial(exps, coeff)
-        return out
-
-    def _apply_monomial(self, exps, coeff):
-        ctx = self.context
-        out = GradedElement(ctx)
-        prefix_degree = 0
-        for i, e in enumerate(exps):
-            if e:
-                image = self.images.get(i)
+        gens = ctx.gens
+        images = self._terms
+        zero = (0,) * len(ctx)
+        acc = {}
+        for exps, coeff in term_list(elem):
+            prefix_degree = 0
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                image = images.get(i)
                 if image is not None:
-                    sign = -1 if prefix_degree % 2 else 1
-                    mult = 1 if ctx.gens[i].odd else e
-                    prefix = [0] * len(exps)
-                    prefix[:i] = exps[:i]
-                    rest = [0] * len(exps)
-                    rest[i:] = exps[i:]
-                    rest[i] -= 1
-                    piece = (
-                        GradedElement.monomial(ctx, prefix, coeff * sign * mult)
-                        * image
-                        * GradedElement.monomial(ctx, rest)
-                    )
-                    out = out + piece
-                prefix_degree += e * ctx.gens[i].degree
-        return out
+                    scale = coeff if gens[i].odd else coeff * e
+                    if prefix_degree % 2:
+                        scale = -scale
+                    prefix = exps[:i] + zero[i:]
+                    rest = zero[:i] + (e - 1,) + exps[i + 1:]
+                    for t, c in image:
+                        hit = _mul_exps(ctx, prefix, t)
+                        if hit is None:
+                            continue
+                        first, head = hit
+                        hit = _mul_exps(ctx, head, rest)
+                        if hit is None:
+                            continue
+                        second, m = hit
+                        acc[m] = acc.get(m, 0) + first * second * scale * c
+                prefix_degree += e * gens[i].degree
+        return GradedElement.from_accumulator(ctx, acc)
+
+
+def check_weight(weight):
+    """Raise unless ``weight`` is a usable weight window (at least 0)."""
+    if weight < 0:
+        raise StructuralError(f"weight {weight} is negative; windows start at 0")
 
 
 def enumerate_monomials(
@@ -462,10 +504,12 @@ def enumerate_monomials(
     """All exponent tuples meeting the given constraints, sorted.
 
     ``max_weight`` must be supplied: together with the positive
-    generator weights it is what keeps the answer finite.
+    generator weights it is what keeps the answer finite.  A negative
+    cap is refused rather than read as an empty window.
     """
     if max_weight is None:
         raise StructuralError("monomial enumeration needs a weight cap")
+    check_weight(max_weight)
     gens = context.gens
     found = []
     exps = [0] * len(gens)

@@ -195,47 +195,8 @@ class _WedgeSource:
         self.context = GradedContext(gens)
 
     def truncation_data(self):
-        ctx = self.context
-        del_images = {}
-        for g in self.base.odd:
-            image = self.base.images.get(g.name)
-            if image is None or not image:
-                continue
-            lifted = image.cast_to(ctx)
-            del_images[g.name] = lifted
-            exterior = GradedElement.zero(ctx)
-            for exps, coeff in lifted.terms.items():
-                term = GradedElement.monomial(ctx, exps, coeff)
-                exterior = exterior + _exterior_derivative(term, ctx)
-            del_images["d" + g.name] = -exterior
-        hodge = range(self.k, self.k + 1)
-        return ctx, Derivation(ctx, del_images), hodge, None
-
-
-def _exterior_derivative(term: GradedElement, ctx: GradedContext):
-    """d of a single base-algebra term, written with the d-generators."""
-    out = GradedElement.zero(ctx)
-    ((exps, coeff),) = term.terms.items()
-    prefix_degree = 0
-    for i, e in enumerate(exps):
-        g = ctx.gens[i]
-        if e and g.hodge == 0:
-            sign = -1 if prefix_degree % 2 else 1
-            mult = 1 if g.odd else e
-            rest = list(exps)
-            rest[i] -= 1
-            dgen = GradedElement.generator(ctx, "d" + g.name)
-            prefix = [0] * len(exps)
-            prefix[:i] = exps[:i]
-            tail = [0] * len(exps)
-            tail[i:] = rest[i:]
-            out = out + (
-                GradedElement.monomial(ctx, prefix, coeff * sign * mult)
-                * dgen
-                * GradedElement.monomial(ctx, tail)
-            )
-        prefix_degree += e * g.degree
-    return out
+        boundary, _ = _stage_derivations(self.base, self.context)
+        return self.context, boundary, range(self.k, self.k + 1), None
 
 
 def wedge_power(cotangent: CotangentPresentation, k: int, weight: int) -> MatrixComplex:

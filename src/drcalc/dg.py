@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 import random
 
-from .algebra import Derivation, GradedContext, GradedElement, Generator
+from .algebra import (
+    Derivation,
+    GradedContext,
+    GradedElement,
+    Generator,
+    multiply_terms,
+    term_list,
+)
 from .errors import StructuralError
 from .groebner import GroebnerBasis, MonomialOrder, buchberger
 from .poly import Poly
@@ -177,7 +184,7 @@ class DGMorphism:
     is representable on purpose so that checks have something to fail.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_terms")
 
     def __init__(self, source: DGPresentation, target: DGPresentation, images=None):
         self.source = source
@@ -191,19 +198,28 @@ class DGMorphism:
             else:
                 value = GradedElement.generator(target.context, g.name)
             self.images[g.name] = value
+        self._terms = tuple(
+            term_list(self.images[g.name]) for g in source.context.gens
+        )
 
     def apply(self, elem: GradedElement) -> GradedElement:
-        src = self.source.context
+        """Image of ``elem``, reduced by the target's normal form.
+
+        Each monomial's image is the product of its generators' image
+        term lists in source order, multiplied out on exponent tuples;
+        all monomials land in one accumulator.
+        """
         tgt = self.target.context
-        out = GradedElement.zero(tgt)
-        for exps, coeff in elem.terms.items():
-            term = GradedElement.const(tgt, coeff)
-            for e, gen in zip(exps, src.gens):
-                if e:
-                    img = self.images[gen.name]
-                    for _ in range(e):
-                        term = term * img
-            out = out + term
+        one = (0,) * len(tgt)
+        acc = {}
+        for exps, coeff in term_list(elem):
+            partial = ((one, coeff),)
+            for e, image in zip(exps, self._terms):
+                for _ in range(e):
+                    partial = multiply_terms(tgt, partial, image).items()
+            for m, c in partial:
+                acc[m] = acc.get(m, 0) + c
+        out = GradedElement.from_accumulator(tgt, acc)
         if self.target.nf is not None:
             out = self.target.nf.reduce(out)
         return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import elim
-from .algebra import GradedElement, enumerate_monomials
+from .algebra import GradedElement, check_weight, enumerate_monomials
 from .errors import StructuralError
 
 
@@ -224,6 +224,7 @@ def restricted_report(build, ctx, weight) -> CohomologyReport:
     differential that lowers weight after all (through a relation's
     normal form) leaves no such quotient and raises.
     """
+    check_weight(weight)
     above = build(weight + 1)
     here = above.restrict(lambda exps: ctx.weight_of(exps) <= weight)
     return flag_stability(here.cohomology(), above.cohomology())

@@ -1,0 +1,290 @@
+"""The tuple kernels of the algebra layer against independent oracles.
+
+``_mul_exps`` is checked against the parity of inversions among the odd
+factors; ``Derivation`` against the Leibniz rule spelled out factor by
+factor; ``DGMorphism.apply`` against the product of generator images.
+The last two oracles multiply with ``GradedElement.__mul__``, whose sign
+the first test pins down.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drcalc.algebra import (
+    GradedContext,
+    GradedElement,
+    Generator,
+    _mul_exps,
+    enumerate_monomials,
+)
+from drcalc.derham import (
+    CotangentPresentation,
+    DeRhamStage,
+    _WedgeSource,
+    _conerve_cofaces,
+    conerve_totalization,
+)
+from drcalc.dg import koszul_presentation, tower_map
+from drcalc.homology import morphism_matrices, weight_truncate
+from drcalc.parse import parse_poly
+
+XY = ("x", "y")
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def P(text, ctx=XY):
+    return parse_poly(ctx, text)
+
+
+# ---------------------------------------------------------------------------
+# _mul_exps
+
+
+@st.composite
+def _contexts_with_pairs(draw):
+    n = draw(st.integers(1, 7))
+    degrees = draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
+    ctx = GradedContext(
+        Generator(f"g{i}", deg, 1 + i % 3) for i, deg in enumerate(degrees)
+    )
+
+    def exps():
+        return tuple(
+            draw(st.integers(0, 1 if g.odd else 3)) for g in ctx.gens
+        )
+
+    return ctx, exps(), exps()
+
+
+def _inversion_sign(ctx, a, b):
+    """Sign of sorting the odd factors of a, then of b, into context order."""
+    odd = [i for i, g in enumerate(ctx.gens) if g.odd]
+    seq = [i for i in odd if a[i]] + [i for i in odd if b[i]]
+    if len(set(seq)) < len(seq):
+        return None
+    inversions = sum(
+        1 for j in range(len(seq)) for k in range(j + 1, len(seq))
+        if seq[j] > seq[k]
+    )
+    return -1 if inversions % 2 else 1
+
+
+@PROPERTY
+@given(_contexts_with_pairs())
+def test_mul_exps_sign_is_inversion_parity(case):
+    ctx, a, b = case
+    sign = _inversion_sign(ctx, a, b)
+    hit = _mul_exps(ctx, a, b)
+    if sign is None:
+        assert hit is None
+    else:
+        assert hit == (sign, tuple(x + y for x, y in zip(a, b)))
+
+
+def test_mul_exps_repeated_odd_factor_is_zero():
+    ctx = GradedContext([Generator("x", 0), Generator("t", -1), Generator("s", 1)])
+    assert _mul_exps(ctx, (1, 1, 0), (2, 1, 0)) is None
+    assert _mul_exps(ctx, (0, 0, 1), (0, 1, 1)) is None
+    assert _mul_exps(ctx, (0, 0, 1), (0, 1, 0)) == (-1, (0, 1, 1))
+    assert _mul_exps(ctx, (0, 1, 0), (0, 0, 1)) == (1, (0, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# derivations
+
+
+def _koszul():
+    pres = koszul_presentation(XY, [P("x^2 - 1/2*y"), P("3*x*y")], 1)
+    return pres.context, pres.boundary()
+
+
+def _stage_total():
+    pres = koszul_presentation(XY, [P("2/3*x^2 + y^3")], 1)
+    ctx, total, _, _ = DeRhamStage(pres, 3, 6).truncation_data()
+    return ctx, total
+
+
+def _stage_internal():
+    pres = koszul_presentation(XY, [P("x*y - 5*y^2")], 1)
+    ctx, boundary, _, _ = CotangentPresentation(pres, 1).truncation_data()
+    return ctx, boundary
+
+
+DERIVATIONS = {
+    "koszul": cache(_koszul),
+    "stage-total": cache(_stage_total),
+    "stage-internal": cache(_stage_internal),
+}
+
+
+@st.composite
+def _elements(draw, ctx, max_weight):
+    monomials = enumerate_monomials(ctx, max_weight=max_weight)
+    picks = draw(st.lists(st.sampled_from(monomials), min_size=0, max_size=5))
+    terms = {}
+    for exps in picks:
+        num = draw(st.integers(-6, 6).filter(bool))
+        den = draw(st.integers(1, 4))
+        terms[exps] = Fraction(num, den)
+    return GradedElement(ctx, terms)
+
+
+def _leibniz_oracle(d, elem):
+    """D(x_1 ... x_k) = sum_j (-1)^|x_1..x_{j-1}| x_1..x_{j-1} D(x_j) x_{j+1}..x_k."""
+    ctx = elem.context
+    gens = {i: GradedElement.generator(ctx, g.name) for i, g in enumerate(ctx.gens)}
+    zero = GradedElement.zero(ctx)
+    out = zero
+    for exps, coeff in elem.terms.items():
+        factors = [i for i, e in enumerate(exps) for _ in range(e)]
+        for j, i in enumerate(factors):
+            image = d.images.get(i, zero)
+            left = GradedElement.const(ctx, coeff)
+            for k in factors[:j]:
+                left = left * gens[k]
+            right = GradedElement.const(ctx, 1)
+            for k in factors[j + 1:]:
+                right = right * gens[k]
+            prefix_degree = sum(ctx.gens[k].degree for k in factors[:j])
+            sign = -1 if prefix_degree % 2 else 1
+            out = out + (left * image * right).scale(sign)
+    return out
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(DERIVATIONS)))
+def test_derivation_matches_leibniz_oracle(data, which):
+    ctx, d = DERIVATIONS[which]()
+    elem = data.draw(_elements(ctx, 5))
+    got = d(elem)
+    assert got == _leibniz_oracle(d, elem)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# presentation morphisms
+
+
+MORPHISMS = [f"coface-{p}-{j}" for p in (1, 2, 3) for j in range(p + 1)]
+MORPHISMS += ["tower", "tower-two", "tower-relation"]
+
+
+@cache
+def _morphism(name):
+    if name.startswith("coface"):
+        _, p, j = name.split("-")
+        return _conerve_cofaces(XY, P("x*y"), int(p))[int(j)]
+    if name == "tower":
+        return tower_map(XY, [P("1/2*x^2 + 3*y^3")], 3, 1)
+    if name == "tower-two":
+        return tower_map(XY, [P("x - 2*y"), P("x*y")], 2, 1)
+    return tower_map(XY, [P("x^3")], 3, 1, relations=[P("x*y - y^2")])
+
+
+def _product_oracle(phi, elem):
+    tgt = phi.target.context
+    out = GradedElement.zero(tgt)
+    for exps, coeff in elem.terms.items():
+        term = GradedElement.const(tgt, coeff)
+        for e, g in zip(exps, phi.source.context.gens):
+            for _ in range(e):
+                term = term * phi.images[g.name]
+        out = out + term
+    if phi.target.nf is not None:
+        out = phi.target.nf.reduce(out)
+    return out
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(MORPHISMS))
+def test_morphism_apply_matches_product_of_images(data, which):
+    phi = _morphism(which)
+    elem = data.draw(_elements(phi.source.context, 4))
+    got = phi.apply(elem)
+    assert got == _product_oracle(phi, elem)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_tower_images_exercise_coefficients_and_normal_form():
+    phi = _morphism("tower")
+    coeffs = set(phi.images["t"].terms.values())
+    assert coeffs - {1}
+    assert _morphism("tower-relation").target.nf is not None
+
+
+# ---------------------------------------------------------------------------
+# every stored coefficient and matrix entry is a Fraction
+
+
+def _entries(cx):
+    return [v for m in cx.diffs.values() for v in m.values()]
+
+
+def test_matrix_entries_are_fractions():
+    f = P("2/3*x*y")
+    pres = koszul_presentation(XY, [P("1/2*x^2 + y^3")], 1)
+    phi = _morphism("tower")
+    src = weight_truncate(phi.source, 8)
+    tgt = weight_truncate(phi.target, 8)
+    mats = morphism_matrices(phi, src, tgt, 8)
+    values = (
+        _entries(conerve_totalization(XY, f, 3, 4))
+        + _entries(weight_truncate(DeRhamStage(pres, 3, 7), 7))
+        + _entries(src)
+        + [v for m in mats.values() for v in m.values()]
+    )
+    assert values
+    assert all(type(v) is Fraction for v in values)
+    relations = koszul_presentation(
+        XY, [P("x^3")], 1, relations=[P("x*y - y^2")]
+    )
+    reduced = _entries(weight_truncate(relations, 7))
+    assert reduced and all(type(v) is Fraction for v in reduced)
+    product = GradedElement.from_poly(pres.context, P("x - 1/3*y")) * pres.generator("t")
+    assert all(type(c) is Fraction for c in product.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the exterior derivative of the stage's internal boundary
+
+
+def _exterior_formula(term_exps, coeff, ctx):
+    """d of one base-algebra term, written with the d-generators."""
+    out = GradedElement.zero(ctx)
+    prefix_degree = 0
+    for i, e in enumerate(term_exps):
+        g = ctx.gens[i]
+        if e and g.hodge == 0:
+            sign = -1 if prefix_degree % 2 else 1
+            mult = 1 if g.odd else e
+            prefix = [0] * len(term_exps)
+            prefix[:i] = term_exps[:i]
+            tail = [0] * len(term_exps)
+            tail[i:] = term_exps[i:]
+            tail[i] -= 1
+            out = out + (
+                GradedElement.monomial(ctx, prefix, coeff * sign * mult)
+                * GradedElement.generator(ctx, "d" + g.name)
+                * GradedElement.monomial(ctx, tail)
+            )
+        prefix_degree += e * g.degree
+    return out
+
+
+def test_truncation_data_images_match_exterior_formula():
+    pres = koszul_presentation(
+        XY, [P("x^2*y - 1/2*y^3"), P("4*x*y")], 1
+    )
+    for source in (CotangentPresentation(pres, 1), _WedgeSource(pres, 2)):
+        ctx, boundary, _, _ = source.truncation_data()
+        assert len(boundary.images) == 2 * len(pres.odd)
+        for g in pres.odd:
+            lifted = pres.images[g.name].cast_to(ctx)
+            assert boundary.images[ctx.index(g.name)] == lifted
+            exterior = GradedElement.zero(ctx)
+            for exps, coeff in lifted.terms.items():
+                exterior = exterior + _exterior_formula(exps, coeff, ctx)
+            assert boundary.images[ctx.index("d" + g.name)] == -exterior

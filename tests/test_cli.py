@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcalc import cli
 
@@ -270,3 +275,83 @@ def test_resource_limit_exits_3(capsys):
     assert code == 3
     assert not out
     assert "resource limit:" in err
+
+
+# ---------------------------------------------------------------------------
+# negative weights are refused before anything is built
+
+NEGATIVE_WEIGHT = [
+    ["derham", "--file", "{fat}"],
+    ["cotangent", "--file", "{fat}"],
+    ["cartier", "--file", "{fat}", "--k", "1"],
+    ["a1-check", "--file", "{fat}"],
+    ["tower", "--vars", "x", "--f", "x^2", "--from", "2", "--to", "1"],
+    ["amitsur-compare", "--vars", "x,y", "--f", "x*y", "--pmax", "4"],
+    ["stalk", "--vars", "x,y", "--f", "x*y"],
+    ["fibre-report", "--vars", "x", "--f", "x^2"],
+]
+
+
+@pytest.mark.parametrize("weight", ["-1", "-3"])
+@pytest.mark.parametrize("argv", NEGATIVE_WEIGHT, ids=lambda a: a[0])
+def test_negative_truncate_flag_exits_2(fat_file, capsys, argv, weight):
+    argv = [a.format(fat=fat_file) for a in argv] + ["--truncate", weight]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err == f"error: weight {weight} is negative; windows start at 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in NEGATIVE_WEIGHT if "{fat}" in a], ids=lambda a: a[0]
+)
+def test_negative_truncate_directive_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "fat.dg"
+    path.write_text(FAT + "truncate -1\n")
+    code, out, err = run(capsys, [a.format(fat=path) for a in argv])
+    assert code == 2
+    assert not out
+    assert err == "error: weight -1 is negative; windows start at 0\n"
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz on the fat point: a verdict, a usage error or a limit,
+# never a traceback
+
+FUZZ_COMMANDS = {
+    "derham": (["derham", "--file", "{fat}"], ("--hodge", "--truncate")),
+    "cotangent": (["cotangent", "--file", "{fat}"], ("--truncate",)),
+    "cartier": (["cartier", "--file", "{fat}"], ("--k", "--truncate")),
+    "a1-check": (["a1-check", "--file", "{fat}"], ("--hodge", "--truncate")),
+    "amitsur-compare": (
+        ["amitsur-compare", "--vars", "x", "--f", "x^2"],
+        ("--pmax", "--hodge", "--truncate"),
+    ),
+    "fibre-report": (
+        ["fibre-report", "--vars", "x", "--f", "x^2"],
+        ("--hodge", "--truncate"),
+    ),
+    "stalk": (["stalk", "--vars", "x", "--f", "x^2"], ("--truncate",)),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
+def test_cli_fuzz_fat_point(tmp_path_factory, command, data):
+    fat = tmp_path_factory.getbasetemp() / "fuzz-fat.dg"
+    fat.write_text(FAT)
+    argv, flags = FUZZ_COMMANDS[command]
+    argv = [a.format(fat=fat) for a in argv]
+    for flag in flags:
+        if data.draw(st.booleans(), label=f"give {flag}"):
+            argv += [flag, str(data.draw(st.integers(-3, 6), label=flag))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith(f"command: {command}\n")
+    else:
+        assert not out.getvalue()
+        assert err.getvalue().startswith(("error: ", "resource limit: "))

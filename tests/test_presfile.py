@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcalc.algebra import GradedElement
 from drcalc.dg import DGPresentation, OddGenerator, koszul_presentation
 from drcalc.parse import parse_poly
+from drcalc.poly import Poly
 from drcalc.presfile import (
     PresentationFormatError,
     parse_presentation,
@@ -116,3 +119,34 @@ def test_serialize_rejects_nonpolynomial_image():
     pres.images["s"] = x * t
     with pytest.raises(ValueError, match="not polynomial"):
         serialize_presentation(pres)
+
+
+@st.composite
+def _presentations(draw):
+    """Random presentations in the file format's range: polynomial images."""
+    variables = tuple(
+        draw(st.lists(st.sampled_from(("x", "y", "z", "u", "v")),
+                      min_size=1, max_size=3, unique=True))
+    )
+    count = draw(st.integers(0, 3))
+    odd = [
+        OddGenerator(f"t{i + 1}", draw(st.integers(-3, -1)), draw(st.integers(1, 9)))
+        for i in range(count)
+    ]
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+    exps = st.tuples(*[st.integers(0, 4)] * len(variables))
+    images = {
+        g.name: Poly(variables, draw(st.dictionaries(exps, coeffs, max_size=4)))
+        for g in odd
+    }
+    return DGPresentation(variables, odd, images)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_presentations())
+def test_round_trip_property(pres):
+    text = serialize_presentation(pres)
+    again = parse_presentation(text)
+    assert again.presentation == pres
+    assert again.truncate is None and again.hodge is None
+    assert serialize_presentation(again.presentation) == text
