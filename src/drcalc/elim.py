@@ -125,7 +125,9 @@ def solve_rational(rows, rhs):
     ``rows`` is a dense list of Fraction rows, ``rhs`` the right-hand
     side.  Returns ``("feasible", x)`` with free unknowns set to zero,
     or ``("infeasible", lam)`` where ``lam`` are row multipliers with
-    lam . A = 0 and lam . b = 1 (checked before returning).
+    lam . A = 0 and lam . b = 1.  The certificate is checked against
+    the original data before it is returned; a combination that fails
+    the check raises ``ArithmeticError``.
 
     b is eliminated as column ``n`` of the augmented matrix: a pivot
     there is the row (0 | 1), and its combination of input rows is lam.
@@ -143,9 +145,14 @@ def solve_rational(rows, rhs):
         combo = pivots[n][1]
         lam = [combo.get(i, Fraction(0)) for i in range(m)]
         # verify the certificate against the original data
-        for c in range(n):
-            assert sum(lam[i] * Fraction(rows[i][c]) for i in combo) == 0
-        assert sum(lam[i] * Fraction(rhs[i]) for i in combo) == 1
+        kills_a = all(
+            sum(lam[i] * Fraction(rows[i][c]) for i in combo) == 0
+            for c in range(n)
+        )
+        if not kills_a or sum(lam[i] * Fraction(rhs[i]) for i in combo) != 1:
+            raise ArithmeticError(
+                "infeasibility certificate fails lam . A = 0, lam . b = 1"
+            )
         return "infeasible", lam
     x = _back_substitute(pivots, {n: Fraction(-1)})
     return "feasible", [x.get(c, Fraction(0)) for c in range(n)]

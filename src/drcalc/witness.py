@@ -14,6 +14,12 @@ are proofs, not estimates: on each grid cell, mpmath's interval
 arithmetic (Moore 1966; Tucker 2011, *Validated Numerics*) encloses
 phi over the whole cell with every operation rounded outward, and the
 cells are summed in the log domain with the result rounded downward.
+
+Only the cells that can reach that sum are enclosed.  Dropping positive
+terms can only lower a sum, so any subset of the cells still gives a
+proof; a binary64 estimate at each cell's midpoint therefore picks the
+cells, with no rigor needed, and the enclosure runs on those alone.
+Past n = 2 a single cell of the window decides the bound.
 """
 
 from __future__ import annotations
@@ -121,6 +127,21 @@ def log_sum_lower_bound(
     return LogValue.from_log(_lower(ctx.ln(total) + top, precision_bits), 0)
 
 
+def _log_inverse_phi(x: float) -> float:
+    """log(1/phi(x)) = u^2 - 2 log|sin u| at u = 1/x, in binary64.
+
+    An estimate, not a bound: inf where u, u^2 or 1/sin(u)^2 leaves
+    the binary64 range, so such a point only ever ranks last.
+    """
+    u = 1.0 / x
+    if math.isinf(u):
+        return math.inf
+    s = abs(math.sin(u))
+    if s == 0.0:
+        return math.inf
+    return u * u - 2.0 * math.log(s)
+
+
 def log_integral_lower_bound(
     a, b, grid: int = DEFAULT_GRID, precision_bits: int = DEFAULT_PRECISION
 ) -> LogValue:
@@ -132,28 +153,74 @@ def log_integral_lower_bound(
     the same intervals wherever i/grid is, so halved cells nest in their
     parents and, by inclusion isotonicity, refining never loses ground
     beyond the final rounding.  A zero result says nothing.
+
+    Only the cells that can reach the sum are enclosed.  A binary64
+    pre-pass estimates each cell's log as log w - 1/phi at its
+    midpoint; phi_lo <= phi(mid), so up to float rounding that is an
+    upper estimate of the cell's certified log.  Cells are enclosed in
+    decreasing order of estimate until one estimate falls below
+    best - margin, best being the largest certified cell log so far,
+    and the certified logs within the margin of the final best are
+    summed in cell order.  The estimates are compared as log(1/phi),
+    which stays in range where 1/phi overflows binary64 (past n = 26).
+
+    The margin is precision_bits ln 2 + ln grid + 64 nats, and the
+    estimate is discounted by a relative 2^-20 for float rounding, so
+    the at most ``grid`` cells left out sum to under
+    2^-precision_bits e^-64 of the largest term: below the last bit of
+    the sum.  Leaving cells out never makes the bound unsound — any
+    subset of the cells is a lower bound, and outward rounding is
+    monotone, so it can only lower the result.  The pre-pass decides
+    what is computed, never what is claimed.  Summing only cells within
+    the margin also keeps each exponential of the log-sum small: a term
+    10^5 nats below the top would make mpmath compute ln 2 to some
+    hundred thousand bits.
     """
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
     if grid < 1:
         raise StructuralError(f"grid must be at least 1, got {grid}")
     ctx = _interval_context(precision_bits)
-    a = ctx.mpf(a)
-    span = ctx.mpf(b) - a
+    lo = ctx.mpf(a)
+    span = ctx.mpf(b) - lo
     log_width = ctx.ln(span / grid)
-    logs = []
-    right = a
-    for i in range(1, grid + 1):
-        left, right = right, a + span * i / grid
-        cell = ctx.mpf([left.a, right.b])
+    edges = {}
+
+    def edge(i):
+        # each edge bounds two cells: keep it only until its second use
+        if i in edges:
+            return edges.pop(i)
+        edges[i] = lo + span * i / grid if i else lo
+        return edges[i]
+
+    step = (float(b) - float(a)) / grid
+    ranked = sorted(
+        (_log_inverse_phi(float(a) + (i - 0.5) * step), i)
+        for i in range(1, grid + 1)
+    )
+    margin = precision_bits * math.log(2) + math.log(grid) + 64
+    slack = 1 - 2.0**-20
+    best = None
+    cutoff = math.inf  # log(1/phi) past which a cell cannot reach the sum
+    logs = {}
+    for estimate, i in ranked:
+        if estimate * slack > cutoff:
+            break
+        cell = ctx.mpf([edge(i - 1).a, edge(i).b])
         if cell.a <= 0:
             continue
         u = 1 / cell
         s = ctx.sin(u)
         phi_lo = (s * s * ctx.exp(-u * u)).a
         if phi_lo > 0:
-            logs.append(_lower(log_width - 1 / phi_lo, precision_bits))
-    return log_sum_lower_bound(logs, precision_bits)
+            log = _lower(log_width - 1 / phi_lo, precision_bits)
+            logs[i] = log
+            if best is None or log > best:
+                best = log
+                gap = mpmath.mpf(log_width.b) - best + margin
+                cutoff = float(mpmath.log(gap))
+    kept = [logs[i] for i in sorted(logs) if logs[i] - best >= -margin]
+    return log_sum_lower_bound(kept, precision_bits)
 
 
 def zero_free_window(n: int):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,3 +306,21 @@ def test_sparse_kernel_property(system):
         for c in range(nc):
             assert sum(payload[r] * dense[r][c] for r in range(nr)) == 0
         assert sum(payload[r] * rhs[r] for r in range(nr)) == 1
+
+
+def test_solve_rational_rejects_a_forged_certificate(monkeypatch):
+    # the check must raise, not assert: ``python -O`` strips asserts
+    m = [[Fraction(5), Fraction(1)],
+         [Fraction(1), Fraction(6)],
+         [Fraction(2), Fraction(5)]]
+    rhs = [Fraction(1), Fraction(1), Fraction(1)]
+    real = elim._echelon
+
+    def forged(rows, track=False):
+        pivots = real(rows, track)
+        row, combo = pivots[2]
+        return {**pivots, 2: (row, {i: 2 * v for i, v in combo.items()})}
+
+    monkeypatch.setattr(elim, "_echelon", forged)
+    with pytest.raises(ArithmeticError, match="certificate"):
+        elim.solve_rational(m, rhs)

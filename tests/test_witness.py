@@ -6,8 +6,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from drcalc import witness
+from drcalc.cli import main
 from drcalc.errors import StructuralError
 from drcalc.witness import (
     LogValue,
@@ -233,3 +235,107 @@ def test_binary64_contrast():
     assert float64_lower_bound(lo, hi) > 0.0
     lo, hi = zero_free_window(3)
     assert float64_lower_bound(lo, hi) == 0.0
+
+
+def _full_grid_log_bound(a, b, grid, bits):
+    """Every cell enclosed and summed: the bound with nothing left out.
+
+    Rebuilt here from mpmath's interval context, independently of the
+    module under test; None when every cell is void.  Only a term more
+    than 2^16 nats below the largest is skipped: it is under
+    2^-90000 of the sum and moves no bit of it, but its exponential
+    would make mpmath compute ln 2 to as many bits as the term's
+    exponent has digits (minutes for one window).
+    """
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    lo = ctx.mpf(a)
+    span = ctx.mpf(b) - lo
+    log_width = ctx.ln(span / grid)
+    logs = []
+    right = lo
+    for i in range(1, grid + 1):
+        left, right = right, lo + span * i / grid
+        cell = ctx.mpf([left.a, right.b])
+        if cell.a <= 0:
+            continue
+        u = 1 / cell
+        s = ctx.sin(u)
+        phi_lo = (s * s * ctx.exp(-u * u)).a
+        if phi_lo > 0:
+            logs.append((log_width - 1 / phi_lo).a)
+    if not logs:
+        return None
+    top = max(logs)
+    total = ctx.mpf(0)
+    for log in logs:
+        if log - top > -(2**16):
+            total += ctx.exp(ctx.mpf(log) - top)
+    with mpmath.workprec(bits):
+        return mpmath.mpf((ctx.ln(total) + top).a)
+
+
+def _assert_matches_full_grid(bound, a, b, grid, bits):
+    reference = _full_grid_log_bound(a, b, grid, bits)
+    if reference is None:
+        assert bound.sign == "zero"
+        return
+    assert bound.sign == "positive"
+    assert bound.log <= reference
+    assert bound.log == reference  # bit for bit
+
+
+def _windows():
+    """Windows in (0, 1]: deep ones (n up to 60), ones from 0, any."""
+    deep = st.integers(1, 60).map(zero_free_window)
+    from_zero = st.floats(0.001, 1.0).map(lambda b: (0.0, b))
+    anywhere = st.tuples(st.floats(0.0, 0.99), st.floats(0.001, 0.5)).map(
+        lambda t: (t[0], min(t[0] + t[1], 1.0))
+    )
+    return st.one_of(deep, from_zero, anywhere)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_windows(), st.integers(1, 256), st.sampled_from([53, 100, 200]))
+def test_pruned_bound_equals_the_full_grid(window, grid, bits):
+    # enclosing only the cells that can reach the sum loses no bit
+    a, b = window
+    bound = log_integral_lower_bound(a, b, grid, bits)
+    _assert_matches_full_grid(bound, a, b, grid, bits)
+
+
+def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
+    # past n = 26, 1/phi overflows binary64; the pre-pass must still
+    # rank in the log domain and enclose fewer than grid cells
+    sins = []
+    calls = []
+    real_context = witness._interval_context
+    real_bound = witness.log_integral_lower_bound
+
+    def counting_context(bits):
+        ctx = real_context(bits)
+        sin = ctx.sin
+
+        def counted(x):
+            sins.append(x)
+            return sin(x)
+
+        ctx.sin = counted
+        return ctx
+
+    def recording_bound(a, b, grid, bits):
+        before = len(sins)
+        bound = real_bound(a, b, grid, bits)
+        calls.append((a, b, grid, bits, bound, len(sins) - before))
+        return bound
+
+    monkeypatch.setattr(witness, "_interval_context", counting_context)
+    monkeypatch.setattr(witness, "log_integral_lower_bound", recording_bound)
+    assert main(["witness", "--nmax", "30", "--grid", "64"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(calls) == 30
+    for n, (a, b, grid, bits, bound, enclosed) in enumerate(calls, 1):
+        assert enclosed < grid, (n, enclosed)
+        _assert_matches_full_grid(bound, a, b, grid, bits)
+        value = mpmath.nstr(bound.log, 10)
+        assert out[n + 1] == f"n={n} logT_lower={value} verdict=positive"
