@@ -17,8 +17,8 @@ quotients and the result is a finite bicomplex.
 Also here: the two-term cotangent complex and its wedge powers, the
 column-versus-wedge comparison, polynomial homotopy invariance, the
 fibre-sequence bookkeeping for a hypersurface, and the finite
-totalization of the tensor-power conerve with its comparison against
-the de Rham stage.
+totalization of the normalized tensor-power conerve with its comparison
+against the de Rham stage.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .algebra import (
     enumerate_monomials,
 )
 from .dg import (
-    DGMorphism,
     DGPresentation,
-    OddGenerator,
     koszul_presentation,
     presentation_check,
 )
@@ -44,7 +42,6 @@ from .errors import StructuralError
 from .homology import (
     CohomologyReport,
     MatrixComplex,
-    morphism_matrices,
     restricted_report,
     stability_report,
     weight_truncate,
@@ -425,44 +422,6 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
 # tensor-power conerve vs the de Rham stage
 
 
-def _copy_name(name, j):
-    return f"{name}_{j}"
-
-
-def _conerve_presentation(variables, f: Poly, p: int) -> DGPresentation:
-    evens = []
-    for j in range(p + 1):
-        evens.extend(_copy_name(v, j) for v in variables)
-    odd = []
-    images = {}
-    md = f.min_degree()
-    for j in range(p + 1):
-        copy_ctx = tuple(_copy_name(v, j) for v in variables)
-        fj = f.cast(tuple(evens), dict(zip(f.context, copy_ctx)))
-        name = f"xi{j}"
-        odd.append(OddGenerator(name, -1, md))
-        images[name] = fj
-    return DGPresentation(tuple(evens), odd, images)
-
-
-def _conerve_cofaces(variables, f, p):
-    """The p+1 maps from level p-1 into level p (insert a fresh slot)."""
-    prev = _conerve_presentation(variables, f, p - 1)
-    here = _conerve_presentation(variables, f, p)
-    out = []
-    for i in range(p + 1):
-        images = {}
-        for k in range(p):
-            new = k if k < i else k + 1
-            for v in variables:
-                images[_copy_name(v, k)] = GradedElement.generator(
-                    here.context, _copy_name(v, new)
-                )
-            images[f"xi{k}"] = GradedElement.generator(here.context, f"xi{new}")
-        out.append(DGMorphism(prev, here, images))
-    return out
-
-
 @dataclass(frozen=True)
 class AmitsurComparison:
     trusted_degrees: tuple
@@ -489,73 +448,78 @@ class AmitsurComparison:
 
 
 def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixComplex:
-    """Total complex of the first p_max+1 tensor-power columns.
+    """Normalized total complex of the first p_max+1 tensor-power columns.
 
-    Column p is the Koszul model of the (p+1)-fold tensor power of the
-    quotient, on p+1 disjoint copies of the variables.  The cochain
-    direction is the alternating sum of the slot-insertion maps; the
-    internal direction carries the sign (-1)^p so the square vanishes.
+    Column p is the (p+1)-fold tensor power of one weight-truncated
+    Koszul complex K of the quotient, on slot tuples of K's basis keys.
+    The cofaces insert the unit, so tuples with the unit in a slot
+    1..p span the degenerate subcomplex; its quotient (the Dold-Kan
+    normalization) keeps the tuples whose slots 1..p are all non-unit
+    and whose weights sum to at most ``weight``.  Basis keys are
+    ``(p, slot keys)``.  The internal direction is Leibniz over the
+    slots with K's own matrices, signed by the degrees of the earlier
+    slots and by (-1)^p; of the alternating coface sum only d^0
+    survives the quotient: (k0, ...) -> (1, k0, ...) when k0 is not
+    the unit.
     """
-    columns = []
-    for p in range(p_max + 1):
-        pres = _conerve_presentation(variables, f, p)
-        columns.append((pres, weight_truncate(pres, weight)))
-    coface_mats = {}
-    for p in range(1, p_max + 1):
-        prev_cx = columns[p - 1][1]
-        here_cx = columns[p][1]
-        mats = []
-        for phi in _conerve_cofaces(variables, f, p):
-            mats.append(morphism_matrices(phi, prev_cx, here_cx, weight))
-        coface_mats[p] = mats
+    pres = koszul_presentation(variables, [f], 1)
+    koszul = weight_truncate(pres, weight)
+    ctx = pres.context
+    keys = sorted(k for ks in koszul.labels.values() for k in ks)
+    index = {k: i for i, k in enumerate(keys)}
+    unit = index[(0,) * len(ctx)]
+    degree = [ctx.degree_of(k) for k in keys]
+    weights = [ctx.weight_of(k) for k in keys]
+    d_slot = [[] for _ in keys]  # per key: [(image key, coefficient), ...]
+    for q, entries in koszul.diffs.items():
+        for (r, c), v in entries.items():
+            src_key = index[koszul.labels[q][c]]
+            d_slot[src_key].append((index[koszul.labels[q + 1][r]], v))
 
-    # global bases: degree n collects column p at internal degree n-p
-    dims = {}
-    labels = {}
-    offsets = {}
-    degrees = set()
-    for p, (_, cx) in enumerate(columns):
-        for q in cx.dims:
-            degrees.add(p + q)
-    for n in sorted(degrees):
-        total = 0
-        keys = []
-        for p, (_, cx) in enumerate(columns):
-            q = n - p
-            if q in cx.dims:
-                offsets[(n, p)] = total
-                total += cx.dims[q]
-                keys.extend((p, exps) for exps in cx.labels[q])
-        dims[n] = total
-        labels[n] = keys
+    # columns[p]: (slot indices, internal degree, weight), sorted
+    columns = [[((k,), degree[k], weights[k]) for k in range(len(keys))]]
+    nonunit = [k for k in range(len(keys)) if k != unit]
+    for _ in range(p_max):
+        columns.append([
+            (slots + (k,), q + degree[k], w + weights[k])
+            for slots, q, w in columns[-1]
+            for k in nonunit
+            if w + weights[k] <= weight
+        ])
+    buckets = {}
+    for p, column in enumerate(columns):
+        for slots, q, w in column:
+            buckets.setdefault(p + q, []).append((slots, w))
+    rows = {
+        n: {slots: i for i, (slots, _) in enumerate(ss)}
+        for n, ss in buckets.items()
+    }
+    one = Fraction(1)
     diffs = {}
-    for n in sorted(degrees):
+    for n, ss in buckets.items():
+        target = rows.get(n + 1, {})
         entries = {}
-        for p, (_, cx) in enumerate(columns):
-            q = n - p
-            if q not in cx.dims:
-                continue
-            col0 = offsets[(n, p)]
-            # internal part, sign (-1)^p, stays in column p
-            internal = cx.diffs.get(q, {})
-            if (n + 1, p) in offsets:
-                row0 = offsets[(n + 1, p)]
-                sign = -1 if p % 2 else 1
-                for (r, c), v in internal.items():
-                    entries[(row0 + r, col0 + c)] = sign * v
-            # cochain part, alternating sum of cofaces, into column p+1
-            if p + 1 <= p_max and (n + 1, p + 1) in offsets:
-                row0 = offsets[(n + 1, p + 1)]
-                acc = {}
-                for j, mats in enumerate(coface_mats[p + 1]):
-                    sign = -1 if j % 2 else 1
-                    for (r, c), v in mats.get(q, {}).items():
-                        key = (r, c)
-                        acc[key] = acc.get(key, Fraction(0)) + sign * v
-                for (r, c), v in acc.items():
-                    if v:
-                        entries[(row0 + r, col0 + c)] = v
+        for col, (slots, w) in enumerate(ss):
+            p = len(slots) - 1
+            sign = -1 if p % 2 else 1
+            for i, k in enumerate(slots):
+                # d never reaches the unit (f has no constant term), so
+                # an image slot stays non-unit; only the weight can fail
+                for image, v in d_slot[k]:
+                    if w - weights[k] + weights[image] > weight:
+                        continue
+                    row = target[slots[:i] + (image,) + slots[i + 1:]]
+                    entries[(row, col)] = sign * v
+                if degree[k] % 2:
+                    sign = -sign
+            if p < p_max and slots[0] != unit:
+                entries[(target[(unit,) + slots], col)] = one
         diffs[n] = entries
+    dims = {n: len(ss) for n, ss in buckets.items()}
+    labels = {
+        n: [(len(s) - 1, tuple(keys[k] for k in s)) for s, _ in ss]
+        for n, ss in buckets.items()
+    }
     return MatrixComplex(dims, labels, diffs)
 
 

@@ -13,8 +13,8 @@ part is ever rewritten.
 
 Koszul algebras and their tower transition maps are the two
 constructors the rest of the package consumes; the conerve of a
-principal quotient is modelled in ``derham`` on disjoint copies of the
-variables.
+principal quotient is built in ``derham`` from tensor powers of one
+Koszul algebra.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ class MatrixComplex:
     """Bases (as key lists) per degree plus one matrix per step up.
 
     ``labels[n]`` lists opaque hashable basis keys: exponent tuples for
-    assembled complexes, ``(column, exponents)`` pairs for the conerve
-    totalization, anything hashable for hand-built ones.  ``diffs[n]``
+    assembled complexes, ``(p, slot keys)`` pairs for the conerve
+    totalization (column p, one Koszul exponent tuple per tensor slot),
+    anything hashable for hand-built ones.  ``diffs[n]``
     maps degree ``n`` to degree ``n + 1``; entries are sparse
     ``{(row, col): Fraction}`` with rows indexed by the target basis and
     columns by the source basis.

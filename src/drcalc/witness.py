@@ -24,6 +24,7 @@ Past n = 2 a single cell of the window decides the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,9 +66,20 @@ class LogValue:
 
 
 def _interval_context(precision_bits: int) -> MPIntervalContext:
-    """A fresh interval context: the shared ``mpmath.iv`` keeps its prec."""
+    """The interval context at ``precision_bits``, one per precision.
+
+    A private context rather than the shared ``mpmath.iv``, whose prec
+    stays untouched.  It is built once per precision and shared, since
+    each one is a reference cycle that only a full collection frees;
+    callers must not change its prec.
+    """
     if precision_bits < 1:
         raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
+    return _context_at(precision_bits)
+
+
+@functools.cache
+def _context_at(precision_bits: int) -> MPIntervalContext:
     ctx = MPIntervalContext()
     ctx.prec = precision_bits
     return ctx

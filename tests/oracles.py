@@ -1,0 +1,193 @@
+"""Reference implementations the tests compare the package against.
+
+Each one takes a different road to the same answer:
+
+- ``gauss_rank``: dense Gaussian elimination on Fractions, no shared
+  code with ``drcalc.elim``.
+- the disjoint-copies conerve: column p is the Koszul model of the
+  (p+1)-fold tensor power on p+1 renamed copies of the variables, the
+  cofaces are presentation morphisms, and the totalization is the
+  alternating sum of their matrices over every column (no
+  normalization).  ``conerve_totalization`` in the package builds the
+  normalized quotient instead; the two agree on cohomology.
+- ``local_colength``: dim Q[x, y]/(I + m^N) from monomials and a
+  leading-term elimination of its own.
+"""
+
+from fractions import Fraction
+
+from drcalc.algebra import GradedElement
+from drcalc.dg import DGMorphism, DGPresentation, OddGenerator
+from drcalc.homology import MatrixComplex, morphism_matrices, weight_truncate
+
+
+def gauss_rank(rows):
+    """Independent dense oracle: plain fraction Gaussian elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    row = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(row, len(m)):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        row += 1
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# the conerve on disjoint copies of the variables
+
+
+def _copy_name(name, j):
+    return f"{name}_{j}"
+
+
+def conerve_presentation(variables, f, p) -> DGPresentation:
+    """Koszul model of the (p+1)-fold tensor power: copies x_0 .. x_p."""
+    evens = []
+    for j in range(p + 1):
+        evens.extend(_copy_name(v, j) for v in variables)
+    odd = []
+    images = {}
+    md = f.min_degree()
+    for j in range(p + 1):
+        copy_ctx = tuple(_copy_name(v, j) for v in variables)
+        fj = f.cast(tuple(evens), dict(zip(f.context, copy_ctx)))
+        name = f"xi{j}"
+        odd.append(OddGenerator(name, -1, md))
+        images[name] = fj
+    return DGPresentation(tuple(evens), odd, images)
+
+
+def conerve_cofaces(variables, f, p):
+    """The p+1 maps from level p-1 into level p (insert a fresh slot)."""
+    prev = conerve_presentation(variables, f, p - 1)
+    here = conerve_presentation(variables, f, p)
+    out = []
+    for i in range(p + 1):
+        images = {}
+        for k in range(p):
+            new = k if k < i else k + 1
+            for v in variables:
+                images[_copy_name(v, k)] = GradedElement.generator(
+                    here.context, _copy_name(v, new)
+                )
+            images[f"xi{k}"] = GradedElement.generator(here.context, f"xi{new}")
+        out.append(DGMorphism(prev, here, images))
+    return out
+
+
+def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
+    """Unnormalized total complex of columns 0..p_max.
+
+    Degree n collects column p at internal degree n - p; the internal
+    differential carries the sign (-1)^p and the cochain differential is
+    the alternating sum of the coface matrices.
+    """
+    columns = [
+        weight_truncate(conerve_presentation(variables, f, p), weight)
+        for p in range(p_max + 1)
+    ]
+    coface_mats = {
+        p: [
+            morphism_matrices(phi, columns[p - 1], columns[p], weight)
+            for phi in conerve_cofaces(variables, f, p)
+        ]
+        for p in range(1, p_max + 1)
+    }
+    degrees = sorted({p + q for p, cx in enumerate(columns) for q in cx.dims})
+    dims, labels, offsets = {}, {}, {}
+    for n in degrees:
+        keys = []
+        for p, cx in enumerate(columns):
+            if n - p in cx.dims:
+                offsets[(n, p)] = len(keys)
+                keys.extend((p, exps) for exps in cx.labels[n - p])
+        dims[n] = len(keys)
+        labels[n] = keys
+    diffs = {}
+    for n in degrees:
+        entries = {}
+        for p, cx in enumerate(columns):
+            q = n - p
+            if q not in cx.dims:
+                continue
+            col0 = offsets[(n, p)]
+            if (n + 1, p) in offsets:
+                row0 = offsets[(n + 1, p)]
+                sign = -1 if p % 2 else 1
+                for (r, c), v in cx.diffs.get(q, {}).items():
+                    entries[(row0 + r, col0 + c)] = sign * v
+            if p < p_max and (n + 1, p + 1) in offsets:
+                row0 = offsets[(n + 1, p + 1)]
+                acc = {}
+                for j, mats in enumerate(coface_mats[p + 1]):
+                    sign = -1 if j % 2 else 1
+                    for (r, c), v in mats.get(q, {}).items():
+                        acc[(r, c)] = acc.get((r, c), 0) + sign * v
+                for (r, c), v in acc.items():
+                    if v:
+                        entries[(row0 + r, col0 + c)] = Fraction(v)
+        diffs[n] = entries
+    return MatrixComplex(dims, labels, diffs)
+
+
+# ---------------------------------------------------------------------------
+# local colengths of plane-curve ideals
+
+
+def partial(poly, i):
+    """d/dx_i of a polynomial given as {exponent tuple: coefficient}."""
+    out = {}
+    for exps, c in poly.items():
+        if exps[i]:
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            out[lower] = out.get(lower, 0) + c * exps[i]
+    return out
+
+
+def local_colength(gens, n):
+    """dim Q[x, y]/(I + m^n) for the ideal I spanned by ``gens``.
+
+    The quotient is spanned by the monomials of degree below ``n``; I
+    contributes every generator times such a monomial, cut at degree
+    ``n``.  Their span is reduced by leading monomials, one pivot per
+    leading monomial, and its dimension subtracted.
+    """
+    monomials = [(a, d - a) for d in range(n) for a in range(d + 1)]
+    pivots = {}
+    for g in gens:
+        for m in monomials:
+            row = {}
+            for exps, c in g.items():
+                e = (exps[0] + m[0], exps[1] + m[1])
+                if sum(e) < n and c:
+                    row[e] = Fraction(c)
+            while row:
+                lead = max(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    scale = row[lead]
+                    pivots[lead] = {e: c / scale for e, c in row.items()}
+                    break
+                factor = row[lead]
+                for e, c in pivot.items():
+                    v = row.get(e, 0) - factor * c
+                    if v:
+                        row[e] = v
+                    else:
+                        row.pop(e, None)
+    return len(monomials) - len(pivots)

@@ -38,6 +38,8 @@ from drcalc.reiffen import (
 )
 from drcalc.witness import float64_lower_bound, nonexactness_witness, zero_free_window
 
+from oracles import gauss_rank
+
 X = ("x",)
 XY = ("x", "y")
 
@@ -109,8 +111,8 @@ def test_criterion_02_family_scan_with_independent_oracle():
         for r, row in enumerate(system.rows):
             for j, c in row:
                 dense[r][j] = c
-        plain = elim.rank_dense(dense)
-        augmented = elim.rank_dense(
+        plain = gauss_rank(dense)
+        augmented = gauss_rank(
             [row + [b] for row, b in zip(dense, system.rhs)]
         )
         assert augmented == plain + 1, (q, p)
@@ -284,23 +286,6 @@ def test_criterion_11_engine_invariant_suite():
         assert lhs == rhs
 
     # exact rank against a plain Gaussian oracle
-    def gauss_rank(rows):
-        m = [list(map(Fraction, r)) for r in rows]
-        rank = 0
-        cols = len(m[0]) if m else 0
-        for c in range(cols):
-            pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = m[rank][c]
-            for r in range(len(m)):
-                if r != rank and m[r][c]:
-                    factor = m[r][c] / inv
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        return rank
-
     for trial in range(100):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)

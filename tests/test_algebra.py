@@ -24,12 +24,13 @@ from drcalc.derham import (
     CotangentPresentation,
     DeRhamStage,
     _WedgeSource,
-    _conerve_cofaces,
     conerve_totalization,
 )
 from drcalc.dg import koszul_presentation, tower_map
 from drcalc.homology import morphism_matrices, weight_truncate
 from drcalc.parse import parse_poly
+
+from oracles import conerve_cofaces
 
 XY = ("x", "y")
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -176,7 +177,7 @@ MORPHISMS += ["tower", "tower-two", "tower-relation"]
 def _morphism(name):
     if name.startswith("coface"):
         _, p, j = name.split("-")
-        return _conerve_cofaces(XY, P("x*y"), int(p))[int(j)]
+        return conerve_cofaces(XY, P("x*y"), int(p))[int(j)]
     if name == "tower":
         return tower_map(XY, [P("1/2*x^2 + 3*y^3")], 3, 1)
     if name == "tower-two":

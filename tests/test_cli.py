@@ -84,6 +84,22 @@ def test_amitsur_compare(capsys):
     assert out[3] == "n=1 amitsur=0 derham=0 verdict=equal"
 
 
+def test_amitsur_compare_frontier(capsys):
+    # the conerve frontier case (x*y, pmax 5, W 6); CI also runs it
+    # under a timeout so that its build stays interactive
+    code, out, _ = run(capsys, [
+        "amitsur-compare", "--vars", "x,y", "--f", "x*y", "--pmax", "5",
+        "--hodge", "3", "--truncate", "6",
+    ])
+    assert code == 0
+    assert out[2:] == [
+        "n=0 amitsur=1 derham=1 verdict=equal",
+        "n=1 amitsur=0 derham=1 verdict=mismatch",
+        "n=2 amitsur=0 derham=0 verdict=equal",
+        "n=3 amitsur=0 derham=0 verdict=equal",
+    ]
+
+
 def test_ideal_gb(capsys):
     code, out, _ = run(
         capsys,

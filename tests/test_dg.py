@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from drcalc.algebra import GradedElement
-from drcalc.derham import _conerve_cofaces, _conerve_presentation
 from drcalc.dg import (
     DGMorphism,
     DGPresentation,
@@ -17,6 +16,8 @@ from drcalc.errors import StructuralError
 from drcalc.homology import chain_map_check
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
+
+from oracles import conerve_cofaces, conerve_presentation
 
 XY = ("x", "y")
 X = ("x",)
@@ -157,7 +158,7 @@ def test_tower_chain_map_at_window():
 
 
 # ---------------------------------------------------------------------------
-# conerve cofaces (the disjoint-copies model the comparison runs on)
+# conerve cofaces (the disjoint-copies model of the test oracle)
 
 CONERVE_CASES = ((X, P("x^2", X)), (XY, P("x*y")))
 
@@ -165,11 +166,11 @@ CONERVE_CASES = ((X, P("x^2", X)), (XY, P("x*y")))
 def test_coface_count_and_targets():
     for variables, f in CONERVE_CASES:
         for p in (1, 2, 3):
-            cofaces = _conerve_cofaces(variables, f, p)
+            cofaces = conerve_cofaces(variables, f, p)
             assert len(cofaces) == p + 1
             for coface in cofaces:
-                assert coface.source == _conerve_presentation(variables, f, p - 1)
-                assert coface.target == _conerve_presentation(variables, f, p)
+                assert coface.source == conerve_presentation(variables, f, p - 1)
+                assert coface.target == conerve_presentation(variables, f, p)
                 assert coface.commutes_on_generators() is None
 
 
@@ -178,8 +179,8 @@ def test_cosimplicial_identities():
     # variable copies as well as the odd ones) at levels 1..3
     for variables, f in CONERVE_CASES:
         for p in range(1, 4):
-            here = _conerve_cofaces(variables, f, p)
-            above = _conerve_cofaces(variables, f, p + 1)
+            here = conerve_cofaces(variables, f, p)
+            above = conerve_cofaces(variables, f, p + 1)
             for i in range(p + 1):
                 for j in range(i + 1, p + 2):
                     left = above[j].compose(here[i])

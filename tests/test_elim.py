@@ -9,31 +9,7 @@ from drcalc import elim
 from drcalc.parse import parse_poly
 from drcalc.reiffen import divergence_system
 
-
-def gauss_rank(rows):
-    """Independent dense oracle: plain fraction Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-    return rank
+from oracles import gauss_rank
 
 
 def _random_matrix(rng, nr, nc, density=0.6):

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from drcalc import elim
 from drcalc.errors import StructuralError
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
@@ -18,6 +17,8 @@ from drcalc.reiffen import (
     family_scan,
     k_ideal_complex,
 )
+
+from oracles import gauss_rank, local_colength, partial
 
 XY = ("x", "y")
 X = ("x",)
@@ -131,8 +132,8 @@ def test_agrees_with_rank_oracle_on_family_systems():
         for r, row in enumerate(system.rows):
             for j, c in row:
                 dense[r][j] = c
-        plain = elim.rank_dense(dense)
-        augmented = elim.rank_dense(
+        plain = gauss_rank(dense)
+        augmented = gauss_rank(
             [row + [b] for row, b in zip(dense, system.rhs)]
         )
         verdict = divergence_feasible(f, degree_bound=p + 4)
@@ -247,6 +248,37 @@ def test_stalk_cohomology_smooth():
     rep = classical_stalk_cohomology([P("x", X)], 6)
     assert rep.dims == ((0, 1), (1, 0))
     assert all(flag for _, flag in rep.stable)
+
+
+# (q, p, with the x*y^(p-1) term): x^q + y^p [+ x*y^(p-1)]
+STALK_CURVES = [
+    (q, p, True) for q, p in ((3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (5, 7))
+]
+STALK_CURVES += [(4, 5, False), (2, 3, False)]
+
+
+@pytest.mark.parametrize(
+    "q, p, tail", STALK_CURVES,
+    ids=[f"x{q}y{p}" + ("+xy" if t else "") for q, p, t in STALK_CURVES],
+)
+def test_stalk_h1_is_milnor_minus_tjurina(q, p, tail):
+    # for an isolated plane-curve germ dim H^1 = mu - tau; mu and tau are
+    # the local colengths of J(f) and (f) + J(f), computed here by the
+    # oracle's own elimination and checked to have settled in m^n
+    f = {(q, 0): 1, (0, p): 1}
+    if tail:
+        f[(1, p - 1)] = 1
+    jacobian = [partial(f, 0), partial(f, 1)]
+    mu, tau = local_colength(jacobian, 16), local_colength([f] + jacobian, 16)
+    assert (mu, tau) == (
+        local_colength(jacobian, 18), local_colength([f] + jacobian, 18)
+    )
+    assert mu == (q - 1) * (p - 1)  # semi-quasi-homogeneous: Milnor's count
+    if not tail:
+        assert tau == mu  # quasi-homogeneous (Saito)
+    poly = Poly(XY, f)
+    rep = classical_stalk_cohomology([poly], 12)
+    assert rep.dim(1) == mu - tau, (str(poly), mu, tau)
 
 
 def test_obstruction_matches_divergence_feasibility():

@@ -313,15 +313,18 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
     real_bound = witness.log_integral_lower_bound
 
     def counting_context(bits):
+        # a view of the shared context: the context itself stays as it is
         ctx = real_context(bits)
-        sin = ctx.sin
 
-        def counted(x):
-            sins.append(x)
-            return sin(x)
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(ctx, name)
 
-        ctx.sin = counted
-        return ctx
+            def sin(self, x):
+                sins.append(x)
+                return ctx.sin(x)
+
+        return Counting()
 
     def recording_bound(a, b, grid, bits):
         before = len(sins)
