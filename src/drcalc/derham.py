@@ -96,7 +96,7 @@ class DeRhamStage:
         return ctx, boundary + d_dr, range(self.hodge_level + 1), None
 
     def complex(self, weight=None) -> MatrixComplex:
-        return weight_truncate(self, weight or self.weight)
+        return weight_truncate(self, self.weight if weight is None else weight)
 
     def report(self) -> CohomologyReport:
         return stability_report(self, self.weight)

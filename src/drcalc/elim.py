@@ -13,6 +13,13 @@ form, column ``c`` is a pivot exactly when it is not a combination of
 the columns before it.  Ranks, the canonical kernel basis and the
 solution with free unknowns at zero therefore do not depend on the
 order of the rows.
+
+Matrices come in sparse only, in one of two forms.  ``rank_sparse``
+and ``nullspace`` take ``{(row, col): value}`` entries, the form the
+complexes store their differentials in.  ``solve_rational`` takes a
+sequence of rows, each a sequence of ``(col, value)`` pairs, the form
+of ``DivergenceSystem.rows``: its certificate is one multiplier per
+input row, so the rows keep their positions.
 """
 
 from __future__ import annotations
@@ -84,75 +91,68 @@ def _back_substitute(pivots, x):
     return x
 
 
-def _sparse_row(row):
-    return {j: Fraction(v) for j, v in enumerate(row) if v}
+def _rows(entries, nrows):
+    """Kernel rows ``{col: value}`` of ``{(row, col): value}`` entries."""
+    rows = [{} for _ in range(nrows)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    return rows
 
 
 def rank_sparse(entries, nrows, ncols) -> int:
     """Exact rank of a sparse rational matrix {(row, col): Fraction}."""
-    rows = [{} for _ in range(nrows)]
-    for (r, c), v in entries.items():
-        rows[r][c] = v
-    return len(_echelon(rows))
+    return len(_echelon(_rows(entries, nrows)))
 
 
-def rank_dense(rows) -> int:
-    """Exact rank of a dense rational matrix (list of row lists)."""
-    return len(_echelon([_sparse_row(row) for row in rows]))
+def nullspace(entries, nrows, ncols):
+    """Basis of the right kernel of a sparse rational matrix.
 
-
-def nullspace(rows, ncols):
-    """Basis of the right kernel of a dense rational matrix.
-
-    Returns a list of Fraction vectors of length ``ncols``, one per free
-    column in ascending order: the vector for free column ``f`` is 1 at
-    ``f`` and 0 at every other free column (the basis read off the
-    reduced row echelon form).
+    ``entries`` is ``{(row, col): Fraction}``.  Returns one sparse
+    ``{col: Fraction}`` vector per free column in ascending order: the
+    vector for free column ``f`` is 1 at ``f`` and 0 at every other
+    free column (the basis read off the reduced row echelon form).
     """
-    pivots = _echelon([_sparse_row(row) for row in rows])
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = _back_substitute(pivots, {f: Fraction(1)})
-        basis.append([x.get(c, Fraction(0)) for c in range(ncols)])
-    return basis
+    pivots = _echelon(_rows(entries, nrows))
+    return [
+        _back_substitute(pivots, {f: Fraction(1)})
+        for f in range(ncols)
+        if f not in pivots
+    ]
 
 
-def solve_rational(rows, rhs):
+def solve_rational(rows, rhs, ncols):
     """Solve A x = b exactly, reporting an infeasibility certificate.
 
-    ``rows`` is a dense list of Fraction rows, ``rhs`` the right-hand
-    side.  Returns ``("feasible", x)`` with free unknowns set to zero,
-    or ``("infeasible", lam)`` where ``lam`` are row multipliers with
-    lam . A = 0 and lam . b = 1.  The certificate is checked against
-    the original data before it is returned; a combination that fails
-    the check raises ``ArithmeticError``.
+    ``rows`` holds each row of A as ``(col, value)`` pairs, ``rhs`` is
+    b and ``ncols`` the number of unknowns.  Returns ``("feasible", x)``
+    with free unknowns set to zero, or ``("infeasible", lam)`` where
+    ``lam`` are row multipliers with lam . A = 0 and lam . b = 1.  The
+    certificate is checked against the original data before it is
+    returned; a combination that fails the check raises
+    ``ArithmeticError``.
 
-    b is eliminated as column ``n`` of the augmented matrix: a pivot
+    b is eliminated as column ``ncols`` of the augmented matrix: a pivot
     there is the row (0 | 1), and its combination of input rows is lam.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
     augmented = []
     for row, b in zip(rows, rhs):
-        aug = _sparse_row(row)
+        aug = dict(row)
         if b:
-            aug[n] = Fraction(b)
+            aug[ncols] = Fraction(b)
         augmented.append(aug)
     pivots = _echelon(augmented, track=True)
-    if n in pivots:
-        combo = pivots[n][1]
-        lam = [combo.get(i, Fraction(0)) for i in range(m)]
+    if ncols in pivots:
+        combo = pivots[ncols][1]
         # verify the certificate against the original data
-        kills_a = all(
-            sum(lam[i] * Fraction(rows[i][c]) for i in combo) == 0
-            for c in range(n)
-        )
-        if not kills_a or sum(lam[i] * Fraction(rhs[i]) for i in combo) != 1:
+        residue = {}
+        for i, w in combo.items():
+            _axpy(residue, w, dict(rows[i]))
+        lam_b = sum(w * rhs[i] for i, w in combo.items())
+        if any(residue.values()) or lam_b != 1:
             raise ArithmeticError(
                 "infeasibility certificate fails lam . A = 0, lam . b = 1"
             )
+        lam = [combo.get(i, Fraction(0)) for i in range(len(rows))]
         return "infeasible", lam
-    x = _back_substitute(pivots, {n: Fraction(-1)})
-    return "feasible", [x.get(c, Fraction(0)) for c in range(n)]
+    x = _back_substitute(pivots, {ncols: Fraction(-1)})
+    return "feasible", [x.get(c, Fraction(0)) for c in range(ncols)]

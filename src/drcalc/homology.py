@@ -244,21 +244,6 @@ def flag_stability(here, above) -> CohomologyReport:
     )
 
 
-def _matrix_apply(entries, vec, nrows):
-    out = [Fraction(0)] * nrows
-    for (r, c), v in entries.items():
-        if vec[c]:
-            out[r] += v * vec[c]
-    return out
-
-
-def _dense_from_sparse(entries, nrows, ncols):
-    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for (r, c), v in entries.items():
-        rows[r][c] = v
-    return rows
-
-
 def chain_map_check(morphism, weight) -> "ChainMapReport":
     """Verify a presentation morphism commutes with d at truncation W.
 
@@ -345,22 +330,19 @@ def induced_map_vanishes(src_cx, tgt_cx, mats, degree) -> bool:
     basis is adjoined.
     """
     n = degree
-    d_src = _dense_from_sparse(
+    cycles = elim.nullspace(
         src_cx.diffs.get(n, {}), src_cx.dims.get(n + 1, 0), src_cx.dims.get(n, 0)
     )
-    cycles = elim.nullspace(d_src, src_cx.dims.get(n, 0))
     if not cycles:
         return True
     nrows = tgt_cx.dims.get(n, 0)
     bnd = tgt_cx.diffs.get(n - 1, {})
     base_cols = tgt_cx.dims.get(n - 1, 0)
+    # the cycle basis as the columns of one matrix, pushed through phi
+    basis = {(c, k): v for k, z in enumerate(cycles) for c, v in z.items()}
     aug = dict(bnd)
-    phi = mats.get(n, {})
-    for k, z in enumerate(cycles):
-        vec = _matrix_apply(phi, z, nrows)
-        for r, v in enumerate(vec):
-            if v:
-                aug[(r, base_cols + k)] = v
+    for (r, k), v in _compose(mats.get(n, {}), basis).items():
+        aug[(r, base_cols + k)] = v
     rank_b = elim.rank_sparse(bnd, nrows, base_cols)
     rank_aug = elim.rank_sparse(aug, nrows, base_cols + len(cycles))
     return rank_aug == rank_b

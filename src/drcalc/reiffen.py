@@ -308,18 +308,11 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
     target = {
         m: c for m, c in (f * g).terms.items() if sum(m) <= degree_bound
     }
-    row_keys = set(target)
-    for col in columns.values():
-        row_keys.update(col)
-    ordered = sorted(row_keys, key=lambda m: (sum(m), m))
-    raw = {}
-    for m in ordered:
-        row = {}
-        for j in range(len(unknowns)):
-            c = columns[j].get(m)
-            if c:
-                row[j] = c
-        raw[m] = row
+    raw = {m: {} for m in target}  # row monomial -> {unknown index: coeff}
+    for j, col in columns.items():
+        for m, c in col.items():
+            raw.setdefault(m, {})[j] = c
+    ordered = sorted(raw, key=lambda m: (sum(m), m))
 
     # propagate zero-forced coefficients, batch per pass so the pinning
     # row is always one that was a singleton at the same stage
@@ -365,6 +358,8 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
 
 def _monomials_upto(n, bound):
     """Exponent tuples of total degree <= bound, degree-then-lex order."""
+    if bound < 0:
+        return []
     out = []
 
     def walk(prefix, left):
@@ -374,9 +369,7 @@ def _monomials_upto(n, bound):
         for e in range(left + 1):
             walk(prefix + [e], left - e)
 
-    walk([], max(bound, -1) if bound >= 0 else -1)
-    if bound < 0:
-        return []
+    walk([], bound)
     return sorted(out, key=lambda m: (sum(m), m))
 
 
@@ -422,13 +415,9 @@ def divergence_feasible(
     if predicted > unknown_cap:
         return FeasibilityVerdict(status="resource-limit", unknowns=predicted)
     system = divergence_system(f, g, degree_bound)
-    dense = [
-        [Fraction(0)] * system.unknown_count for _ in system.rows
-    ]
-    for r, row in enumerate(system.rows):
-        for j, c in row:
-            dense[r][j] = c
-    tag, payload = elim.solve_rational(dense, list(system.rhs))
+    tag, payload = elim.solve_rational(
+        system.rows, system.rhs, system.unknown_count
+    )
     if tag == "infeasible":
         return FeasibilityVerdict(
             status="infeasible",

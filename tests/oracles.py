@@ -2,8 +2,9 @@
 
 Each one takes a different road to the same answer:
 
-- ``gauss_rank``: dense Gaussian elimination on Fractions, no shared
-  code with ``drcalc.elim``.
+- ``gauss_rank`` and ``rref_nullspace``: dense Gaussian elimination
+  on Fractions, and the kernel basis read off a reduced row echelon
+  form; no shared code with ``drcalc.elim``.
 - the disjoint-copies conerve: column p is the Koszul model of the
   (p+1)-fold tensor power on p+1 renamed copies of the variables, the
   cofaces are presentation morphisms, and the totalization is the
@@ -45,6 +46,34 @@ def gauss_rank(rows):
         row += 1
         rank += 1
     return rank
+
+
+def rref_nullspace(rows, ncols):
+    """Independent oracle: kernel basis read off a reduced row echelon form."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        m[top] = [v / m[top][col] for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][free]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

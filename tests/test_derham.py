@@ -20,6 +20,7 @@ from drcalc.derham import (
     wedge_power,
 )
 from drcalc.errors import StructuralError
+from drcalc.homology import weight_truncate
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
 
@@ -82,6 +83,14 @@ def test_stage_dims_smooth_versus_fat():
         pres = koszul_presentation(X, [P(f, X)], 1)
         h = derham_stage(pres, 3, 6).complex().cohomology()
         assert h == {-1: 0, 0: 1, 1: 0}
+
+
+def test_stage_complex_at_weight_zero():
+    # an explicit weight 0 is a weight, not "use the stage's own"
+    stage = derham_stage(koszul_presentation(XY, [P("x*y")], 1), 3, 5)
+    cx = stage.complex(0)
+    assert cx.labels == weight_truncate(stage, 0).labels
+    assert cx.labels != stage.complex().labels
 
 
 def test_stage_guards():

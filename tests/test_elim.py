@@ -9,7 +9,30 @@ from drcalc import elim
 from drcalc.parse import parse_poly
 from drcalc.reiffen import divergence_system
 
-from oracles import gauss_rank
+from oracles import gauss_rank, rref_nullspace
+
+
+def _entries(dense):
+    """The ``{(row, col): value}`` entries of a dense matrix."""
+    return {
+        (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v
+    }
+
+
+def _pairs(dense):
+    """Each dense row as the ``(col, value)`` pairs of its nonzeros."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in dense]
+
+
+def _solve(dense, rhs):
+    return elim.solve_rational(_pairs(dense), rhs, len(dense[0]))
+
+
+def _kernel(dense, ncols):
+    """``elim.nullspace`` of a dense matrix, its vectors made dense."""
+    basis = elim.nullspace(_entries(dense), len(dense), ncols)
+    assert all(all(v.values()) for v in basis)  # no stored zeros
+    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in basis]
 
 
 def _random_matrix(rng, nr, nc, density=0.6):
@@ -30,7 +53,7 @@ def test_rank_matches_dense_oracle_100():
         nr = rng.randrange(1, 7)
         nc = rng.randrange(1, 7)
         m = _random_matrix(rng, nr, nc)
-        assert elim.rank_dense(m) == gauss_rank(m)
+        assert elim.rank_sparse(_entries(m), nr, nc) == gauss_rank(m)
 
 
 def test_both_kernels_agree_with_oracle():
@@ -42,7 +65,7 @@ def test_both_kernels_agree_with_oracle():
             [rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)
         ]
         want = gauss_rank([[Fraction(v) for v in row] for row in ints])
-        assert elim.rank_dense(ints) == want
+        assert elim.rank_sparse(_entries(ints), nr, nc) == want
 
 
 def test_rank_sparse_structural_cases():
@@ -63,19 +86,18 @@ def test_rank_sparse_matches_dense():
         nr = rng.randrange(1, 8)
         nc = rng.randrange(1, 8)
         dense = _random_matrix(rng, nr, nc, density=0.3)
-        sparse = {
-            (r, c): v
-            for r, row in enumerate(dense)
-            for c, v in enumerate(row)
-            if v
-        }
-        assert elim.rank_sparse(sparse, nr, nc) == gauss_rank(dense)
+        assert elim.rank_sparse(_entries(dense), nr, nc) == gauss_rank(dense)
 
 
 def test_empty_and_zero():
-    assert elim.rank_dense([]) == 0
+    assert elim.rank_sparse({}, 0, 0) == 0
     assert elim.rank_sparse({}, 5, 5) == 0
-    assert elim.rank_dense([[Fraction(0), Fraction(0)]]) == 0
+    assert elim.rank_sparse(_entries([[Fraction(0), Fraction(0)]]), 1, 2) == 0
+    # no unknowns and an empty row with b != 0: 0 = b refutes on its own
+    assert elim.solve_rational([(), ()], [Fraction(0), Fraction(1)], 0) == (
+        "infeasible", [0, 1]
+    )
+    assert elim.nullspace({}, 0, 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_nullspace_is_a_kernel_basis():
@@ -84,7 +106,7 @@ def test_nullspace_is_a_kernel_basis():
         nr = rng.randrange(1, 6)
         nc = rng.randrange(1, 6)
         m = _random_matrix(rng, nr, nc)
-        basis = elim.nullspace(m, nc)
+        basis = _kernel(m, nc)
         assert len(basis) == nc - gauss_rank(m)
         for v in basis:
             for row in m:
@@ -102,7 +124,7 @@ def test_solve_rational_feasible():
         m = _random_matrix(rng, nr, nc)
         xstar = [Fraction(rng.randrange(-3, 4)) for _ in range(nc)]
         rhs = [sum(a * b for a, b in zip(row, xstar)) for row in m]
-        tag, x = elim.solve_rational(m, rhs)
+        tag, x = _solve(m, rhs)
         assert tag == "feasible"
         for row, b in zip(m, rhs):
             assert sum(a * v for a, v in zip(row, x)) == b
@@ -113,7 +135,7 @@ def test_solve_rational_infeasible_certificate():
          [Fraction(1), Fraction(6)],
          [Fraction(2), Fraction(5)]]
     rhs = [Fraction(1), Fraction(1), Fraction(1)]
-    tag, lam = elim.solve_rational(m, rhs)
+    tag, lam = _solve(m, rhs)
     assert tag == "infeasible"
     # lam.A = 0 and lam.b = 1: verifiable without rerunning anything
     for c in range(2):
@@ -129,7 +151,7 @@ def test_solve_rational_random_infeasible():
         nc = rng.randrange(1, 4)
         m = _random_matrix(rng, nr, nc)
         rhs = [Fraction(rng.randrange(-5, 6)) for _ in range(nr)]
-        tag, payload = elim.solve_rational(m, rhs)
+        tag, payload = _solve(m, rhs)
         if tag == "feasible":
             for row, b in zip(m, rhs):
                 assert sum(a * v for a, v in zip(row, payload)) == b
@@ -145,47 +167,16 @@ def test_solve_rational_random_infeasible():
 # pivot columns do not depend on row order, so pinned CLI lines do not either
 
 
-def rref_nullspace(rows, ncols):
-    """Independent oracle: kernel basis read off a reduced row echelon form."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[top], m[piv] = m[piv], m[top]
-        m[top] = [v / m[top][col] for v in m[top]]
-        for r in range(len(m)):
-            if r != top and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[top])]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][free]
-        basis.append(v)
-    return basis
-
-
-def _dense_system(f_text, degree):
+def _system(f_text, degree):
     f = parse_poly(("x", "y"), f_text)
     system = divergence_system(f, parse_poly(("x", "y"), "1"), degree)
-    dense = [[Fraction(0)] * system.unknown_count for _ in system.rows]
-    for r, row in enumerate(system.rows):
-        for j, c in row:
-            dense[r][j] = c
-    return system, dense, list(system.rhs)
+    return system, list(system.rows), list(system.rhs)
 
 
 def test_solve_feasible_is_independent_of_row_order():
-    system, dense, rhs = _dense_system("x^2+y^2", 6)
-    tag, x = elim.solve_rational(dense, rhs)
+    system, rows, rhs = _system("x^2+y^2", 6)
+    n = system.unknown_count
+    tag, x = elim.solve_rational(rows, rhs, n)
     assert tag == "feasible"
     # the CLI line witness=[1/4*x; 1/4*y]: h_x = x/4, h_y = y/4
     support = {
@@ -194,23 +185,24 @@ def test_solve_feasible_is_independent_of_row_order():
     assert support == {(0, (1, 0)): Fraction(1, 4), (1, (0, 1)): Fraction(1, 4)}
     rng = random.Random(49)
     for _ in range(10):
-        perm = list(range(len(dense)))
+        perm = list(range(len(rows)))
         rng.shuffle(perm)
         assert elim.solve_rational(
-            [dense[p] for p in perm], [rhs[p] for p in perm]
+            [rows[p] for p in perm], [rhs[p] for p in perm], n
         ) == ("feasible", x)
 
 
 def test_certificate_is_independent_of_row_order():
-    _, dense, rhs = _dense_system("x^4+y^5+y^4*x", 5)
+    system, rows, rhs = _system("x^4+y^5+y^4*x", 5)
+    n = system.unknown_count
     pinned = [0, 0, 0, 7, 23, -29, 0, 0, 0, 0]
-    assert elim.solve_rational(dense, rhs) == ("infeasible", pinned)
+    assert elim.solve_rational(rows, rhs, n) == ("infeasible", pinned)
     rng = random.Random(50)
     for _ in range(10):
-        perm = list(range(len(dense)))
+        perm = list(range(len(rows)))
         rng.shuffle(perm)
         tag, lam = elim.solve_rational(
-            [dense[p] for p in perm], [rhs[p] for p in perm]
+            [rows[p] for p in perm], [rhs[p] for p in perm], n
         )
         assert tag == "infeasible"
         assert lam == [pinned[p] for p in perm]
@@ -225,9 +217,9 @@ def test_nullspace_is_the_canonical_basis():
         # a dependent row so that free columns appear among pivots
         m.append([a + 2 * b for a, b in zip(m[0], m[-1])])
         want = rref_nullspace(m, nc)
-        assert elim.nullspace(m, nc) == want
+        assert _kernel(m, nc) == want
         rng.shuffle(m)
-        assert elim.nullspace(m, nc) == want
+        assert _kernel(m, nc) == want
 
 
 _small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -267,12 +259,9 @@ def _sparse_systems(draw):
 def test_sparse_kernel_property(system):
     dense, rhs = system
     nr, nc = len(dense), len(dense[0])
-    entries = {
-        (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v
-    }
     rank = gauss_rank(dense)
-    assert elim.rank_sparse(entries, nr, nc) == rank
-    tag, payload = elim.solve_rational(dense, rhs)
+    assert elim.rank_sparse(_entries(dense), nr, nc) == rank
+    tag, payload = _solve(dense, rhs)
     augmented = gauss_rank([row + [b] for row, b in zip(dense, rhs)])
     assert (tag == "infeasible") == (augmented > rank)
     if tag == "feasible":
@@ -299,4 +288,4 @@ def test_solve_rational_rejects_a_forged_certificate(monkeypatch):
 
     monkeypatch.setattr(elim, "_echelon", forged)
     with pytest.raises(ArithmeticError, match="certificate"):
-        elim.solve_rational(m, rhs)
+        _solve(m, rhs)

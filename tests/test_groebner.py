@@ -65,9 +65,9 @@ def membership_oracle(f, gens, bound):
     rows = []
     rhs = []
     for k in keys:
-        rows.append([c.coeff(k) for c in columns])
+        rows.append([(j, c.coeff(k)) for j, c in enumerate(columns) if c.coeff(k)])
         rhs.append(f.coeff(k))
-    tag, _ = elim.solve_rational(rows, rhs)
+    tag, _ = elim.solve_rational(rows, rhs, len(columns))
     return tag == "feasible"
 
 

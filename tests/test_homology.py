@@ -24,6 +24,8 @@ from drcalc.homology import (
 )
 from drcalc.parse import parse_poly
 
+from oracles import gauss_rank, rref_nullspace
+
 XY = ("x", "y")
 
 
@@ -296,3 +298,48 @@ def test_induced_map_on_cohomology():
     ident = DGMorphism(pres, pres, {})
     mats = morphism_matrices(ident, cx, cx, 4)
     assert not induced_map_vanishes(cx, cx, mats, 0)
+
+
+def _dense(entries, nrows, ncols):
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def _pushed_cycles_are_boundaries(src_cx, tgt_cx, mats, n):
+    """Dense decision: every pushed cycle is in the boundary column span."""
+    ns, nt = src_cx.dims.get(n, 0), tgt_cx.dims.get(n, 0)
+    d_src = _dense(src_cx.diffs.get(n, {}), src_cx.dims.get(n + 1, 0), ns)
+    phi = _dense(mats.get(n, {}), nt, ns)
+    bnd = _dense(tgt_cx.diffs.get(n - 1, {}), nt, tgt_cx.dims.get(n - 1, 0))
+    pushed = [
+        [sum(a * b for a, b in zip(phi_row, z) if a and b) for phi_row in phi]
+        for z in rref_nullspace(d_src, ns)
+    ]
+    aug = [row + [y[r] for y in pushed] for r, row in enumerate(bnd)]
+    return gauss_rank(aug) == gauss_rank(bnd)
+
+
+def test_induced_map_vanishes_matches_dense_oracle():
+    towers = [
+        ([P("x^2")], ()),
+        ([P("x*y")], ()),
+        ([P("x^2+y^3")], ()),
+        ([P("x"), P("y")], ()),
+        ([P("x")], (P("x*y"),)),
+    ]
+    seen = set()
+    for polys, relations in towers:
+        for big, small in ((1, 1), (2, 1), (3, 1), (3, 2)):
+            phi = tower_map(XY, polys, big, small, relations=relations)
+            for w in (4, 5, 6):
+                src_cx = weight_truncate(phi.source, w)
+                tgt_cx = weight_truncate(phi.target, w)
+                mats = morphism_matrices(phi, src_cx, tgt_cx, w)
+                for n in src_cx.degrees():
+                    want = _pushed_cycles_are_boundaries(src_cx, tgt_cx, mats, n)
+                    got = induced_map_vanishes(src_cx, tgt_cx, mats, n)
+                    assert got == want, (polys, relations, big, small, w, n)
+                    seen.add(want)
+    assert seen == {True, False}
