@@ -263,13 +263,6 @@ class GradedElement:
     def degrees(self):
         return sorted({self.context.degree_of(e) for e in self.terms})
 
-    def homogeneous_part(self, degree):
-        ctx = self.context
-        return GradedElement(
-            ctx,
-            {e: c for e, c in self.terms.items() if ctx.degree_of(e) == degree},
-        )
-
     def max_weight(self):
         ctx = self.context
         return max((ctx.weight_of(e) for e in self.terms), default=0)

@@ -388,7 +388,6 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
     ambient_cx = weight_truncate(
         DeRhamStage(free, hodge_level, weight), weight
     )
-    ambient = ambient_cx.cohomology()
 
     md = f.min_degree()
     power = weight // md + 1
@@ -407,14 +406,13 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
         koszul_presentation(variables, [f], 1), hodge_level, weight
     )
     stage_cx = stage.complex()
-    stage_h = stage_cx.cohomology()
     return FibreReport(
-        ambient=tuple(sorted(ambient.items())),
+        ambient=tuple(sorted(ambient_cx.cohomology().items())),
         deep_part_dim=deep_dim,
         deep_power=power,
-        stage=tuple(sorted(stage_h.items())),
-        euler_ambient=sum((-d if n % 2 else d) for n, d in ambient.items()),
-        euler_stage=sum((-d if n % 2 else d) for n, d in stage_h.items()),
+        stage=tuple(sorted(stage_cx.cohomology().items())),
+        euler_ambient=ambient_cx.euler_characteristic(),
+        euler_stage=stage_cx.euler_characteristic(),
     )
 
 
@@ -460,7 +458,8 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     slots with K's own matrices, signed by the degrees of the earlier
     slots and by (-1)^p; of the alternating coface sum only d^0
     survives the quotient: (k0, ...) -> (1, k0, ...) when k0 is not
-    the unit.
+    the unit.  The total complex is checked for d o d = 0 before it is
+    returned.
     """
     pres = koszul_presentation(variables, [f], 1)
     koszul = weight_truncate(pres, weight)
@@ -520,7 +519,9 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
         n: [(len(s) - 1, tuple(keys[k] for k in s)) for s, _ in ss]
         for n, ss in buckets.items()
     }
-    return MatrixComplex(dims, labels, diffs)
+    tot = MatrixComplex(dims, labels, diffs)
+    tot.check_composition()
+    return tot
 
 
 def amitsur_vs_derham(

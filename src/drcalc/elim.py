@@ -14,6 +14,11 @@ the columns before it.  Ranks, the canonical kernel basis and the
 solution with free unknowns at zero therefore do not depend on the
 order of the rows.
 
+``echelon`` and ``reduce`` expose the same routine for working modulo
+a span: ``reduce`` clears every pivot column of a vector with the pivot
+rows, which is how ``MatrixComplex.quotient`` writes the differential
+of a quotient complex in its non-pivot basis.
+
 Matrices come in sparse only, in one of two forms.  ``rank_sparse``
 and ``nullspace`` take ``{(row, col): value}`` entries, the form the
 complexes store their differentials in.  ``solve_rational`` takes a
@@ -56,26 +61,62 @@ def _echelon(rows, track=False):
     for i, source in enumerate(rows):
         row = {c: v for c, v in source.items() if v}
         combo = {i: Fraction(1)} if track else None
-        heap = list(row)
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            v = row.get(c)
-            if v is None:  # cancelled by an earlier step
-                continue
-            pivot = pivots.get(c)
-            if pivot is None:
-                inv = 1 / Fraction(v)
-                pivots[c] = (
-                    {j: w * inv for j, w in row.items()},
-                    {k: w * inv for k, w in combo.items()} if track else None,
-                )
-                break
-            prow, pcombo = pivot
-            _axpy(row, -v, prow, heap)
-            if track:
-                _axpy(combo, -v, pcombo)
+        c = _clear(pivots, row, combo, stop=True)
+        if c is not None:
+            inv = 1 / Fraction(row[c])
+            pivots[c] = (
+                {j: w * inv for j, w in row.items()},
+                {k: w * inv for k, w in combo.items()} if track else None,
+            )
     return pivots
+
+
+def _clear(pivots, row, combo, stop):
+    """Subtract pivot rows from ``row`` in place, smallest column first.
+
+    With ``stop``, return the first column of ``row`` that is not a
+    pivot (the left-looking step: the rest of the row is left as it
+    is); otherwise clear every pivot column and return None.  ``combo``
+    (or None) follows the same row operations.
+    """
+    heap = list(row)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        v = row.get(c)
+        if v is None:  # cancelled by an earlier step
+            continue
+        pivot = pivots.get(c)
+        if pivot is None:
+            if stop:
+                return c
+            continue
+        prow, pcombo = pivot
+        _axpy(row, -v, prow, heap)
+        if combo is not None:
+            _axpy(combo, -v, pcombo)
+    return None
+
+
+def echelon(rows):
+    """Pivots of sparse rational rows, in the form ``reduce`` takes.
+
+    ``rows`` are ``{col: value}`` dicts with comparable columns; the
+    pivots are ``_echelon``'s, without combinations.
+    """
+    return _echelon(rows)
+
+
+def reduce(pivots, vector):
+    """``vector`` modulo the pivot rows: no pivot column left in it.
+
+    Returns a new sparse dict without zero entries.  The result is the
+    canonical representative of the coset of ``vector`` modulo the span
+    of the pivot rows, supported on non-pivot columns only.
+    """
+    row = {c: v for c, v in vector.items() if v}
+    _clear(pivots, row, None, stop=False)
+    return row
 
 
 def _back_substitute(pivots, x):

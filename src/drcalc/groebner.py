@@ -213,9 +213,6 @@ class GroebnerBasis:
     def leading_exponents(self):
         return [_lead(g, self.order) for g in self.gens]
 
-    def same_ideal_presentation(self, other: "GroebnerBasis") -> bool:
-        return self.gens == other.gens
-
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
 

@@ -8,6 +8,14 @@ matrix per adjacent degree pair, with exponent tuples as basis keys.
 Cohomology is rank-nullity bookkeeping on top of exact sparse
 elimination (``elim``).
 
+d o d = 0 is checked once, where a complex is assembled:
+``weight_truncate`` (and the conerve totalization in ``derham``) call
+``check_composition`` on what they build.  Everything else is derived
+from a checked complex by ``restrict``, ``quotient`` or a degree shift,
+and a quotient of a complex by a subcomplex is again a complex; both
+raise unless the part they drop is a subcomplex, so no derived complex
+needs a second check and ``cohomology`` is rank-nullity only.
+
 Truncation does not commute with cohomology in general.  The stability
 flags reported by ``stability_report`` compare dimensions at ``W`` and
 ``W + 1``: evidence, not proof, that a dimension has settled.  The
@@ -100,6 +108,50 @@ class MatrixComplex:
                 diffs[n] = entries
         return MatrixComplex(dims, labels, diffs)
 
+    def quotient(self, span) -> "MatrixComplex":
+        """Quotient by the subcomplex spanned by ``span``.
+
+        ``span[n]`` lists sparse vectors ``{basis key: value}`` of
+        degree ``n``.  Each degree's span is put in echelon form over
+        the basis positions; the non-pivot keys are a basis of the
+        quotient.  A kept column's image is reduced modulo the span one
+        degree up, and so is the image of each pivot's echelon row:
+        ``restrict`` then drops the pivot keys and raises unless those
+        images vanish, i.e. unless d maps the span into the span.  Basis
+        keys must be distinct across degrees.
+        """
+        pivots = {}
+        for n, vectors in span.items():
+            index = {key: i for i, key in enumerate(self.labels.get(n, ()))}
+            pivots[n] = elim.echelon(
+                [{index[key]: v for key, v in vec.items()} for vec in vectors]
+            )
+        diffs = {}
+        for n, entries in self.diffs.items():
+            columns = {}
+            for (r, c), v in entries.items():
+                columns.setdefault(c, {})[r] = v
+            here = pivots.get(n, {})
+            up = pivots.get(n + 1, {})
+            reduced = {}
+            for c in range(self.dims[n]):
+                if c in here:
+                    image = {}
+                    for j, w in here[c][0].items():
+                        for r, v in columns.get(j, {}).items():
+                            image[r] = image.get(r, 0) + w * v
+                else:
+                    image = columns.get(c, {})
+                for r, v in elim.reduce(up, image).items():
+                    reduced[(r, c)] = v
+            diffs[n] = reduced
+        dropped = {
+            self.labels[n][c] for n, found in pivots.items() for c in found
+        }
+        return MatrixComplex(self.dims, self.labels, diffs).restrict(
+            lambda key: key not in dropped
+        )
+
     def check_composition(self):
         """Raise unless consecutive differentials compose to zero."""
         for n, first in self.diffs.items():
@@ -111,8 +163,11 @@ class MatrixComplex:
                 )
 
     def cohomology(self):
-        """{degree: dim H} via dim ker(d^n) - rank(d^{n-1})."""
-        self.check_composition()
+        """{degree: dim H} via dim ker(d^n) - rank(d^{n-1}).
+
+        Rank-nullity only: d o d = 0 was checked where the complex was
+        assembled (see the module docstring).
+        """
         ranks = {n: self.rank(n) for n in self.diffs}
         out = {}
         for n in self.degrees():
@@ -164,7 +219,8 @@ def weight_truncate(source, weight) -> MatrixComplex:
     is ``None`` or the range of Hodge columns kept (columns above it
     span a subcomplex and are quotiented away), and ``normal_form`` is
     ``None`` or the relation normal form whose standard monomials form
-    the basis.  Basis keys are exponent tuples in sorted order.
+    the basis.  Basis keys are exponent tuples in sorted order.  The
+    assembled complex is checked for d o d = 0 before it is returned.
     """
     ctx, diff, hodge, nf = source.truncation_data()
     for i, image in diff.images.items():
@@ -204,7 +260,9 @@ def weight_truncate(source, weight) -> MatrixComplex:
                 entries[(row, col)] = coeff
         diffs[n] = entries
     dims = {n: len(ms) for n, ms in buckets.items()}
-    return MatrixComplex(dims, buckets, diffs)
+    cx = MatrixComplex(dims, buckets, diffs)
+    cx.check_composition()
+    return cx
 
 
 def stability_report(source, weight) -> CohomologyReport:
@@ -220,10 +278,11 @@ def restricted_report(build, ctx, weight) -> CohomologyReport:
     """Flagged report from one build, ``build(weight + 1)``.
 
     The W complex is read off the W+1 one by restricting to the basis
-    keys (exponent tuples over ``ctx``) of weight at most ``weight``;
-    both are checked for d o d = 0 on the way to their cohomology.  A
+    keys (exponent tuples over ``ctx``) of weight at most ``weight``.
+    d o d = 0 is checked once, when the W+1 complex is assembled; the
+    W complex is a quotient of it and needs no check of its own.  A
     differential that lowers weight after all (through a relation's
-    normal form) leaves no such quotient and raises.
+    normal form) leaves no such quotient, and ``restrict`` raises.
     """
     check_weight(weight)
     above = build(weight + 1)

@@ -1,9 +1,10 @@
 """Stalk-level obstruction tests for hypersurface singularities.
 
-Two computations drive this module.  The first is the quotient of the
-truncated de Rham complex at the origin by the differential ideal
-generated by the defining equations: its cohomology detects failure of
-the Poincaré lemma on the singular germ.  The second is the divergence
+Two computations drive this module.  The first is the stalk: the free
+de Rham stage on the variables modulo the differential ideal K
+generated by the defining equations, built as one quotient
+``MatrixComplex``; its cohomology detects failure of the Poincaré lemma
+on the singular germ.  The second is the divergence
 equation ``f*g = sum_i d(f*h_i)/dx_i`` viewed as an exact linear system
 on the Taylor coefficients of the unknowns ``h_i``: a rational
 certificate of infeasibility refutes solvability of the untruncated
@@ -24,15 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import elim
-from .algebra import (
-    Derivation,
-    GradedContext,
-    GradedElement,
-    Generator,
-    enumerate_monomials,
-)
+from .algebra import GradedElement, check_weight
+from .derham import DeRhamStage, free_presentation
 from .errors import StructuralError
-from .homology import CohomologyReport, flag_stability
+from .homology import CohomologyReport, flag_stability, weight_truncate
 from .poly import Poly
 
 SOUNDNESS_NOTE = (
@@ -45,48 +41,17 @@ SOUNDNESS_NOTE = (
 # the differential ideal K^* and the stalk quotient complex
 
 
-def _form_context(variables) -> GradedContext:
-    gens = [Generator(v, 0, 1, 0) for v in variables]
-    gens += [Generator("d" + v, 1, 1, 1) for v in variables]
-    return GradedContext(gens)
+def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
+    """Cohomology of the germ's de Rham quotient, with stability flags.
 
-
-def _exterior(ctx: GradedContext, variables) -> Derivation:
-    images = {
-        v: GradedElement.generator(ctx, "d" + v) for v in variables
-    }
-    return Derivation(ctx, images)
-
-
-@dataclass(frozen=True)
-class KIdealComplex:
-    """Spanning data for K^k = I*Omega^k + dI ^ Omega^{k-1} below W.
-
-    ``form_bases[k]`` lists the exponent tuples of the ambient k-forms,
-    ``spans[k]`` the coordinates of the computed spanning set of K^k in
-    that basis (one sparse column per spanning form).  By convention
-    K^0 is the ideal itself.
-    """
-
-    variables: tuple
-    gens: tuple
-    weight: int
-    form_bases: tuple  # per k: tuple of exponent tuples
-    spans: tuple  # per k: dict {(row, col): Fraction}, plus column count
-    span_cols: tuple
-
-    def k_dimension(self, k: int) -> int:
-        return elim.rank_sparse(
-            self.spans[k], len(self.form_bases[k]), self.span_cols[k]
-        )
-
-
-def k_ideal_complex(gens, weight) -> KIdealComplex:
-    """Spanning sets of the differential ideal of a finite ideal.
-
-    The spanning forms are the weight-cut products of each generator
-    with the ambient form basis, together with its exterior derivative
-    wedged with the next basis down.
+    The ambient is the free de Rham stage on the variables, assembled
+    once at ``weight + 1``.  K^k = I*Omega^k + dI ^ Omega^{k-1} is
+    spanned by the weight-cut products of each generator g with the
+    ambient k-forms and of dg with the (k-1)-forms; both quotients are
+    ``MatrixComplex.quotient``, which also checks that d maps K into K.
+    Cutting at ``weight`` commutes with the products, so the span cut
+    at ``weight`` spans K at ``weight``.  Flags compare the dimensions
+    at ``weight`` and ``weight + 1``; every form degree is reported.
     """
     gens = tuple(gens)
     if not gens or any(not g for g in gens):
@@ -95,134 +60,34 @@ def k_ideal_complex(gens, weight) -> KIdealComplex:
     for g in gens:
         if tuple(g.context) != variables:
             raise StructuralError("mixed variable contexts")
-    ctx = _form_context(variables)
-    d = _exterior(ctx, variables)
+    check_weight(weight)
     n = len(variables)
-    lifted = [GradedElement.from_poly(ctx, g) for g in gens]
-    exteriors = [d(e) for e in lifted]
-
-    bases = []
-    indexes = []
-    for k in range(n + 1):
-        mons = enumerate_monomials(ctx, max_weight=weight, hodge=k)
-        bases.append(tuple(mons))
-        indexes.append({m: i for i, m in enumerate(mons)})
-
-    spans = []
-    cols = []
-    for k in range(n + 1):
-        entries = {}
-        col = 0
-        for gen_elem, gen_ext in zip(lifted, exteriors):
-            for m in indexes[k]:
-                prod = (gen_elem * GradedElement.monomial(ctx, m)).weight_filter(
-                    weight
-                )
-                col = _append_column(entries, prod, indexes[k], col)
-            if k >= 1:
-                for m in indexes[k - 1]:
-                    prod = (
-                        gen_ext * GradedElement.monomial(ctx, m)
-                    ).weight_filter(weight)
-                    col = _append_column(entries, prod, indexes[k], col)
-        spans.append(entries)
-        cols.append(col)
-    return KIdealComplex(
-        variables=variables,
-        gens=gens,
-        weight=weight,
-        form_bases=tuple(bases),
-        spans=tuple(spans),
-        span_cols=tuple(cols),
+    stage = DeRhamStage(free_presentation(variables), n, weight + 1)
+    ctx, d, _, _ = stage.truncation_data()
+    ambient = weight_truncate(stage, weight + 1)
+    span = {k: [] for k in range(n + 1)}
+    for g in gens:
+        lifted = GradedElement.from_poly(ctx, g)
+        for factor, shift in ((lifted, 0), (d(lifted), 1)):
+            for k, keys in ambient.labels.items():
+                if k + shift <= n:
+                    span[k + shift] += [
+                        (factor * GradedElement.monomial(ctx, m))
+                        .weight_filter(weight + 1).terms
+                        for m in keys
+                    ]
+    above = ambient.quotient(span)
+    light = {
+        k: [{m: v for m, v in vec.items() if ctx.weight_of(m) <= weight}
+            for vec in vecs]
+        for k, vecs in span.items()
+    }
+    here = ambient.restrict(lambda m: ctx.weight_of(m) <= weight).quotient(light)
+    h_here, h_above = here.cohomology(), above.cohomology()
+    return flag_stability(
+        {k: h_here.get(k, 0) for k in range(n + 1)},
+        {k: h_above.get(k, 0) for k in range(n + 1)},
     )
-
-
-def _append_column(entries, elem, index, col):
-    wrote = False
-    for exps, coeff in elem.terms.items():
-        entries[(index[exps], col)] = coeff
-        wrote = True
-    return col + 1 if wrote else col
-
-
-def differential_ideal_check(kc: KIdealComplex) -> bool:
-    """Does d map each computed K^k span into the K^{k+1} span?"""
-    ctx = _form_context(kc.variables)
-    d = _exterior(ctx, kc.variables)
-    n = len(kc.variables)
-    index = [
-        {exps: i for i, exps in enumerate(kc.form_bases[k])}
-        for k in range(n + 1)
-    ]
-    for k in range(n):
-        base_rank = elim.rank_sparse(
-            kc.spans[k + 1], len(kc.form_bases[k + 1]), kc.span_cols[k + 1]
-        )
-        aug = dict(kc.spans[k + 1])
-        col = kc.span_cols[k + 1]
-        by_col = {}
-        for (r, c), v in kc.spans[k].items():
-            by_col.setdefault(c, []).append((r, v))
-        for c, entries in by_col.items():
-            elem = GradedElement.zero(ctx)
-            for r, v in entries:
-                exps = kc.form_bases[k][r]
-                elem = elem + GradedElement.monomial(ctx, exps, v)
-            image = d(elem).weight_filter(kc.weight)
-            for exps, coeff in image.terms.items():
-                aug[(index[k + 1][exps], col)] = coeff
-            col += 1
-        if (
-            elim.rank_sparse(aug, len(kc.form_bases[k + 1]), col)
-            != base_rank
-        ):
-            return False
-    return True
-
-
-def _stalk_dims(gens, weight):
-    """{k: dim H^k} of the quotient complex Omega^*/K^* below weight."""
-    kc = k_ideal_complex(gens, weight)
-    variables = kc.variables
-    ctx = _form_context(variables)
-    d = _exterior(ctx, variables)
-    n = len(variables)
-    mons = kc.form_bases
-    indexes = [{m: i for i, m in enumerate(ms)} for ms in mons]
-
-    k_rank = [kc.k_dimension(k) for k in range(n + 1)]
-    induced_rank = []
-    for k in range(n):
-        # rank of the induced differential on the quotient: adjoin the
-        # images of the ambient basis to the K^{k+1} span and subtract
-        aug = dict(kc.spans[k + 1])
-        col = kc.span_cols[k + 1]
-        for m in mons[k]:
-            image = d(GradedElement.monomial(ctx, m)).weight_filter(weight)
-            wrote = False
-            for exps, coeff in image.terms.items():
-                aug[(indexes[k + 1][exps], col)] = coeff
-                wrote = True
-            if wrote:
-                col += 1
-        total = elim.rank_sparse(aug, len(mons[k + 1]), col)
-        induced_rank.append(total - k_rank[k + 1])
-    dims = {}
-    for k in range(n + 1):
-        quotient_dim = len(mons[k]) - k_rank[k]
-        r_out = induced_rank[k] if k < n else 0
-        r_in = induced_rank[k - 1] if k >= 1 else 0
-        dims[k] = quotient_dim - r_out - r_in
-    return dims
-
-
-def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
-    """Cohomology of the germ's de Rham quotient, with stability flags.
-
-    Flags compare the dimensions at ``weight`` and ``weight + 1``.
-    """
-    here = _stalk_dims(gens, weight)
-    return flag_stability(here, _stalk_dims(gens, weight + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,9 @@ def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
                     if v:
                         entries[(row0 + r, col0 + c)] = Fraction(v)
         diffs[n] = entries
-    return MatrixComplex(dims, labels, diffs)
+    tot = MatrixComplex(dims, labels, diffs)
+    tot.check_composition()  # assembled here, so checked here
+    return tot
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from drcalc.derham import (
     _WedgeSource,
     cotangent_complex,
     derham_stage,
+    free_presentation,
     hodge_graded,
     wedge_power,
 )
@@ -61,6 +62,31 @@ def test_composition_guard():
     )
     with pytest.raises(StructuralError) as err:
         cx.check_composition()
+    assert "d o d" in str(err.value)
+
+
+def test_weight_truncate_checks_composition():
+    # a hand-built source whose derivation does not square to zero
+    # (d s = x, d x = e, so d d s = e) is refused where it is assembled
+    class Bad:
+        def truncation_data(self):
+            from drcalc.algebra import (
+                Derivation,
+                GradedContext,
+                GradedElement,
+                Generator,
+            )
+            ctx = GradedContext([
+                Generator("x", 0), Generator("e", 1), Generator("s", -1),
+            ])
+            img = {
+                "s": GradedElement.generator(ctx, "x"),
+                "x": GradedElement.generator(ctx, "e"),
+            }
+            return ctx, Derivation(ctx, img), None, None
+
+    with pytest.raises(StructuralError) as err:
+        weight_truncate(Bad(), 2)
     assert "d o d" in str(err.value)
 
 
@@ -259,6 +285,37 @@ def test_restriction_must_drop_a_subcomplex():
     low = two.restrict(lambda key: key != "f0")
     assert low.dims == {0: 2} and low.diffs == {0: {}}
     assert low.cohomology() == {0: 2}
+
+
+def test_quotient_by_dropped_unit_vectors_is_restrict():
+    # quotienting by the unit vectors of the heavy keys is the weight
+    # restriction: same labels, same matrices, in every assembled case
+    for name, ctx, build in _restriction_cases():
+        for weight in (2, 3, 4, 6):
+            above = build(weight + 1)
+            keep = lambda e: ctx.weight_of(e) <= weight
+            span = {
+                n: [{key: Fraction(1)} for key in keys if not keep(key)]
+                for n, keys in above.labels.items()
+            }
+            quotient = above.quotient(span)
+            restricted = above.restrict(keep)
+            assert quotient.dims == restricted.dims, (name, weight)
+            assert quotient.labels == restricted.labels, (name, weight)
+            assert quotient.diffs == restricted.diffs, (name, weight)
+
+
+def test_quotient_needs_a_subcomplex():
+    # (x) in degree 0 without dx: d(x) = dx leaves the span; keys are
+    # exponent tuples over (x, dx)
+    cx = derham_stage(free_presentation(("x",)), 1, 3).complex()
+    span = {0: [{key: Fraction(1)} for key in cx.labels[0] if key[0] >= 1]}
+    with pytest.raises(StructuralError) as err:
+        cx.quotient(span)
+    assert "not a quotient" in str(err.value)
+    # with dx ^ Omega^0 and x * Omega^1 added it is the whole of Omega^1
+    span[1] = [{key: Fraction(1)} for key in cx.labels[1]]
+    assert cx.quotient(span).cohomology() == {0: 1}
 
 
 # ---------------------------------------------------------------------------
