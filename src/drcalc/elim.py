@@ -1,18 +1,32 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed on integers.
 
 Every entry point here runs on one routine, ``_echelon``: left-looking
 sparse elimination (Bouillaguet & Delaplace, SpaSM, 2016).  Rows are
-sparse ``{col: Fraction}`` dicts taken one at a time; each is reduced
-against the pivots found so far, always at its smallest column, until
-it opens a new pivot (scaled to 1) or vanishes.  The complexes and
-divergence systems built elsewhere in the package are very sparse, so
-only the fill-in a row actually meets is ever computed.
+taken one at a time as sparse rational ``{col: value}`` dicts; each is
+made integral on entry (its denominators cleared, its content divided
+out) and is reduced against the pivots found so far, always at its
+smallest column, until it opens a new pivot or vanishes.  The complexes
+and divergence systems built elsewhere in the package are very sparse,
+so only the fill-in a row actually meets is ever computed.
+
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a row
+whose entry at a pivot column is ``v`` becomes ``a * row - b * pivot``
+with ``a = lead / g``, ``b = v / g`` and ``g = gcd(v, lead)``.  Pivot
+rows are ``{col: int}`` dicts with a positive lead, primitive (jointly
+with their row combination, when one is tracked), so each is a nonzero
+multiple of the pivot row that rational elimination with pivots scaled
+to 1 would find.  ``Fraction``s appear only where a rational answer
+leaves the module: ``reduce``'s representative, back substitution and
+the infeasibility certificate.
 
 No pivot choice is needed for determinism: in any left-to-right echelon
 form, column ``c`` is a pivot exactly when it is not a combination of
 the columns before it.  Ranks, the canonical kernel basis and the
 solution with free unknowns at zero therefore do not depend on the
 order of the rows.
+
+``integral`` clears denominators for the kernel and for the sparse
+matrix product in ``homology``.
 
 ``echelon`` and ``reduce`` expose the same routine for working modulo
 a span: ``reduce`` clears every pivot column of a vector with the pivot
@@ -31,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 def _axpy(target, scale, source, heap=None):
@@ -49,38 +64,79 @@ def _axpy(target, scale, source, heap=None):
                 del target[j]
 
 
-def _echelon(rows, track=False):
-    """Row echelon form of sparse rational rows.
+def integral(vector):
+    """``(row, den)``: the nonzero entries of ``vector`` times ``den``.
 
-    Returns ``{pivot column: (row, combo)}``.  Each pivot row is 1 at its
-    pivot column and has nonzero entries only at larger columns.  With
-    ``track``, ``combo`` is ``{input row index: Fraction}`` such that
-    the pivot row equals ``sum(combo[i] * rows[i])``; otherwise None.
+    ``vector`` is a sparse ``{key: rational}`` dict; ``den`` is the least
+    common denominator of its values, so ``row`` is ``{key: int}``.
+    """
+    den = lcm(*(v.denominator for v in vector.values()))
+    row = {
+        c: v.numerator * (den // v.denominator)
+        for c, v in vector.items()
+        if v
+    }
+    return row, den
+
+
+def _divide_content(row, combo, lead=None):
+    """Divide ``row`` and ``combo`` (or None) in place by their content.
+
+    With ``lead``, the divisor's sign makes ``row[lead]`` positive.
+    Returns the divisor (0 when both are empty).
+    """
+    g = gcd(*row.values(), *(combo.values() if combo else ()))
+    if lead is not None and row[lead] < 0:
+        g = -g
+    if g not in (0, 1):
+        for j in row:
+            row[j] //= g
+        if combo:
+            for k in combo:
+                combo[k] //= g
+    return g
+
+
+def _echelon(rows, track=False, until=None):
+    """Row echelon form of sparse rational rows, on integers.
+
+    Returns ``{pivot column: (row, combo)}``.  Each pivot row is a
+    ``{col: int}`` dict, positive at its pivot column and nonzero only
+    there and at larger columns.  With ``track``, ``combo`` is
+    ``{input row index: int}`` such that the pivot row equals
+    ``sum(combo[i] * rows[i])``, and the two together are primitive;
+    otherwise ``combo`` is None and the row is primitive.  Elimination
+    stops once column ``until`` (if given) opens a pivot: pivots never
+    change after they open, so the rows after it could not alter it.
     """
     pivots = {}
     for i, source in enumerate(rows):
-        row = {c: v for c, v in source.items() if v}
-        combo = {i: Fraction(1)} if track else None
-        c = _clear(pivots, row, combo, stop=True)
+        row, den = integral(source)
+        combo = {i: den} if track else None
+        _divide_content(row, combo)
+        c = _clear(pivots, row, combo, stop=True)[0]
         if c is not None:
-            inv = 1 / Fraction(row[c])
-            pivots[c] = (
-                {j: w * inv for j, w in row.items()},
-                {k: w * inv for k, w in combo.items()} if track else None,
-            )
+            _divide_content(row, combo, lead=c)
+            pivots[c] = (row, combo)
+            if c == until:
+                break
     return pivots
 
 
 def _clear(pivots, row, combo, stop):
-    """Subtract pivot rows from ``row`` in place, smallest column first.
+    """Subtract pivot rows from int ``row`` in place, smallest column first.
 
-    With ``stop``, return the first column of ``row`` that is not a
-    pivot (the left-looking step: the rest of the row is left as it
-    is); otherwise clear every pivot column and return None.  ``combo``
-    (or None) follows the same row operations.
+    Each step is ``row = a * row - b * pivot`` (see the module
+    docstring); ``combo`` (or None) follows the same row operations.
+    Returns ``(column, scale)``: with ``stop``, ``column`` is the first
+    column of ``row`` that is not a pivot (the left-looking step: the
+    rest of the row is left as it is); otherwise every pivot column is
+    cleared and ``column`` is None.  ``scale`` is the product of the
+    ``a``s, so the row ends as ``scale`` times its rational reduction.
     """
     heap = list(row)
     heapify(heap)
+    scale = 1
     while heap:
         c = heappop(heap)
         v = row.get(c)
@@ -89,20 +145,33 @@ def _clear(pivots, row, combo, stop):
         pivot = pivots.get(c)
         if pivot is None:
             if stop:
-                return c
+                return c, scale
             continue
         prow, pcombo = pivot
+        lead = prow[c]
+        if lead != 1:
+            g = gcd(v, lead)
+            a = lead // g
+            v //= g
+            if a != 1:
+                scale *= a
+                for j in row:
+                    row[j] *= a
+                if combo is not None:
+                    for k in combo:
+                        combo[k] *= a
         _axpy(row, -v, prow, heap)
         if combo is not None:
             _axpy(combo, -v, pcombo)
-    return None
+    return None, scale
 
 
 def echelon(rows):
     """Pivots of sparse rational rows, in the form ``reduce`` takes.
 
     ``rows`` are ``{col: value}`` dicts with comparable columns; the
-    pivots are ``_echelon``'s, without combinations.
+    pivots are ``_echelon``'s primitive integer rows, without
+    combinations.
     """
     return _echelon(rows)
 
@@ -110,25 +179,29 @@ def echelon(rows):
 def reduce(pivots, vector):
     """``vector`` modulo the pivot rows: no pivot column left in it.
 
-    Returns a new sparse dict without zero entries.  The result is the
-    canonical representative of the coset of ``vector`` modulo the span
-    of the pivot rows, supported on non-pivot columns only.
+    Returns a new sparse ``{col: Fraction}`` dict without zero entries:
+    the canonical representative of the coset of ``vector`` modulo the
+    span of the pivot rows, supported on non-pivot columns only.  The
+    elimination runs on integers; the scale it tracks is divided out
+    once, at the end.
     """
-    row = {c: v for c, v in vector.items() if v}
-    _clear(pivots, row, None, stop=False)
-    return row
+    row, den = integral(vector)
+    content = _divide_content(row, None)
+    scale = _clear(pivots, row, None, stop=False)[1]
+    return {c: Fraction(v * content, den * scale) for c, v in row.items()}
 
 
 def _back_substitute(pivots, x):
     """Complete sparse ``x`` at the pivot columns so every pivot row . x = 0.
 
     ``x`` holds the chosen values at non-pivot columns; pivot rows are
-    solved from the largest pivot column down.
+    solved from the largest pivot column down, dividing by each lead.
     """
     for c in sorted(pivots, reverse=True):
-        s = sum(w * x[j] for j, w in pivots[c][0].items() if j != c and j in x)
+        prow = pivots[c][0]
+        s = sum(w * x[j] for j, w in prow.items() if j != c and j in x)
         if s:
-            x[c] = -s
+            x[c] = -s / prow[c]
     return x
 
 
@@ -173,7 +246,9 @@ def solve_rational(rows, rhs, ncols):
     ``ArithmeticError``.
 
     b is eliminated as column ``ncols`` of the augmented matrix: a pivot
-    there is the row (0 | 1), and its combination of input rows is lam.
+    there is the row (0 | lead), and its combination of input rows,
+    divided by the lead, is lam.  Elimination stops at that pivot, so
+    the rows after the one that opens it are never touched.
     """
     augmented = []
     for row, b in zip(rows, rhs):
@@ -181,19 +256,21 @@ def solve_rational(rows, rhs, ncols):
         if b:
             aug[ncols] = Fraction(b)
         augmented.append(aug)
-    pivots = _echelon(augmented, track=True)
+    pivots = _echelon(augmented, track=True, until=ncols)
     if ncols in pivots:
-        combo = pivots[ncols][1]
+        row, combo = pivots[ncols]
+        lam = {i: Fraction(w, row[ncols]) for i, w in combo.items()}
         # verify the certificate against the original data
         residue = {}
-        for i, w in combo.items():
+        for i, w in lam.items():
             _axpy(residue, w, dict(rows[i]))
-        lam_b = sum(w * rhs[i] for i, w in combo.items())
+        lam_b = sum(w * rhs[i] for i, w in lam.items())
         if any(residue.values()) or lam_b != 1:
             raise ArithmeticError(
                 "infeasibility certificate fails lam . A = 0, lam . b = 1"
             )
-        lam = [combo.get(i, Fraction(0)) for i in range(len(rows))]
-        return "infeasible", lam
+        return "infeasible", [
+            lam.get(i, Fraction(0)) for i in range(len(rows))
+        ]
     x = _back_substitute(pivots, {ncols: Fraction(-1)})
     return "feasible", [x.get(c, Fraction(0)) for c in range(ncols)]

@@ -334,23 +334,34 @@ class ChainMapReport:
         return self.ok
 
 
+def _integer_columns(entries):
+    """``(columns, den)``: ``{col: {row: int}}``, ``den`` times ``entries``."""
+    ints, den = elim.integral(entries)
+    columns = {}
+    for (r, c), v in ints.items():
+        columns.setdefault(c, {})[r] = v
+    return columns, den
+
+
 def _compose(second, first):
-    """Sparse product second o first (entries dicts)."""
-    by_col = {}
-    for (r, c), v in first.items():
-        by_col.setdefault(c, {})[r] = v
-    sec_by_col = {}
-    for (r, c), v in second.items():
-        sec_by_col.setdefault(c, {})[r] = v
+    """Sparse product second o first of ``{(row, col): value}`` entries.
+
+    Each operand is scaled to integers once, by its least common
+    denominator; the product is summed on ints, and only its nonzero
+    entries become ``Fraction``s, divided by both scales.
+    """
+    by_col, den_first = _integer_columns(first)
+    sec_by_col, den_second = _integer_columns(second)
+    den = den_first * den_second
     out = {}
     for c, col in by_col.items():
         acc = {}
         for mid, v in col.items():
             for r, w in sec_by_col.get(mid, {}).items():
-                acc[r] = acc.get(r, Fraction(0)) + w * v
+                acc[r] = acc.get(r, 0) + w * v
         for r, v in acc.items():
             if v:
-                out[(r, c)] = v
+                out[(r, c)] = Fraction(v, den)
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -281,11 +282,128 @@ def test_solve_rational_rejects_a_forged_certificate(monkeypatch):
     rhs = [Fraction(1), Fraction(1), Fraction(1)]
     real = elim._echelon
 
-    def forged(rows, track=False):
-        pivots = real(rows, track)
+    def forged(rows, track=False, until=None):
+        pivots = real(rows, track, until)
         row, combo = pivots[2]
         return {**pivots, 2: (row, {i: 2 * v for i, v in combo.items()})}
 
     monkeypatch.setattr(elim, "_echelon", forged)
     with pytest.raises(ArithmeticError, match="certificate"):
         _solve(m, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction oracles, where coefficients grow
+
+
+_wide = st.builds(
+    Fraction,
+    st.integers(-10**20, 10**20),
+    st.sampled_from([1, 2, 3, 7, 10**20 + 39]),
+)
+
+
+@st.composite
+def _span_and_vector(draw):
+    """Rows with mixed denominators, one of them dependent, and a vector."""
+    nc = draw(st.integers(1, 7))
+    vec = st.dictionaries(st.integers(0, nc - 1), _wide, max_size=nc)
+    rows = draw(st.lists(vec, min_size=1, max_size=6))
+    a, b = draw(_wide), draw(_wide)
+    first, last = rows[0], rows[-1]
+    rows.append({
+        c: a * first.get(c, 0) + b * last.get(c, 0)
+        for c in set(first) | set(last)
+    })
+    order = draw(st.permutations(range(len(rows))))
+    return nc, rows, [rows[p] for p in order], draw(vec)
+
+
+def _dense_rows(rows, nc):
+    return [[Fraction(row.get(c, 0)) for c in range(nc)] for row in rows]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_span_and_vector())
+def test_reduce_is_the_canonical_representative(case):
+    nc, rows, shuffled, vector = case
+    pivots = elim.echelon(rows)
+    span = _dense_rows(rows, nc)
+    assert len(pivots) == gauss_rank(span)
+    for c, (prow, combo) in pivots.items():
+        assert combo is None
+        assert min(prow) == c and prow[c] > 0
+        assert all(type(w) is int for w in prow.values())
+        assert gcd(*prow.values()) == 1
+    got = elim.reduce(pivots, vector)
+    assert all(type(v) is Fraction and v for v in got.values())
+    assert not set(got) & set(pivots)
+    # vector - reduce(vector) lies in the span of the rows
+    diff = {c: vector.get(c, 0) - got.get(c, 0) for c in range(nc)}
+    assert gauss_rank(span + _dense_rows([diff], nc)) == gauss_rank(span)
+    # and the representative does not depend on the order of the rows
+    assert elim.reduce(elim.echelon(shuffled), vector) == got
+
+
+def _hilbert(n, m):
+    return [[Fraction(1, i + j + 1) for j in range(m)] for i in range(n)]
+
+
+def test_hilbert_matrix_rank_and_kernel():
+    square = _hilbert(8, 8)
+    assert elim.rank_sparse(_entries(square), 8, 8) == 8
+    assert _kernel(square, 8) == []
+    wide = _hilbert(8, 11)
+    assert elim.rank_sparse(_entries(wide), 8, 11) == 8
+    assert _kernel(wide, 11) == rref_nullspace(wide, 11)
+    # the unique solution of H x = e_1 is the first column of H^-1
+    tag, x = _solve(square, [Fraction(int(i == 0)) for i in range(8)])
+    assert tag == "feasible"
+    assert x[:6] == [64, -2016, 20160, -92400, 221760, -288288]
+    assert all(v.denominator == 1 for v in x)
+    for row, b in zip(square, [1] + [0] * 7):
+        assert sum(a * v for a, v in zip(row, x)) == b
+
+
+def test_rank_deficient_matrix_with_large_entries():
+    rng = random.Random(52)
+    big = 10**20
+    left = [[rng.randrange(-big, big) for _ in range(3)] for _ in range(7)]
+    right = [
+        [Fraction(rng.randrange(-big, big), rng.randrange(1, 10**6))
+         for _ in range(9)]
+        for _ in range(3)
+    ]
+    m = [
+        [sum(a * right[k][c] for k, a in enumerate(row)) for c in range(9)]
+        for row in left
+    ]
+    assert gauss_rank(m) == 3
+    assert elim.rank_sparse(_entries(m), 7, 9) == 3
+    assert _kernel(m, 9) == rref_nullspace(m, 9)
+    rng.shuffle(m)
+    assert _kernel(m, 9) == rref_nullspace(m, 9)
+
+
+def test_solve_stops_at_the_certificate_row(monkeypatch):
+    system, rows, rhs = _system("x^4+y^5+y^4*x", 8)
+    n = system.unknown_count
+    calls = []
+    real = elim._clear
+
+    def spy(pivots, row, combo, stop):
+        calls.append(dict(row))
+        return real(pivots, row, combo, stop)
+
+    monkeypatch.setattr(elim, "_clear", spy)
+    tag, lam = elim.solve_rational(rows, rhs, n)
+    assert tag == "infeasible"
+    # the row that opens the right-hand-side pivot is the last one cleared
+    last = len(calls)
+    assert last < len(rows)
+    assert lam[last:] == [0] * (len(rows) - last)
+    monkeypatch.setattr(elim, "_clear", real)
+    assert elim.solve_rational(rows[:last], rhs[:last], n) == (
+        "infeasible", lam[:last]
+    )
+    assert lam == [0, 0, 0, 7, 23, -29] + [0] * (len(rows) - 6)

@@ -12,10 +12,11 @@ from drcalc.derham import (
     hodge_graded,
     wedge_power,
 )
-from drcalc.dg import koszul_presentation, tower_map
+from drcalc.dg import DGMorphism, koszul_presentation, tower_map
 from drcalc.errors import StructuralError
 from drcalc.homology import (
     MatrixComplex,
+    _compose,
     chain_map_check,
     induced_map_vanishes,
     morphism_matrices,
@@ -343,6 +344,61 @@ def test_corrupted_map_detected():
     report = chain_map_check(bad, 6)
     assert not report.ok
     assert report.first_failure_degree == -1
+
+
+def test_map_off_by_a_fraction_detected():
+    # t -> (1 + 10^-20) x*y t: d o Phi and Phi o d differ by 10^-20 x^2 y^2
+    morphism = tower_map(XY, [P("x*y")], 2, 1)
+    close = morphism.images["t"].scale(Fraction(10**20 + 1, 10**20))
+    bad = DGMorphism(morphism.source, morphism.target, {"t": close})
+    report = chain_map_check(bad, 6)
+    assert not report.ok
+    assert report.first_failure_degree == -1
+
+
+def _dense_product(second, first, nrows, nmid, ncols):
+    """The product as ``{(row, col): Fraction}``, summed densely."""
+    out = {}
+    for r in range(nrows):
+        for c in range(ncols):
+            v = sum(
+                (Fraction(second.get((r, k), 0)) * first.get((k, c), 0)
+                 for k in range(nmid)),
+                Fraction(0),
+            )
+            if v:
+                out[(r, c)] = v
+    return out
+
+
+def test_compose_matches_dense_fraction_product():
+    # (1/3)*3 - 1*1 cancels only exactly; 1/3 in binary64 would not
+    second = {
+        (0, 0): Fraction(1, 3), (0, 1): Fraction(-1), (1, 1): Fraction(2, 7)
+    }
+    first = {(0, 0): Fraction(3), (1, 0): Fraction(1), (1, 1): Fraction(7, 4)}
+    product = _compose(second, first)
+    assert product == {
+        (1, 0): Fraction(2, 7), (0, 1): Fraction(-7, 4), (1, 1): Fraction(1, 2)
+    }
+    assert all(type(v) is Fraction for v in product.values())
+    assert _compose({}, first) == {} and _compose(second, {}) == {}
+    rng = random.Random(61)
+    dens = (1, 2, 3, 10**12)
+    for _ in range(60):
+        nrows, nmid, ncols = (rng.randrange(1, 6) for _ in range(3))
+
+        def sparse(nr, nc):
+            return {
+                (r, c): Fraction(rng.randrange(-9, 10), rng.choice(dens))
+                for r in range(nr)
+                for c in range(nc)
+                if rng.random() < 0.5
+            }
+
+        second, first = sparse(nrows, nmid), sparse(nmid, ncols)
+        want = _dense_product(second, first, nrows, nmid, ncols)
+        assert _compose(second, first) == want
 
 
 def test_induced_map_on_cohomology():
