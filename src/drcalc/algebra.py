@@ -260,13 +260,6 @@ class GradedElement:
 
     # -- grading ------------------------------------------------------
 
-    def degrees(self):
-        return sorted({self.context.degree_of(e) for e in self.terms})
-
-    def max_weight(self):
-        ctx = self.context
-        return max((ctx.weight_of(e) for e in self.terms), default=0)
-
     def min_weight(self):
         ctx = self.context
         return min((ctx.weight_of(e) for e in self.terms), default=None)
@@ -293,9 +286,6 @@ class GradedElement:
                 if ctx.hodge_of(e) <= max_hodge
             },
         )
-
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     # -- even-part handling -------------------------------------------
 
@@ -339,19 +329,14 @@ class GradedElement:
                 acc[key] = acc.get(key, 0) + coeff
         return GradedElement.from_accumulator(ctx, acc)
 
-    def cast_to(self, new_context: "GradedContext", rename=None):
+    def cast_to(self, new_context: "GradedContext"):
         """Move to another context, matching generators by name.
 
-        ``rename`` optionally maps old names to new ones.  Every
-        generator actually used must resolve; unused new generators get
-        exponent zero.
+        Every generator of the old context must exist in the new one;
+        unused new generators get exponent zero.
         """
-        rename = rename or {}
         old = self.context
-        positions = []
-        for g in old.gens:
-            name = rename.get(g.name, g.name)
-            positions.append(new_context.index(name))
+        positions = [new_context.index(g.name) for g in old.gens]
         terms = {}
         for exps, coeff in self.terms.items():
             out = [0] * len(new_context)
@@ -488,13 +473,9 @@ def check_weight(weight):
 
 
 def enumerate_monomials(
-    context: GradedContext,
-    degree=None,
-    max_weight=None,
-    max_hodge=None,
-    hodge=None,
+    context: GradedContext, max_weight=None, max_hodge=None
 ):
-    """All exponent tuples meeting the given constraints, sorted.
+    """All exponent tuples within the weight and Hodge caps, sorted.
 
     ``max_weight`` must be supplied: together with the positive
     generator weights it is what keeps the answer finite.  A negative
@@ -510,14 +491,8 @@ def enumerate_monomials(
     def walk(i, budget):
         if i == len(gens):
             tup = tuple(exps)
-            if degree is not None and context.degree_of(tup) != degree:
-                return
-            h = context.hodge_of(tup)
-            if max_hodge is not None and h > max_hodge:
-                return
-            if hodge is not None and h != hodge:
-                return
-            found.append(tup)
+            if max_hodge is None or context.hodge_of(tup) <= max_hodge:
+                found.append(tup)
             return
         g = gens[i]
         cap = budget // g.weight

@@ -24,7 +24,7 @@ from .groebner import (
     colon_principal,
 )
 from .homology import chain_map_check
-from .parse import PolyParseError, parse_poly
+from .parse import IDENTIFIER, PolyParseError, parse_poly
 from .presfile import (
     PresentationFormatError,
     parse_presentation,
@@ -40,6 +40,9 @@ def _vars(text):
     names = tuple(n for n in text.split(",") if n)
     if not names:
         raise StructuralError("empty variable list")
+    for name in names:
+        if not IDENTIFIER.fullmatch(name):
+            raise StructuralError(f"--vars: {name!r} is not an identifier")
     return names
 
 

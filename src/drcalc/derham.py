@@ -383,6 +383,11 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
     """
     if not f:
         raise StructuralError("hypersurface equation must be nonzero")
+    if f.min_degree() < 1:
+        raise StructuralError(
+            "f has a unit part; the hypersurface misses the origin and "
+            "the powers of (f) never leave the weight window"
+        )
     variables = tuple(f.context)
     free = free_presentation(variables)
     ambient_cx = weight_truncate(

@@ -12,11 +12,11 @@ then divide the intersection generators by f exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, StructuralError
 from .poly import Poly, grevlex_key, lex_key
 
 DEFAULT_PAIR_BUDGET = 100_000
@@ -28,26 +28,15 @@ class PairBudgetExceeded(ResourceLimitError):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: 'grevlex' or 'lex', optionally permuting variables.
-
-    ``priority`` lists variable indices from most to least significant;
-    None means context order.
-    """
+    """A monomial order on exponent tuples: 'grevlex' or 'lex'."""
 
     kind: str = "grevlex"
-    priority: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def _permute(self, exps):
-        if self.priority is None:
-            return exps
-        return tuple(exps[i] for i in self.priority)
+            raise StructuralError(f"unknown order kind {self.kind!r}")
 
     def key(self, exps):
-        exps = self._permute(exps)
         return grevlex_key(exps) if self.kind == "grevlex" else lex_key(exps)
 
 
@@ -104,7 +93,7 @@ def div_exact(g: Poly, f: Poly, order=None) -> Poly:
     """Quotient g/f when f divides g exactly; ValueError otherwise."""
     order = order or MonomialOrder()
     if not f:
-        raise ValueError("division by the zero polynomial")
+        raise StructuralError("division by the zero polynomial")
     quotient = Poly.zero(g.context)
     work = g
     le = _lead(f, order)
@@ -191,7 +180,7 @@ def buchberger(gens: Iterable[Poly], order=None,
     ctx = gens[0].context
     for g in gens:
         if g.context != ctx:
-            raise ValueError("mixed contexts in ideal generators")
+            raise StructuralError("mixed contexts in ideal generators")
     return GroebnerBasis(context=ctx, order=order,
                          gens=tuple(_buchberger_core(gens, order, pair_budget)))
 
@@ -222,7 +211,7 @@ def intersect_principal(gens: Sequence[Poly], f: Poly, order=None,
     """Generators of I  intersect  (f), by one-variable elimination."""
     order = order or MonomialOrder()
     if not f:
-        raise ValueError("principal generator must be nonzero")
+        raise StructuralError("principal generator must be nonzero")
     ctx = f.context
     aux = "t_elim"
     while aux in ctx:
@@ -244,7 +233,7 @@ def colon_principal(gens: Sequence[Poly], f: Poly, order=None,
     """Reduced Groebner basis of the colon ideal (I : f), f nonzero."""
     order = order or MonomialOrder()
     if not f:
-        raise ValueError("colon by the zero polynomial")
+        raise StructuralError("colon by the zero polynomial")
     inter = intersect_principal(gens, f, order, pair_budget)
     quotients = [div_exact(g, f, order) for g in inter]
     if not quotients:
@@ -269,9 +258,10 @@ def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
     """Colon ideals by successive powers of f, with syntactic stabilization."""
     order = order or MonomialOrder()
     if not f:
-        raise ValueError("annihilator chain of the zero polynomial")
+        raise StructuralError("annihilator chain of the zero polynomial")
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise StructuralError(
+            f"annihilator chain needs at least 1 level, got {n_max}")
     chain = []
     power = f
     for n in range(1, n_max + 1):
@@ -284,12 +274,3 @@ def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
             break
     return AnnChain(colon_bases=chain, stabilized_at=stab)
 
-
-def is_zero_divisor(f: Poly, gens: Sequence[Poly], order=None) -> bool:
-    """Is f a zero divisor modulo the ideal?  ((I : f) strictly contains I.)"""
-    order = order or MonomialOrder()
-    gb = buchberger(gens, order)
-    if gb.contains(f):
-        return True  # f is itself zero in the quotient
-    colon = colon_principal(gens, f, order)
-    return any(not gb.contains(g) for g in colon.gens)

@@ -27,7 +27,10 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} at column {position}: {text!r}")
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+# a variable name as the parser reads one; declared names must match it
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER.pattern})|([()+\-*/^]))")
 
 
 def _tokenize(text: str):

@@ -11,7 +11,7 @@ Representation notes:
 
 Term order used for *printing* follows the canonical interchange form of
 this package: terms are sorted lexicographically descending (context
-order gives variable priority), and inside a monomial the factors are
+order ranks the variables), and inside a monomial the factors are
 printed with the larger exponent first, so the Reiffen polynomial prints
 as ``x^4 + y^4*x + y^5``.  Graded orders for Groebner bases live in
 :mod:`drcalc.groebner`.
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Exponents = tuple  # tuple[int, ...]
-Coeff = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -182,12 +181,6 @@ class Poly:
     def coeff(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def constant(self) -> Fraction:
-        return self.coeff((0,) * len(self.context))
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     # ---- calculus -----------------------------------------------------
 
     def partial(self, var: Union[int, str]) -> "Poly":
@@ -204,7 +197,7 @@ class Poly:
     # ---- context surgery ---------------------------------------------
 
     def cast(self, new_context, mapping: Mapping[str, str] | None = None) -> "Poly":
-        """Re-express in a larger context; optionally rename variables.
+        """Re-express in a larger context, optionally mapping variable names.
 
         ``mapping`` sends old names to new names; unmapped names map to
         themselves.  Every (mapped) variable must exist in the new
@@ -278,56 +271,3 @@ def grevlex_key(exps: Exponents) -> tuple:
 def lex_key(exps: Exponents) -> tuple:
     return tuple(exps)
 
-
-def doubled_context(context) -> tuple:
-    """Two disjoint copies of each variable: v -> v1 (first), v2 (second).
-
-    Copy-one names come first, then copy-two names, preserving the
-    original variable order inside each block.
-    """
-    context = tuple(context)
-    names1 = tuple(f"{v}1" for v in context)
-    names2 = tuple(f"{v}2" for v in context)
-    clash = set(names1 + names2) & set(context)
-    if len(set(names1 + names2)) != 2 * len(context) or clash:
-        raise ValueError(f"cannot double context {context!r}: name clash")
-    return names1 + names2
-
-
-def hadamard_quotients(f: Poly) -> list:
-    """Quotients g_i with  f(first copy) - f(second copy) = sum (v_i1 - v_i2) g_i.
-
-    Uses the telescoping substitution variable by variable; the identity
-    is re-verified by exact expansion before returning.
-    """
-    ctx = f.context
-    n = len(ctx)
-    dbl = doubled_context(ctx)
-    quotients = [Poly.zero(dbl) for _ in range(n)]
-    for exps, c in f.terms.items():
-        for i in range(n):
-            a = exps[i]
-            if a == 0:
-                continue
-            # (u^a - v^a)/(u - v) = sum_k u^k v^(a-1-k), u = copy1, v = copy2
-            terms: dict = {}
-            for k in range(a):
-                e = [0] * (2 * n)
-                for j in range(i):
-                    e[n + j] = exps[j]  # already switched to copy two
-                e[i] = k
-                e[n + i] = a - 1 - k
-                for j in range(i + 1, n):
-                    e[j] = exps[j]  # still at copy one
-                terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
-            quotients[i] = quotients[i] + Poly(dbl, terms)
-    # verification: exact telescoping identity
-    first = f.cast(dbl, {v: f"{v}1" for v in ctx})
-    second = f.cast(dbl, {v: f"{v}2" for v in ctx})
-    total = Poly.zero(dbl)
-    for i, g in enumerate(quotients):
-        diff = Poly.var(dbl, dbl[i]) - Poly.var(dbl, dbl[n + i])
-        total = total + diff * g
-    if total != first - second:
-        raise AssertionError("hadamard quotient identity failed to verify")
-    return quotients

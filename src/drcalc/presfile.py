@@ -9,7 +9,8 @@ A presentation file looks like
 with exactly one ``d`` line per odd generator, plus the optional
 driver directives ``truncate W`` and ``hodge K``.  Blank lines and
 ``#`` comments are ignored.  Differential images are polynomials in
-the even variables.
+the even variables.  Every ``vars`` and ``odd`` name must match the
+parser's ``IDENTIFIER``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dg import DGPresentation, OddGenerator
-from .parse import PolyParseError, parse_poly
+from .parse import IDENTIFIER, PolyParseError, parse_poly
 from .poly import Poly
 
 
@@ -52,6 +53,8 @@ def parse_presentation(text: str) -> PresentationFile:
             if len(fields) < 2:
                 raise PresentationFormatError(number, "vars needs names")
             variables = tuple(fields[1:])
+            for name in variables:
+                _check_name(number, name)
         elif head == "odd":
             if (
                 len(fields) != 6
@@ -68,6 +71,7 @@ def parse_presentation(text: str) -> PresentationFile:
                 raise PresentationFormatError(
                     number, "degree and weight must be integers"
                 ) from None
+            _check_name(number, fields[1])
             odds.append(OddGenerator(fields[1], degree, weight))
         elif head == "d":
             if len(fields) < 4 or fields[2] != "=":
@@ -107,6 +111,11 @@ def parse_presentation(text: str) -> PresentationFile:
     return PresentationFile(
         presentation=pres, truncate=truncate, hodge=hodge
     )
+
+
+def _check_name(number, name):
+    if not IDENTIFIER.fullmatch(name):
+        raise PresentationFormatError(number, f"{name!r} is not an identifier")
 
 
 def _directive_int(number, fields):

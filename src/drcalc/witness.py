@@ -40,29 +40,18 @@ DEFAULT_GRID = 1024
 
 @dataclass(frozen=True)
 class LogValue:
-    """A nonnegative real held as (sign, log magnitude, operation count).
-
-    ``ops`` counts the rounded floating operations that produced the
-    value; each is correct to about one unit in the last place, so the
-    accumulated relative error is bounded by ``ops * 2^(1-bits)``.  A
-    bound from an outward-rounded enclosure carries no such error and
-    has ``ops == 0``.
-    """
+    """A nonnegative real held as a sign and a log magnitude."""
 
     sign: str  # "zero" | "positive"
     log: object = None  # mpf when positive
-    ops: int = 0
 
     @classmethod
     def zero(cls) -> "LogValue":
         return cls(sign="zero")
 
     @classmethod
-    def from_log(cls, log, ops: int = 1) -> "LogValue":
-        return cls(sign="positive", log=log, ops=ops)
-
-    def relative_error_bound(self, bits: int):
-        return self.ops * mpmath.mpf(2) ** (1 - bits)
+    def from_log(cls, log) -> "LogValue":
+        return cls(sign="positive", log=log)
 
 
 def _interval_context(precision_bits: int) -> MPIntervalContext:
@@ -118,7 +107,7 @@ def tau_log_eval(x, precision_bits: int = DEFAULT_PRECISION) -> LogValue:
         p = phi_eval(x, precision_bits)
         if p == 0:
             return LogValue.zero()
-        return LogValue.from_log(-1 / p, ops=8)
+        return LogValue.from_log(-1 / p)
 
 
 def log_sum_lower_bound(
@@ -136,7 +125,7 @@ def log_sum_lower_bound(
     total = ctx.mpf(0)
     for log in logs:
         total += ctx.exp(ctx.mpf(log) - top)
-    return LogValue.from_log(_lower(ctx.ln(total) + top, precision_bits), 0)
+    return LogValue.from_log(_lower(ctx.ln(total) + top, precision_bits))
 
 
 def _log_inverse_phi(x: float) -> float:
@@ -267,8 +256,6 @@ class WitnessEntry:
 @dataclass(frozen=True)
 class WitnessReport:
     entries: tuple
-    precision_bits: int
-    grid: int
 
     def format(self) -> str:
         return "\n".join(e.format() for e in self.entries)
@@ -297,41 +284,5 @@ def nonexactness_witness(
         bound = log_integral_lower_bound(a, b, grid, precision_bits)
         verdict = "positive" if bound.sign == "positive" else "indeterminate"
         entries.append(WitnessEntry(n=n, bound=bound, verdict=verdict))
-    return WitnessReport(
-        entries=tuple(entries), precision_bits=precision_bits, grid=grid
-    )
+    return WitnessReport(entries=tuple(entries))
 
-
-def float64_lower_bound(a: float, b: float, grid: int = DEFAULT_GRID) -> float:
-    """The sampled binary64 contrast: an estimate, not a bound.
-
-    Each cell takes the least of three samples of tau, discounted by
-    their spread.  Past n = 2 the integrand is far below the smallest
-    subnormal and every cell collapses to zero — the reason LogValue
-    exists.
-    """
-
-    def tau(x):
-        if x == 0:
-            return 0.0
-        s = math.sin(1 / x)
-        p = s * s * math.exp(-1 / (x * x))
-        if p == 0.0:
-            return 0.0
-        try:
-            return math.exp(-1 / p)
-        except OverflowError:
-            return 0.0
-
-    total = 0.0
-    width = (b - a) / grid
-    for i in range(grid):
-        left = a + i * width
-        right = left + width
-        samples = [tau(left), tau((left + right) / 2), tau(right)]
-        if 0.0 in samples:
-            continue
-        lo = min(samples)
-        hi = max(samples)
-        total += lo * (lo / hi) * width
-    return total

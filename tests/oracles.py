@@ -13,13 +13,18 @@ Each one takes a different road to the same answer:
   normalized quotient instead; the two agree on cohomology.
 - ``local_colength``: dim Q[x, y]/(I + m^N) from monomials and a
   leading-term elimination of its own.
+- ``float64_lower_bound``: the flat-form integral sampled in binary64,
+  the contrast to ``drcalc.witness``'s log-domain enclosures; it
+  underflows to zero past n = 2.
 """
 
+import math
 from fractions import Fraction
 
 from drcalc.algebra import GradedElement
 from drcalc.dg import DGMorphism, DGPresentation, OddGenerator
 from drcalc.homology import MatrixComplex, morphism_matrices, weight_truncate
+from drcalc.witness import DEFAULT_GRID
 
 
 def gauss_rank(rows):
@@ -222,3 +227,38 @@ def local_colength(gens, n):
                     else:
                         row.pop(e, None)
     return len(monomials) - len(pivots)
+
+
+def float64_lower_bound(a: float, b: float, grid: int = DEFAULT_GRID) -> float:
+    """The sampled binary64 contrast: an estimate, not a bound.
+
+    Each cell takes the least of three samples of tau, discounted by
+    their spread.  Past n = 2 the integrand is far below the smallest
+    subnormal and every cell collapses to zero — the reason
+    ``drcalc.witness`` works with logs.
+    """
+
+    def tau(x):
+        if x == 0:
+            return 0.0
+        s = math.sin(1 / x)
+        p = s * s * math.exp(-1 / (x * x))
+        if p == 0.0:
+            return 0.0
+        try:
+            return math.exp(-1 / p)
+        except OverflowError:
+            return 0.0
+
+    total = 0.0
+    width = (b - a) / grid
+    for i in range(grid):
+        left = a + i * width
+        right = left + width
+        samples = [tau(left), tau((left + right) / 2), tau(right)]
+        if 0.0 in samples:
+            continue
+        lo = min(samples)
+        hi = max(samples)
+        total += lo * (lo / hi) * width
+    return total

@@ -200,6 +200,35 @@ def test_bad_witness_parameters_exit_2(capsys, flags):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "colon", "--vars", "x", "--gen", "x", "--by", "0"],
+        ["ideal", "annchain", "--vars", "x", "--gen", "x", "--f", "x",
+         "--levels", "0"],
+        ["ideal", "annchain", "--vars", "x", "--gen", "x", "--f", "0"],
+        ["fibre-report", "--vars", "x", "--f", "1"],
+    ],
+    ids=["colon-by-0", "annchain-levels-0", "annchain-f-0", "fibre-unit"],
+)
+def test_degenerate_ideal_and_fibre_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "names, bad",
+    [("x y", "x y"), ("x,y z", "y z"), ("x,2y", "2y"), ("x,y-1", "y-1")],
+)
+def test_bad_variable_names_exit_2(capsys, names, bad):
+    code, out, err = run(capsys, ["koszul", "--vars", names, "--f", "x"])
+    assert code == 2
+    assert not out
+    assert err == f"error: --vars: {bad!r} is not an identifier\n"
+
+
 def test_fibre_report(capsys):
     code, out, _ = run(capsys, ["fibre-report", "--vars", "x", "--f", "x^2"])
     assert code == 0

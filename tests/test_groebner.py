@@ -12,7 +12,6 @@ from drcalc.groebner import (
     colon_principal,
     div_exact,
     intersect_principal,
-    is_zero_divisor,
 )
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
@@ -187,14 +186,6 @@ def test_annihilator_chain_nilpotent_direction():
     texts = [[str(g) for g in gb.gens] for gb in chain.colon_bases]
     assert texts == [["x^2"], ["x"], ["1"], ["1"], ["1"]]
     assert chain.stabilized_at == 3
-
-
-def test_is_zero_divisor():
-    assert is_zero_divisor(P("x"), [P("x*y")])
-    assert not is_zero_divisor(P("x + y"), [P("x*y")])
-    assert not is_zero_divisor(P("x"), [P("y")])
-    # zero in the quotient counts
-    assert is_zero_divisor(P("x*y"), [P("x*y")])
 
 
 def test_div_exact():

@@ -4,13 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from drcalc.poly import (
-    Poly,
-    doubled_context,
-    grevlex_key,
-    hadamard_quotients,
-    lex_key,
-)
+from drcalc.poly import Poly, grevlex_key, lex_key
 
 XY = ("x", "y")
 
@@ -114,9 +108,7 @@ def test_coeff_and_constant():
     f = 3 * x ** 2 * y + Fraction(1, 2)
     assert f.coeff((2, 1)) == 3
     assert f.coeff((5, 5)) == 0
-    assert f.constant() == Fraction(1, 2)
-    assert not f.is_constant()
-    assert Poly.const(XY, 9).is_constant()
+    assert f.coeff((0, 0)) == Fraction(1, 2)
 
 
 def test_cast_extends_and_renames():
@@ -130,30 +122,6 @@ def test_cast_extends_and_renames():
     assert str(h) == "a^2 + b"
     with pytest.raises(ValueError):
         f.cast(("a",), {"x": "a"})
-
-
-def test_doubled_context_and_hadamard():
-    ctx2 = doubled_context(XY)
-    assert ctx2 == ("x1", "y1", "x2", "y2")
-    first = {"x": "x1", "y": "y1"}
-    second = {"x": "x2", "y": "y2"}
-    x = Poly.var(XY, "x")
-    rng = random.Random(19)
-    for _ in range(25):
-        f = _random_poly(rng)
-        gs = hadamard_quotients(f)
-        # f(copy 1) - f(copy 2) = sum (v1 - v2) g_v, checked exactly
-        lhs = f.cast(ctx2, first) - f.cast(ctx2, second)
-        rhs = Poly.zero(ctx2)
-        for name, g in zip(XY, gs):
-            rhs = rhs + (
-                Poly.var(ctx2, name + "1") - Poly.var(ctx2, name + "2")
-            ) * g
-        assert lhs == rhs
-    # pinned small case: f = x^2 gives g_x = x1 + x2, g_y = 0
-    gs = hadamard_quotients(x ** 2)
-    assert str(gs[0]) == "x1 + x2"
-    assert not gs[1]
 
 
 def _random_poly(rng, nterms=4, maxdeg=3):

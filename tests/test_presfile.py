@@ -83,6 +83,11 @@ def test_error_positions_and_messages():
         ("vars x\nspam 1\n", 2, "unknown directive 'spam'"),
         ("vars x\ntruncate 1 2\n", 2, "takes one integer"),
         ("vars x\ntruncate w\n", 2, "takes one integer"),
+        ("vars x,y,z\nodd t deg -1 weight 2\nd t = x^2\n", 1,
+         "'x,y,z' is not an identifier"),
+        ("vars x 2y\n", 1, "'2y' is not an identifier"),
+        ("vars x\nodd t-1 deg -1 weight 2\nd t-1 = x\n", 2,
+         "'t-1' is not an identifier"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(PresentationFormatError) as err:

@@ -13,7 +13,6 @@ from drcalc.cli import main
 from drcalc.errors import StructuralError
 from drcalc.witness import (
     LogValue,
-    float64_lower_bound,
     log_integral_lower_bound,
     log_sum_lower_bound,
     nonexactness_witness,
@@ -21,6 +20,8 @@ from drcalc.witness import (
     tau_log_eval,
     zero_free_window,
 )
+
+from oracles import float64_lower_bound
 
 
 def close(a, b, tol="1e-8"):
@@ -69,7 +70,6 @@ def test_logvalue_arithmetic_matches_exact():
     # the exact log-sum of its inputs also shows it never lies above
     total = log_sum_lower_bound([mpmath.log(2), mpmath.log(3)])
     assert close(total.log, mpmath.log(5))
-    assert total.ops == 0
     assert log_sum_lower_bound([]).sign == "zero"
     two = log_sum_lower_bound([mpmath.log(2)])
     assert close(two.log, mpmath.log(2))
@@ -82,11 +82,6 @@ def test_logvalue_arithmetic_matches_exact():
         assert close(s.log, mpmath.log(a + b), "1e-12")
         with mpmath.workprec(400):
             assert s.log <= mpmath.log(mpmath.exp(logs[0]) + mpmath.exp(logs[1]))
-
-
-def test_logvalue_error_accounting():
-    v = LogValue.from_log(mpmath.mpf(0), ops=4)
-    assert v.relative_error_bound(11) == mpmath.mpf(4) / 1024
 
 
 def test_integral_bound_high_interval():
@@ -206,9 +201,6 @@ def test_witness_report():
     assert logs[0] > logs[1] > logs[2]
     assert [e.n for e in rep.entries] == [1, 2, 3]
     assert rep.entries[0].format().startswith("n=1 logT_lower=-5.84671436 ")
-    # rounding margin: error bound tiny against the factor-10 rule
-    for e in rep.entries:
-        assert e.bound.relative_error_bound(rep.precision_bits) * 10 < 1
 
 
 def test_witness_windows_stay_inside_one_over_n(monkeypatch):
