@@ -268,6 +268,12 @@ def koszul_presentation(variables, polys, n, relations=()) -> DGPresentation:
         raise StructuralError("need at least one polynomial")
     variables = tuple(variables)
     names = _koszul_names(len(polys))
+    for name in names:
+        if name in variables:
+            raise StructuralError(
+                f"variable {name!r} clashes with a reserved Koszul generator "
+                "name (t for one polynomial, t1, t2, ... for several)"
+            )
     odd = []
     images = {}
     for name, f in zip(names, polys):

@@ -134,19 +134,6 @@ class DivergenceSystem:
     def unknown_count(self) -> int:
         return len(self.unknown_labels)
 
-    def row_text(self, r: int) -> str:
-        parts = []
-        for j, c in self.rows[r]:
-            label = self.unknown_labels[j][0]
-            if c == 1:
-                parts.append(f"+{label}")
-            elif c == -1:
-                parts.append(f"-{label}")
-            else:
-                parts.append(f"{'+' if c > 0 else ''}{c}*{label}")
-        lhs = " ".join(parts).lstrip("+") or "0"
-        return f"{lhs} = {self.rhs[r]}"
-
 
 def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
     if not f:

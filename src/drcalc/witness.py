@@ -10,10 +10,13 @@ computes certified lower bounds for those integrals.
 Near 1/3 the integrand is of order e^{-400000}: no fixed-exponent
 binary format can represent it, which is why everything here is a
 (sign, log magnitude) pair at 200-bit-or-better precision.  The bounds
-are proofs, not estimates: on each grid cell, mpmath's interval
-arithmetic (Moore 1966; Tucker 2011, *Validated Numerics*) encloses
-phi over the whole cell with every operation rounded outward, and the
-cells are summed in the log domain with the result rounded downward.
+are proofs, not estimates: on each grid cell, interval arithmetic
+(Moore 1966; Tucker 2011, *Validated Numerics*) encloses phi over the
+whole cell with every operation rounded outward, and the cells are
+summed in the log domain with the result rounded downward.  The
+arithmetic is mpmath.libmp's on raw (lo, hi) endpoint pairs: the mpi_*
+interval primitives where both ends of a value are read, and a single
+mpf_* call rounded toward floor or ceiling where only one end is.
 
 Only the cells that can reach that sum are enclosed.  Dropping positive
 terms can only lower a sum, so any subset of the cells still gives a
@@ -24,13 +27,32 @@ Past n = 2 a single cell of the window decides the bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (
+    fone,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_sign,
+    mpf_sub,
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    mpi_sin,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .errors import StructuralError
 
@@ -54,30 +76,13 @@ class LogValue:
         return cls(sign="positive", log=log)
 
 
-def _interval_context(precision_bits: int) -> MPIntervalContext:
-    """The interval context at ``precision_bits``, one per precision.
-
-    A private context rather than the shared ``mpmath.iv``, whose prec
-    stays untouched.  It is built once per precision and shared, since
-    each one is a reference cycle that only a full collection frees;
-    callers must not change its prec.
-    """
-    if precision_bits < 1:
-        raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
-    return _context_at(precision_bits)
-
-
-@functools.cache
-def _context_at(precision_bits: int) -> MPIntervalContext:
-    ctx = MPIntervalContext()
-    ctx.prec = precision_bits
-    return ctx
-
-
-def _lower(x, precision_bits: int):
-    """The lower end of an interval as an mpf (exact: it fits the prec)."""
-    with mpmath.workprec(precision_bits):
-        return mpmath.mpf(x.a)
+def _enclose(x, prec: int):
+    """An int or float as an interval of prec-bit endpoints, rounded outward."""
+    p, q = x.as_integer_ratio()
+    return (
+        from_rational(p, q, prec, round_floor),
+        from_rational(p, q, prec, round_ceiling),
+    )
 
 
 def phi_eval(x, precision_bits: int = DEFAULT_PRECISION):
@@ -115,17 +120,24 @@ def log_sum_lower_bound(
 ) -> LogValue:
     """A lower bound for log(sum of e^l over logs), rounded downward.
 
-    Evaluated as max + log sum e^(l - max) in interval arithmetic, so
-    the lower end of the enclosure is certified; an empty sum is zero.
+    ``logs`` are mpf values, each taken with all its bits.  Evaluated
+    as top + log sum e^(l - top), top the largest log, on lower ends
+    only: every difference, exponential, partial sum and the final log
+    and add are rounded toward floor, so the result is certified.  An
+    empty sum is zero.
     """
+    if precision_bits < 1:
+        raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
     if not logs:
         return LogValue.zero()
-    ctx = _interval_context(precision_bits)
-    top = max(logs)
-    total = ctx.mpf(0)
+    prec = precision_bits
+    top = max(logs)._mpf_
+    total = fzero
     for log in logs:
-        total += ctx.exp(ctx.mpf(log) - top)
-    return LogValue.from_log(_lower(ctx.ln(total) + top, precision_bits))
+        shifted = mpf_sub(log._mpf_, top, prec, round_floor)
+        total = mpf_add(total, mpf_exp(shifted, prec, round_floor), prec, round_floor)
+    log = mpf_add(mpf_log(total, prec, round_floor), top, prec, round_floor)
+    return LogValue.from_log(mpmath.mp.make_mpf(log))
 
 
 def _log_inverse_phi(x: float) -> float:
@@ -153,7 +165,16 @@ def log_integral_lower_bound(
     enclosure reaches 0 is void.  Cell edges enclose a + (b - a) i/grid,
     the same intervals wherever i/grid is, so halved cells nest in their
     parents and, by inclusion isotonicity, refining never loses ground
-    beyond the final rounding.  A zero result says nothing.
+    beyond the final rounding.  A zero result says nothing.  ``a`` and
+    ``b`` are ints or floats.
+
+    The cell edges, u = 1/cell, sin u, s*s, u*u and log w are full
+    intervals, both ends rounded outward.  Past them only one end is
+    read, so only that end is computed: the lower end of e^(-u^2) from
+    the upper end of u^2, phi_lo from the lower ends of s*s and
+    e^(-u^2), the upper end of 1/phi_lo, and the cell's certified log,
+    log w - 1/phi_lo, rounded toward floor.  Each is the very endpoint
+    the full interval product, quotient or difference would give.
 
     Only the cells that can reach the sum are enclosed.  A binary64
     pre-pass estimates each cell's log as log w - 1/phi at its
@@ -181,17 +202,24 @@ def log_integral_lower_bound(
         raise ValueError("need 0 <= a < b")
     if grid < 1:
         raise StructuralError(f"grid must be at least 1, got {grid}")
-    ctx = _interval_context(precision_bits)
-    lo = ctx.mpf(a)
-    span = ctx.mpf(b) - lo
-    log_width = ctx.ln(span / grid)
+    if precision_bits < 1:
+        raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
+    prec = precision_bits
+    lo = _enclose(a, prec)
+    span = mpi_sub(_enclose(b, prec), lo, prec)
+    g = _enclose(grid, prec)
+    log_width = mpi_log(mpi_div(span, g, prec), prec)
     edges = {}
 
     def edge(i):
         # each edge bounds two cells: keep it only until its second use
         if i in edges:
             return edges.pop(i)
-        edges[i] = lo + span * i / grid if i else lo
+        if i:
+            offset = mpi_div(mpi_mul(span, _enclose(i, prec), prec), g, prec)
+            edges[i] = mpi_add(lo, offset, prec)
+        else:
+            edges[i] = lo
         return edges[i]
 
     step = (float(b) - float(a)) / grid
@@ -207,19 +235,24 @@ def log_integral_lower_bound(
     for estimate, i in ranked:
         if estimate * slack > cutoff:
             break
-        cell = ctx.mpf([edge(i - 1).a, edge(i).b])
-        if cell.a <= 0:
+        cell = (edge(i - 1)[0], edge(i)[1])
+        if mpf_sign(cell[0]) <= 0:
             continue
-        u = 1 / cell
-        s = ctx.sin(u)
-        phi_lo = (s * s * ctx.exp(-u * u)).a
-        if phi_lo > 0:
-            log = _lower(log_width - 1 / phi_lo, precision_bits)
-            logs[i] = log
-            if best is None or log > best:
-                best = log
-                gap = mpmath.mpf(log_width.b) - best + margin
-                cutoff = float(mpmath.log(gap))
+        u = mpi_div((fone, fone), cell, prec)
+        s = mpi_sin(u, prec)
+        e_lo = mpf_exp(mpf_neg(mpi_mul(u, u, prec)[1]), prec, round_floor)
+        phi_lo = mpf_mul(mpi_mul(s, s, prec)[0], e_lo, prec, round_floor)
+        if mpf_sign(phi_lo) <= 0:
+            continue
+        inverse_hi = mpf_div(fone, phi_lo, prec, round_ceiling)
+        log = mpmath.mp.make_mpf(
+            mpf_sub(log_width[0], inverse_hi, prec, round_floor)
+        )
+        logs[i] = log
+        if best is None or log > best:
+            best = log
+            gap = mpmath.mpf(log_width[1]) - best + margin
+            cutoff = float(mpmath.log(gap))
     kept = [logs[i] for i in sorted(logs) if logs[i] - best >= -margin]
     return log_sum_lower_bound(kept, precision_bits)
 

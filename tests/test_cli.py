@@ -229,6 +229,31 @@ def test_bad_variable_names_exit_2(capsys, names, bad):
     assert err == f"error: --vars: {bad!r} is not an identifier\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["koszul", "--vars", "t,x", "--f", "x"], "t"),
+        (["tower", "--vars", "t,x", "--f", "x", "--from", "2", "--to", "1"], "t"),
+        (["amitsur-compare", "--vars", "t,x", "--f", "x"], "t"),
+        (["koszul", "--vars", "t2,x", "--f", "x", "--f", "t2"], "t2"),
+    ],
+    ids=["koszul", "tower", "amitsur-compare", "koszul-t2"],
+)
+def test_reserved_generator_name_exits_2(capsys, argv, name):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err == (
+        f"error: variable {name!r} clashes with a reserved Koszul generator "
+        "name (t for one polynomial, t1, t2, ... for several)\n"
+    )
+
+
+def test_variable_t_is_free_with_several_polynomials(capsys):
+    argv = ["koszul", "--vars", "t,x", "--f", "x", "--f", "t"]
+    assert run(capsys, argv)[0] == 0
+
+
 def test_fibre_report(capsys):
     code, out, _ = run(capsys, ["fibre-report", "--vars", "x", "--f", "x^2"])
     assert code == 0

@@ -35,10 +35,25 @@ def reiffen():
 # the divergence system itself
 
 
+def row_text(system, r):
+    """Row r of a divergence system as text, e.g. ``5*A10 +B01 = 1``."""
+    parts = []
+    for j, c in system.rows[r]:
+        label = system.unknown_labels[j][0]
+        if c == 1:
+            parts.append(f"+{label}")
+        elif c == -1:
+            parts.append(f"-{label}")
+        else:
+            parts.append(f"{'+' if c > 0 else ''}{c}*{label}")
+    lhs = " ".join(parts).lstrip("+") or "0"
+    return f"{lhs} = {system.rhs[r]}"
+
+
 def test_quintic_bound_system_rows():
     sys5 = divergence_system(reiffen(), P("1"), 5)
     assert sys5.unknown_count == 12
-    texts = {sys5.row_monomials[r]: sys5.row_text(r) for r in range(len(sys5.rows))}
+    texts = {sys5.row_monomials[r]: row_text(sys5, r) for r in range(len(sys5.rows))}
     assert texts[(3, 0)] == "4*A00 = 0"
     assert texts[(4, 0)] == "5*A10 +B01 = 1"
     assert texts[(0, 5)] == "A10 +6*B01 = 1"

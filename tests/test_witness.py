@@ -84,6 +84,44 @@ def test_logvalue_arithmetic_matches_exact():
             assert s.log <= mpmath.log(mpmath.exp(logs[0]) + mpmath.exp(logs[1]))
 
 
+def _log_sum_reference(logs, bits):
+    """top + ln sum e^(l - top), the lower end in mpmath's interval context.
+
+    Built here, independently of the module under test.
+    """
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    top = max(logs)
+    total = ctx.mpf(0)
+    for log in logs:
+        total += ctx.exp(ctx.mpf(log) - top)
+    with mpmath.workprec(bits):
+        return mpmath.mpf((ctx.ln(total) + top).a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(100, 300),
+    st.lists(st.floats(-200.0, 20.0), min_size=1, max_size=8),
+    st.sampled_from([53, 100, 200]),
+)
+def test_log_sum_matches_interval_reference(made_bits, values, bits):
+    # logs carrying more bits than mp.prec enter with every bit
+    with mpmath.workprec(made_bits):
+        logs = [mpmath.mpf(v) + mpmath.mpf(1) / 7 for v in values]
+    assert all(log._mpf_[3] > mpmath.mp.prec for log in logs)
+    bound = log_sum_lower_bound(logs, bits)
+    assert bound.sign == "positive"
+    assert bound.log == _log_sum_reference(logs, bits)  # bit for bit
+
+
+def test_log_sum_rejects_zero_precision():
+    # test_integral_input_validation holds the same case for the integral
+    for logs in ([mpmath.mpf(0)], []):
+        with pytest.raises(StructuralError):
+            log_sum_lower_bound(logs, precision_bits=0)
+
+
 def test_integral_bound_high_interval():
     b = log_integral_lower_bound(0.8, 1.0, grid=64)
     assert b.sign == "positive"
@@ -301,22 +339,13 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
     # rank in the log domain and enclose fewer than grid cells
     sins = []
     calls = []
-    real_context = witness._interval_context
+    real_sin = witness.mpi_sin
     real_bound = witness.log_integral_lower_bound
 
-    def counting_context(bits):
-        # a view of the shared context: the context itself stays as it is
-        ctx = real_context(bits)
-
-        class Counting:
-            def __getattr__(self, name):
-                return getattr(ctx, name)
-
-            def sin(self, x):
-                sins.append(x)
-                return ctx.sin(x)
-
-        return Counting()
+    def counting_sin(x, prec):
+        # one interval sine per enclosed cell
+        sins.append(x)
+        return real_sin(x, prec)
 
     def recording_bound(a, b, grid, bits):
         before = len(sins)
@@ -324,13 +353,13 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
         calls.append((a, b, grid, bits, bound, len(sins) - before))
         return bound
 
-    monkeypatch.setattr(witness, "_interval_context", counting_context)
+    monkeypatch.setattr(witness, "mpi_sin", counting_sin)
     monkeypatch.setattr(witness, "log_integral_lower_bound", recording_bound)
     assert main(["witness", "--nmax", "30", "--grid", "64"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(calls) == 30
     for n, (a, b, grid, bits, bound, enclosed) in enumerate(calls, 1):
-        assert enclosed < grid, (n, enclosed)
+        assert 0 < enclosed < grid, (n, enclosed)
         _assert_matches_full_grid(bound, a, b, grid, bits)
         value = mpmath.nstr(bound.log, 10)
         assert out[n + 1] == f"n={n} logT_lower={value} verdict=positive"
