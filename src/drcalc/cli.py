@@ -217,7 +217,8 @@ def _cmd_reiffen_check(args):
     verdict = reiffen.divergence_feasible(f, g, args.degree)
     if verdict.status == "resource-limit":
         raise ResourceLimitError(
-            f"unknown count {verdict.unknowns} exceeds the cap"
+            f"predicted unknown count {verdict.unknowns} exceeds the cap "
+            f"{reiffen.DEFAULT_UNKNOWN_CAP}"
         )
     if verdict.status == "infeasible":
         cert = ",".join(str(c) for c in verdict.certificate)

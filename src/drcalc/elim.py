@@ -25,6 +25,10 @@ the columns before it.  Ranks, the canonical kernel basis and the
 solution with free unknowns at zero therefore do not depend on the
 order of the rows.
 
+Row combinations are tracked only where they are read: an
+infeasibility certificate.  ``solve_rational`` eliminates untracked
+first and reruns tracked only when the right-hand side opens a pivot.
+
 ``integral`` clears denominators for the kernel and for the sparse
 matrix product in ``homology``.
 
@@ -249,6 +253,12 @@ def solve_rational(rows, rhs, ncols):
     there is the row (0 | lead), and its combination of input rows,
     divided by the lead, is lam.  Elimination stops at that pivot, so
     the rows after the one that opens it are never touched.
+
+    The first pass tracks no combinations: a feasible system needs only
+    the pivot rows.  When column ``ncols`` opens a pivot, elimination
+    reruns with tracking to read lam off it.  The rerun stops at the
+    same row, because which columns the rows before it pivot on does
+    not depend on the rows after it.
     """
     augmented = []
     for row, b in zip(rows, rhs):
@@ -256,9 +266,9 @@ def solve_rational(rows, rhs, ncols):
         if b:
             aug[ncols] = Fraction(b)
         augmented.append(aug)
-    pivots = _echelon(augmented, track=True, until=ncols)
+    pivots = _echelon(augmented, until=ncols)
     if ncols in pivots:
-        row, combo = pivots[ncols]
+        row, combo = _echelon(augmented, track=True, until=ncols)[ncols]
         lam = {i: Fraction(w, row[ncols]) for i, w in combo.items()}
         # verify the certificate against the original data
         residue = {}

@@ -113,6 +113,16 @@ class DivergenceSystem:
     involve unknowns within the bound, so the D-system is a subsystem
     of the (D+1)-system over a shared label set.
 
+    Unknowns are numbered newest first: by descending degree, ties by
+    variable and then by exponent in lex order.  The system is block
+    triangular by degree (an unknown of degree e enters only rows of
+    degree at least e + min_degree(f) - 1), and rows are sorted by
+    degree, so each row's smallest columns are the unknowns that just
+    entered.  Left-to-right elimination then pivots a row on those
+    columns and leaves the older ones alone, which keeps fill-in low
+    (Davis 2006, ch. 7).  Only which solution a feasible system reports
+    depends on the order: free unknowns are set to zero.
+
     Rows are reported after one cleanup: whenever a homogeneous row
     pins a single coefficient to zero, that coefficient is dropped from
     the other rows and the pinning row itself is kept.  Every reported
@@ -143,41 +153,44 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
             "f has a unit part; the divergence equation is trivially "
             "solvable and the test says nothing"
         )
-    variables = tuple(f.context)
-    n = len(variables)
+    n = len(tuple(f.context))
     h_bound = degree_bound - f.min_degree() + 1
-    unknowns = []
-    for i in range(n):
-        for exps in _monomials_upto(n, h_bound):
-            unknowns.append((_label(i, exps), i, exps))
-    columns = {}  # unknown index -> {monomial exps: coeff}
-    for j, (_, i, exps) in enumerate(unknowns):
-        basis = Poly(variables, {exps: Fraction(1)})
-        term = (f * basis).partial(i)
-        columns[j] = {
-            m: c for m, c in term.terms.items() if sum(m) <= degree_bound
-        }
+    exponents = _monomials_upto(n, h_bound)
+    unknowns = sorted(
+        ((_label(i, e), i, e) for i in range(n) for e in exponents),
+        key=lambda u: -sum(u[2]),
+    )
     target = {
         m: c for m, c in (f * g).terms.items() if sum(m) <= degree_bound
     }
+    # column j is d/dx_i (f * x^e): the term c*x^a of f contributes
+    # c*(a_i + e_i) at a + e - 1_i; multiples[k] is c*k
+    f_terms = [
+        (a, sum(a), [c * k for k in range(sum(a) + h_bound + 1)])
+        for a, c in f.terms.items()
+    ]
     raw = {m: {} for m in target}  # row monomial -> {unknown index: coeff}
-    for j, col in columns.items():
-        for m, c in col.items():
-            raw.setdefault(m, {})[j] = c
+    for j, (_, i, e) in enumerate(unknowns):
+        top = degree_bound + 1 - sum(e)
+        for a, deg, multiples in f_terms:
+            k = a[i] + e[i]
+            if k and deg <= top:
+                m = tuple(s + t for s, t in zip(a, e))
+                m = m[:i] + (m[i] - 1,) + m[i + 1:]
+                raw.setdefault(m, {})[j] = multiples[k]
     ordered = sorted(raw, key=lambda m: (sum(m), m))
 
     # propagate zero-forced coefficients, batch per pass so the pinning
     # row is always one that was a singleton at the same stage
     forced = {}  # unknown index -> pinning monomial
     while True:
-        fresh = []
+        fresh = {}
         for m in ordered:
             if target.get(m):
                 continue
             support = [j for j in raw[m] if j not in forced]
-            if len(support) == 1 and support[0] not in dict(fresh):
-                fresh.append((support[0], m))
-        fresh = [(j, m) for j, m in fresh if j not in forced]
+            if len(support) == 1 and support[0] not in fresh:
+                fresh[support[0]] = m
         if not fresh:
             break
         forced.update(fresh)

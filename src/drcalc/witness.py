@@ -208,7 +208,10 @@ def log_integral_lower_bound(
     lo = _enclose(a, prec)
     span = mpi_sub(_enclose(b, prec), lo, prec)
     g = _enclose(grid, prec)
-    log_width = mpi_log(mpi_div(span, g, prec), prec)
+    width = mpi_div(span, g, prec)
+    if mpf_sign(width[0]) <= 0:  # too coarse to bound any cell's width
+        return LogValue.zero()
+    log_width = mpi_log(width, prec)
     edges = {}
 
     def edge(i):

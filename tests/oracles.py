@@ -13,17 +13,23 @@ Each one takes a different road to the same answer:
   normalized quotient instead; the two agree on cohomology.
 - ``local_colength``: dim Q[x, y]/(I + m^N) from monomials and a
   leading-term elimination of its own.
+- ``divergence_equations``: the raw coefficient equations of the
+  divergence equation, one ``Poly`` product and one ``Poly.partial``
+  per unknown coefficient; ``divergence_system`` in the package builds
+  its columns from exponent arithmetic instead.
 - ``float64_lower_bound``: the flat-form integral sampled in binary64,
   the contrast to ``drcalc.witness``'s log-domain enclosures; it
   underflows to zero past n = 2.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from drcalc.algebra import GradedElement
 from drcalc.dg import DGMorphism, DGPresentation, OddGenerator
 from drcalc.homology import MatrixComplex, morphism_matrices, weight_truncate
+from drcalc.poly import Poly
 from drcalc.witness import DEFAULT_GRID
 
 
@@ -227,6 +233,36 @@ def local_colength(gens, n):
                     else:
                         row.pop(e, None)
     return len(monomials) - len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# the divergence equation, coefficient by coefficient
+
+
+def divergence_equations(f, g, degree_bound):
+    """Raw equations of f*g = sum_i d(f*h_i)/dx_i up to degree D.
+
+    The unknowns are ``(i, e)``: the coefficient of x^e in h_i, for
+    every e of degree at most D - min_degree(f) + 1.  Returns
+    ``{monomial: ({unknown: coefficient}, rhs)}`` with one equation per
+    monomial of degree at most D that occurs on either side; unknown
+    ``(i, e)`` enters through the polynomial (f * x^e).partial(i).
+    """
+    variables = tuple(f.context)
+    n = len(variables)
+    h_bound = degree_bound - f.min_degree() + 1
+    equations = {
+        m: ({}, c) for m, c in (f * g).terms.items() if sum(m) <= degree_bound
+    }
+    for e in itertools.product(range(max(h_bound, -1) + 1), repeat=n):
+        if sum(e) > h_bound:
+            continue
+        for i in range(n):
+            column = (f * Poly(variables, {e: Fraction(1)})).partial(i)
+            for m, c in column.terms.items():
+                if sum(m) <= degree_bound:
+                    equations.setdefault(m, ({}, Fraction(0)))[0][i, e] = c
+    return equations
 
 
 def float64_lower_bound(a: float, b: float, grid: int = DEFAULT_GRID) -> float:

@@ -345,6 +345,8 @@ def test_resource_limit_exits_3(capsys):
     assert code == 3
     assert not out
     assert "resource limit:" in err
+    # both numbers are named: the predicted size and the cap it exceeds
+    assert "predicted unknown count 39402 exceeds the cap 20000" in err
 
 
 # ---------------------------------------------------------------------------

@@ -284,12 +284,46 @@ def test_solve_rational_rejects_a_forged_certificate(monkeypatch):
 
     def forged(rows, track=False, until=None):
         pivots = real(rows, track, until)
+        if not track:  # the untracked first pass has no combination
+            return pivots
         row, combo = pivots[2]
         return {**pivots, 2: (row, {i: 2 * v for i, v in combo.items()})}
 
     monkeypatch.setattr(elim, "_echelon", forged)
     with pytest.raises(ArithmeticError, match="certificate"):
         _solve(m, rhs)
+
+
+def _tracked_calls(monkeypatch, rows, rhs, ncols):
+    """``solve_rational``'s answer and how many ``_echelon`` calls tracked."""
+    tracked = []
+    real = elim._echelon
+
+    def spy(rows, track=False, until=None):
+        tracked.append(track)
+        return real(rows, track, until)
+
+    monkeypatch.setattr(elim, "_echelon", spy)
+    return elim.solve_rational(rows, rhs, ncols), tracked.count(True)
+
+
+def test_feasible_solve_tracks_nothing(monkeypatch):
+    system, rows, rhs = _system("x^3+x^2*y+y^5", 12)
+    (tag, _), tracked = _tracked_calls(
+        monkeypatch, rows, rhs, system.unknown_count
+    )
+    assert tag == "feasible"
+    assert tracked == 0
+
+
+def test_infeasible_solve_tracks_once(monkeypatch):
+    system, rows, rhs = _system("x^4+y^5+y^4*x", 8)
+    (tag, lam), tracked = _tracked_calls(
+        monkeypatch, rows, rhs, system.unknown_count
+    )
+    assert tag == "infeasible"
+    assert tracked == 1
+    assert lam == [0, 0, 0, 7, 23, -29] + [0] * (len(rows) - 6)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +426,8 @@ def test_solve_stops_at_the_certificate_row(monkeypatch):
     real = elim._clear
 
     def spy(pivots, row, combo, stop):
-        calls.append(dict(row))
+        if combo is not None:  # the tracked pass, which reads the certificate
+            calls.append(dict(row))
         return real(pivots, row, combo, stop)
 
     monkeypatch.setattr(elim, "_clear", spy)

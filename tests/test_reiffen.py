@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drcalc import elim
 from drcalc.errors import StructuralError
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
@@ -17,7 +20,7 @@ from drcalc.reiffen import (
     family_scan,
 )
 
-from oracles import gauss_rank, local_colength, partial
+from oracles import divergence_equations, gauss_rank, local_colength, partial
 
 XY = ("x", "y")
 X = ("x",)
@@ -153,6 +156,77 @@ def test_agrees_with_rank_oracle_on_family_systems():
         verdict = divergence_feasible(f, degree_bound=p + 4)
         assert (verdict.status == "infeasible") == (augmented > plain)
         assert verdict.status == "infeasible"
+
+
+_coeff = st.builds(
+    Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)
+)
+
+
+# supports of x^q + y^p + x*y^(p-1): for any nonzero coefficients the
+# constant source is obstructed from degree p on
+_OBSTINATE = [((4, 0), (1, 4), (0, 5)), ((4, 0), (1, 5), (0, 6))]
+
+
+@st.composite
+def _divergence_inputs(draw):
+    """(f, g, D): f with no unit part in 1-3 variables, D <= 10.
+
+    Half the plane curves are obstinate, with a source that has a
+    constant term, so both verdicts occur.
+    """
+    n = draw(st.integers(1, 3))
+    variables = ("x", "y", "z")[:n]
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    f = draw(st.dictionaries(
+        exps.filter(lambda e: sum(e) >= 1), _coeff, min_size=1, max_size=4
+    ))
+    g = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), _coeff, max_size=3
+    ))
+    degree = draw(st.integers(0, 10 if n < 3 else 5))
+    if n == 2 and draw(st.booleans()):
+        f = {m: draw(_coeff) for m in draw(st.sampled_from(_OBSTINATE))}
+        g[0, 0] = draw(_coeff)
+        degree = draw(st.integers(4, 10))
+    return Poly(variables, f), Poly(variables, g), degree
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_divergence_inputs())
+def test_system_matches_the_poly_oracle(case):
+    f, g, degree = case
+    system = divergence_system(f, g, degree)
+    equations = divergence_equations(f, g, degree)
+    unknowns = [(i, e) for _, i, e in system.unknown_labels]
+    oracle_unknowns = sorted(
+        {u for coeffs, _ in equations.values() for u in coeffs}
+    )
+    assert set(oracle_unknowns) <= set(unknowns)
+    reported = dict(zip(system.row_monomials, zip(system.rows, system.rhs)))
+    assert set(reported) <= set(equations)
+    pinned = {
+        row[0][0] for row, b in zip(system.rows, system.rhs)
+        if len(row) == 1 and not b
+    }
+    for m, (coeffs, b) in equations.items():
+        row, value = reported.get(m, ((), Fraction(0)))
+        assert value == b
+        got = {unknowns[j]: c for j, c in row}
+        # every reported entry is the raw coefficient ...
+        assert all(coeffs.get(u) == c for u, c in got.items())
+        # ... and every raw entry left out is pinned to zero by its own row
+        for u in set(coeffs) - set(got):
+            assert unknowns.index(u) in pinned
+    # feasible exactly when b is in the column span of the raw system
+    dense = [
+        [coeffs.get(u, Fraction(0)) for u in oracle_unknowns] + [b]
+        for coeffs, b in equations.values()
+    ]
+    plain = gauss_rank([r[:-1] for r in dense])
+    augmented = gauss_rank(dense)
+    tag, _ = elim.solve_rational(system.rows, system.rhs, system.unknown_count)
+    assert (tag == "infeasible") == (augmented > plain)
 
 
 def test_unknown_cap_reports_resource_limit():

@@ -206,6 +206,27 @@ def test_integral_input_validation():
         log_integral_lower_bound(0.5, 0.6, precision_bits=0)
 
 
+@pytest.mark.parametrize("bits", [1, 2, 7])
+@pytest.mark.parametrize("grid", [1, 3, 64, 1024])
+def test_tiny_precision_never_crashes(capsys, bits, grid):
+    # at a bit or two the cell width's enclosure can reach 0; that bounds
+    # nothing, so the line is indeterminate instead of a log of a negative
+    argv = ["witness", "--nmax", "5", "--grid", str(grid),
+            "--precision-bits", str(bits)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split()[0] for line in lines] == [f"n={n}" for n in range(1, 6)]
+    for line in lines:
+        assert line.endswith(
+            ("verdict=positive", "logT_lower=-inf verdict=indeterminate")
+        )
+    # the n = 3 window: at 1 or 2 bits its ends round to the same value
+    a, b = zero_free_window(3)
+    b = math.nextafter(b, 0.0)
+    if bits < 7:
+        assert log_integral_lower_bound(a, b, grid, bits) == LogValue.zero()
+
+
 def test_refining_the_grid_never_loses_ground():
     rng = random.Random(11)
     for _ in range(20):
