@@ -164,7 +164,8 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
         m: c for m, c in (f * g).terms.items() if sum(m) <= degree_bound
     }
     # column j is d/dx_i (f * x^e): the term c*x^a of f contributes
-    # c*(a_i + e_i) at a + e - 1_i; multiples[k] is c*k
+    # c*(a_i + e_i) at a + e - 1_i; multiples[k] is c*k, built once
+    # because a Fraction product per entry doubles the build time
     f_terms = [
         (a, sum(a), [c * k for k in range(sum(a) + h_bound + 1)])
         for a, c in f.terms.items()
