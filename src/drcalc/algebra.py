@@ -21,7 +21,10 @@ exponent tuples: an image is kept as a list of ``(exps, coeff)`` terms,
 every term of an expansion goes through ``_mul_exps`` into one
 accumulator dict, and zero coefficients are dropped once at the end.
 While an expansion runs, integral coefficients travel as ``int``; every
-coefficient stored in a ``GradedElement`` is a ``Fraction``.
+coefficient stored in a ``GradedElement`` is a ``Fraction``.  The
+accumulator of a derivation is also read directly
+(``Derivation.expand``), which is how truncated complexes are assembled
+on ints.
 """
 
 from __future__ import annotations
@@ -276,17 +279,6 @@ class GradedElement:
             },
         )
 
-    def hodge_filter(self, max_hodge):
-        ctx = self.context
-        return GradedElement(
-            ctx,
-            {
-                e: c
-                for e, c in self.terms.items()
-                if ctx.hodge_of(e) <= max_hodge
-            },
-        )
-
     # -- even-part handling -------------------------------------------
 
     def even_poly_parts(self):
@@ -433,14 +425,24 @@ class Derivation:
         return Derivation(self.context, merged)
 
     def __call__(self, elem: GradedElement) -> GradedElement:
-        ctx = self.context
-        if elem.context != ctx:
+        if elem.context != self.context:
             raise StructuralError("mixed graded contexts")
+        acc = self.expand(term_list(elem))
+        return GradedElement.from_accumulator(self.context, acc)
+
+    def expand(self, terms):
+        """Image of a term list as an accumulator dict ``{exps: coeff}``.
+
+        ``terms`` are ``(exps, coeff)`` pairs as ``term_list`` gives
+        them.  Coefficients stay ``int`` while every input is integral;
+        zeros are left in, as in ``multiply_terms``.
+        """
+        ctx = self.context
         gens = ctx.gens
         images = self._terms
         zero = (0,) * len(ctx)
         acc = {}
-        for exps, coeff in term_list(elem):
+        for exps, coeff in terms:
             prefix_degree = 0
             for i, e in enumerate(exps):
                 if not e:
@@ -463,7 +465,7 @@ class Derivation:
                         second, m = hit
                         acc[m] = acc.get(m, 0) + first * second * scale * c
                 prefix_degree += e * gens[i].degree
-        return GradedElement.from_accumulator(ctx, acc)
+        return acc
 
 
 def check_weight(weight):

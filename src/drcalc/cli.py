@@ -11,6 +11,7 @@ errors) and exit 3 means a resource limit stopped the computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import derham, reiffen, witness
@@ -441,9 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call of a process.
+
+    ``parse_args`` leaves a parser as it was (repeatable options start
+    a new list per call), so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         lines = args.handler(args)
     except (

@@ -24,7 +24,7 @@ against the de Rham stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     Derivation,
@@ -42,6 +42,7 @@ from .errors import StructuralError
 from .homology import (
     CohomologyReport,
     MatrixComplex,
+    lowest_terms,
     restricted_report,
     stability_report,
     weight_truncate,
@@ -168,7 +169,8 @@ def _shift_degrees(cx: MatrixComplex, shift: int) -> MatrixComplex:
     dims = {n + shift: d for n, d in cx.dims.items()}
     labels = {n + shift: ls for n, ls in cx.labels.items()}
     diffs = {n + shift: m for n, m in cx.diffs.items()}
-    return MatrixComplex(dims, labels, diffs)
+    dens = {n + shift: d for n, d in cx.dens.items()}
+    return MatrixComplex(dims, labels, diffs, dens)
 
 
 class _WedgeSource:
@@ -463,8 +465,10 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     slots with K's own matrices, signed by the degrees of the earlier
     slots and by (-1)^p; of the alternating coface sum only d^0
     survives the quotient: (k0, ...) -> (1, k0, ...) when k0 is not
-    the unit.  The total complex is checked for d o d = 0 before it is
-    returned.
+    the unit.  The matrices share the least common multiple of K's
+    denominators, which the coface entry 1 becomes, and are brought to
+    lowest terms one by one.  The total complex is checked for d o d = 0
+    before it is returned.
     """
     pres = koszul_presentation(variables, [f], 1)
     koszul = weight_truncate(pres, weight)
@@ -474,11 +478,14 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     unit = index[(0,) * len(ctx)]
     degree = [ctx.degree_of(k) for k in keys]
     weights = [ctx.weight_of(k) for k in keys]
+    one = lcm(*koszul.dens.values())  # the coface entry 1, over `one`
     d_slot = [[] for _ in keys]  # per key: [(image key, coefficient), ...]
     for q, entries in koszul.diffs.items():
+        scale = one // koszul.dens[q]
         for (r, c), v in entries.items():
             src_key = index[koszul.labels[q][c]]
-            d_slot[src_key].append((index[koszul.labels[q + 1][r]], v))
+            image = index[koszul.labels[q + 1][r]]
+            d_slot[src_key].append((image, v * scale))
 
     # columns[p]: (slot indices, internal degree, weight), sorted
     columns = [[((k,), degree[k], weights[k]) for k in range(len(keys))]]
@@ -498,8 +505,7 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
         n: {slots: i for i, (slots, _) in enumerate(ss)}
         for n, ss in buckets.items()
     }
-    one = Fraction(1)
-    diffs = {}
+    diffs, dens = {}, {}
     for n, ss in buckets.items():
         target = rows.get(n + 1, {})
         entries = {}
@@ -518,13 +524,13 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
                     sign = -sign
             if p < p_max and slots[0] != unit:
                 entries[(target[(unit,) + slots], col)] = one
-        diffs[n] = entries
+        diffs[n], dens[n] = lowest_terms(entries, one)
     dims = {n: len(ss) for n, ss in buckets.items()}
     labels = {
         n: [(len(s) - 1, tuple(keys[k] for k in s)) for s, _ in ss]
         for n, ss in buckets.items()
     }
-    tot = MatrixComplex(dims, labels, diffs)
+    tot = MatrixComplex(dims, labels, diffs, dens)
     tot.check_composition()
     return tot
 

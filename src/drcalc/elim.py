@@ -2,12 +2,12 @@
 
 Every entry point here runs on one routine, ``_echelon``: left-looking
 sparse elimination (Bouillaguet & Delaplace, SpaSM, 2016).  Rows are
-taken one at a time as sparse rational ``{col: value}`` dicts; each is
-made integral on entry (its denominators cleared, its content divided
-out) and is reduced against the pivots found so far, always at its
-smallest column, until it opens a new pivot or vanishes.  The complexes
-and divergence systems built elsewhere in the package are very sparse,
-so only the fill-in a row actually meets is ever computed.
+taken one at a time as sparse integer ``{col: int}`` dicts; each has its
+content divided out on entry and is reduced against the pivots found so
+far, always at its smallest column, until it opens a new pivot or
+vanishes.  The complexes and divergence systems built elsewhere in the
+package are very sparse, so only the fill-in a row actually meets is
+ever computed.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a row
 whose entry at a pivot column is ``v`` becomes ``a * row - b * pivot``
@@ -29,8 +29,11 @@ Row combinations are tracked only where they are read: an
 infeasibility certificate.  ``solve_rational`` eliminates untracked
 first and reruns tracked only when the right-hand side opens a pivot.
 
-``integral`` clears denominators for the kernel and for the sparse
-matrix product in ``homology``.
+``integral`` turns rational entries into integers over their least
+common denominator.  It is where rational input enters the kernel: once
+per matrix in ``rank_sparse`` and ``nullspace``, once per row in
+``echelon``, ``reduce`` and ``solve_rational``.  ``homology`` uses it
+to put an assembled rational matrix into its canonical integer form.
 
 ``echelon`` and ``reduce`` expose the same routine for working modulo
 a span: ``reduce`` clears every pivot column of a vector with the pivot
@@ -38,11 +41,13 @@ rows, which is how ``MatrixComplex.quotient`` writes the differential
 of a quotient complex in its non-pivot basis.
 
 Matrices come in sparse only, in one of two forms.  ``rank_sparse``
-and ``nullspace`` take ``{(row, col): value}`` entries, the form the
-complexes store their differentials in.  ``solve_rational`` takes a
-sequence of rows, each a sequence of ``(col, value)`` pairs, the form
-of ``DivergenceSystem.rows``: its certificate is one multiplier per
-input row, so the rows keep their positions.
+and ``nullspace`` take ``{(row, col): value}`` entries, rational or
+integer, the form the complexes store their differentials in (as
+integers over one denominator, which neither rank nor kernel depends
+on).  ``solve_rational`` takes a sequence of rows, each a sequence of
+``(col, value)`` pairs, the form of ``DivergenceSystem.rows``: its
+certificate is one multiplier per input row, so the rows keep their
+positions.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ def integral(vector):
     """``(row, den)``: the nonzero entries of ``vector`` times ``den``.
 
     ``vector`` is a sparse ``{key: rational}`` dict; ``den`` is the least
-    common denominator of its values, so ``row`` is ``{key: int}``.
+    common denominator of its values, so ``row`` is ``{key: int}`` and
+    no prime divides ``den`` and every entry of ``row``.
     """
     den = lcm(*(v.denominator for v in vector.values()))
     row = {
@@ -102,8 +108,10 @@ def _divide_content(row, combo, lead=None):
 
 
 def _echelon(rows, track=False, until=None):
-    """Row echelon form of sparse rational rows, on integers.
+    """Row echelon form of sparse integer rows.
 
+    ``rows`` is an iterable of ``{col: int}`` dicts without zero
+    entries; each is consumed (reduced in place) when it is reached.
     Returns ``{pivot column: (row, combo)}``.  Each pivot row is a
     ``{col: int}`` dict, positive at its pivot column and nonzero only
     there and at larger columns.  With ``track``, ``combo`` is
@@ -111,12 +119,11 @@ def _echelon(rows, track=False, until=None):
     ``sum(combo[i] * rows[i])``, and the two together are primitive;
     otherwise ``combo`` is None and the row is primitive.  Elimination
     stops once column ``until`` (if given) opens a pivot: pivots never
-    change after they open, so the rows after it could not alter it.
+    change after they open, so the rows after it are never read.
     """
     pivots = {}
-    for i, source in enumerate(rows):
-        row, den = integral(source)
-        combo = {i: den} if track else None
+    for i, row in enumerate(rows):
+        combo = {i: 1} if track else None
         _divide_content(row, combo)
         c = _clear(pivots, row, combo, stop=True)[0]
         if c is not None:
@@ -175,9 +182,9 @@ def echelon(rows):
 
     ``rows`` are ``{col: value}`` dicts with comparable columns; the
     pivots are ``_echelon``'s primitive integer rows, without
-    combinations.
+    combinations.  Each row is cleared of its denominators on its own.
     """
-    return _echelon(rows)
+    return _echelon(integral(row)[0] for row in rows)
 
 
 def reduce(pivots, vector):
@@ -210,22 +217,26 @@ def _back_substitute(pivots, x):
 
 
 def _rows(entries, nrows):
-    """Kernel rows ``{col: value}`` of ``{(row, col): value}`` entries."""
+    """Integer kernel rows ``{col: int}`` of ``{(row, col): value}`` entries.
+
+    The whole matrix is scaled once, by the least common denominator of
+    its entries; rank and kernel do not change.
+    """
     rows = [{} for _ in range(nrows)]
-    for (r, c), v in entries.items():
+    for (r, c), v in integral(entries)[0].items():
         rows[r][c] = v
     return rows
 
 
 def rank_sparse(entries, nrows, ncols) -> int:
-    """Exact rank of a sparse rational matrix {(row, col): Fraction}."""
+    """Exact rank of a sparse rational matrix {(row, col): value}."""
     return len(_echelon(_rows(entries, nrows)))
 
 
 def nullspace(entries, nrows, ncols):
     """Basis of the right kernel of a sparse rational matrix.
 
-    ``entries`` is ``{(row, col): Fraction}``.  Returns one sparse
+    ``entries`` is ``{(row, col): value}``.  Returns one sparse
     ``{col: Fraction}`` vector per free column in ascending order: the
     vector for free column ``f`` is 1 at ``f`` and 0 at every other
     free column (the basis read off the reduced row echelon form).
@@ -258,7 +269,9 @@ def solve_rational(rows, rhs, ncols):
     the pivot rows.  When column ``ncols`` opens a pivot, elimination
     reruns with tracking to read lam off it.  The rerun stops at the
     same row, because which columns the rows before it pivot on does
-    not depend on the rows after it.
+    not depend on the rows after it.  Each row is cleared of its
+    denominators when elimination reaches it, so lam multiplies the
+    combination of cleared rows by their denominators.
     """
     augmented = []
     for row, b in zip(rows, rhs):
@@ -266,10 +279,17 @@ def solve_rational(rows, rhs, ncols):
         if b:
             aug[ncols] = Fraction(b)
         augmented.append(aug)
-    pivots = _echelon(augmented, until=ncols)
+    pivots = _echelon(
+        (integral(aug)[0] for aug in augmented), until=ncols
+    )
     if ncols in pivots:
-        row, combo = _echelon(augmented, track=True, until=ncols)[ncols]
-        lam = {i: Fraction(w, row[ncols]) for i, w in combo.items()}
+        row, combo = _echelon(
+            (integral(aug)[0] for aug in augmented), track=True, until=ncols
+        )[ncols]
+        lam = {
+            i: Fraction(w * integral(augmented[i])[1], row[ncols])
+            for i, w in combo.items()
+        }
         # verify the certificate against the original data
         residue = {}
         for i, w in lam.items():

@@ -8,6 +8,13 @@ matrix per adjacent degree pair, with exponent tuples as basis keys.
 Cohomology is rank-nullity bookkeeping on top of exact sparse
 elimination (``elim``).
 
+Every matrix is stored on integers: ``{(row, col): int}`` entries with
+one positive denominator for the whole matrix, in lowest terms (the
+least common denominator of the rational matrix, 1 whenever its
+entries are integers, so no prime divides it and every entry).  The
+form is made once, where a matrix is assembled; ``restrict``,
+``quotient``, products and ranks take the integers as they are.
+
 d o d = 0 is checked once, where a complex is assembled:
 ``weight_truncate`` (and the conerve totalization in ``derham``) call
 ``check_composition`` on what they build.  Everything else is derived
@@ -29,7 +36,7 @@ where both sides are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import elim
 from .algebra import GradedElement, check_weight, enumerate_monomials
@@ -42,19 +49,27 @@ class MatrixComplex:
     ``labels[n]`` lists opaque hashable basis keys: exponent tuples for
     assembled complexes, ``(p, slot keys)`` pairs for the conerve
     totalization (column p, one Koszul exponent tuple per tensor slot),
-    anything hashable for hand-built ones.  ``diffs[n]``
-    maps degree ``n`` to degree ``n + 1``; entries are sparse
-    ``{(row, col): Fraction}`` with rows indexed by the target basis and
-    columns by the source basis.
+    anything hashable for hand-built ones.  ``diffs[n] / dens[n]``
+    maps degree ``n`` to degree ``n + 1``: ``diffs[n]`` holds sparse
+    nonzero ``{(row, col): int}`` entries, rows indexed by the target
+    basis and columns by the source basis, and ``dens[n]`` is the
+    positive denominator of the whole matrix, in lowest terms with them
+    (see the module docstring; ``lowest_terms`` makes the form).  A
+    degree missing from ``dens`` has denominator 1.
     """
 
-    __slots__ = ("dims", "labels", "diffs")
+    __slots__ = ("dims", "labels", "diffs", "dens")
 
-    def __init__(self, dims, labels, diffs):
+    def __init__(self, dims, labels, diffs, dens):
         self.dims = dict(dims)
         self.labels = {n: tuple(ls) for n, ls in labels.items()}
         self.diffs = {n: dict(m) for n, m in diffs.items()}
+        self.dens = {n: dens.get(n, 1) for n in self.diffs}
         for n, entries in self.diffs.items():
+            if self.dens[n] < 1:
+                raise StructuralError(
+                    f"denominator {self.dens[n]} at degree {n} is not positive"
+                )
             rows = self.dims.get(n + 1, 0)
             cols = self.dims.get(n, 0)
             for (r, c) in entries:
@@ -80,7 +95,8 @@ class MatrixComplex:
 
         The dropped keys must span a subcomplex (for a weight cut: the
         differential never lowers weight); the matrices of the quotient
-        are then the old ones with dropped rows and columns deleted.
+        are then the old ones with dropped rows and columns deleted, the
+        denominator brought back to lowest terms where it exceeds 1.
         Degrees left without a basis disappear.
         """
         dims, labels, renumber = {}, {}, {}
@@ -90,7 +106,7 @@ class MatrixComplex:
                 dims[n] = len(kept)
                 labels[n] = [keys[i] for i in kept]
                 renumber[n] = {old: new for new, old in enumerate(kept)}
-        diffs = {}
+        diffs, dens = {}, {}
         for n, old in self.diffs.items():
             cols = renumber.get(n, {})
             rows = renumber.get(n + 1, {})
@@ -105,8 +121,8 @@ class MatrixComplex:
                     )
                 entries[(rows[r], cols[c])] = v
             if n in dims:
-                diffs[n] = entries
-        return MatrixComplex(dims, labels, diffs)
+                diffs[n], dens[n] = lowest_terms(entries, self.dens[n])
+        return MatrixComplex(dims, labels, diffs, dens)
 
     def quotient(self, span) -> "MatrixComplex":
         """Quotient by the subcomplex spanned by ``span``.
@@ -118,7 +134,9 @@ class MatrixComplex:
         degree up, and so is the image of each pivot's echelon row:
         ``restrict`` then drops the pivot keys and raises unless those
         images vanish, i.e. unless d maps the span into the span.  Basis
-        keys must be distinct across degrees.
+        keys must be distinct across degrees.  ``reduce`` returns the
+        rational image of the integer matrix; divided by ``dens[n]`` it
+        is the quotient's matrix, scaled to integers once per degree.
         """
         pivots = {}
         for n, vectors in span.items():
@@ -126,11 +144,9 @@ class MatrixComplex:
             pivots[n] = elim.echelon(
                 [{index[key]: v for key, v in vec.items()} for vec in vectors]
             )
-        diffs = {}
+        diffs, dens = {}, {}
         for n, entries in self.diffs.items():
-            columns = {}
-            for (r, c), v in entries.items():
-                columns.setdefault(c, {})[r] = v
+            columns = _columns(entries)
             here = pivots.get(n, {})
             up = pivots.get(n + 1, {})
             reduced = {}
@@ -144,16 +160,21 @@ class MatrixComplex:
                     image = columns.get(c, {})
                 for r, v in elim.reduce(up, image).items():
                     reduced[(r, c)] = v
-            diffs[n] = reduced
+            ints, den = elim.integral(reduced)
+            diffs[n], dens[n] = lowest_terms(ints, den * self.dens[n])
         dropped = {
             self.labels[n][c] for n, found in pivots.items() for c in found
         }
-        return MatrixComplex(self.dims, self.labels, diffs).restrict(
+        return MatrixComplex(self.dims, self.labels, diffs, dens).restrict(
             lambda key: key not in dropped
         )
 
     def check_composition(self):
-        """Raise unless consecutive differentials compose to zero."""
+        """Raise unless consecutive differentials compose to zero.
+
+        The integer matrices are multiplied as they are: their
+        denominators do not change whether the product is zero.
+        """
         for n, first in self.diffs.items():
             product = _compose(self.diffs.get(n + 1, {}), first)
             if product:
@@ -219,8 +240,16 @@ def weight_truncate(source, weight) -> MatrixComplex:
     is ``None`` or the range of Hodge columns kept (columns above it
     span a subcomplex and are quotiented away), and ``normal_form`` is
     ``None`` or the relation normal form whose standard monomials form
-    the basis.  Basis keys are exponent tuples in sorted order.  The
-    assembled complex is checked for d o d = 0 before it is returned.
+    the basis.  Basis keys are exponent tuples in sorted order.
+
+    Each basis monomial's image is read from the derivation's
+    accumulator (``Derivation.expand``), integral coefficients as ints;
+    a term is kept when its exponent tuple is a basis key one degree up,
+    and the weight and Hodge cuts decide, on the tuple, whether a term
+    that is not one is cut away or missing.  Only the relation normal
+    form goes through ``GradedElement``.  Each matrix is scaled to
+    integers once.  The assembled complex is checked for d o d = 0
+    before it is returned.
     """
     ctx, diff, hodge, nf = source.truncation_data()
     for i, image in diff.images.items():
@@ -238,29 +267,33 @@ def weight_truncate(source, weight) -> MatrixComplex:
         if nf is not None and not nf.is_standard(m):
             continue
         buckets.setdefault(ctx.degree_of(m), []).append(m)
-    diffs = {}
+    top_hodge = None if hodge is None else hodge.stop - 1
+    diffs, dens = {}, {}
     for n, ms in buckets.items():
         entries = {}
         target = {m: i for i, m in enumerate(buckets.get(n + 1, ()))}
         for col, m in enumerate(ms):
-            image = diff(GradedElement.monomial(ctx, m))
+            image = diff.expand(((m, 1),))
             if nf is not None:
-                image = nf.reduce(image)
-            image = image.weight_filter(weight)
-            if hodge is not None:
-                image = image.hodge_filter(hodge.stop - 1)
-            for exps, coeff in image.terms.items():
-                try:
-                    row = target[exps]
-                except KeyError:
+                image = nf.reduce(GradedElement.from_accumulator(ctx, image))
+                image = image.terms
+            for exps, coeff in image.items():
+                if not coeff:
+                    continue
+                row = target.get(exps)
+                if row is None:
+                    if ctx.weight_of(exps) > weight:
+                        continue
+                    if top_hodge is not None and ctx.hodge_of(exps) > top_hodge:
+                        continue
                     raise StructuralError(
                         f"image term {ctx.monomial_str(exps)} missing from "
                         f"degree {n + 1} basis"
-                    ) from None
+                    )
                 entries[(row, col)] = coeff
-        diffs[n] = entries
+        diffs[n], dens[n] = elim.integral(entries)
     dims = {n: len(ms) for n, ms in buckets.items()}
-    cx = MatrixComplex(dims, buckets, diffs)
+    cx = MatrixComplex(dims, buckets, diffs, dens)
     cx.check_composition()
     return cx
 
@@ -308,18 +341,20 @@ def chain_map_check(morphism, weight) -> "ChainMapReport":
 
     Both sides are assembled as matrices; the check is
     ``Phi_{n+1} d_src^n == d_tgt^n Phi_n`` for every degree of the
-    source.  Failure is a result, not an exception.
+    source.  Each side is an integer product over the product of its
+    factors' denominators, so the two are compared cross-multiplied.
+    Failure is a result, not an exception.
     """
     src = weight_truncate(morphism.source, weight)
     tgt = weight_truncate(morphism.target, weight)
     mats = morphism_matrices(morphism, src, tgt, weight)
     for n in src.degrees():
-        d_src = src.diffs.get(n, {})
-        d_tgt = tgt.diffs.get(n, {})
-        phi_n = mats.get(n, {})
-        phi_up = mats.get(n + 1, {})
-        lhs = _compose(phi_up, d_src)
-        rhs = _compose(d_tgt, phi_n)
+        lhs = _compose(mats.get(n + 1, {}), src.diffs.get(n, {}))
+        rhs = _compose(tgt.diffs.get(n, {}), mats.get(n, {}))
+        lhs_den = mats.dens.get(n + 1, 1) * src.dens.get(n, 1)
+        rhs_den = tgt.dens.get(n, 1) * mats.dens.get(n, 1)
+        lhs = {k: v * rhs_den for k, v in lhs.items()}
+        rhs = {k: v * lhs_den for k, v in rhs.items()}
         if lhs != rhs:
             return ChainMapReport(False, n)
     return ChainMapReport(True, None)
@@ -334,48 +369,70 @@ class ChainMapReport:
         return self.ok
 
 
-def _integer_columns(entries):
-    """``(columns, den)``: ``{col: {row: int}}``, ``den`` times ``entries``."""
-    ints, den = elim.integral(entries)
+def lowest_terms(entries, den):
+    """``(entries, den)`` with their common factor divided out.
+
+    ``entries`` is ``{key: int}`` and ``den`` a positive int; the pair
+    is returned as it is when ``den`` is 1, the common case.
+    """
+    if den > 1:
+        g = gcd(den, *entries.values())
+        if g > 1:
+            entries = {k: v // g for k, v in entries.items()}
+            den //= g
+    return entries, den
+
+
+def _columns(entries):
+    """``{col: {row: value}}`` of ``{(row, col): value}`` entries."""
     columns = {}
-    for (r, c), v in ints.items():
+    for (r, c), v in entries.items():
         columns.setdefault(c, {})[r] = v
-    return columns, den
+    return columns
 
 
 def _compose(second, first):
-    """Sparse product second o first of ``{(row, col): value}`` entries.
+    """Sparse product second o first of ``{(row, col): int}`` entries.
 
-    Each operand is scaled to integers once, by its least common
-    denominator; the product is summed on ints, and only its nonzero
-    entries become ``Fraction``s, divided by both scales.
+    Summed on ints as they are, with no rescaling; the product of two
+    stored matrices is over the product of their denominators.  Only
+    nonzero entries are kept.
     """
-    by_col, den_first = _integer_columns(first)
-    sec_by_col, den_second = _integer_columns(second)
-    den = den_first * den_second
+    sec_by_col = _columns(second)
     out = {}
-    for c, col in by_col.items():
+    for c, col in _columns(first).items():
         acc = {}
         for mid, v in col.items():
             for r, w in sec_by_col.get(mid, {}).items():
                 acc[r] = acc.get(r, 0) + w * v
         for r, v in acc.items():
             if v:
-                out[(r, c)] = Fraction(v, den)
+                out[(r, c)] = v
     return out
 
 
-def morphism_matrices(morphism, src_cx, tgt_cx, weight):
+class GradedMatrices(dict):
+    """``{degree: {(row, col): int}}`` with one ``dens[degree]`` each.
+
+    The form of ``morphism_matrices``: each matrix is in the integer
+    form of a ``MatrixComplex`` differential.
+    """
+
+    __slots__ = ("dens",)
+
+
+def morphism_matrices(morphism, src_cx, tgt_cx, weight) -> GradedMatrices:
     """Degree-indexed sparse matrices of a morphism between truncations.
 
     Both complexes must be keyed by exponent tuples over the morphism's
     source and target contexts: the matrices are computed by pushing
     each source basis monomial through the generator images and
     expanding in the target basis (terms falling outside the truncation
-    are projected away).
+    are projected away).  Each matrix is scaled to integers once.
     """
     src_ctx = morphism.source.context
-    mats = {}
+    mats = GradedMatrices()
+    mats.dens = {}
     for n in src_cx.degrees():
         target_index = {
             exps: i for i, exps in enumerate(tgt_cx.labels.get(n, ()))
@@ -388,7 +445,7 @@ def morphism_matrices(morphism, src_cx, tgt_cx, weight):
                 row = target_index.get(t_exps)
                 if row is not None:
                     entries[(row, col)] = coeff
-        mats[n] = entries
+        mats[n], mats.dens[n] = elim.integral(entries)
     return mats
 
 
@@ -397,7 +454,8 @@ def induced_map_vanishes(src_cx, tgt_cx, mats, degree) -> bool:
 
     True when the image of every cycle is a boundary: the rank of the
     target boundary matrix does not grow when the pushed-forward cycle
-    basis is adjoined.
+    basis is adjoined.  Every matrix is used on integers: scaling a
+    column, or a whole matrix, changes neither rank.
     """
     n = degree
     cycles = elim.nullspace(
@@ -408,8 +466,13 @@ def induced_map_vanishes(src_cx, tgt_cx, mats, degree) -> bool:
     nrows = tgt_cx.dims.get(n, 0)
     bnd = tgt_cx.diffs.get(n - 1, {})
     base_cols = tgt_cx.dims.get(n - 1, 0)
-    # the cycle basis as the columns of one matrix, pushed through phi
-    basis = {(c, k): v for k, z in enumerate(cycles) for c, v in z.items()}
+    # the cycle basis as the integer columns of one matrix, pushed
+    # through phi
+    basis = {
+        (c, k): v
+        for k, z in enumerate(cycles)
+        for c, v in elim.integral(z)[0].items()
+    }
     aug = dict(bnd)
     for (r, k), v in _compose(mats.get(n, {}), basis).items():
         aug[(r, base_cols + k)] = v

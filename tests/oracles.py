@@ -20,14 +20,27 @@ Each one takes a different road to the same answer:
 - ``float64_lower_bound``: the flat-form integral sampled in binary64,
   the contrast to ``drcalc.witness``'s log-domain enclosures; it
   underflows to zero past n = 2.
+- ``fraction_matrices``, ``conerve_fraction_matrices`` and
+  ``quotient_fraction_matrices``: the rational matrices of a truncated
+  complex, of the normalized conerve and of a quotient complex, entry
+  by entry on ``Fraction``s.  Images go through ``Derivation.__call__``
+  as ``GradedElement``s and quotients through a reduced row echelon
+  form of the span; the package assembles integer matrices over one
+  denominator from the derivation's accumulator instead.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from drcalc import elim
 from drcalc.algebra import GradedElement
-from drcalc.dg import DGMorphism, DGPresentation, OddGenerator
+from drcalc.dg import (
+    DGMorphism,
+    DGPresentation,
+    OddGenerator,
+    koszul_presentation,
+)
 from drcalc.homology import MatrixComplex, morphism_matrices, weight_truncate
 from drcalc.poly import Poly
 from drcalc.witness import DEFAULT_GRID
@@ -158,7 +171,7 @@ def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
                 keys.extend((p, exps) for exps in cx.labels[n - p])
         dims[n] = len(keys)
         labels[n] = keys
-    diffs = {}
+    diffs, dens = {}, {}
     for n in degrees:
         entries = {}
         for p, cx in enumerate(columns):
@@ -169,20 +182,23 @@ def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
             if (n + 1, p) in offsets:
                 row0 = offsets[(n + 1, p)]
                 sign = -1 if p % 2 else 1
+                den = cx.dens.get(q, 1)
                 for (r, c), v in cx.diffs.get(q, {}).items():
-                    entries[(row0 + r, col0 + c)] = sign * v
+                    entries[(row0 + r, col0 + c)] = Fraction(sign * v, den)
             if p < p_max and (n + 1, p + 1) in offsets:
                 row0 = offsets[(n + 1, p + 1)]
                 acc = {}
                 for j, mats in enumerate(coface_mats[p + 1]):
                     sign = -1 if j % 2 else 1
+                    den = mats.dens.get(q, 1)
                     for (r, c), v in mats.get(q, {}).items():
-                        acc[(r, c)] = acc.get((r, c), 0) + sign * v
+                        v = Fraction(sign * v, den)
+                        acc[(r, c)] = acc.get((r, c), 0) + v
                 for (r, c), v in acc.items():
                     if v:
-                        entries[(row0 + r, col0 + c)] = Fraction(v)
-        diffs[n] = entries
-    tot = MatrixComplex(dims, labels, diffs)
+                        entries[(row0 + r, col0 + c)] = v
+        diffs[n], dens[n] = elim.integral(entries)
+    tot = MatrixComplex(dims, labels, diffs, dens)
     tot.check_composition()  # assembled here, so checked here
     return tot
 
@@ -298,3 +314,136 @@ def float64_lower_bound(a: float, b: float, grid: int = DEFAULT_GRID) -> float:
         hi = max(samples)
         total += lo * (lo / hi) * width
     return total
+
+
+# ---------------------------------------------------------------------------
+# rational matrices, entry by entry
+
+
+def fraction_matrices(source, weight, labels):
+    """``{n: {(row, col): Fraction}}`` of ``source`` truncated at ``weight``.
+
+    ``labels`` are the bases of the truncation.  Each basis monomial is
+    a ``GradedElement`` pushed through ``Derivation.__call__``, the
+    normal form, and the weight and Hodge filters.
+    """
+    ctx, diff, hodge, nf = source.truncation_data()
+    mats = {}
+    for n, keys in labels.items():
+        index = {key: i for i, key in enumerate(labels.get(n + 1, ()))}
+        entries = {}
+        for col, m in enumerate(keys):
+            image = diff(GradedElement.monomial(ctx, m))
+            if nf is not None:
+                image = nf.reduce(image)
+            for exps, c in image.weight_filter(weight).terms.items():
+                if hodge is None or ctx.hodge_of(exps) < hodge.stop:
+                    entries[(index[exps], col)] = c
+        mats[n] = entries
+    return mats
+
+
+def conerve_fraction_matrices(variables, f, p_max, weight, labels):
+    """Rational matrices of the normalized conerve on the bases ``labels``.
+
+    A basis key ``(p, (k0, ..., kp))`` goes to the Leibniz sum of the
+    Koszul differential over its slots, signed by (-1)^p and by the
+    degrees of the earlier slots, and cut at ``weight``; plus the
+    coface key ``(p + 1, (1, k0, ..., kp))`` when ``p < p_max`` and k0
+    is not the unit.  The Koszul images come from ``fraction_matrices``.
+    """
+    pres = koszul_presentation(variables, [f], 1)
+    ctx = pres.context
+    koszul = weight_truncate(pres, weight)
+    d = {}
+    for q, entries in fraction_matrices(pres, weight, koszul.labels).items():
+        for (r, c), v in entries.items():
+            d.setdefault(koszul.labels[q][c], {})[koszul.labels[q + 1][r]] = v
+    unit = (0,) * len(ctx)
+    mats = {}
+    for n, keys in labels.items():
+        index = {key: i for i, key in enumerate(labels.get(n + 1, ()))}
+        entries = {}
+        for col, (p, slots) in enumerate(keys):
+            sign = -1 if p % 2 else 1
+            for i, k in enumerate(slots):
+                for image, v in d.get(k, {}).items():
+                    new = slots[:i] + (image,) + slots[i + 1:]
+                    if sum(ctx.weight_of(key) for key in new) <= weight:
+                        entries[(index[(p, new)], col)] = sign * v
+                if ctx.degree_of(k) % 2:
+                    sign = -sign
+            if p < p_max and slots[0] != unit:
+                entries[(index[(p + 1, (unit,) + slots)], col)] = Fraction(1)
+        mats[n] = entries
+    return mats
+
+
+def _rref(vectors):
+    """``{pivot: row}`` of the span, each row 1 at its pivot, 0 at others."""
+    pivots = {}
+    for vec in vectors:
+        row = {c: Fraction(v) for c, v in vec.items() if v}
+        for p, prow in pivots.items():
+            _eliminate(row, p, prow)
+        if not row:
+            continue
+        lead = min(row)
+        scale = row[lead]
+        row = {c: v / scale for c, v in row.items()}
+        for prow in pivots.values():
+            _eliminate(prow, lead, row)
+        pivots[lead] = row
+    return pivots
+
+
+def _eliminate(row, p, prow):
+    """Subtract ``row[p] * prow`` from ``row`` in place."""
+    factor = row.get(p)
+    if not factor:
+        return
+    for c, v in prow.items():
+        w = row.get(c, 0) - factor * v
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
+
+
+def quotient_fraction_matrices(mats, labels, span):
+    """``(labels, mats)`` of the quotient by ``span``, on Fractions.
+
+    ``mats`` are rational matrices on the bases ``labels``, ``span[n]``
+    lists ``{basis key: value}`` vectors.  The quotient keeps the keys
+    that are not pivots of the span's reduced row echelon form (basis
+    positions in order); a kept column's image is reduced by the
+    echelon rows one degree up, which leaves the one representative
+    supported off the pivots.
+    """
+    pivots = {}
+    for n, vectors in span.items():
+        index = {key: i for i, key in enumerate(labels.get(n, ()))}
+        pivots[n] = _rref(
+            [{index[key]: v for key, v in vec.items()} for vec in vectors]
+        )
+    kept = {
+        n: [i for i in range(len(keys)) if i not in pivots.get(n, {})]
+        for n, keys in labels.items()
+    }
+    out_labels = {
+        n: [labels[n][i] for i in ks] for n, ks in kept.items() if ks
+    }
+    out = {}
+    for n, entries in mats.items():
+        if n not in out_labels:
+            continue
+        rows = {old: new for new, old in enumerate(kept.get(n + 1, ()))}
+        quotient = {}
+        for new_col, c in enumerate(kept[n]):
+            image = {r: v for (r, col), v in entries.items() if col == c}
+            for p, prow in pivots.get(n + 1, {}).items():
+                _eliminate(image, p, prow)
+            for r, v in image.items():
+                quotient[(rows[r], new_col)] = v
+        out[n] = quotient
+    return out_labels, out

@@ -9,6 +9,7 @@ the first test pins down.
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,12 +26,19 @@ from drcalc.derham import (
     DeRhamStage,
     _WedgeSource,
     conerve_totalization,
+    free_presentation,
 )
 from drcalc.dg import koszul_presentation, tower_map
 from drcalc.homology import morphism_matrices, weight_truncate
 from drcalc.parse import parse_poly
+from drcalc.poly import Poly
 
-from oracles import conerve_cofaces
+from oracles import (
+    conerve_cofaces,
+    conerve_fraction_matrices,
+    fraction_matrices,
+    quotient_fraction_matrices,
+)
 
 XY = ("x", "y")
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -217,35 +225,139 @@ def test_tower_images_exercise_coefficients_and_normal_form():
 
 
 # ---------------------------------------------------------------------------
-# every stored coefficient and matrix entry is a Fraction
+# every matrix is integers over one denominator, equal to the Fraction
+# oracle; every coefficient of a GradedElement is a Fraction
 
 
-def _entries(cx):
-    return [v for m in cx.diffs.values() for v in m.values()]
+def _assert_integral_form(matrices, dens):
+    """Nonzero int entries; each ``dens[n]`` a positive int in lowest terms."""
+    for n, entries in matrices.items():
+        den = dens[n]
+        assert type(den) is int and den >= 1, (n, den)
+        assert all(type(v) is int and v for v in entries.values()), n
+        assert gcd(den, *entries.values()) == 1, (n, den)
 
 
-def test_matrix_entries_are_fractions():
+def _as_fractions(matrices, dens):
+    return {
+        n: {key: Fraction(v, dens[n]) for key, v in entries.items()}
+        for n, entries in matrices.items()
+    }
+
+
+def _check_against(cx, want):
+    _assert_integral_form(cx.diffs, cx.dens)
+    assert _as_fractions(cx.diffs, cx.dens) == want
+
+
+def _check_stage(pres, hodge, weight):
+    stage = DeRhamStage(pres, hodge, weight)
+    cx = weight_truncate(stage, weight)
+    _check_against(cx, fraction_matrices(stage, weight, cx.labels))
+    return stage, cx
+
+
+def _check_conerve(variables, f, p_max, weight):
+    cx = conerve_totalization(variables, f, p_max, weight)
+    want = conerve_fraction_matrices(variables, f, p_max, weight, cx.labels)
+    _check_against(cx, want)
+    return cx
+
+
+def _check_morphism(phi, weight):
+    src = weight_truncate(phi.source, weight)
+    tgt = weight_truncate(phi.target, weight)
+    mats = morphism_matrices(phi, src, tgt, weight)
+    _assert_integral_form(mats, mats.dens)
+    want = {}
+    for n, keys in src.labels.items():
+        index = {k: i for i, k in enumerate(tgt.labels.get(n, ()))}
+        want[n] = {}
+        for col, exps in enumerate(keys):
+            image = phi.apply(GradedElement.monomial(phi.source.context, exps))
+            for t, c in image.weight_filter(weight).terms.items():
+                if t in index:
+                    want[n][(index[t], col)] = c
+    assert _as_fractions(mats, mats.dens) == want
+    return mats
+
+
+def _check_restrict(stage, cx, weight):
+    ctx = stage.truncation_data()[0]
+    low = cx.restrict(lambda e: ctx.weight_of(e) <= weight - 1)
+    _check_against(low, fraction_matrices(stage, weight - 1, low.labels))
+
+
+def _check_stalk(gens, weight):
+    """The stalk quotient of the free stage by K, as the package builds it."""
+    variables = tuple(gens[0].context)
+    stage = DeRhamStage(free_presentation(variables), len(variables), weight)
+    ctx, d, _, _ = stage.truncation_data()
+    ambient = weight_truncate(stage, weight)
+    span = {k: [] for k in ambient.labels}
+    for g in gens:
+        lifted = GradedElement.from_poly(ctx, g)
+        for factor, shift in ((lifted, 0), (d(lifted), 1)):
+            for k, keys in ambient.labels.items():
+                if k + shift in span:
+                    span[k + shift] += [
+                        (factor * GradedElement.monomial(ctx, m))
+                        .weight_filter(weight).terms
+                        for m in keys
+                    ]
+    quotient = ambient.quotient(span)
+    labels, want = quotient_fraction_matrices(
+        fraction_matrices(stage, weight, ambient.labels), ambient.labels, span
+    )
+    assert {n: tuple(ks) for n, ks in labels.items()} == quotient.labels
+    _check_against(quotient, want)
+
+
+def test_matrix_entries_are_integers_over_one_denominator():
     f = P("2/3*x*y")
     pres = koszul_presentation(XY, [P("1/2*x^2 + y^3")], 1)
-    phi = _morphism("tower")
-    src = weight_truncate(phi.source, 8)
-    tgt = weight_truncate(phi.target, 8)
-    mats = morphism_matrices(phi, src, tgt, 8)
-    values = (
-        _entries(conerve_totalization(XY, f, 3, 4))
-        + _entries(weight_truncate(DeRhamStage(pres, 3, 7), 7))
-        + _entries(src)
-        + [v for m in mats.values() for v in m.values()]
-    )
-    assert values
-    assert all(type(v) is Fraction for v in values)
+    cx = _check_conerve(XY, f, 3, 4)
+    assert set(cx.dens.values()) == {1, 3}
+    stage, cx = _check_stage(pres, 3, 7)
+    assert set(cx.dens.values()) == {1, 2}
+    _check_restrict(stage, cx, 7)
+    mats = _check_morphism(_morphism("tower"), 8)
+    assert set(mats.dens.values()) - {1}
     relations = koszul_presentation(
         XY, [P("x^3")], 1, relations=[P("x*y - y^2")]
     )
-    reduced = _entries(weight_truncate(relations, 7))
-    assert reduced and all(type(v) is Fraction for v in reduced)
+    cx = weight_truncate(relations, 7)
+    assert cx.diffs
+    _check_against(cx, fraction_matrices(relations, 7, cx.labels))
+    _check_stalk([P("1/2*x^2 + 2/3*y^3")], 6)
     product = GradedElement.from_poly(pres.context, P("x - 1/3*y")) * pres.generator("t")
     assert all(type(c) is Fraction for c in product.terms.values())
+
+
+@st.composite
+def _rational_polys(draw):
+    variables = XY[: draw(st.integers(1, 2))]
+    exps = st.tuples(*[st.integers(0, 3) for _ in variables]).filter(
+        lambda e: 1 <= sum(e) <= 3
+    )
+    support = draw(st.lists(exps, min_size=1, max_size=3, unique=True))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+        bool
+    )
+    terms = {e: draw(coeff) for e in support}
+    return Poly(variables, terms)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_rational_polys(), st.integers(2, 4))
+def test_integer_matrices_match_the_fraction_oracle(f, weight):
+    variables = tuple(f.context)
+    pres = koszul_presentation(variables, [f], 1)
+    stage, cx = _check_stage(pres, 2, weight)
+    _check_restrict(stage, cx, weight)
+    _check_conerve(variables, f, 2, min(weight, 3))
+    _check_morphism(tower_map(variables, [f], 2, 1), weight)
+    _check_stalk([f], weight)
 
 
 # ---------------------------------------------------------------------------

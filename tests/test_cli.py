@@ -306,6 +306,42 @@ def test_repeat_runs_are_identical(capsys):
     assert first == second
 
 
+def _main_output(argv):
+    """(exit code, stdout) of one ``main`` call; a usage error is exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_one_parser_serves_every_call():
+    # repeatable options of different lengths, a usage error, then a
+    # valid run: each matches a run on a freshly built parser, so no
+    # parse leaves state behind in the shared one
+    calls = [
+        ["ideal", "gb", "--vars", "x,y", "--gen", "x*y", "--gen", "x^2+y^3"],
+        ["ideal", "gb", "--vars", "x,y", "--gen", "y^2"],
+        ["stalk", "--vars", "x,y", "--f", "x^2", "--f", "y^3",
+         "--truncate", "4"],
+        ["koszul", "--vars", "x,y", "--f", "x*y"],
+        ["ideal", "gb", "--vars", "x,y"],
+        ["ideal", "gb", "--vars", "x,y", "--gen", "x+y"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_main_output(argv))
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 2, 0]
+    assert fresh[4][1] == ""
+    cli._parser.cache_clear()
+    shared = [_main_output(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main([])

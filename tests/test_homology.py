@@ -41,12 +41,13 @@ def _two_term(matrix, nsrc, ntgt):
         labels={0: [f"e{i}" for i in range(nsrc)],
                 1: [f"f{i}" for i in range(ntgt)]},
         diffs={0: matrix},
+        dens={0: 1},
     )
 
 
 def test_two_term_cohomology():
     # 0 -> Q^2 --(1 1)--> Q -> 0
-    cx = _two_term({(0, 0): Fraction(1), (0, 1): Fraction(1)}, 2, 1)
+    cx = _two_term({(0, 0): 1, (0, 1): 1}, 2, 1)
     assert cx.cohomology() == {0: 1, 1: 0}
     assert cx.euler_characteristic() == 1
     # zero map
@@ -59,7 +60,8 @@ def test_composition_guard():
     cx = MatrixComplex(
         dims={0: 1, 1: 1, 2: 1},
         labels={0: ["a"], 1: ["b"], 2: ["c"]},
-        diffs={0: {(0, 0): Fraction(1)}, 1: {(0, 0): Fraction(1)}},
+        diffs={0: {(0, 0): 1}, 1: {(0, 0): 1}},
+        dens={0: 1, 1: 1},
     )
     with pytest.raises(StructuralError) as err:
         cx.check_composition()
@@ -91,12 +93,43 @@ def test_weight_truncate_checks_composition():
     assert "d o d" in str(err.value)
 
 
+def test_weight_truncate_names_a_missing_image_term():
+    # d lowers the Hodge column (e in column 1 goes to y in column 0):
+    # y is inside both cuts but no basis key of column 1, so the
+    # assembly refuses it instead of dropping it
+    class Lowering:
+        def truncation_data(self):
+            from drcalc.algebra import (
+                Derivation,
+                GradedContext,
+                GradedElement,
+                Generator,
+            )
+            ctx = GradedContext([
+                Generator("e", 0, 1, 1), Generator("y", 1, 1, 0),
+            ])
+            img = {"e": GradedElement.generator(ctx, "y")}
+            return ctx, Derivation(ctx, img), range(1, 2), None
+
+    with pytest.raises(StructuralError) as err:
+        weight_truncate(Lowering(), 2)
+    assert "image term y missing from degree 1 basis" in str(err.value)
+
+
 def test_entry_bounds_guard():
     with pytest.raises(StructuralError):
         MatrixComplex(
             dims={0: 1, 1: 1},
             labels={0: ["a"], 1: ["b"]},
-            diffs={0: {(3, 0): Fraction(1)}},
+            diffs={0: {(3, 0): 1}},
+            dens={0: 1},
+        )
+    with pytest.raises(StructuralError):
+        MatrixComplex(
+            dims={0: 1, 1: 1},
+            labels={0: ["a"], 1: ["b"]},
+            diffs={0: {(0, 0): 1}},
+            dens={0: 0},
         )
 
 
@@ -107,7 +140,7 @@ def _random_complex(rng):
     # d0 = B A has a factor in common with d1 = C where C B = 0 by
     # construction: take C = 0 half the time, else build from kernel
     d0 = {
-        (r, col): Fraction(rng.randrange(-3, 4))
+        (r, col): rng.randrange(-3, 4)
         for r in range(b)
         for col in range(a)
         if rng.random() < 0.7
@@ -116,7 +149,8 @@ def _random_complex(rng):
         dims={0: a, 1: b},
         labels={0: [f"a{i}" for i in range(a)],
                 1: [f"b{i}" for i in range(b)]},
-        diffs={0: d0},
+        diffs={0: {key: v for key, v in d0.items() if v}},
+        dens={0: 1},
     )
     return cx
 
@@ -149,6 +183,7 @@ def test_permutation_invariance():
                 (perm1[r], perm0[c]): v
                 for (r, c), v in cx.diffs[0].items()
             }},
+            dens=cx.dens,
         )
         assert shuffled.cohomology() == cx.cohomology()
 
@@ -224,11 +259,17 @@ def test_report_format_lines():
 
 def _restriction_cases():
     koszul = koszul_presentation(XY, [P("x*y"), P("x^2 + y^3")], 1)
+    rational = koszul_presentation(XY, [P("1/2*x*y"), P("2/3*x^2 + y^3")], 1)
     related = koszul_presentation(XY, [P("x*y")], 1, (P("x^2 - y^2"),))
     node = koszul_presentation(XY, [P("x*y")], 1)
     stage_ctx = derham_stage(node, 2, 1).truncation_data()[0]
     return [
         ("koszul", koszul.context, lambda w: weight_truncate(koszul, w)),
+        (
+            "rational",
+            rational.context,
+            lambda w: weight_truncate(rational, w),
+        ),
         ("relations", related.context, lambda w: weight_truncate(related, w)),
         (
             "stage",
@@ -261,6 +302,7 @@ def test_restriction_matches_direct_build():
             assert here.dims == direct.dims, (name, weight)
             assert here.labels == direct.labels, (name, weight)
             assert here.diffs == direct.diffs, (name, weight)
+            assert here.dens == direct.dens, (name, weight)
             low, high = direct.cohomology(), above.cohomology()
             report = restricted_report(build, ctx, weight)
             assert report.dims == tuple(sorted(low.items())), (name, weight)
@@ -282,7 +324,7 @@ def test_restriction_must_drop_a_subcomplex():
     with pytest.raises(StructuralError):
         stability_report(lowering, 4)
     # hand-built keys: dropping the target of a map is a quotient
-    two = _two_term({(0, 0): Fraction(1), (0, 1): Fraction(1)}, 2, 1)
+    two = _two_term({(0, 0): 1, (0, 1): 1}, 2, 1)
     low = two.restrict(lambda key: key != "f0")
     assert low.dims == {0: 2} and low.diffs == {0: {}}
     assert low.cohomology() == {0: 2}
@@ -304,6 +346,7 @@ def test_quotient_by_dropped_unit_vectors_is_restrict():
             assert quotient.dims == restricted.dims, (name, weight)
             assert quotient.labels == restricted.labels, (name, weight)
             assert quotient.diffs == restricted.diffs, (name, weight)
+            assert quotient.dens == restricted.dens, (name, weight)
 
 
 def test_quotient_needs_a_subcomplex():
@@ -328,6 +371,20 @@ def test_tower_map_is_chain_map():
     report = chain_map_check(morphism, 6)
     assert report.ok
     assert report.first_failure_degree is None
+
+
+def test_rational_tower_map_is_chain_map():
+    # the integer products on the two sides of the square sit over
+    # different denominators (24 against 216, and 4 against 8)
+    for text in ("1/2*x^2 + 1/3*y^3", "x^2 + 1/2*y^3"):
+        assert chain_map_check(tower_map(XY, [P(text)], 3, 1), 8).ok
+    morphism = tower_map(XY, [P("1/2*x^2 + 3*y^3")], 3, 1)
+    assert chain_map_check(morphism, 8).ok
+    close = morphism.images["t"].scale(Fraction(7, 5))
+    bad = DGMorphism(morphism.source, morphism.target, {"t": close})
+    report = chain_map_check(bad, 8)
+    assert not report.ok
+    assert report.first_failure_degree == -1
 
 
 def test_corrupted_map_detected():

@@ -169,6 +169,17 @@ def test_integral_bound_is_below_quadrature(window):
         assert b.log < oracle
 
 
+def test_low_precision_bound_stays_below_quadrature():
+    # at 7 bits a finer grid can give a lower bound (the log-sum rounds
+    # once per kept cell), but never one above the integral
+    window = zero_free_window(1)
+    oracle = _log_quad_tau(*window)
+    for grid in (64, 128, 256, 512, 1024):
+        b = log_integral_lower_bound(*window, grid=grid, precision_bits=7)
+        assert b.sign == "positive", grid
+        assert b.log <= oracle, grid
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.floats(0.3, 0.99),
