@@ -77,6 +77,11 @@ class GradedContext:
                     f"generator {g.name!r} has weight {g.weight}; weights "
                     "must be positive for truncations to be finite"
                 )
+            if g.hodge < 0:
+                raise StructuralError(
+                    f"generator {g.name!r} has Hodge level {g.hodge}; "
+                    "levels must be nonnegative"
+                )
             self._index[g.name] = i
 
     def index(self, name: str) -> int:
@@ -481,29 +486,37 @@ def enumerate_monomials(
 
     ``max_weight`` must be supplied: together with the positive
     generator weights it is what keeps the answer finite.  A negative
-    cap is refused rather than read as an empty window.
+    weight cap is refused rather than read as an empty window.  Both
+    caps prune the walk: Hodge levels are nonnegative, so an exponent
+    past the Hodge budget left is never tried.
     """
     if max_weight is None:
         raise StructuralError("monomial enumeration needs a weight cap")
     check_weight(max_weight)
-    gens = context.gens
+    weights, hodges = context._weights, context._hodges
+    if max_hodge is None:  # no monomial within the weight cap goes past it
+        max_hodge = max_weight * max(hodges, default=0)
+    if max_hodge < 0:
+        return []
+    odd = tuple(g.odd for g in context.gens)
+    last = len(weights)
     found = []
-    exps = [0] * len(gens)
+    exps = [0] * last
 
-    def walk(i, budget):
-        if i == len(gens):
-            tup = tuple(exps)
-            if max_hodge is None or context.hodge_of(tup) <= max_hodge:
-                found.append(tup)
+    def walk(i, budget, hodge_budget):
+        if i == last:
+            found.append(tuple(exps))
             return
-        g = gens[i]
-        cap = budget // g.weight
-        if g.odd:
+        w, h = weights[i], hodges[i]
+        cap = budget // w
+        if h:
+            cap = min(cap, hodge_budget // h)
+        if odd[i]:
             cap = min(cap, 1)
         for e in range(cap + 1):
             exps[i] = e
-            walk(i + 1, budget - e * g.weight)
+            walk(i + 1, budget - e * w, hodge_budget - e * h)
         exps[i] = 0
 
-    walk(0, max_weight)
+    walk(0, max_weight, max_hodge)
     return sorted(found)

@@ -260,14 +260,16 @@ def weight_truncate(source, weight) -> MatrixComplex:
                 f"differential lowers weight on generator {gen.name!r}: "
                 f"image has weight {light} < {gen.weight}"
             )
+    low_hodge, top_hodge = 0, None
+    if hodge is not None:
+        low_hodge, top_hodge = hodge.start, hodge.stop - 1
     buckets = {}
-    for m in enumerate_monomials(ctx, max_weight=weight):
-        if hodge is not None and ctx.hodge_of(m) not in hodge:
+    for m in enumerate_monomials(ctx, max_weight=weight, max_hodge=top_hodge):
+        if low_hodge and ctx.hodge_of(m) < low_hodge:
             continue
         if nf is not None and not nf.is_standard(m):
             continue
         buckets.setdefault(ctx.degree_of(m), []).append(m)
-    top_hodge = None if hodge is None else hodge.stop - 1
     diffs, dens = {}, {}
     for n, ms in buckets.items():
         entries = {}

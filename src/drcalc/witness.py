@@ -16,7 +16,11 @@ whole cell with every operation rounded outward, and the cells are
 summed in the log domain with the result rounded downward.  The
 arithmetic is mpmath.libmp's on raw (lo, hi) endpoint pairs: the mpi_*
 interval primitives where both ends of a value are read, and a single
-mpf_* call rounded toward floor or ceiling where only one end is.
+mpf_* call rounded toward floor or ceiling where only one end is.  Of
+sin^2 only the lower end is read: sin is monotone in each quadrant, so
+the quadrants of the cell's ends name the one end where |sin| is
+least, and one sine there gives, bit for bit, the lower end of the
+squared interval sine.
 
 Only the cells that can reach that sum are enclosed.  Dropping positive
 terms can only lower a sum, so any subset of the cells still gives a
@@ -33,12 +37,17 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import (
+    MPZ_ONE,
     fone,
+    from_man_exp,
     from_rational,
     fzero,
+    mpf_abs,
     mpf_add,
+    mpf_cos_sin,
     mpf_div,
     mpf_exp,
+    mpf_le,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -48,11 +57,11 @@ from mpmath.libmp import (
     mpi_div,
     mpi_log,
     mpi_mul,
-    mpi_sin,
     mpi_sub,
     round_ceiling,
     round_floor,
 )
+from mpmath.libmp.libelefun import mod_pi2
 
 from .errors import StructuralError
 
@@ -83,6 +92,52 @@ def _enclose(x, prec: int):
         from_rational(p, q, prec, round_floor),
         from_rational(p, q, prec, round_ceiling),
     )
+
+
+def _quadrant(x) -> int:
+    """n with n pi/2 <= x < (n + 1) pi/2, read as mpmath reads it.
+
+    This is the quadrant of mpmath.libmp.libmpi.cos_sin_quadrant, which
+    mpi_sin orders its endpoints by.
+    """
+    sign, man, exp, bc = x
+    if not man:
+        return 0
+    n = mod_pi2(man, exp, exp + bc, 15)[1]
+    return -1 - n if sign else n
+
+
+def _sin_square_lo(u, prec: int):
+    """The lower end of sin(u)^2 over a finite interval u, from one sine.
+
+    Bit for bit ``mpi_mul(s, s, prec)[0]`` with ``s = mpi_sin(u, prec)``,
+    which computes cos and sin at both ends.  sin is monotone in each
+    quadrant, so the quadrants of the ends say where |sin| is least: at
+    the lower end in quadrants 0 and 2 (mod 4), where |sin| rises, at
+    the upper end in 1 and 3, where it falls, and at the smaller of the
+    two across a maximum of |sin| (quadrant 0 to 1 or 2 to 3).  Across
+    a zero of sin the lower end is at most 0: that returns fzero, with
+    no sine computed.  The chosen sine, computed at prec + 20 bits,
+    gets mpi_sin's outward rounding: scaled by 1 - 2^(10 - prec - 20)
+    toward zero (floor on the positive side, ceiling on the negative)
+    and clamped at |sin| = 1.  Its square is rounded toward floor.
+    """
+    a, b = u
+    na, nb = _quadrant(a), _quadrant(b)
+    wp = prec + 20
+    if na == nb:
+        s = mpf_abs(mpf_cos_sin(b if na % 2 else a, wp, which=2))
+    elif nb == na + 1 and na % 2 == 0:
+        sa = mpf_abs(mpf_cos_sin(a, wp, which=2))
+        sb = mpf_abs(mpf_cos_sin(b, wp, which=2))
+        s = sa if mpf_le(sa, sb) else sb
+    else:
+        return fzero
+    less = from_man_exp((MPZ_ONE << wp) - (MPZ_ONE << 10), -wp)
+    s = mpf_mul(s, less, prec, round_floor)
+    if s[2] + s[3] >= 1:
+        s = fone
+    return mpf_mul(s, s, prec, round_floor)
 
 
 def phi_eval(x, precision_bits: int = DEFAULT_PRECISION):
@@ -175,13 +230,15 @@ def log_integral_lower_bound(
     bound all the same.  A zero result says nothing.  ``a`` and ``b``
     are ints or floats.
 
-    The cell edges, u = 1/cell, sin u, s*s, u*u and log w are full
-    intervals, both ends rounded outward.  Past them only one end is
-    read, so only that end is computed: the lower end of e^(-u^2) from
-    the upper end of u^2, phi_lo from the lower ends of s*s and
-    e^(-u^2), the upper end of 1/phi_lo, and the cell's certified log,
-    log w - 1/phi_lo, rounded toward floor.  Each is the very endpoint
-    the full interval product, quotient or difference would give.
+    The cell edges, u = 1/cell and log w are full intervals, both ends
+    rounded outward.  Past them only one end is read, so only that end
+    is computed: the upper end of u^2, the lower end of e^(-u^2) from
+    it, the lower end of sin^2 u from one sine at the end of u where
+    |sin| is least (none when u holds a zero of sin, and the cell is
+    void), phi_lo from the lower ends of sin^2 u and e^(-u^2), the
+    upper end of 1/phi_lo, and the cell's certified log, log w -
+    1/phi_lo, rounded toward floor.  Each is the very endpoint the full
+    interval sine, product, quotient or difference would give.
 
     Only the cells that can reach the sum are enclosed.  A binary64
     pre-pass estimates each cell's log as log w - 1/phi at its
@@ -249,9 +306,9 @@ def log_integral_lower_bound(
         if mpf_sign(cell[0]) <= 0:
             continue
         u = mpi_div((fone, fone), cell, prec)
-        s = mpi_sin(u, prec)
-        e_lo = mpf_exp(mpf_neg(mpi_mul(u, u, prec)[1]), prec, round_floor)
-        phi_lo = mpf_mul(mpi_mul(s, s, prec)[0], e_lo, prec, round_floor)
+        uu_hi = mpf_mul(u[1], u[1], prec, round_ceiling)
+        e_lo = mpf_exp(mpf_neg(uu_hi), prec, round_floor)
+        phi_lo = mpf_mul(_sin_square_lo(u, prec), e_lo, prec, round_floor)
         if mpf_sign(phi_lo) <= 0:
             continue
         inverse_hi = mpf_div(fone, phi_lo, prec, round_ceiling)

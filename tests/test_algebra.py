@@ -9,8 +9,10 @@ the first test pins down.
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from drcalc.derham import (
     free_presentation,
 )
 from drcalc.dg import koszul_presentation, tower_map
+from drcalc.errors import StructuralError
 from drcalc.homology import morphism_matrices, weight_truncate
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
@@ -99,6 +102,44 @@ def test_mul_exps_repeated_odd_factor_is_zero():
     assert _mul_exps(ctx, (0, 0, 1), (0, 1, 1)) is None
     assert _mul_exps(ctx, (0, 0, 1), (0, 1, 0)) == (-1, (0, 1, 1))
     assert _mul_exps(ctx, (0, 1, 0), (0, 0, 1)) == (1, (0, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# monomial enumeration: the Hodge cut pruned in the walk
+
+
+@st.composite
+def _graded_contexts(draw):
+    n = draw(st.integers(1, 5))
+    return GradedContext(
+        Generator(
+            f"g{i}",
+            draw(st.integers(-2, 2)),
+            draw(st.integers(1, 3)),
+            draw(st.integers(0, 2)),
+        )
+        for i in range(n)
+    )
+
+
+@PROPERTY
+@given(_graded_contexts(), st.integers(0, 7), st.integers(-1, 6))
+def test_pruned_enumeration_equals_filtered(ctx, weight, hodge):
+    full = enumerate_monomials(ctx, max_weight=weight)
+    ranges = [
+        range(min(weight // g.weight, 1 if g.odd else weight) + 1)
+        for g in ctx.gens
+    ]
+    assert full == sorted(
+        exps for exps in product(*ranges) if ctx.weight_of(exps) <= weight
+    )
+    pruned = enumerate_monomials(ctx, max_weight=weight, max_hodge=hodge)
+    assert pruned == [m for m in full if ctx.hodge_of(m) <= hodge]
+
+
+def test_negative_hodge_level_is_refused():
+    with pytest.raises(StructuralError, match="Hodge level -1"):
+        GradedContext([Generator("x", 0, 1, -1)])
 
 
 # ---------------------------------------------------------------------------

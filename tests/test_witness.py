@@ -7,6 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (
+    from_float,
+    mpf_pos,
+    mpf_sign,
+    mpi_mul,
+    mpi_sin,
+    round_ceiling,
+    round_floor,
+)
 
 from drcalc import witness
 from drcalc.cli import main
@@ -371,11 +380,11 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
     # rank in the log domain and enclose fewer than grid cells
     sins = []
     calls = []
-    real_sin = witness.mpi_sin
+    real_sin = witness._sin_square_lo
     real_bound = witness.log_integral_lower_bound
 
     def counting_sin(x, prec):
-        # one interval sine per enclosed cell
+        # one sine-square lower end per enclosed cell
         sins.append(x)
         return real_sin(x, prec)
 
@@ -385,7 +394,7 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
         calls.append((a, b, grid, bits, bound, len(sins) - before))
         return bound
 
-    monkeypatch.setattr(witness, "mpi_sin", counting_sin)
+    monkeypatch.setattr(witness, "_sin_square_lo", counting_sin)
     monkeypatch.setattr(witness, "log_integral_lower_bound", recording_bound)
     assert main(["witness", "--nmax", "30", "--grid", "64"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -395,3 +404,112 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
         _assert_matches_full_grid(bound, a, b, grid, bits)
         value = mpmath.nstr(bound.log, 10)
         assert out[n + 1] == f"n={n} logT_lower={value} verdict=positive"
+
+
+def _quadrant_interval(k, offset, width, prec):
+    """[k pi/2 + offset, that + width], ends rounded outward to prec bits."""
+    with mpmath.workprec(prec + 64):
+        lo = k * mpmath.pi / 2 + offset
+        hi = lo + width
+    return (
+        mpf_pos(lo._mpf_, prec, round_floor),
+        mpf_pos(hi._mpf_, prec, round_ceiling),
+    )
+
+
+def _assert_sin_square_matches_mpi_sin(u, prec):
+    # mpmath's own interval sine, squared, is the oracle: bit for bit,
+    # or both lower ends at most 0 (a void cell)
+    s = mpi_sin(u, prec)
+    want = mpi_mul(s, s, prec)[0]
+    got = witness._sin_square_lo(u, prec)
+    if mpf_sign(want) <= 0:
+        assert mpf_sign(got) <= 0, (u, prec)
+    else:
+        assert got == want, (u, prec)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-8, 400),
+    st.floats(-1e-3, 1e-3),
+    st.floats(-15, math.log10(3)),
+    st.integers(7, 300),
+)
+def test_sin_square_lo_matches_interval_sine(k, offset, log_width, prec):
+    u = _quadrant_interval(k, offset, 10**log_width, prec)
+    _assert_sin_square_matches_mpi_sin(u, prec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(7, 300),
+    st.integers(0, 2**13),
+    st.integers(0, 3),
+    st.integers(0, 60),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(0, 30),
+)
+def test_sin_square_lo_at_rounding_boundaries(prec, t, q, turns, y, scale):
+    # |sin| at the end that holds its minimum is g (1 + t 2^-(prec + 20)),
+    # g = y 2^-scale cut to prec bits: a point of the prec-bit grid,
+    # about t units of the working precision above it.  Whether the
+    # outward rounding keeps g or drops an ulp below it turns on the
+    # perturbation mpi_sin applies, so these cells pin its constants.
+    wp = prec + 20
+    g = mpmath.mp.make_mpf(from_float(math.ldexp(y, -scale), prec, round_floor))
+    pi = mpmath.pi
+    with mpmath.workprec(prec + 80):
+        base = mpmath.asin(g * (1 + t * mpmath.mpf(2) ** -wp))
+        end = (base, pi - base, pi + base, 2 * pi - base)[q] + 2 * pi * turns
+        # the other end, where |sin| is larger, a little way into the quadrant
+        other = end + (-1) ** q * mpmath.mpf(2) ** -(prec + 4)
+    ends = sorted((end, other))
+    u = tuple(mpf_pos(x._mpf_, prec + 60, round_floor) for x in ends)
+    _assert_sin_square_matches_mpi_sin(u, prec)
+
+
+def test_sin_square_lo_on_every_quadrant_pair():
+    # ends in quadrants k and k + span, for every k mod 4 and span 0..4;
+    # the cell is void exactly when u holds a multiple of pi
+    seen = set()
+    for start in range(4):
+        for span in range(5):
+            for turns in (-3, 0, 1, 25):
+                k = 4 * turns + start
+                for prec in (7, 53, 200):
+                    width = span * math.pi / 2 + 0.5
+                    u = _quadrant_interval(k, 0.25, width, prec)
+                    _assert_sin_square_matches_mpi_sin(u, prec)
+                    with mpmath.workprec(prec + 64):
+                        a, b = (mpmath.mpf(end) for end in u)
+                        na = int(mpmath.floor(a / (mpmath.pi / 2)))
+                        nb = int(mpmath.floor(b / (mpmath.pi / 2)))
+                        first_zero = mpmath.ceil(a / mpmath.pi) * mpmath.pi
+                    seen.add((na % 4, nb - na))
+                    void = mpf_sign(witness._sin_square_lo(u, prec)) <= 0
+                    assert void == (first_zero <= b), (k, span, prec)
+    assert seen >= {(q, span) for q in range(4) for span in range(5)}
+
+
+def test_one_sine_per_same_quadrant_cell(monkeypatch):
+    sines = []
+    real = witness.mpf_cos_sin
+
+    def counting(x, prec, *args, **kwargs):
+        sines.append(x)
+        return real(x, prec, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "mpf_cos_sin", counting)
+    # (k, offset): the cell [k pi/2 + offset, + 0.5]
+    cases = {
+        1: [(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25), (401, 0.25)],
+        2: [(0, 1.25), (2, 1.25)],  # across a maximum of |sin|
+        0: [(1, 1.25), (3, 1.25)],  # across a zero of sin: void
+    }
+    for count, cells in cases.items():
+        for k, offset in cells:
+            sines.clear()
+            u = _quadrant_interval(k, offset, 0.5, 200)
+            witness._sin_square_lo(u, 200)
+            assert len(sines) == count, (k, offset)
