@@ -392,8 +392,12 @@ class Derivation:
     to zero.  Application follows the graded Leibniz rule, so the sign
     in front of the ``i``-th factor of a monomial is the parity of the
     degree of everything to its left.  Each image is also kept as a term
-    list, and every Leibniz term prefix·image·rest is formed by two
-    tuple products straight into one accumulator.
+    list, and every Leibniz term is formed by one tuple product straight
+    into one accumulator: with ``base`` the monomial less one factor of
+    the ``i``-th generator, split as prefix·rest around position ``i``,
+    the term prefix·t·rest of an image term ``t`` is
+    ``(-1)^(|t|·|rest|) · base·t``.  prefix and rest sit at disjoint,
+    ordered positions, so prefix·rest is ``base`` with sign +1.
     """
 
     __slots__ = ("context", "images", "_terms")
@@ -443,33 +447,30 @@ class Derivation:
         zeros are left in, as in ``multiply_terms``.
         """
         ctx = self.context
-        gens = ctx.gens
+        degrees = ctx._degrees
         images = self._terms
-        zero = (0,) * len(ctx)
         acc = {}
         for exps, coeff in terms:
+            total = ctx.degree_of(exps)
             prefix_degree = 0
             for i, e in enumerate(exps):
                 if not e:
                     continue
+                degree = degrees[i]
                 image = images.get(i)
                 if image is not None:
-                    scale = coeff if gens[i].odd else coeff * e
-                    if prefix_degree % 2:
+                    scale = coeff if degree % 2 else coeff * e
+                    # |t| = degree + 1; rest is base less the prefix
+                    rest_degree = total - prefix_degree - degree
+                    if (prefix_degree + (degree + 1) * rest_degree) % 2:
                         scale = -scale
-                    prefix = exps[:i] + zero[i:]
-                    rest = zero[:i] + (e - 1,) + exps[i + 1:]
+                    base = exps[:i] + (e - 1,) + exps[i + 1:]
                     for t, c in image:
-                        hit = _mul_exps(ctx, prefix, t)
-                        if hit is None:
-                            continue
-                        first, head = hit
-                        hit = _mul_exps(ctx, head, rest)
-                        if hit is None:
-                            continue
-                        second, m = hit
-                        acc[m] = acc.get(m, 0) + first * second * scale * c
-                prefix_degree += e * gens[i].degree
+                        hit = _mul_exps(ctx, base, t)
+                        if hit is not None:
+                            sign, m = hit
+                            acc[m] = acc.get(m, 0) + sign * scale * c
+                prefix_degree += e * degree
         return acc
 
 

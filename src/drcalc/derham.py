@@ -229,11 +229,6 @@ class CartierReport:
     verdicts: tuple  # ((degree, "equal"|"mismatch"|"inconclusive"), ...)
 
     @property
-    def passed(self) -> bool:
-        concl = [v for _, v in self.verdicts if v != "inconclusive"]
-        return bool(concl) and all(v == "equal" for v in concl)
-
-    @property
     def verdict(self) -> str:
         concl = [v for _, v in self.verdicts if v != "inconclusive"]
         if any(v == "mismatch" for v in concl):
@@ -434,10 +429,6 @@ class AmitsurComparison:
     derham_dims: tuple
     derham_stable: tuple
     verdicts: tuple  # ((degree, "equal"|"mismatch"), ...)
-
-    @property
-    def passed(self) -> bool:
-        return all(v == "equal" for _, v in self.verdicts)
 
     def format(self) -> str:
         lines = []

@@ -25,6 +25,10 @@ the columns before it.  Ranks, the canonical kernel basis and the
 solution with free unknowns at zero therefore do not depend on the
 order of the rows.
 
+The pivot count after any prefix of the rows is the rank of that
+prefix, so ``rank_split`` reads two nested ranks off one elimination;
+``homology`` reads a weight cut's rank off the light-row prefix.
+
 Row combinations are tracked only where they are read: an
 infeasibility certificate.  ``solve_rational`` eliminates untracked
 first and reruns tracked only when the right-hand side opens a pivot.
@@ -107,7 +111,7 @@ def _divide_content(row, combo, lead=None):
     return g
 
 
-def _echelon(rows, track=False, until=None):
+def _echelon(rows, track=False, until=None, pivots=None):
     """Row echelon form of sparse integer rows.
 
     ``rows`` is an iterable of ``{col: int}`` dicts without zero
@@ -120,8 +124,14 @@ def _echelon(rows, track=False, until=None):
     otherwise ``combo`` is None and the row is primitive.  Elimination
     stops once column ``until`` (if given) opens a pivot: pivots never
     change after they open, so the rows after it are never read.
+
+    Each row opens one pivot or vanishes, so the pivot count after any
+    prefix of ``rows`` is the rank of that prefix.  Given the
+    ``pivots`` of an earlier untracked elimination, this one continues
+    from them, extending them in place.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     for i, row in enumerate(rows):
         combo = {i: 1} if track else None
         _divide_content(row, combo)
@@ -231,6 +241,19 @@ def _rows(entries, nrows):
 def rank_sparse(entries, nrows, ncols) -> int:
     """Exact rank of a sparse rational matrix {(row, col): value}."""
     return len(_echelon(_rows(entries, nrows)))
+
+
+def rank_split(head, tail):
+    """``(rank of head, rank of head and tail)`` from one elimination.
+
+    ``head`` and ``tail`` are iterables of sparse integer rows
+    ``{col: int}`` without zero entries, consumed as ``_echelon``
+    consumes them.  ``tail`` is eliminated against the pivots ``head``
+    left, so no row is reduced twice.
+    """
+    pivots = _echelon(head)
+    low = len(pivots)
+    return low, len(_echelon(tail, pivots=pivots))
 
 
 def nullspace(entries, nrows, ncols):

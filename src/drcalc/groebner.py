@@ -196,9 +196,6 @@ class GroebnerBasis:
     def normal_form(self, p: Poly) -> Poly:
         return normal_form(p, self.gens, self.order)
 
-    def contains(self, p: Poly) -> bool:
-        return not self.normal_form(p).terms
-
     def leading_exponents(self):
         return [_lead(g, self.order) for g in self.gens]
 

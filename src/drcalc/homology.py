@@ -6,7 +6,7 @@ the quotient spanned by the light monomials is again a complex; that
 quotient is what ``weight_truncate`` materializes, one sparse rational
 matrix per adjacent degree pair, with exponent tuples as basis keys.
 Cohomology is rank-nullity bookkeeping on top of exact sparse
-elimination (``elim``).
+elimination (``elim``), one elimination per differential.
 
 Every matrix is stored on integers: ``{(row, col): int}`` entries with
 one positive denominator for the whole matrix, in lowest terms (the
@@ -28,9 +28,15 @@ flags reported by ``stability_report`` compare dimensions at ``W`` and
 ``W + 1``: evidence, not proof, that a dimension has settled.  The
 complex is assembled once, at ``W + 1``; the ``W`` complex is its
 quotient by the weight-``(W + 1)`` part, i.e. the same matrices
-restricted to the basis keys of weight at most ``W``.  Callers that
-compare two constructions are expected to restrict attention to degrees
-where both sides are stable.
+restricted to the basis keys of weight at most ``W``.  Its ranks are
+read off the ``W + 1`` elimination, not off a restricted copy: each
+matrix's light rows (keys of weight at most ``W``) are eliminated
+first, and since the differential never lowers weight they are zero on
+every heavy column, i.e. they are the rows of the ``W`` matrix.  The
+pivot count after them is the ``W`` rank, the count after the heavy
+rows the ``W + 1`` rank (``MatrixComplex.cut_cohomology``).  Callers
+that compare two constructions are expected to restrict attention to
+degrees where both sides are stable.
 """
 
 from __future__ import annotations
@@ -81,14 +87,6 @@ class MatrixComplex:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def rank(self, n) -> int:
-        entries = self.diffs.get(n)
-        if not entries:
-            return 0
-        return elim.rank_sparse(
-            entries, self.dims.get(n + 1, 0), self.dims.get(n, 0)
-        )
 
     def restrict(self, keep) -> "MatrixComplex":
         """Quotient by the span of the basis keys failing ``keep``.
@@ -173,15 +171,19 @@ class MatrixComplex:
         """Raise unless consecutive differentials compose to zero.
 
         The integer matrices are multiplied as they are: their
-        denominators do not change whether the product is zero.
+        denominators do not change whether the product is zero.  Each
+        matrix is grouped into columns once, serving as the first factor
+        of one product and the second of the next, and the check stops
+        at the first column whose product is not zero.
         """
-        for n, first in self.diffs.items():
-            product = _compose(self.diffs.get(n + 1, {}), first)
-            if product:
-                _, c = next(iter(product))
-                raise StructuralError(
-                    f"d o d != 0 out of degree {n}, column {c}"
-                )
+        columns = {n: _columns(m) for n, m in self.diffs.items()}
+        for n, first in columns.items():
+            second = columns.get(n + 1, {})
+            for c, col in _column_products(second, first):
+                if col:
+                    raise StructuralError(
+                        f"d o d != 0 out of degree {n}, column {c}"
+                    )
 
     def cohomology(self):
         """{degree: dim H} via dim ker(d^n) - rank(d^{n-1}).
@@ -189,12 +191,42 @@ class MatrixComplex:
         Rank-nullity only: d o d = 0 was checked where the complex was
         assembled (see the module docstring).
         """
-        ranks = {n: self.rank(n) for n in self.diffs}
-        out = {}
-        for n in self.degrees():
-            dim = self.dims[n]
-            out[n] = dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
-        return out
+        return self.cut_cohomology(None)[1]
+
+    def cut_cohomology(self, keep):
+        """``(here, above)``: cohomology of ``restrict(keep)`` and of self.
+
+        ``keep`` is a predicate on basis keys, or None to cut nothing.
+        One elimination per degree gives both: each matrix's kept rows
+        go first (``elim.rank_split``).  The dropped keys must span a
+        subcomplex, so a kept row is zero on every dropped column, i.e.
+        it is its row of the restricted matrix, and the rank after the
+        kept rows is the restricted rank.  The pass that splits the rows
+        raises, as ``restrict`` does, when a dropped column reaches a
+        kept row.  The restricted dimensions are the kept-key counts;
+        degrees without a kept key disappear, as from ``restrict``.
+        """
+        kept = {
+            n: [True] * d if keep is None else [keep(k) for k in self.labels[n]]
+            for n, d in self.dims.items()
+        }
+        low, high = {}, {}
+        for n, entries in self.diffs.items():
+            cols, up = kept.get(n, ()), kept.get(n + 1, ())
+            rows = [{} for _ in up]
+            for (r, c), v in entries.items():
+                if up[r] and not cols[c]:
+                    raise StructuralError(
+                        f"restriction is not a quotient: dropped column {c} "
+                        f"of degree {n} reaches a kept row"
+                    )
+                rows[r][c] = v
+            low[n], high[n] = elim.rank_split(
+                (row for row, k in zip(rows, up) if k and row),
+                (row for row, k in zip(rows, up) if not k and row),
+            )
+        counts = {n: sum(flags) for n, flags in kept.items() if any(flags)}
+        return _rank_nullity(counts, low), _rank_nullity(self.dims, high)
 
     def euler_characteristic(self) -> int:
         return sum((-d if n % 2 else d) for n, d in self.dims.items())
@@ -310,19 +342,21 @@ def stability_report(source, weight) -> CohomologyReport:
 
 
 def restricted_report(build, ctx, weight) -> CohomologyReport:
-    """Flagged report from one build, ``build(weight + 1)``.
+    """Flagged report from one build and one elimination per degree.
 
-    The W complex is read off the W+1 one by restricting to the basis
-    keys (exponent tuples over ``ctx``) of weight at most ``weight``.
-    d o d = 0 is checked once, when the W+1 complex is assembled; the
-    W complex is a quotient of it and needs no check of its own.  A
-    differential that lowers weight after all (through a relation's
-    normal form) leaves no such quotient, and ``restrict`` raises.
+    ``build(weight + 1)`` is the W+1 complex; the W complex is its
+    quotient by the keys (exponent tuples over ``ctx``) of weight
+    ``weight + 1``, and ``cut_cohomology`` reads both off the W+1
+    elimination, light rows first, with no restricted copy.  d o d = 0
+    is checked once, when the W+1 complex is assembled.  A differential
+    that lowers weight after all (through a relation's normal form)
+    leaves no such quotient, and the cut raises.
     """
     check_weight(weight)
-    above = build(weight + 1)
-    here = above.restrict(lambda exps: ctx.weight_of(exps) <= weight)
-    return flag_stability(here.cohomology(), above.cohomology())
+    here, above = build(weight + 1).cut_cohomology(
+        lambda exps: ctx.weight_of(exps) <= weight
+    )
+    return flag_stability(here, above)
 
 
 def flag_stability(here, above) -> CohomologyReport:
@@ -393,24 +427,39 @@ def _columns(entries):
     return columns
 
 
+def _rank_nullity(dims, ranks):
+    """``{degree: dim - rank out of it - rank into it}``, degrees ascending."""
+    return {
+        n: dims[n] - ranks.get(n, 0) - ranks.get(n - 1, 0)
+        for n in sorted(dims)
+    }
+
+
+def _column_products(second, first):
+    """``(c, {row: int})`` per column ``c`` of second o first, lazily.
+
+    Both factors are grouped by column (``_columns``).  Summed on ints
+    as they are, with no rescaling; only nonzero entries are kept.
+    """
+    for c, col in first.items():
+        acc = {}
+        for mid, v in col.items():
+            for r, w in second.get(mid, {}).items():
+                acc[r] = acc.get(r, 0) + w * v
+        yield c, {r: v for r, v in acc.items() if v}
+
+
 def _compose(second, first):
     """Sparse product second o first of ``{(row, col): int}`` entries.
 
-    Summed on ints as they are, with no rescaling; the product of two
-    stored matrices is over the product of their denominators.  Only
-    nonzero entries are kept.
+    The product of two stored matrices is over the product of their
+    denominators.  Only nonzero entries are kept.
     """
-    sec_by_col = _columns(second)
-    out = {}
-    for c, col in _columns(first).items():
-        acc = {}
-        for mid, v in col.items():
-            for r, w in sec_by_col.get(mid, {}).items():
-                acc[r] = acc.get(r, 0) + w * v
-        for r, v in acc.items():
-            if v:
-                out[(r, c)] = v
-    return out
+    return {
+        (r, c): v
+        for c, col in _column_products(_columns(second), _columns(first))
+        for r, v in col.items()
+    }
 
 
 class GradedMatrices(dict):

@@ -178,9 +178,6 @@ class Poly:
             return math.inf
         return min(sum(e) for e in self.terms)
 
-    def coeff(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     # ---- calculus -----------------------------------------------------
 
     def partial(self, var: Union[int, str]) -> "Poly":

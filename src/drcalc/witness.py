@@ -360,9 +360,6 @@ class WitnessReport:
     def format(self) -> str:
         return "\n".join(e.format() for e in self.entries)
 
-    def all_positive(self) -> bool:
-        return all(e.verdict == "positive" for e in self.entries)
-
 
 def nonexactness_witness(
     n_max: int,

@@ -27,6 +27,11 @@ Each one takes a different road to the same answer:
   as ``GradedElement``s and quotients through a reduced row echelon
   form of the span; the package assembles integer matrices over one
   denominator from the derivation's accumulator instead.
+- ``two_product_expand``: a derivation's image of a term list with each
+  Leibniz term prefix·t·rest formed by two tuple products, (prefix·t)
+  then ·rest, signed by the prefix's degree alone;
+  ``Derivation.expand`` forms base·t once and moves t past rest with
+  the Koszul sign instead.
 """
 
 import itertools
@@ -34,7 +39,7 @@ import math
 from fractions import Fraction
 
 from drcalc import elim
-from drcalc.algebra import GradedElement
+from drcalc.algebra import GradedElement, _mul_exps, term_list
 from drcalc.dg import (
     DGMorphism,
     DGPresentation,
@@ -447,3 +452,47 @@ def quotient_fraction_matrices(mats, labels, span):
                 quotient[(rows[r], new_col)] = v
         out[n] = quotient
     return out_labels, out
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz rule with two products per term
+
+
+def two_product_expand(derivation, terms):
+    """Image of ``(exps, coeff)`` terms as an accumulator ``{exps: coeff}``.
+
+    Each occurrence of generator ``i`` in a monomial contributes
+    prefix·D(x_i)·rest, signed by the parity of the prefix's degree:
+    every image term ``t`` is multiplied onto the prefix, and the result
+    onto the rest, so the Koszul sign of moving ``t`` into place is left
+    to the two products.  Zeros are left in, as ``expand`` leaves them.
+    """
+    ctx = derivation.context
+    gens = ctx.gens
+    zero = (0,) * len(ctx)
+    images = {i: term_list(elem) for i, elem in derivation.images.items()}
+    acc = {}
+    for exps, coeff in terms:
+        prefix_degree = 0
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            image = images.get(i)
+            if image is not None:
+                scale = coeff if gens[i].odd else coeff * e
+                if prefix_degree % 2:
+                    scale = -scale
+                prefix = exps[:i] + zero[i:]
+                rest = zero[:i] + (e - 1,) + exps[i + 1:]
+                for t, c in image:
+                    hit = _mul_exps(ctx, prefix, t)
+                    if hit is None:
+                        continue
+                    first, head = hit
+                    hit = _mul_exps(ctx, head, rest)
+                    if hit is None:
+                        continue
+                    second, m = hit
+                    acc[m] = acc.get(m, 0) + first * second * scale * c
+            prefix_degree += e * gens[i].degree
+    return acc

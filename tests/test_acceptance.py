@@ -183,7 +183,7 @@ def test_criterion_06_pro_zero_tower_over_zero_divisor():
 def test_criterion_07_descent_comparison():
     started = time.monotonic()
     rep = amitsur_vs_derham(P("x^2", X), 3, 3, 6)
-    assert rep.passed
+    assert all(v == "equal" for _, v in rep.verdicts)
     assert rep.amitsur_dims == ((0, 1), (1, 0))
     assert rep.derham_dims == ((0, 1), (1, 0))
     elapsed = time.monotonic() - started
@@ -215,7 +215,7 @@ def test_criterion_09_derived_poincare_lemma():
 
 def test_criterion_10_log_domain_witness():
     rep = nonexactness_witness(3)
-    assert rep.all_positive()
+    assert all(e.verdict == "positive" for e in rep.entries)
     logs = [entry.bound.log for entry in rep.entries]
     assert logs[0] >= logs[1] >= logs[2]
     lo, hi = zero_free_window(3)
@@ -311,7 +311,7 @@ def test_criterion_11_engine_invariant_suite():
         grevlex = buchberger(gens, MonomialOrder("grevlex"))
         lex = buchberger(gens, MonomialOrder("lex"))
         for g in grevlex.gens:
-            assert lex.contains(g), trial
+            assert not lex.normal_form(g).terms, trial
         for g in lex.gens:
-            assert grevlex.contains(g), trial
+            assert not grevlex.normal_form(g).terms, trial
     print("criterion 11: engine invariants pass")

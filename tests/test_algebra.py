@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcalc.algebra import (
+    Derivation,
     GradedContext,
     GradedElement,
     Generator,
@@ -41,6 +42,7 @@ from oracles import (
     conerve_fraction_matrices,
     fraction_matrices,
     quotient_fraction_matrices,
+    two_product_expand,
 )
 
 XY = ("x", "y")
@@ -212,6 +214,48 @@ def test_derivation_matches_leibniz_oracle(data, which):
     got = d(elem)
     assert got == _leibniz_oracle(d, elem)
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@st.composite
+def _random_derivations(draw):
+    """A context of 1-6 generators of degree -3..3 and a degree +1 derivation.
+
+    Images are drawn from the small monomials (exponents up to 2) of
+    the right degree; the derivation need not square to zero.
+    """
+    n = draw(st.integers(1, 6))
+    ctx = GradedContext(
+        Generator(f"g{i}", draw(st.integers(-3, 3))) for i in range(n)
+    )
+    small = list(product(*(range(2 if g.odd else 3) for g in ctx.gens)))
+    coeffs = st.one_of(
+        st.integers(-4, 4).filter(bool),
+        st.fractions(-3, 3, max_denominator=4).filter(bool),
+    )
+    images = {}
+    for g in ctx.gens:
+        pool = [m for m in small if ctx.degree_of(m) == g.degree + 1]
+        if not pool:
+            continue
+        picks = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+        images[g.name] = GradedElement(
+            ctx, {m: Fraction(draw(coeffs)) for m in picks}
+        )
+    picks = draw(
+        st.lists(st.sampled_from(small), min_size=1, max_size=4, unique=True)
+    )
+    terms = tuple((m, draw(coeffs)) for m in picks)
+    return Derivation(ctx, images), terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_random_derivations())
+def test_one_product_expand_matches_two_products(case):
+    # base·t with the sign of moving t past rest is prefix·t·rest: same
+    # keys in the same order, same coefficients, zeros included
+    d, terms = case
+    got = d.expand(terms)
+    assert list(got.items()) == list(two_product_expand(d, terms).items())
 
 
 # ---------------------------------------------------------------------------

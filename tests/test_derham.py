@@ -169,7 +169,6 @@ def test_cartier_sixteen_combinations():
         for k in range(4):
             rep = cartier_check(pres, k, 6)
             assert rep.verdict == "equal", (pres.even, k, rep.verdicts)
-            assert rep.passed
 
 
 def test_cartier_pinned_cusp_column():
@@ -286,7 +285,7 @@ def test_normalized_conerve_matches_disjoint_copies(case, weight, p_max):
 
 def test_amitsur_matches_stage_fat_point():
     rep = amitsur_vs_derham(P("x^2", X), 3, 3, 6)
-    assert rep.passed
+    assert all(v == "equal" for _, v in rep.verdicts)
     assert rep.trusted_degrees == (0, 1)
     assert rep.amitsur_dims == ((0, 1), (1, 0))
     assert rep.derham_dims == ((0, 1), (1, 0))
@@ -294,7 +293,7 @@ def test_amitsur_matches_stage_fat_point():
 
 def test_amitsur_matches_stage_node():
     rep = amitsur_vs_derham(P("x*y"), 4, 3, 5)
-    assert rep.passed
+    assert all(v == "equal" for _, v in rep.verdicts)
     assert rep.trusted_degrees == (0, 1, 2)
     lines = rep.format().splitlines()
     assert lines[0] == "n=0 amitsur=1 derham=1 verdict=equal"

@@ -57,6 +57,23 @@ def test_rank_matches_dense_oracle_100():
         assert elim.rank_sparse(_entries(m), nr, nc) == gauss_rank(m)
 
 
+def test_rank_split_reads_both_prefix_ranks():
+    # the rank after the head rows and after all rows, from one
+    # elimination, against dense elimination of each row set on its own
+    rng = random.Random(16)
+    for _ in range(100):
+        nr = rng.randrange(0, 8)
+        nc = rng.randrange(1, 7)
+        m = [
+            [rng.randrange(-4, 5) if rng.random() < 0.5 else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        cut = rng.randrange(0, nr + 1)
+        rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+        got = elim.rank_split(rows[:cut], rows[cut:])
+        assert got == (gauss_rank(m[:cut]), gauss_rank(m)), (m, cut)
+
+
 def test_both_kernels_agree_with_oracle():
     rng = random.Random(43)
     for _ in range(60):

@@ -23,6 +23,11 @@ def P(text, ctx=XY):
     return parse_poly(ctx, text)
 
 
+def in_ideal(gb, p):
+    """Ideal membership: ``p`` has zero normal form modulo the basis."""
+    return not gb.normal_form(p).terms
+
+
 def test_reduced_basis_shape():
     gb = buchberger([P("x^2 + y"), P("x*y")])
     # reduced: monic leads, no lead divides another, tails reduced
@@ -32,15 +37,15 @@ def test_reduced_basis_shape():
             if i != j:
                 assert not all(ai <= bi for ai, bi in zip(a, b))
     for g in gb.gens:
-        assert g.coeff(max(g.terms, key=gb.order.key)) == 1
+        assert g.terms[max(g.terms, key=gb.order.key)] == 1
 
 
 def test_membership_basics():
     gb = buchberger([P("x^2"), P("y^3")])
-    assert gb.contains(P("x^2*y + x^3"))
-    assert gb.contains(P("y^3"))
-    assert not gb.contains(P("x*y"))
-    assert not gb.contains(P("x + y"))
+    assert in_ideal(gb, P("x^2*y + x^3"))
+    assert in_ideal(gb, P("y^3"))
+    assert not in_ideal(gb, P("x*y"))
+    assert not in_ideal(gb, P("x + y"))
     assert gb.normal_form(P("x^2 + x")) == P("x")
 
 
@@ -64,8 +69,8 @@ def membership_oracle(f, gens, bound):
     rows = []
     rhs = []
     for k in keys:
-        rows.append([(j, c.coeff(k)) for j, c in enumerate(columns) if c.coeff(k)])
-        rhs.append(f.coeff(k))
+        rows.append([(j, c.terms[k]) for j, c in enumerate(columns) if k in c.terms])
+        rhs.append(f.terms.get(k, Fraction(0)))
     tag, _ = elim.solve_rational(rows, rhs, len(columns))
     return tag == "feasible"
 
@@ -96,7 +101,7 @@ def test_membership_matches_bruteforce_oracle():
             P(str(rng.randrange(1, 5)) + "*x^2 - y"),
         ]
         for f in probes:
-            got = gb.contains(f)
+            got = in_ideal(gb, f)
             want = membership_oracle(f, gens, 8)
             # the oracle's cofactor bound is generous for these degrees:
             # agreement is required in both directions
@@ -118,7 +123,7 @@ def test_membership_is_order_independent():
             P("y - x"),
         ]
         for f in probes:
-            assert g1.contains(f) == g2.contains(f)
+            assert in_ideal(g1, f) == in_ideal(g2, f)
 
 
 def test_normal_form_is_idempotent_and_linear():
@@ -131,15 +136,15 @@ def test_normal_form_is_idempotent_and_linear():
         nf = gb.normal_form
         assert nf(nf(f)) == nf(f)
         assert nf(f + g) == nf(nf(f) + nf(g))
-        assert gb.contains(f - nf(f))
+        assert in_ideal(gb, f - nf(f))
 
 
 def test_intersect_principal():
     inter = intersect_principal([P("x*y")], P("x"))
     gb = buchberger(list(inter))
-    assert gb.contains(P("x*y"))
-    assert not gb.contains(P("x"))
-    assert not gb.contains(P("y"))
+    assert in_ideal(gb, P("x*y"))
+    assert not in_ideal(gb, P("x"))
+    assert not in_ideal(gb, P("y"))
 
 
 def test_colon_examples():
@@ -164,10 +169,10 @@ def test_colon_contains_ideal():
         gb = colon_principal(gens, f)
         base = buchberger(gens)
         for g in base.gens:
-            assert gb.contains(g)
+            assert in_ideal(gb, g)
         # defining property: colon * f lands in the ideal
         for g in gb.gens:
-            assert base.contains(g * f)
+            assert in_ideal(base, g * f)
 
 
 def test_annihilator_chain_zero_divisor():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcalc.derham import (
     CotangentPresentation,
@@ -25,10 +27,12 @@ from drcalc.homology import (
     weight_truncate,
 )
 from drcalc.parse import parse_poly
+from drcalc.poly import Poly
 
 from oracles import gauss_rank, rref_nullspace
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def P(text, ctx=XY):
@@ -66,6 +70,19 @@ def test_composition_guard():
     with pytest.raises(StructuralError) as err:
         cx.check_composition()
     assert "d o d" in str(err.value)
+    # the first column (in entry order) whose product is nonzero is named
+    cx = MatrixComplex(
+        dims={0: 3, 1: 2, 2: 1},
+        labels={0: ["a0", "a1", "a2"], 1: ["b0", "b1"], 2: ["c"]},
+        diffs={
+            0: {(0, 0): 1, (1, 0): -1, (1, 2): 2, (0, 1): 1},
+            1: {(0, 0): 1, (0, 1): 1},
+        },
+        dens={0: 1, 1: 1},
+    )
+    with pytest.raises(StructuralError) as err:
+        cx.check_composition()
+    assert str(err.value) == "d o d != 0 out of degree 0, column 2"
 
 
 def test_weight_truncate_checks_composition():
@@ -311,6 +328,82 @@ def test_restriction_matches_direct_build():
             }, (name, weight)
 
 
+def _report_builds(pres, source):
+    """``(context, build)`` of one flagged source at Hodge level 2."""
+    if source == "stage":
+        return (
+            derham_stage(pres, 2, 1).truncation_data()[0],
+            lambda w: weight_truncate(derham_stage(pres, 2, w), w),
+        )
+    if source == "cotangent":
+        column = CotangentPresentation(pres, 2)
+        return column.truncation_data()[0], column.complex
+    return (
+        _WedgeSource(pres, 2).context,
+        lambda w: wedge_power(cotangent_complex(pres), 2, w),
+    )
+
+
+@st.composite
+def _germs(draw):
+    variables = draw(st.sampled_from([XY, XYZ]))
+    exponents = st.tuples(*[st.integers(0, 3) for _ in variables]).filter(
+        lambda e: 1 <= sum(e) <= 3
+    )
+    terms = draw(st.dictionaries(
+        exponents,
+        st.fractions(-3, 3, max_denominator=3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ))
+    return Poly(variables, terms)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_germs(), st.sampled_from(["stage", "cotangent", "wedge"]),
+       st.integers(1, 4))
+def test_restricted_report_matches_two_builds(f, source, weight):
+    # one elimination of the W+1 complex, light rows first, gives what
+    # two separate builds at W and W+1 give
+    pres = koszul_presentation(f.context, [f], 1)
+    ctx, build = _report_builds(pres, source)
+    low, high = build(weight).cohomology(), build(weight + 1).cohomology()
+    report = restricted_report(build, ctx, weight)
+    assert report.dims == tuple(sorted(low.items())), (str(f), source)
+    assert dict(report.stable) == {
+        n: low.get(n, 0) == high.get(n, 0) for n in set(low) | set(high)
+    }, (str(f), source)
+
+
+def test_cut_cohomology_reads_both_cuts():
+    # hand-built keys cut at "heavy": a -> 2c + d, heavy-b -> 0; the
+    # kept side has rank 1 on one key each, the whole complex one class
+    # in each degree
+    cx = MatrixComplex(
+        dims={0: 2, 1: 2},
+        labels={0: ["a", "heavy-b"], 1: ["c", "heavy-d"]},
+        diffs={0: {(0, 0): 2, (1, 0): 1}},
+        dens={0: 1},
+    )
+    here, above = cx.cut_cohomology(lambda key: not key.startswith("heavy"))
+    assert here == cx.restrict(lambda key: not key.startswith("heavy")).cohomology()
+    assert here == {0: 0, 1: 0}
+    assert above == cx.cohomology() == {0: 1, 1: 1}
+    # the heavy column meets the kept row: no quotient
+    bad = MatrixComplex(
+        dims={0: 2, 1: 1},
+        labels={0: ["a", "heavy-b"], 1: ["c"]},
+        diffs={0: {(0, 0): 1, (0, 1): 1}},
+        dens={0: 1},
+    )
+    with pytest.raises(StructuralError) as err:
+        bad.cut_cohomology(lambda key: not key.startswith("heavy"))
+    assert str(err.value) == (
+        "restriction is not a quotient: dropped column 1 of degree 0 "
+        "reaches a kept row"
+    )
+
+
 def test_restriction_must_drop_a_subcomplex():
     pres = koszul_presentation(XY, [P("x*y")], 1)
     cx = weight_truncate(pres, 4)
@@ -321,8 +414,9 @@ def test_restriction_must_drop_a_subcomplex():
     # a relation whose normal form lowers weight (y^3 -> x^2) leaves the
     # heavy monomials no subcomplex, so no report is read off the window
     lowering = koszul_presentation(XY, [P("x*y")], 1, (P("x^2 - y^3"),))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError) as err:
         stability_report(lowering, 4)
+    assert "not a quotient" in str(err.value)
     # hand-built keys: dropping the target of a map is a quotient
     two = _two_term({(0, 0): 1, (0, 1): 1}, 2, 1)
     low = two.restrict(lambda key: key != "f0")
