@@ -483,13 +483,14 @@ def check_weight(weight):
 def enumerate_monomials(
     context: GradedContext, max_weight=None, max_hodge=None
 ):
-    """All exponent tuples within the weight and Hodge caps, sorted.
+    """All exponent tuples within the caps, by weight, ties in lex order.
 
     ``max_weight`` must be supplied: together with the positive
     generator weights it is what keeps the answer finite.  A negative
     weight cap is refused rather than read as an empty window.  Both
     caps prune the walk: Hodge levels are nonnegative, so an exponent
-    past the Hodge budget left is never tried.
+    past the Hodge budget left is never tried.  The walk meets the
+    tuples in lex order and files each under the weight it used.
     """
     if max_weight is None:
         raise StructuralError("monomial enumeration needs a weight cap")
@@ -501,12 +502,12 @@ def enumerate_monomials(
         return []
     odd = tuple(g.odd for g in context.gens)
     last = len(weights)
-    found = []
+    found = [[] for _ in range(max_weight + 1)]  # by weight used
     exps = [0] * last
 
     def walk(i, budget, hodge_budget):
         if i == last:
-            found.append(tuple(exps))
+            found[max_weight - budget].append(tuple(exps))
             return
         w, h = weights[i], hodges[i]
         cap = budget // w
@@ -520,4 +521,4 @@ def enumerate_monomials(
         exps[i] = 0
 
     walk(0, max_weight, max_hodge)
-    return sorted(found)
+    return [exps for bucket in found for exps in bucket]

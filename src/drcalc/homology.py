@@ -5,6 +5,8 @@ weight makes the monomials of weight above ``W`` span a subcomplex, so
 the quotient spanned by the light monomials is again a complex; that
 quotient is what ``weight_truncate`` materializes, one sparse rational
 matrix per adjacent degree pair, with exponent tuples as basis keys.
+Every assembled basis lists its keys in ascending weight, ties in lex
+order (``enumerate_monomials``), which ``quotient`` relies on.
 Cohomology is rank-nullity bookkeeping on top of exact sparse
 elimination (``elim``), one elimination per differential.
 
@@ -135,6 +137,14 @@ class MatrixComplex:
         keys must be distinct across degrees.  ``reduce`` returns the
         rational image of the integer matrix; divided by ``dens[n]`` it
         is the quotient's matrix, scaled to integers once per degree.
+
+        The echelon pivots at each span vector's smallest basis
+        position, so on a basis in ascending weight a pivot's row is its
+        lowest-weight key plus heavier ones, and the quotient's keys
+        above a weight span a subcomplex when the basis keys above it
+        do: ``cut_cohomology`` can cut there.  On a basis out of that
+        order the cut raises where it sees a heavy key reach a light
+        row, but it need not see every miscount.
         """
         pivots = {}
         for n, vectors in span.items():
@@ -272,7 +282,7 @@ def weight_truncate(source, weight) -> MatrixComplex:
     is ``None`` or the range of Hodge columns kept (columns above it
     span a subcomplex and are quotiented away), and ``normal_form`` is
     ``None`` or the relation normal form whose standard monomials form
-    the basis.  Basis keys are exponent tuples in sorted order.
+    the basis.  Basis keys are exponent tuples by ascending weight.
 
     Each basis monomial's image is read from the derivation's
     accumulator (``Derivation.expand``), integral coefficients as ints;

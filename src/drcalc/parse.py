@@ -9,7 +9,9 @@ Accepted grammar (whitespace insignificant)::
     rational := integer ['/' integer]
 
 Variables must be pre-declared through the context.  Errors carry the
-0-based column of the offending token.
+0-based column of the offending token.  The parser recurses on
+parentheses and unary minuses, so they nest at most ``MAX_NESTING``
+deep; a deeper text is a parse error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ class PolyParseError(ValueError):
         self.text = text
         super().__init__(f"{message} at column {position}: {text!r}")
 
+
+MAX_NESTING = 100  # parentheses and unary minuses, one inside the other
 
 # a variable name as the parser reads one; declared names must match it
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -62,6 +66,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses and unary minuses open here
 
     def peek(self):
         return self.tokens[self.i]
@@ -134,17 +139,20 @@ class _Parser:
                 raise PolyParseError(f"undeclared variable {value!r}", pos, self.text)
             self.advance()
             return Poly.var(self.context, value)
-        if kind == "op" and value == "(":
+        if kind == "op" and value in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise PolyParseError("nested too deeply", pos, self.text)
             self.advance()
-            p = self.expr()
-            k2, v2, _ = self.peek()
-            if (k2, v2) != ("op", ")"):
-                self.fail("expected ')'")
-            self.advance()
+            self.depth += 1
+            if value == "-":
+                p = -self.factor()
+            else:
+                p = self.expr()
+                if self.peek()[:2] != ("op", ")"):
+                    self.fail("expected ')'")
+                self.advance()
+            self.depth -= 1
             return p
-        if kind == "op" and value == "-":
-            self.advance()
-            return -self.factor()
         self.fail("expected a number, variable or '('")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import elim
-from .algebra import GradedElement, check_weight
+from .algebra import GradedElement, check_weight, enumerate_monomials
 from .derham import DeRhamStage, free_presentation
 from .errors import StructuralError
 from .homology import CohomologyReport, flag_stability, weight_truncate
@@ -47,11 +47,13 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     The ambient is the free de Rham stage on the variables, assembled
     once at ``weight + 1``.  K^k = I*Omega^k + dI ^ Omega^{k-1} is
     spanned by the weight-cut products of each generator g with the
-    ambient k-forms and of dg with the (k-1)-forms; both quotients are
+    ambient k-forms and of dg with the (k-1)-forms; the quotient is
     ``MatrixComplex.quotient``, which also checks that d maps K into K.
-    Cutting at ``weight`` commutes with the products, so the span cut
-    at ``weight`` spans K at ``weight``.  Flags compare the dimensions
-    at ``weight`` and ``weight + 1``; every form degree is reported.
+    The ambient basis is in ascending weight, so the quotient cut at
+    ``weight`` is the quotient at ``weight`` (see ``quotient``), and
+    ``cut_cohomology`` reads both off one elimination per degree.
+    Flags compare the dimensions at ``weight`` and ``weight + 1``;
+    every form degree is reported.
     """
     gens = tuple(gens)
     if not gens or any(not g for g in gens):
@@ -76,18 +78,11 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
                         .weight_filter(weight + 1).terms
                         for m in keys
                     ]
-    above = ambient.quotient(span)
-    light = {
-        k: [{m: v for m, v in vec.items() if ctx.weight_of(m) <= weight}
-            for vec in vecs]
-        for k, vecs in span.items()
-    }
-    here = ambient.restrict(lambda m: ctx.weight_of(m) <= weight).quotient(light)
-    h_here, h_above = here.cohomology(), above.cohomology()
-    return flag_stability(
-        {k: h_here.get(k, 0) for k in range(n + 1)},
-        {k: h_above.get(k, 0) for k in range(n + 1)},
+    cuts = ambient.quotient(span).cut_cohomology(
+        lambda m: ctx.weight_of(m) <= weight
     )
+    here, above = ({k: h.get(k, 0) for k in range(n + 1)} for h in cuts)
+    return flag_stability(here, above)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,9 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
         )
     n = len(tuple(f.context))
     h_bound = degree_bound - f.min_degree() + 1
-    exponents = _monomials_upto(n, h_bound)
+    exponents = [] if h_bound < 0 else enumerate_monomials(
+        free_presentation(f.context).context, max_weight=h_bound
+    )
     unknowns = sorted(
         ((_label(i, e), i, e) for i in range(n) for e in exponents),
         key=lambda u: -sum(u[2]),
@@ -220,23 +217,6 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
         rows=tuple(rows),
         rhs=tuple(rhs),
     )
-
-
-def _monomials_upto(n, bound):
-    """Exponent tuples of total degree <= bound, degree-then-lex order."""
-    if bound < 0:
-        return []
-    out = []
-
-    def walk(prefix, left):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(left + 1):
-            walk(prefix + [e], left - e)
-
-    walk([], bound)
-    return sorted(out, key=lambda m: (sum(m), m))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ Each one takes a different road to the same answer:
   as ``GradedElement``s and quotients through a reduced row echelon
   form of the span; the package assembles integer matrices over one
   denominator from the derivation's accumulator instead.
+- ``two_build_stalk``: the stalk cohomology with the weight-``W``
+  quotient built on its own, from the ambient restricted to weight
+  ``W`` and the span cut at ``W``, next to the ``W + 1`` quotient; the
+  package cuts the one ``W + 1`` quotient instead, which rests on its
+  bases being in ascending weight.
 - ``two_product_expand``: a derivation's image of a term list with each
   Leibniz term prefix·t·rest formed by two tuple products, (prefix·t)
   then ·rest, signed by the prefix's degree alone;
@@ -46,7 +51,13 @@ from drcalc.dg import (
     OddGenerator,
     koszul_presentation,
 )
-from drcalc.homology import MatrixComplex, morphism_matrices, weight_truncate
+from drcalc.derham import DeRhamStage, free_presentation
+from drcalc.homology import (
+    MatrixComplex,
+    flag_stability,
+    morphism_matrices,
+    weight_truncate,
+)
 from drcalc.poly import Poly
 from drcalc.witness import DEFAULT_GRID
 
@@ -452,6 +463,49 @@ def quotient_fraction_matrices(mats, labels, span):
                 quotient[(rows[r], new_col)] = v
         out[n] = quotient
     return out_labels, out
+
+
+# ---------------------------------------------------------------------------
+# the stalk from two quotients
+
+
+def two_build_stalk(gens, weight):
+    """Flagged stalk cohomology of the germ of ``gens``, two quotients.
+
+    The ambient free de Rham stage and the span of K are formed as in
+    ``classical_stalk_cohomology`` at ``weight + 1``; the ``weight``
+    side is its own quotient, of the ambient restricted to ``weight``
+    by the span with its heavier terms dropped.  Neither quotient
+    depends on the order of the basis keys.
+    """
+    variables = tuple(gens[0].context)
+    n = len(variables)
+    stage = DeRhamStage(free_presentation(variables), n, weight + 1)
+    ctx, d, _, _ = stage.truncation_data()
+    ambient = weight_truncate(stage, weight + 1)
+    span = {k: [] for k in range(n + 1)}
+    for g in gens:
+        lifted = GradedElement.from_poly(ctx, g)
+        for factor, shift in ((lifted, 0), (d(lifted), 1)):
+            for k, keys in ambient.labels.items():
+                if k + shift <= n:
+                    span[k + shift] += [
+                        (factor * GradedElement.monomial(ctx, m))
+                        .weight_filter(weight + 1).terms
+                        for m in keys
+                    ]
+    above = ambient.quotient(span)
+    light = {
+        k: [{m: v for m, v in vec.items() if ctx.weight_of(m) <= weight}
+            for vec in vecs]
+        for k, vecs in span.items()
+    }
+    here = ambient.restrict(lambda m: ctx.weight_of(m) <= weight).quotient(light)
+    h_here, h_above = here.cohomology(), above.cohomology()
+    return flag_stability(
+        {k: h_here.get(k, 0) for k in range(n + 1)},
+        {k: h_above.get(k, 0) for k in range(n + 1)},
+    )
 
 
 # ---------------------------------------------------------------------------

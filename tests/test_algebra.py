@@ -133,7 +133,8 @@ def test_pruned_enumeration_equals_filtered(ctx, weight, hodge):
         for g in ctx.gens
     ]
     assert full == sorted(
-        exps for exps in product(*ranges) if ctx.weight_of(exps) <= weight
+        (exps for exps in product(*ranges) if ctx.weight_of(exps) <= weight),
+        key=lambda e: (ctx.weight_of(e), e),
     )
     pruned = enumerate_monomials(ctx, max_weight=weight, max_hodge=hodge)
     assert pruned == [m for m in full if ctx.hodge_of(m) <= hodge]

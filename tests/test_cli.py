@@ -356,6 +356,30 @@ def test_parse_error_exits_2(capsys):
     assert "column 2" in err
 
 
+DEEP_F = {
+    "parentheses": "(" * 250 + "x" + ")" * 250,
+    "minuses": "-" * 500 + "x",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_F.values(), ids=DEEP_F)
+def test_deeply_nested_f_exits_2(capsys, text):
+    code, out, err = run(capsys, ["stalk", "--vars", "x,y", f"--f={text}"])
+    assert code == 2
+    assert not out
+    assert err.startswith("error: nested too deeply at column ")
+
+
+def test_deeply_nested_presentation_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.dg"
+    deep = "(" * 400 + "x" + ")" * 400
+    path.write_text(f"vars x\nodd t deg -1 weight 1\nd t = {deep}\n")
+    code, out, err = run(capsys, ["derham", "--file", str(path)])
+    assert code == 2
+    assert not out
+    assert err.startswith("error: line 3: nested too deeply at column ")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys, ["derham", "--file", str(tmp_path / "absent.dg")]

@@ -1,10 +1,14 @@
 import random
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drcalc.parse import PolyParseError, parse_poly
+from drcalc.parse import MAX_NESTING, PolyParseError, parse_poly
 from drcalc.poly import Poly
+from drcalc.presfile import PresentationFormatError, parse_presentation
 
 XY = ("x", "y")
 
@@ -57,6 +61,25 @@ def test_error_positions():
         parse_poly(XY, "x y")
 
 
+DEEP_TEXTS = {
+    "parentheses": "(" * 250 + "x" + ")" * 250,
+    "minuses": "-" * 500 + "x",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS.values(), ids=DEEP_TEXTS)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(PolyParseError, match="nested too deeply at column"):
+        parse_poly(XY, text)
+
+
+def test_nesting_up_to_the_limit_parses():
+    inner = "(" * MAX_NESTING + "x + 1" + ")" * MAX_NESTING
+    assert parse_poly(XY, inner) == parse_poly(XY, "x + 1")
+    # the leading minus belongs to the expression, the rest nest
+    assert parse_poly(XY, "-" * (MAX_NESTING + 1) + "y") == parse_poly(XY, "-y")
+
+
 def test_undeclared_variable():
     with pytest.raises(PolyParseError) as err:
         parse_poly(XY, "x + z")
@@ -95,3 +118,41 @@ def test_round_trip_single_variable():
         }
         p = Poly(ctx, terms)
         assert parse_poly(ctx, str(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz: any text from the grammar's tokens parses or is refused
+# with a parse error, never another exception
+
+# declared names, an undeclared one, digits, operators, a space and a
+# non-ASCII character that looks like an exponent
+_TOKENS = ["x", "y", "z", *string.digits, *"()+-*/^", " ", "\u00b2"]
+
+
+def _join(tokens):
+    """The tokens as text, adjacent digits kept apart by a space.
+
+    Integers stay one digit, so no draw blows up the polynomial size.
+    """
+    text = ""
+    for t in tokens:
+        if t in string.digits and text and text[-1] in string.digits:
+            text += " "
+        text += t
+    return text
+
+
+_texts = st.lists(st.sampled_from(_TOKENS), max_size=16).map(_join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_texts)
+def test_grammar_tokens_parse_or_raise_parse_error(text):
+    try:
+        parse_poly(XY, text)
+    except PolyParseError:
+        pass
+    try:
+        parse_presentation(f"vars x y\nodd t deg -1 weight 1\nd t = {text}\n")
+    except PresentationFormatError:
+        pass

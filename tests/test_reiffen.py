@@ -20,7 +20,13 @@ from drcalc.reiffen import (
     family_scan,
 )
 
-from oracles import divergence_equations, gauss_rank, local_colength, partial
+from oracles import (
+    divergence_equations,
+    gauss_rank,
+    local_colength,
+    partial,
+    two_build_stalk,
+)
 
 XY = ("x", "y")
 X = ("x",)
@@ -318,20 +324,15 @@ def _stalk_quotients(monkeypatch, gens, weight):
 
 
 def _k_dims(monkeypatch, gens, weight):
-    """dim K^k at ``weight``: ambient dim minus quotient dim."""
-    # basis keys are exponent tuples over the variables and their
-    # differentials, all of weight 1, so a key's weight is its sum
-    (ambient, quotient), = [
-        (a, q) for a, q in _stalk_quotients(monkeypatch, gens, weight)
-        if max(sum(k) for ks in a.labels.values() for k in ks) == weight
-    ]
+    """The ambient and dim K^k at ``weight + 1``, from the one quotient."""
+    (ambient, quotient), = _stalk_quotients(monkeypatch, gens, weight)
     return ambient, [
         ambient.dims[k] - quotient.dims.get(k, 0) for k in sorted(ambient.dims)
     ]
 
 
 def test_k_ideal_line(monkeypatch):
-    ambient, dims = _k_dims(monkeypatch, [P("x", X)], 3)
+    ambient, dims = _k_dims(monkeypatch, [P("x", X)], 2)
     ctx = derham_stage(free_presentation(X), 1, 3).truncation_data()[0]
     names = [tuple(ctx.monomial_str(m) for m in ambient.labels[k]) for k in (0, 1)]
     assert names[0] == ("1", "x", "x^2", "x^3")
@@ -340,9 +341,9 @@ def test_k_ideal_line(monkeypatch):
 
 
 def test_k_ideal_quartic(monkeypatch):
-    # the W = 6 quotient and the W + 1 one both exist, so d maps K into K
-    assert len(_stalk_quotients(monkeypatch, [reiffen()], 6)) == 2
-    assert _k_dims(monkeypatch, [reiffen()], 6)[1] == [6, 10, 4]
+    # one quotient, at W + 1 = 6: quotient checks that d maps K into K,
+    # and the W = 5 side is its cut
+    assert _k_dims(monkeypatch, [reiffen()], 5)[1] == [6, 10, 4]
 
 
 def test_k_ideal_guards():
@@ -395,6 +396,49 @@ def test_stalk_h1_is_milnor_minus_tjurina(q, p, tail):
     poly = Poly(XY, f)
     rep = classical_stalk_cohomology([poly], 12)
     assert rep.dim(1) == mu - tau, (str(poly), mu, tau)
+
+
+@st.composite
+def _germs(draw):
+    """(generators, W): one or two germs in 2-3 variables, W in 1..7.
+
+    Coefficients are rational.  Half the draws are one germ of pure
+    powers x^a + y^b [+ z^c] (a, b, c in 2..5) plus up to two terms of
+    degree 2-5: singular germs whose heavier terms often come first in
+    lex order, the case the weight order of the bases is there for.
+    The others are one or two germs with terms of degree 1-3.
+    """
+    n = draw(st.integers(2, 3))
+    variables = ("x", "y", "z")[:n]
+    weight = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        f = {}
+        for i in range(n):
+            power = [0] * n
+            power[i] = draw(st.integers(2, 5))
+            f[tuple(power)] = draw(_coeff)
+        mixed = st.tuples(*[st.integers(0, 3)] * n).filter(
+            lambda e: 2 <= sum(e) <= 5
+        )
+        f.update(draw(st.dictionaries(mixed, _coeff, max_size=2)))
+        return [Poly(variables, f)], weight
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda e: 1 <= sum(e) <= 3
+    )
+    gens = draw(st.lists(
+        st.dictionaries(exps, _coeff, min_size=1, max_size=4),
+        min_size=1, max_size=2,
+    ))
+    return [Poly(variables, g) for g in gens], weight
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_germs())
+def test_one_quotient_stalk_matches_two_builds(case):
+    gens, weight = case
+    rep = classical_stalk_cohomology(gens, weight)
+    want = two_build_stalk(gens, weight)
+    assert (rep.dims, rep.stable) == (want.dims, want.stable)
 
 
 def test_obstruction_matches_divergence_feasibility():
