@@ -25,6 +25,14 @@ coefficient stored in a ``GradedElement`` is a ``Fraction``.  The
 accumulator of a derivation is also read directly
 (``Derivation.expand``), which is how truncated complexes are assembled
 on ints.
+
+``multiply_terms`` is the package's one polynomial product loop:
+``poly.Poly`` is a ``GradedElement`` over an all-even context, so its
+sums and products are the ones below.  The dependency runs that way
+only; this module does not know about ``Poly``.  Operations within a
+context build their result as ``type(self)``, past the subclass's input
+checks; ``cast_to`` changes the context and returns a plain
+``GradedElement``.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import StructuralError
-from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,14 @@ class GradedContext:
     def __len__(self):
         return len(self.gens)
 
+    def __iter__(self):
+        """The generator names, in order."""
+        return iter(self._index)
+
     def __eq__(self, other):
-        return isinstance(other, GradedContext) and self.gens == other.gens
+        return self is other or (
+            isinstance(other, GradedContext) and self.gens == other.gens
+        )
 
     def __hash__(self):
         return hash(self.gens)
@@ -202,19 +215,20 @@ class GradedElement:
     @classmethod
     def from_accumulator(cls, context, acc):
         """Element of an expansion dict: zeros dropped, Fraction coefficients."""
-        return cls(context, {e: Fraction(c) for e, c in acc.items() if c})
+        return cls._of(context, {e: Fraction(c) for e, c in acc.items() if c})
 
     @classmethod
-    def from_poly(cls, context, poly: Poly):
-        """Lift a polynomial along matching generator names."""
-        positions = [context.index(name) for name in poly.context]
-        terms = {}
-        for pex, coeff in poly.terms.items():
-            exps = [0] * len(context)
-            for pos, e in zip(positions, pex):
-                exps[pos] = e
-            terms[tuple(exps)] = coeff
-        return cls(context, terms)
+    def _of(cls, context, terms):
+        """An element of ``cls`` on tidy terms, past any input checks.
+
+        Tidy terms have ``Fraction`` coefficients and no zeros.  Every
+        operation below builds its result this way, so a subclass gets
+        its own type back without tidying again.
+        """
+        out = object.__new__(cls)
+        out.context = context
+        out.terms = terms
+        return out
 
     # -- ring structure -----------------------------------------------
 
@@ -241,10 +255,10 @@ class GradedElement:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return GradedElement(self.context, terms)
+        return self._of(self.context, terms)
 
     def __neg__(self):
-        return GradedElement(self.context, {e: -c for e, c in self.terms.items()})
+        return self._of(self.context, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -252,8 +266,8 @@ class GradedElement:
     def scale(self, value):
         value = Fraction(value)
         if not value:
-            return GradedElement(self.context)
-        return GradedElement(
+            return self._of(self.context, {})
+        return self._of(
             self.context, {e: c * value for e, c in self.terms.items()}
         )
 
@@ -262,7 +276,7 @@ class GradedElement:
             return self.scale(other)
         self._check(other)
         acc = multiply_terms(self.context, term_list(self), term_list(other))
-        return GradedElement.from_accumulator(self.context, acc)
+        return self.from_accumulator(self.context, acc)
 
     __rmul__ = __mul__
 
@@ -275,7 +289,7 @@ class GradedElement:
     def weight_filter(self, max_weight):
         """Drop monomials of weight above the cap."""
         ctx = self.context
-        return GradedElement(
+        return self._of(
             ctx,
             {
                 e: c
@@ -284,53 +298,13 @@ class GradedElement:
             },
         )
 
-    # -- even-part handling -------------------------------------------
-
-    def even_poly_parts(self):
-        """Split into {residual exponent tuple: polynomial coefficient}.
-
-        The residual keeps every generator that is not a ring variable;
-        the ring-variable exponents are gathered into ``Poly`` values
-        over the variable names in context order.
-        """
-        ctx = self.context
-        var_names = ctx.ring_variables()
-        var_pos = [ctx.index(n) for n in var_names]
-        var_set = set(var_pos)
-        split = {}
-        for exps, coeff in self.terms.items():
-            residual = tuple(
-                0 if i in var_set else e for i, e in enumerate(exps)
-            )
-            pex = tuple(exps[i] for i in var_pos)
-            bucket = split.setdefault(residual, {})
-            bucket[pex] = bucket.get(pex, Fraction(0)) + coeff
-        return {
-            res: Poly(var_names, bucket) for res, bucket in split.items()
-        }
-
-    def map_even_parts(self, fn):
-        """Rebuild the element after applying ``fn`` to each Poly part."""
-        ctx = self.context
-        var_names = ctx.ring_variables()
-        var_pos = {name: ctx.index(name) for name in var_names}
-        acc = {}
-        for residual, poly in self.even_poly_parts().items():
-            image = fn(poly)
-            positions = [var_pos[name] for name in image.context]
-            for pex, coeff in image.terms.items():
-                exps = list(residual)
-                for pos, e in zip(positions, pex):
-                    exps[pos] = e
-                key = tuple(exps)
-                acc[key] = acc.get(key, 0) + coeff
-        return GradedElement.from_accumulator(ctx, acc)
-
     def cast_to(self, new_context: "GradedContext"):
         """Move to another context, matching generators by name.
 
         Every generator of the old context must exist in the new one;
-        unused new generators get exponent zero.
+        unused new generators get exponent zero.  The result is a plain
+        ``GradedElement``; this is how a polynomial enters a larger
+        graded context.
         """
         old = self.context
         positions = [new_context.index(g.name) for g in old.gens]

@@ -397,7 +397,7 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
     if high.min_degree() <= weight:
         raise StructuralError("power bookkeeping error")  # pragma: no cover
     ctx = _stage_context(free)
-    lifted = GradedElement.from_poly(ctx, high)
+    lifted = high.cast_to(ctx)
     deep_dim = 0
     for m in enumerate_monomials(ctx, max_weight=weight, max_hodge=hodge_level):
         hit = (lifted * GradedElement.monomial(ctx, m)).weight_filter(weight)

@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .errors import StructuralError
 from .groebner import GroebnerBasis, MonomialOrder, buchberger
-from .poly import Poly
+from .poly import Poly, map_even_parts
 
 
 class RelationNormalForm:
@@ -43,7 +43,7 @@ class RelationNormalForm:
     def __init__(self, gb: GroebnerBasis, context: GradedContext):
         self.gb = gb
         names = context.ring_variables()
-        if tuple(gb.context) != tuple(names):
+        if gb.context != names:
             raise StructuralError(
                 "relation ideal context does not match the even variables"
             )
@@ -58,7 +58,7 @@ class RelationNormalForm:
         return True
 
     def reduce(self, elem: GradedElement) -> GradedElement:
-        return elem.map_even_parts(self.gb.normal_form)
+        return map_even_parts(elem, self.gb.normal_form)
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,12 @@ class DGPresentation:
         lifted = {}
         for name, value in images.items():
             if isinstance(value, Poly):
-                value = GradedElement.from_poly(self.context, value)
+                value = value.cast_to(self.context)
             lifted[name] = value
         self.images = lifted
-        self.relations = tuple(relations)
+        # a zero relation imposes nothing; with only zeros the
+        # presentation is the free one
+        self.relations = tuple(r for r in relations if r)
         if self.relations:
             order = MonomialOrder("grevlex")
             gb = buchberger(list(self.relations), order)
@@ -194,7 +196,7 @@ class DGMorphism:
             if images and g.name in images:
                 value = images[g.name]
                 if isinstance(value, Poly):
-                    value = GradedElement.from_poly(target.context, value)
+                    value = value.cast_to(target.context)
             else:
                 value = GradedElement.generator(target.context, g.name)
             self.images[g.name] = value
@@ -297,7 +299,7 @@ def tower_map(variables, polys, big, small, relations=()) -> DGMorphism:
     names = _koszul_names(len(polys))
     images = {}
     for name, f in zip(names, polys):
-        factor = GradedElement.from_poly(tgt.context, f ** (big - small))
+        factor = (f ** (big - small)).cast_to(tgt.context)
         images[name] = factor * tgt.generator(name)
     phi = DGMorphism(src, tgt, images)
     bad = phi.commutes_on_generators()

@@ -181,7 +181,7 @@ def buchberger(gens: Iterable[Poly], order=None,
     for g in gens:
         if g.context != ctx:
             raise StructuralError("mixed contexts in ideal generators")
-    return GroebnerBasis(context=ctx, order=order,
+    return GroebnerBasis(context=tuple(ctx), order=order,
                          gens=tuple(_buchberger_core(gens, order, pair_budget)))
 
 
@@ -209,7 +209,7 @@ def intersect_principal(gens: Sequence[Poly], f: Poly, order=None,
     order = order or MonomialOrder()
     if not f:
         raise StructuralError("principal generator must be nonzero")
-    ctx = f.context
+    ctx = tuple(f.context)
     aux = "t_elim"
     while aux in ctx:
         aux = aux + "_"
@@ -234,7 +234,7 @@ def colon_principal(gens: Sequence[Poly], f: Poly, order=None,
     inter = intersect_principal(gens, f, order, pair_budget)
     quotients = [div_exact(g, f, order) for g in inter]
     if not quotients:
-        return GroebnerBasis(context=f.context, order=order, gens=())
+        return GroebnerBasis(context=tuple(f.context), order=order, gens=())
     return buchberger(quotients, order, pair_budget)
 
 

@@ -7,11 +7,13 @@ Accepted grammar (whitespace insignificant)::
     factor := atom ['^' integer]
     atom   := rational | variable | '(' expr ')'
     rational := integer ['/' integer]
+    integer  := [0-9]+
 
-Variables must be pre-declared through the context.  Errors carry the
-0-based column of the offending token.  The parser recurses on
-parentheses and unary minuses, so they nest at most ``MAX_NESTING``
-deep; a deeper text is a parse error.
+Integers are ASCII digits only, as names are ASCII letters, digits and
+underscores.  Variables must be pre-declared through the context.
+Errors carry the 0-based column of the offending token.  The parser
+recurses on parentheses and unary minuses, so they nest at most
+``MAX_NESTING`` deep; a deeper text is a parse error.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ MAX_NESTING = 100  # parentheses and unary minuses, one inside the other
 # a variable name as the parser reads one; declared names must match it
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER.pattern})|([()+\-*/^]))")
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({IDENTIFIER.pattern})|([()+\-*/^]))")
 
 
 def _tokenize(text: str):

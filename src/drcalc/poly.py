@@ -2,12 +2,17 @@
 
 Representation notes:
 
-* A *context* is an ordered tuple of variable names, e.g. ``("x", "y")``.
-  All polynomials carry their context; mixing contexts raises ValueError.
-* A monomial is an exponent tuple aligned with the context.
-* A polynomial is a dict ``{exponents: Fraction}`` with no zero values
-  stored.  Coefficients are ``fractions.Fraction`` (arbitrary precision,
-  always in lowest terms with positive denominator).
+* A polynomial is a ``GradedElement`` over a *ring context*: one even
+  generator ``Generator(name, 0)`` per variable, built once per tuple
+  of names by ``ring_context``.  Sums, products, scaling and equality
+  are the graded algebra's own, so a ``Poly`` product runs through
+  ``algebra.multiply_terms`` like every other product in the package.
+* ``Poly(context, terms)`` accepts the names as any iterable, a ring
+  context included (a ``GradedContext`` iterates over its names), and
+  tidies its input: exponents become int tuples aligned with the
+  names, coefficients ``fractions.Fraction``, zeros are dropped.
+* Polynomials over different contexts do not mix; combining them
+  raises ``StructuralError``.
 
 Term order used for *printing* follows the canonical interchange form of
 this package: terms are sorted lexicographically descending (context
@@ -15,29 +20,42 @@ order ranks the variables), and inside a monomial the factors are
 printed with the larger exponent first, so the Reiffen polynomial prints
 as ``x^4 + y^4*x + y^5``.  Graded orders for Groebner bases live in
 :mod:`drcalc.groebner`.
+
+``even_poly_parts`` and ``map_even_parts`` go the other way: they read
+the ring-variable part of an element of a larger graded context as
+polynomials, which is how relation ideals act on dg algebras.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import Mapping, Union
 
+from .algebra import GradedContext, GradedElement, Generator
+
 Exponents = tuple  # tuple[int, ...]
-Scalar = Union[int, Fraction]
 
 
-class ContextError(ValueError):
-    """Raised when polynomials from different contexts are combined."""
+@lru_cache(maxsize=None)
+def ring_context(names: tuple) -> GradedContext:
+    """The all-even context of the polynomial ring on ``names``.
+
+    Cached, so polynomials over the same names share one context and
+    the context check of every sum and product is an identity test.
+    """
+    return GradedContext(Generator(name, 0) for name in names)
 
 
-class Poly:
+class Poly(GradedElement):
     """Immutable-by-convention sparse polynomial."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ()
 
-    def __init__(self, context: tuple, terms: Mapping | None = None):
-        self.context = tuple(context)
+    def __init__(self, context, terms: Mapping | None = None):
+        self.context = ring_context(tuple(context))
         tidy = {}
         if terms:
             n = len(self.context)
@@ -47,102 +65,35 @@ class Poly:
                     continue
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != n or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps!r} for context {self.context!r}")
+                    raise ValueError(
+                        f"bad exponent tuple {exps!r} for context "
+                        f"{tuple(self.context)!r}"
+                    )
                 tidy[exps] = tidy.get(exps, Fraction(0)) + c
                 if tidy[exps] == 0:
                     del tidy[exps]
         self.terms = tidy
 
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, context) -> "Poly":
-        return cls(context)
-
-    @classmethod
-    def const(cls, context, c: Scalar) -> "Poly":
-        context = tuple(context)
-        return cls(context, {(0,) * len(context): Fraction(c)})
-
     @classmethod
     def var(cls, context, name: str) -> "Poly":
-        context = tuple(context)
-        i = context.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(context)))
-        return cls(context, {exps: Fraction(1)})
+        return cls.generator(context, name)
 
-    @classmethod
-    def monomial(cls, context, exps, c: Scalar = 1) -> "Poly":
-        return cls(context, {tuple(exps): Fraction(c)})
-
-    # ---- ring structure ----------------------------------------------
-
-    def _check(self, other: "Poly") -> None:
-        if self.context != other.context:
-            raise ContextError(f"context mismatch: {self.context!r} vs {other.context!r}")
+    # ---- scalars on either side (a - b is a + (-b)) -----------------
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.context, other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        p = Poly.__new__(Poly)
-        p.context = self.context
-        p.terms = out
-        return p
+            other = self.const(self.context, other)
+        return super().__add__(other)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.context = self.context
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.context, other)
-        return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Poly.zero(self.context)
-            p = Poly.__new__(Poly)
-            p.context = self.context
-            p.terms = {e: cc * c for e, cc in self.terms.items()}
-            return p
-        self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        p = Poly.__new__(Poly)
-        p.context = self.context
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.context, 1)
+        result = self.const(self.context, 1)
         base = self
         while n:
             if n & 1:
@@ -153,16 +104,11 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.context, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+            other = self.const(self.context, other)
+        return super().__eq__(other)
 
     def __hash__(self):
         return hash((self.context, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # ---- queries ------------------------------------------------------
 
@@ -183,13 +129,12 @@ class Poly:
     def partial(self, var: Union[int, str]) -> "Poly":
         """Formal partial derivative with respect to one context variable."""
         i = var if isinstance(var, int) else self.context.index(var)
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return Poly(self.context, out)
+        # lowering e[i] by one is injective on the terms it keeps
+        return self._of(self.context, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.terms.items()
+            if e[i]
+        })
 
     # ---- context surgery ---------------------------------------------
 
@@ -202,10 +147,7 @@ class Poly:
         """
         new_context = tuple(new_context)
         mapping = mapping or {}
-        pos = []
-        for name in self.context:
-            target = mapping.get(name, name)
-            pos.append(new_context.index(target))
+        pos = [new_context.index(mapping.get(name, name)) for name in self.context]
         n = len(new_context)
         out: dict = {}
         for e, c in self.terms.items():
@@ -218,22 +160,16 @@ class Poly:
 
     # ---- printing -----------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in the canonical (lex-descending) print order."""
-        return sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = tuple(self.context)
         parts = []
         for exps, c in self.sorted_terms():
-            factors = [
-                (e, self.context[i]) for i, e in enumerate(exps) if e > 0
-            ]
             # larger exponents first, context order breaking ties
-            factors.sort(key=lambda t: (-t[0], self.context.index(t[1])))
+            factors = sorted((i for i, e in enumerate(exps) if e), key=lambda i: -exps[i])
             body = "*".join(
-                name if e == 1 else f"{name}^{e}" for e, name in factors
+                names[i] if exps[i] == 1 else f"{names[i]}^{exps[i]}" for i in factors
             )
             mag = abs(c)
             if not body:
@@ -250,7 +186,7 @@ class Poly:
         return out
 
     def __repr__(self) -> str:
-        return f"Poly({str(self)!r} over {self.context!r})"
+        return f"Poly({str(self)!r} over {tuple(self.context)!r})"
 
 
 def _fmt_coeff(c: Fraction) -> str:
@@ -268,3 +204,35 @@ def grevlex_key(exps: Exponents) -> tuple:
 def lex_key(exps: Exponents) -> tuple:
     return tuple(exps)
 
+
+def even_poly_parts(elem: GradedElement) -> dict:
+    """Split into {residual exponent tuple: polynomial coefficient}.
+
+    The residual keeps every generator that is not a ring variable;
+    the ring-variable exponents are gathered into ``Poly`` values over
+    the variable names in context order.
+    """
+    ctx = elem.context
+    names = ctx.ring_variables()
+    var_pos = [ctx.index(n) for n in names]
+    var_set = set(var_pos)
+    split = {}
+    for exps, coeff in elem.terms.items():
+        residual = tuple(0 if i in var_set else e for i, e in enumerate(exps))
+        split.setdefault(residual, {})[tuple(exps[i] for i in var_pos)] = coeff
+    return {res: Poly(names, bucket) for res, bucket in split.items()}
+
+
+def map_even_parts(elem: GradedElement, fn) -> GradedElement:
+    """Rebuild ``elem`` after applying ``fn`` to each Poly part.
+
+    Ring variables are even, so putting a part back is adding its
+    exponents to the residual's, with no sign.
+    """
+    ctx = elem.context
+    acc = {}
+    for residual, poly in even_poly_parts(elem).items():
+        for exps, coeff in fn(poly).cast_to(ctx).terms.items():
+            key = tuple(map(add, residual, exps))
+            acc[key] = acc.get(key, 0) + coeff
+    return GradedElement.from_accumulator(ctx, acc)

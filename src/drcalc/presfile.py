@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .dg import DGPresentation, OddGenerator
 from .parse import IDENTIFIER, PolyParseError, parse_poly
-from .poly import Poly
+from .poly import Poly, even_poly_parts
 
 
 class PresentationFormatError(ValueError):
@@ -139,7 +139,7 @@ def serialize_presentation(pres: DGPresentation) -> str:
         lines.append(f"odd {g.name} deg {g.degree} weight {g.weight}")
     zero = (0,) * len(pres.context)
     for g in pres.odd:
-        parts = pres.images[g.name].even_poly_parts()
+        parts = even_poly_parts(pres.images[g.name])
         if set(parts) - {zero}:
             raise ValueError(
                 f"image of {g.name!r} is not polynomial; "

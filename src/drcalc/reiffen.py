@@ -69,7 +69,7 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     ambient = weight_truncate(stage, weight + 1)
     span = {k: [] for k in range(n + 1)}
     for g in gens:
-        lifted = GradedElement.from_poly(ctx, g)
+        lifted = g.cast_to(ctx)
         for factor, shift in ((lifted, 0), (d(lifted), 1)):
             for k, keys in ambient.labels.items():
                 if k + shift <= n:
@@ -148,10 +148,10 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
             "f has a unit part; the divergence equation is trivially "
             "solvable and the test says nothing"
         )
-    n = len(tuple(f.context))
+    n = len(f.context)
     h_bound = degree_bound - f.min_degree() + 1
     exponents = [] if h_bound < 0 else enumerate_monomials(
-        free_presentation(f.context).context, max_weight=h_bound
+        f.context, max_weight=h_bound
     )
     unknowns = sorted(
         ((_label(i, e), i, e) for i in range(n) for e in exponents),
@@ -236,7 +236,7 @@ DEFAULT_UNKNOWN_CAP = 20_000
 
 
 def _unknown_total(f: Poly, degree_bound: int) -> int:
-    n = len(tuple(f.context))
+    n = len(f.context)
     h_bound = degree_bound - f.min_degree() + 1
     if h_bound < 0:
         return 0
@@ -256,7 +256,7 @@ def divergence_feasible(
     built.
     """
     if g is None:
-        g = Poly.const(tuple(f.context), 1)
+        g = Poly.const(f.context, 1)
     predicted = _unknown_total(f, degree_bound)
     if predicted > unknown_cap:
         return FeasibilityVerdict(status="resource-limit", unknowns=predicted)

@@ -37,6 +37,11 @@ Each one takes a different road to the same answer:
   then ·rest, signed by the prefix's degree alone;
   ``Derivation.expand`` forms base·t once and moves t past rest with
   the Koszul sign instead.
+- ``dict_product`` and ``lift_by_name``: a polynomial product as a
+  double loop over term dicts, and a polynomial placed into a larger
+  graded context by writing its exponents at the positions of its
+  variables' names; the package's ``Poly`` multiplies through
+  ``algebra.multiply_terms`` and lifts through ``cast_to`` instead.
 """
 
 import itertools
@@ -485,7 +490,7 @@ def two_build_stalk(gens, weight):
     ambient = weight_truncate(stage, weight + 1)
     span = {k: [] for k in range(n + 1)}
     for g in gens:
-        lifted = GradedElement.from_poly(ctx, g)
+        lifted = lift_by_name(ctx, g)
         for factor, shift in ((lifted, 0), (d(lifted), 1)):
             for k, keys in ambient.labels.items():
                 if k + shift <= n:
@@ -506,6 +511,36 @@ def two_build_stalk(gens, weight):
         {k: h_here.get(k, 0) for k in range(n + 1)},
         {k: h_above.get(k, 0) for k in range(n + 1)},
     )
+
+
+# ---------------------------------------------------------------------------
+# polynomial products and lifts on term dicts
+
+
+def dict_product(left, right):
+    """Product of two polynomials given as {exponent tuple: coefficient}."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def lift_by_name(context, poly):
+    """``poly`` as an element of ``context``, variables matched by name."""
+    positions = [context.index(name) for name in poly.context]
+    terms = {}
+    for pex, coeff in poly.terms.items():
+        exps = [0] * len(context)
+        for pos, e in zip(positions, pex):
+            exps[pos] = e
+        terms[tuple(exps)] = coeff
+    return GradedElement(context, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,7 @@ def _check_stalk(gens, weight):
     ambient = weight_truncate(stage, weight)
     span = {k: [] for k in ambient.labels}
     for g in gens:
-        lifted = GradedElement.from_poly(ctx, g)
+        lifted = g.cast_to(ctx)
         for factor, shift in ((lifted, 0), (d(lifted), 1)):
             for k, keys in ambient.labels.items():
                 if k + shift in span:
@@ -416,7 +416,7 @@ def test_matrix_entries_are_integers_over_one_denominator():
     assert cx.diffs
     _check_against(cx, fraction_matrices(relations, 7, cx.labels))
     _check_stalk([P("1/2*x^2 + 2/3*y^3")], 6)
-    product = GradedElement.from_poly(pres.context, P("x - 1/3*y")) * pres.generator("t")
+    product = P("x - 1/3*y").cast_to(pres.context) * pres.generator("t")
     assert all(type(c) is Fraction for c in product.terms.values())
 
 

@@ -356,6 +356,16 @@ def test_parse_error_exits_2(capsys):
     assert "column 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, column", [("x^\u0663", 2), ("\uff11*x", 0)], ids=["arabic-indic", "fullwidth"]
+)
+def test_non_ascii_digit_exits_2(capsys, text, column):
+    code, out, err = run(capsys, ["koszul", "--vars", "x", "--f", text])
+    assert code == 2
+    assert not out
+    assert err.startswith(f"error: unexpected character at column {column}:")
+
+
 DEEP_F = {
     "parentheses": "(" * 250 + "x" + ")" * 250,
     "minuses": "-" * 500 + "x",

@@ -80,6 +80,18 @@ def test_nesting_up_to_the_limit_parses():
     assert parse_poly(XY, "-" * (MAX_NESTING + 1) + "y") == parse_poly(XY, "-y")
 
 
+# digits that Unicode counts as decimal but the grammar does not:
+# ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT ONE
+NON_ASCII_DIGITS = {"arabic-indic": "\u0663", "fullwidth": "\uff11"}
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS.values(), ids=NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_a_parse_error(digit):
+    for text, column in ((f"x^{digit}", 2), (f"{digit}*x", 0), (f"x + {digit}", 4)):
+        with pytest.raises(PolyParseError, match=f"unexpected character at column {column}:"):
+            parse_poly(XY, text)
+
+
 def test_undeclared_variable():
     with pytest.raises(PolyParseError) as err:
         parse_poly(XY, "x + z")
@@ -124,9 +136,13 @@ def test_round_trip_single_variable():
 # grammar fuzz: any text from the grammar's tokens parses or is refused
 # with a parse error, never another exception
 
-# declared names, an undeclared one, digits, operators, a space and a
-# non-ASCII character that looks like an exponent
-_TOKENS = ["x", "y", "z", *string.digits, *"()+-*/^", " ", "\u00b2"]
+# declared names, an undeclared one, digits, operators, a space, a
+# non-ASCII character that looks like an exponent and two non-ASCII
+# decimal digits
+_TOKENS = [
+    "x", "y", "z", *string.digits, *"()+-*/^", " ", "\u00b2",
+    *NON_ASCII_DIGITS.values(),
+]
 
 
 def _join(tokens):

@@ -1,10 +1,20 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drcalc import algebra
+from drcalc.algebra import Generator, GradedContext
+from drcalc.parse import parse_poly
 from drcalc.poly import Poly, grevlex_key, lex_key
+
+from oracles import dict_product, lift_by_name, partial
 
 XY = ("x", "y")
 
@@ -154,3 +164,61 @@ def test_context_mismatch_rejected():
     z = Poly.var(("z",), "z")
     with pytest.raises(ValueError):
         x + z
+
+
+# ---------------------------------------------------------------------------
+# Poly arithmetic against the term-dict oracles
+
+_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def _polys(draw, variables):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(variables)),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+        max_size=5,
+    ))
+    return Poly(variables, terms)
+
+
+def _stage_like_context(variables, order):
+    """The variables among odd and Hodge-1 generators, in a drawn order.
+
+    The generators are those of a Koszul algebra's de Rham stage: the
+    variables, t, one dx per variable and dt (even, Hodge level 1, so
+    not a ring variable).
+    """
+    gens = [Generator(v, 0) for v in variables]
+    gens += [Generator("t", -1, 2), Generator("dt", 0, 2, 1)]
+    gens += [Generator("d" + v, 1, 1, 1) for v in variables]
+    return GradedContext(gens[i] for i in order)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_poly_matches_term_dict_oracles(data):
+    variables = _NAMES[: data.draw(st.integers(1, 3))]
+    p = data.draw(_polys(variables))
+    q = data.draw(_polys(variables))
+    assert (p * q).terms == dict_product(p.terms, q.terms)
+    power = {(0,) * len(variables): Fraction(1)}
+    for k in range(4):
+        assert (p ** k).terms == power
+        power = dict_product(power, p.terms)
+    for i in range(len(variables)):
+        assert p.partial(i).terms == partial(p.terms, i)
+    order = data.draw(st.permutations(range(2 * len(variables) + 2)))
+    ctx = _stage_like_context(variables, order)
+    assert p.cast_to(ctx) == lift_by_name(ctx, p)
+    assert parse_poly(variables, str(p)) == p
+
+
+def test_algebra_does_not_import_poly():
+    src = Path(algebra.__file__).resolve().parents[1]
+    code = "import sys, drcalc.algebra; print('drcalc.poly' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
