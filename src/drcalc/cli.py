@@ -25,7 +25,7 @@ from .groebner import (
     colon_principal,
 )
 from .homology import chain_map_check
-from .parse import IDENTIFIER, PolyParseError, parse_poly
+from .parse import IDENTIFIER, PolyParseError, integer, parse_poly
 from .presfile import (
     PresentationFormatError,
     parse_presentation,
@@ -321,12 +321,12 @@ def _add_file(p):
 
 
 def _add_truncate(p):
-    p.add_argument("--truncate", type=int, default=None, metavar="W",
+    p.add_argument("--truncate", type=integer, default=None, metavar="W",
                    help=f"weight window (default {DEFAULT_WEIGHT})")
 
 
 def _add_hodge(p):
-    p.add_argument("--hodge", type=int, default=None, metavar="K",
+    p.add_argument("--hodge", type=integer, default=None, metavar="K",
                    help=f"Hodge level (default {DEFAULT_HODGE})")
 
 
@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cartier", help="graded piece vs wedge power")
     _add_file(p)
-    p.add_argument("--k", type=int, default=1, help="Hodge column (default 1)")
+    p.add_argument("--k", type=integer, default=1,
+                   help="Hodge column (default 1)")
     _add_truncate(p)
     p.set_defaults(handler=_cmd_cartier)
 
@@ -358,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", required=True)
     p.add_argument("--f", action="append", required=True,
                    help="bounded polynomial (repeatable)")
-    p.add_argument("--power", type=int, default=1, metavar="N")
+    p.add_argument("--power", type=integer, default=1, metavar="N")
     p.set_defaults(handler=_cmd_koszul)
 
     p = sub.add_parser("tower", help="tower map between Koszul levels")
     p.add_argument("--vars", required=True)
     p.add_argument("--f", action="append", required=True)
-    p.add_argument("--from", type=int, required=True, metavar="N")
-    p.add_argument("--to", type=int, required=True, metavar="n")
+    p.add_argument("--from", type=integer, required=True, metavar="N")
+    p.add_argument("--to", type=integer, required=True, metavar="n")
     _add_truncate(p)
     p.set_defaults(handler=_cmd_tower)
 
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conerve totalization vs de Rham stage")
     p.add_argument("--vars", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--pmax", type=int, default=3)
+    p.add_argument("--pmax", type=integer, default=3)
     _add_hodge(p)
     _add_truncate(p)
     p.set_defaults(handler=_cmd_amitsur_compare)
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--by", required=True)
         if name == "annchain":
             q.add_argument("--f", required=True)
-            q.add_argument("--levels", type=int, default=4)
+            q.add_argument("--levels", type=integer, default=4)
         q.set_defaults(handler=handler)
 
     p = sub.add_parser("reiffen", help="divergence-equation tests")
@@ -404,12 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--vars", required=True)
     q.add_argument("--f", required=True)
     q.add_argument("--g", default="1")
-    q.add_argument("--degree", type=int, default=DEFAULT_DEGREE, metavar="D")
+    q.add_argument("--degree", type=integer, default=DEFAULT_DEGREE,
+                   metavar="D")
     q.set_defaults(handler=_cmd_reiffen_check)
     q = rsub.add_parser("scan")
-    q.add_argument("--qmax", type=int, default=4)
-    q.add_argument("--pmax", type=int, default=6)
-    q.add_argument("--degree", type=int, default=10, metavar="D")
+    q.add_argument("--qmax", type=integer, default=4)
+    q.add_argument("--pmax", type=integer, default=6)
+    q.add_argument("--degree", type=integer, default=10, metavar="D")
     q.set_defaults(handler=_cmd_reiffen_scan)
 
     p = sub.add_parser("stalk", help="classical stalk cohomology")
@@ -420,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stalk)
 
     p = sub.add_parser("witness", help="flat-form positivity witness")
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--precision-bits", type=int,
+    p.add_argument("--nmax", type=integer, default=3)
+    p.add_argument("--precision-bits", type=integer,
                    default=witness.DEFAULT_PRECISION)
-    p.add_argument("--grid", type=int, default=witness.DEFAULT_GRID)
+    p.add_argument("--grid", type=integer, default=witness.DEFAULT_GRID)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("fibre-report", help="completion fibre bookkeeping")

@@ -16,7 +16,8 @@ rows are ``{col: int}`` dicts with a positive lead, primitive (jointly
 with their row combination, when one is tracked), so each is a nonzero
 multiple of the pivot row that rational elimination with pivots scaled
 to 1 would find.  ``Fraction``s appear only where a rational answer
-leaves the module: ``reduce``'s representative, back substitution and
+leaves the module: ``reduce``'s representative, the solution back
+substitution computes on integers over one running denominator, and
 the infeasibility certificate.
 
 No pivot choice is needed for determinism: in any left-to-right echelon
@@ -215,15 +216,29 @@ def reduce(pivots, vector):
 def _back_substitute(pivots, x):
     """Complete sparse ``x`` at the pivot columns so every pivot row . x = 0.
 
-    ``x`` holds the chosen values at non-pivot columns; pivot rows are
-    solved from the largest pivot column down, dividing by each lead.
+    ``x`` holds the chosen integer values at non-pivot columns; pivot
+    rows are solved from the largest pivot column down.  The solution
+    is kept as integers over one running common denominator ``den``:
+    a pivot row whose dot product ``s`` with the solution so far is not
+    divisible by its ``lead`` raises ``den`` by ``lead / gcd(s, lead)``
+    and rescales the integers once.  Returns ``{col: Fraction}``, with
+    entries at the columns of ``x`` and at the pivot columns whose
+    value is nonzero.
     """
+    den = 1
     for c in sorted(pivots, reverse=True):
         prow = pivots[c][0]
-        s = sum(w * x[j] for j, w in prow.items() if j != c and j in x)
+        s = sum(w * x[j] for j, w in prow.items() if j in x)
         if s:
-            x[c] = -s / prow[c]
-    return x
+            lead = prow[c]
+            g = gcd(s, lead)
+            scale = lead // g
+            if scale != 1:
+                den *= scale
+                for j in x:
+                    x[j] *= scale
+            x[c] = -s // g
+    return {c: Fraction(v, den) for c, v in x.items()}
 
 
 def _rows(entries, nrows):
@@ -266,7 +281,7 @@ def nullspace(entries, nrows, ncols):
     """
     pivots = _echelon(_rows(entries, nrows))
     return [
-        _back_substitute(pivots, {f: Fraction(1)})
+        _back_substitute(pivots, {f: 1})
         for f in range(ncols)
         if f not in pivots
     ]
@@ -296,6 +311,7 @@ def solve_rational(rows, rhs, ncols):
     denominators when elimination reaches it, so lam multiplies the
     combination of cleared rows by their denominators.
     """
+    zero = Fraction(0)  # shared by every absent entry of the answer
     augmented = []
     for row, b in zip(rows, rhs):
         aug = dict(row)
@@ -322,8 +338,6 @@ def solve_rational(rows, rhs, ncols):
             raise ArithmeticError(
                 "infeasibility certificate fails lam . A = 0, lam . b = 1"
             )
-        return "infeasible", [
-            lam.get(i, Fraction(0)) for i in range(len(rows))
-        ]
-    x = _back_substitute(pivots, {ncols: Fraction(-1)})
-    return "feasible", [x.get(c, Fraction(0)) for c in range(ncols)]
+        return "infeasible", [lam.get(i, zero) for i in range(len(rows))]
+    x = _back_substitute(pivots, {ncols: -1})
+    return "feasible", [x.get(c, zero) for c in range(ncols)]

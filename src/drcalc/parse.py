@@ -10,10 +10,12 @@ Accepted grammar (whitespace insignificant)::
     integer  := [0-9]+
 
 Integers are ASCII digits only, as names are ASCII letters, digits and
-underscores.  Variables must be pre-declared through the context.
-Errors carry the 0-based column of the offending token.  The parser
-recurses on parentheses and unary minuses, so they nest at most
-``MAX_NESTING`` deep; a deeper text is a parse error.
+underscores; ``integer`` reads the integers outside this grammar (the
+CLI's options and the presentation file's fields) the same way.
+Variables must be pre-declared through the context.  Errors carry the
+0-based column of the offending token.  The parser recurses on
+parentheses and unary minuses, so they nest at most ``MAX_NESTING``
+deep; a deeper text is a parse error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,20 @@ MAX_NESTING = 100  # parentheses and unary minuses, one inside the other
 # a variable name as the parser reads one; declared names must match it
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 _TOKEN = re.compile(rf"\s*(?:([0-9]+)|({IDENTIFIER.pattern})|([()+\-*/^]))")
+
+
+def integer(text: str) -> int:
+    """``text`` as an int: an optional sign, then ASCII digits only.
+
+    ``int`` alone also reads any Unicode decimal digit, surrounding
+    spaces and underscores.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def _tokenize(text: str):

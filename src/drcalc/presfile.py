@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dg import DGPresentation, OddGenerator
-from .parse import IDENTIFIER, PolyParseError, parse_poly
+from .parse import IDENTIFIER, PolyParseError, integer, parse_poly
 from .poly import Poly, even_poly_parts
 
 
@@ -65,8 +65,8 @@ def parse_presentation(text: str) -> PresentationFile:
                     number, "expected: odd <name> deg <int> weight <int>"
                 )
             try:
-                degree = int(fields[3])
-                weight = int(fields[5])
+                degree = integer(fields[3])
+                weight = integer(fields[5])
             except ValueError:
                 raise PresentationFormatError(
                     number, "degree and weight must be integers"
@@ -124,7 +124,7 @@ def _directive_int(number, fields):
             number, f"{fields[0]} takes one integer"
         )
     try:
-        return int(fields[1])
+        return integer(fields[1])
     except ValueError:
         raise PresentationFormatError(
             number, f"{fields[0]} takes one integer"

@@ -19,7 +19,11 @@ obstinate curve x^q + y^p + y^{p-1} x.
 
 from __future__ import annotations
 
+import bisect
+from collections import defaultdict
+import functools
 import math
+import operator
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,14 +113,30 @@ class DivergenceSystem:
     of the (D+1)-system over a shared label set.
 
     Unknowns are numbered newest first: by descending degree, ties by
-    variable and then by exponent in lex order.  The system is block
+    variable and then by exponent in lex order.  ``unknowns`` holds the
+    ``(variable index, exponent tuple)`` of each.  The system is block
     triangular by degree (an unknown of degree e enters only rows of
     degree at least e + min_degree(f) - 1), and rows are sorted by
-    degree, so each row's smallest columns are the unknowns that just
-    entered.  Left-to-right elimination then pivots a row on those
-    columns and leaves the older ones alone, which keeps fill-in low
-    (Davis 2006, ch. 7).  Only which solution a feasible system reports
-    depends on the order: free unknowns are set to zero.
+    degree, then by exponent in lex order, so each row's smallest
+    columns are the unknowns that just entered.  Left-to-right
+    elimination then pivots a row on those columns and leaves the older
+    ones alone, which keeps fill-in low (Davis 2006, ch. 7).  Only which
+    solution a feasible system reports depends on the order: free
+    unknowns are set to zero.  Each row lists its entries by ascending
+    column.
+
+    The build packs each monomial x^m into one int, its code (Monagan &
+    Pearce, CASC 2007): from the top, a field for the total degree, then
+    one for each of m_1 ... m_n, every field ``bits`` wide.  A stored
+    code is a row monomial (degree at most D) or an unknown's exponent
+    (degree at most D - min_degree(f) + 1 <= D), so no field exceeds D,
+    and ``bits`` is the bit length of max(D, 1).  With every field in
+    range, the code of a product is the sum of the codes (no field
+    carries), and codes compare as ints exactly as the keys
+    ``(sum(m), m)`` do, which is the row order.  A term of f enters
+    through a precomputed difference of codes, which need not fit the
+    fields (see the build), so the width does not depend on f's degree.
+    Exponent tuples are decoded once per reported row.
 
     Rows are reported after one cleanup: whenever a homogeneous row
     pins a single coefficient to zero, that coefficient is dropped from
@@ -125,19 +145,28 @@ class DivergenceSystem:
     (a raw row plus rational multiples of pinning rows), so
     certificates stated against the reported rows refute the raw
     system too.
+
+    ``unknown_labels`` names the unknowns (``A10`` is the coefficient
+    of x in h_1); the package never reads the names, so they are built
+    when first read.
     """
 
     f: Poly
     g: Poly
     degree_bound: int
-    unknown_labels: tuple  # (label, variable index, exponent tuple)
+    unknowns: tuple  # (variable index, exponent tuple)
     row_monomials: tuple  # exponent tuples, sorted
     rows: tuple  # per row: tuple of (unknown index, Fraction)
     rhs: tuple  # per row: Fraction
 
+    @functools.cached_property
+    def unknown_labels(self) -> tuple:
+        """(label, variable index, exponent tuple) per unknown."""
+        return tuple((_label(i, e), i, e) for i, e in self.unknowns)
+
     @property
     def unknown_count(self) -> int:
-        return len(self.unknown_labels)
+        return len(self.unknowns)
 
 
 def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
@@ -153,34 +182,69 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
     exponents = [] if h_bound < 0 else enumerate_monomials(
         f.context, max_weight=h_bound
     )
-    unknowns = sorted(
-        ((_label(i, e), i, e) for i in range(n) for e in exponents),
-        key=lambda u: -sum(u[2]),
-    )
+    bits = max(degree_bound, 1).bit_length()
+    mask = (1 << bits) - 1
+    offsets = [bits * k for k in range(n - 1, -1, -1)]  # x_1 ... x_n
+    one = 1 << (bits * n)  # a unit in the degree field
+
+    def code(m):
+        return sum(m) * one + sum(map(operator.lshift, m, offsets))
+
     target = {
-        m: c for m, c in (f * g).terms.items() if sum(m) <= degree_bound
+        code(m): c
+        for m, c in (f * g).terms.items()
+        if sum(m) <= degree_bound
     }
-    # column j is d/dx_i (f * x^e): the term c*x^a of f contributes
-    # c*(a_i + e_i) at a + e - 1_i; multiples[k] is c*k, built once
-    # because a Fraction product per entry doubles the build time
-    f_terms = [
-        (a, sum(a), [c * k for k in range(sum(a) + h_bound + 1)])
-        for a, c in f.terms.items()
+    # column (i, e) is d/dx_i (f * x^e): the term c*x^a of f contributes
+    # c*(a_i + e_i) at a + e - 1_i, whose code is code(e) + shift with
+    # shift = code(a) - code(1_i), one per term and variable.  The shift
+    # is not itself a code (a - 1_i may have a -1 field), but code is
+    # linear, so the sum is exact in Z and, having every field in range,
+    # is the code of a + e - 1_i.  A term's table[k] is c*k, built once
+    # because a Fraction product per entry doubles the build time.
+    # Terms go by ascending degree: a column of degree d keeps those of
+    # degree at most D + 1 - d, so a term above D + 1 reaches no row.
+    terms = sorted(
+        (t for t in f.terms.items() if sum(t[0]) <= degree_bound + 1),
+        key=lambda t: sum(t[0]),
+    )
+    degrees = [sum(a) for a, _ in terms]
+    multiples = [
+        [c * k for k in range(sum(a) + h_bound + 1)] for a, c in terms
     ]
-    raw = {m: {} for m in target}  # row monomial -> {unknown index: coeff}
-    for j, (_, i, e) in enumerate(unknowns):
-        top = degree_bound + 1 - sum(e)
-        for a, deg, multiples in f_terms:
-            k = a[i] + e[i]
-            if k and deg <= top:
-                m = tuple(s + t for s, t in zip(a, e))
-                m = m[:i] + (m[i] - 1,) + m[i + 1:]
-                raw.setdefault(m, {})[j] = multiples[k]
-    ordered = sorted(raw, key=lambda m: (sum(m), m))
+    shifted = [
+        [
+            (code(a) - one - (1 << offsets[i]), a[i], table)
+            for (a, _), table in zip(terms, multiples)
+        ]
+        for i in range(n)
+    ]
+    codes = [code(e) for e in exponents]
+    # row code -> {unknown index: coeff}
+    raw = defaultdict(dict, {m: {} for m in target})
+    unknowns = []
+    # enumerate_monomials lists exponents by ascending degree, lex within
+    # a degree, so degree d fills [comb(d - 1 + n, n), comb(d + n, n))
+    for d in range(h_bound, -1, -1):
+        first, stop = math.comb(d - 1 + n, n), math.comb(d + n, n)
+        live = bisect.bisect_right(degrees, degree_bound + 1 - d)
+        for i in range(n):
+            active = shifted[i][:live]
+            for t in range(first, stop):
+                e = exponents[t]
+                j = len(unknowns)
+                unknowns.append((i, e))
+                base = codes[t]
+                ei = e[i]
+                for shift, ai, table in active:
+                    k = ai + ei
+                    if k:
+                        raw[base + shift][j] = table[k]
+    ordered = sorted(raw)
 
     # propagate zero-forced coefficients, batch per pass so the pinning
     # row is always one that was a singleton at the same stage
-    forced = {}  # unknown index -> pinning monomial
+    forced = {}  # unknown index -> pinning row code
     while True:
         fresh = {}
         for m in ordered:
@@ -194,25 +258,29 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
         forced.update(fresh)
     pinning = {m: j for j, m in forced.items()}
 
+    zero = Fraction(0)
     monomials = []
     rows = []
     rhs = []
     for m in ordered:
         entries = {j: c for j, c in raw[m].items() if j not in forced}
+        value = target.get(m, zero)
         if m in pinning:
             j = pinning[m]
-            entries[j] = raw[m][j]
-        value = target.get(m, Fraction(0))
-        if not entries and not value:
+            entries[j] = raw[m][j]  # back in last: this row alone is sorted
+            row = tuple(sorted(entries.items()))
+        elif entries or value:
+            row = tuple(entries.items())  # columns came in ascending order
+        else:
             continue
-        monomials.append(m)
-        rows.append(tuple(sorted(entries.items())))
+        monomials.append(tuple((m >> s) & mask for s in offsets))
+        rows.append(row)
         rhs.append(value)
     return DivergenceSystem(
         f=f,
         g=g,
         degree_bound=degree_bound,
-        unknown_labels=tuple(unknowns),
+        unknowns=tuple(unknowns),
         row_monomials=tuple(monomials),
         rows=tuple(rows),
         rhs=tuple(rhs),
@@ -273,7 +341,7 @@ def divergence_feasible(
         )
     variables = tuple(f.context)
     per_var = {}
-    for value, (_, i, exps) in zip(payload, system.unknown_labels):
+    for value, (i, exps) in zip(payload, system.unknowns):
         if value:
             per_var.setdefault(i, {})[exps] = value
     witness = tuple(

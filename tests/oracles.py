@@ -16,7 +16,7 @@ Each one takes a different road to the same answer:
 - ``divergence_equations``: the raw coefficient equations of the
   divergence equation, one ``Poly`` product and one ``Poly.partial``
   per unknown coefficient; ``divergence_system`` in the package builds
-  its columns from exponent arithmetic instead.
+  its columns by adding packed monomial codes instead.
 - ``float64_lower_bound``: the flat-form integral sampled in binary64,
   the contrast to ``drcalc.witness``'s log-domain enclosures; it
   underflows to zero past n = 2.
@@ -37,6 +37,9 @@ Each one takes a different road to the same answer:
   then ·rest, signed by the prefix's degree alone;
   ``Derivation.expand`` forms base·t once and moves t past rest with
   the Koszul sign instead.
+- ``fraction_back_substitute``: back substitution through echelon
+  pivot rows with one ``Fraction`` dot product per row; the package
+  solves the integer rows over one running common denominator instead.
 - ``dict_product`` and ``lift_by_name``: a polynomial product as a
   double loop over term dicts, and a polynomial placed into a larger
   graded context by writing its exponents at the positions of its
@@ -585,3 +588,19 @@ def two_product_expand(derivation, terms):
                     acc[m] = acc.get(m, 0) + first * second * scale * c
             prefix_degree += e * gens[i].degree
     return acc
+
+
+def fraction_back_substitute(pivots, x):
+    """Complete sparse ``{col: Fraction}`` ``x`` at the pivot columns.
+
+    ``pivots`` is ``elim._echelon``'s ``{column: (row, combo)}``.  Pivot
+    rows are solved from the largest pivot column down, each with a
+    ``Fraction`` dot product divided by its lead, so every pivot
+    row . x = 0 afterwards.
+    """
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c][0]
+        s = sum(w * x[j] for j, w in prow.items() if j != c and j in x)
+        if s:
+            x[c] = -s / prow[c]
+    return x

@@ -366,6 +366,57 @@ def test_non_ascii_digit_exits_2(capsys, text, column):
     assert err.startswith(f"error: unexpected character at column {column}:")
 
 
+# every integer option, each given an Arabic-Indic digit
+INTEGER_OPTIONS = [
+    ["derham", "--file", "{fat}", "--hodge"],
+    ["derham", "--file", "{fat}", "--truncate"],
+    ["cartier", "--file", "{fat}", "--k"],
+    ["koszul", "--vars", "x", "--f", "x^2", "--power"],
+    ["tower", "--vars", "x", "--f", "x^2", "--to", "1", "--from"],
+    ["tower", "--vars", "x", "--f", "x^2", "--from", "2", "--to"],
+    ["amitsur-compare", "--vars", "x,y", "--f", "x*y", "--pmax"],
+    ["ideal", "annchain", "--vars", "x,y", "--gen", "x*y", "--f", "x",
+     "--levels"],
+    ["reiffen", "check", "--vars", "x,y", "--f", "x^3+y^4", "--degree"],
+    ["reiffen", "scan", "--qmax"],
+    ["reiffen", "scan", "--pmax"],
+    ["reiffen", "scan", "--degree"],
+    ["witness", "--nmax"],
+    ["witness", "--precision-bits"],
+    ["witness", "--grid"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", INTEGER_OPTIONS, ids=lambda a: f"{a[0]}{a[-1]}"
+)
+def test_non_ascii_integer_option_exits_2(fat_file, capsys, argv):
+    argv = [a.format(fat=fat_file) for a in argv] + ["\u0661\u0666"]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert f"error: argument {argv[-2]}: invalid integer value" in err
+
+
+def test_non_ascii_integers_in_a_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "digits.dg"
+    path.write_text(
+        "vars x\nodd t deg -\u0661 weight \u0662\nd t = x^2\n"
+        "truncate \u0666\n"
+    )
+    code, out, err = run(capsys, ["derham", "--file", str(path)])
+    assert code == 2
+    assert not out
+    assert err == "error: line 2: degree and weight must be integers\n"
+    path.write_text(FAT + "truncate \u0666\n")
+    code, out, err = run(capsys, ["derham", "--file", str(path)])
+    assert code == 2
+    assert not out
+    assert err == "error: line 4: truncate takes one integer\n"
+
+
 DEEP_F = {
     "parentheses": "(" * 250 + "x" + ")" * 250,
     "minuses": "-" * 500 + "x",

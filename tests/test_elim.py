@@ -10,7 +10,7 @@ from drcalc import elim
 from drcalc.parse import parse_poly
 from drcalc.reiffen import divergence_system
 
-from oracles import gauss_rank, rref_nullspace
+from oracles import fraction_back_substitute, gauss_rank, rref_nullspace
 
 
 def _entries(dense):
@@ -289,6 +289,30 @@ def test_sparse_kernel_property(system):
         for c in range(nc):
             assert sum(payload[r] * dense[r][c] for r in range(nr)) == 0
         assert sum(payload[r] * rhs[r] for r in range(nr)) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sparse_systems())
+def test_integer_back_substitution_matches_fractions(system):
+    # every start the package solves from: each free column at 1 (a
+    # kernel vector) and, when feasible, the right-hand side column at -1
+    dense, rhs = system
+    nc = len(dense[0])
+    rows = [
+        elim.integral({c: v for c, v in enumerate(row + [b]) if v})[0]
+        for row, b in zip(dense, rhs)
+    ]
+    pivots = elim._echelon(rows)
+    starts = [{f: 1} for f in range(nc) if f not in pivots]
+    if nc not in pivots:
+        starts.append({nc: -1})
+    for start in starts:
+        want = fraction_back_substitute(
+            pivots, {c: Fraction(v) for c, v in start.items()}
+        )
+        got = elim._back_substitute(pivots, dict(start))
+        assert got == want
+        assert all(type(v) is Fraction for v in got.values())
 
 
 def test_solve_rational_rejects_a_forged_certificate(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcalc.parse import MAX_NESTING, PolyParseError, parse_poly
+from drcalc.parse import MAX_NESTING, PolyParseError, integer, parse_poly
 from drcalc.poly import Poly
 from drcalc.presfile import PresentationFormatError, parse_presentation
 
@@ -172,3 +172,18 @@ def test_grammar_tokens_parse_or_raise_parse_error(text):
         parse_presentation(f"vars x y\nodd t deg -1 weight 1\nd t = {text}\n")
     except PresentationFormatError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0", 0), ("16", 16), ("-1", -1), ("+7", 7), ("007", 7)]
+)
+def test_integer_reads_ascii_digits(text, value):
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0661\u0666", "\uff11", "1_0", " 1", "1 ", "", "-", "1.0", "0x1"]
+)
+def test_integer_refuses_anything_else(text):
+    with pytest.raises(ValueError):
+        integer(text)

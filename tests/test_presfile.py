@@ -83,6 +83,12 @@ def test_error_positions_and_messages():
         ("vars x\nspam 1\n", 2, "unknown directive 'spam'"),
         ("vars x\ntruncate 1 2\n", 2, "takes one integer"),
         ("vars x\ntruncate w\n", 2, "takes one integer"),
+        # integers are ASCII digits, as in the polynomial grammar
+        ("vars x\nodd t deg -\u0661 weight 1\n", 2, "must be integers"),
+        ("vars x\nodd t deg -1 weight \u0662\n", 2, "must be integers"),
+        ("vars x\nodd t deg -1 weight 1_0\n", 2, "must be integers"),
+        ("vars x\ntruncate \u0666\n", 2, "takes one integer"),
+        ("vars x\nhodge \uff13\n", 2, "takes one integer"),
         ("vars x,y,z\nodd t deg -1 weight 2\nd t = x^2\n", 1,
          "'x,y,z' is not an identifier"),
         ("vars x 2y\n", 1, "'2y' is not an identifier"),

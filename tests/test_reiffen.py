@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcalc import elim
+from drcalc import cli, elim
+from drcalc import reiffen as reiffen_module
 from drcalc.errors import StructuralError
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
@@ -198,17 +200,16 @@ def _divergence_inputs(draw):
     return Poly(variables, f), Poly(variables, g), degree
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_divergence_inputs())
-def test_system_matches_the_poly_oracle(case):
-    f, g, degree = case
-    system = divergence_system(f, g, degree)
-    equations = divergence_equations(f, g, degree)
-    unknowns = [(i, e) for _, i, e in system.unknown_labels]
-    oracle_unknowns = sorted(
-        {u for coeffs, _ in equations.values() for u in coeffs}
-    )
-    assert set(oracle_unknowns) <= set(unknowns)
+def _assert_rows_match(system, equations):
+    """Reported rows against the raw equations of the oracle.
+
+    Every reported entry and right-hand side is the raw one, and every
+    raw entry left out is pinned to zero by its own one-entry row.
+    Returns the unknowns as ``(i, e)`` pairs, in column order.
+    """
+    unknowns = list(system.unknowns)
+    oracle_unknowns = {u for coeffs, _ in equations.values() for u in coeffs}
+    assert oracle_unknowns <= set(unknowns)
     reported = dict(zip(system.row_monomials, zip(system.rows, system.rhs)))
     assert set(reported) <= set(equations)
     pinned = {
@@ -224,6 +225,20 @@ def test_system_matches_the_poly_oracle(case):
         # ... and every raw entry left out is pinned to zero by its own row
         for u in set(coeffs) - set(got):
             assert unknowns.index(u) in pinned
+    return unknowns
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_divergence_inputs())
+def test_system_matches_the_poly_oracle(case):
+    f, g, degree = case
+    system = divergence_system(f, g, degree)
+    equations = divergence_equations(f, g, degree)
+    unknowns = _assert_rows_match(system, equations)
+    assert [(i, e) for _, i, e in system.unknown_labels] == unknowns
+    oracle_unknowns = sorted(
+        {u for coeffs, _ in equations.values() for u in coeffs}
+    )
     # feasible exactly when b is in the column span of the raw system
     dense = [
         [coeffs.get(u, Fraction(0)) for u in oracle_unknowns] + [b]
@@ -233,6 +248,99 @@ def test_system_matches_the_poly_oracle(case):
     augmented = gauss_rank(dense)
     tag, _ = elim.solve_rational(system.rows, system.rhs, system.unknown_count)
     assert (tag == "infeasible") == (augmented > plain)
+
+
+# degree bounds at which the packed monomial code's field width changes
+_WIDTH_STEPS = (0, 1, 3, 4, 7, 8, 15, 16, 31, 32)
+
+
+@st.composite
+def _packed_inputs(draw, degree):
+    """(f, g): f reaching past the degree bound D.
+
+    f has a low term of degree 1-3, a pure power of one variable of
+    degree above D (so every other variable has a zero exponent there),
+    and up to two more terms with exponents up to D + 3.
+    """
+    n = draw(st.integers(1, 3 if degree <= 8 else 2))
+    variables = ("x", "y", "z")[:n]
+    low = [0] * n
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        low[i] += 1
+    high = [0] * n
+    high[draw(st.integers(0, n - 1))] = degree + draw(st.integers(1, 3))
+    f = {tuple(low): draw(_coeff), tuple(high): draw(_coeff)}
+    f.update(draw(st.dictionaries(
+        st.tuples(*[st.integers(0, degree + 3)] * n).filter(any),
+        _coeff, max_size=2,
+    )))
+    g = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), _coeff, max_size=3
+    ))
+    return Poly(variables, f), Poly(variables, g)
+
+
+@pytest.mark.parametrize("degree", _WIDTH_STEPS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_build_matches_the_poly_oracle(degree, data):
+    f, g = data.draw(_packed_inputs(degree))
+    system = divergence_system(f, g, degree)
+    unknowns = _assert_rows_match(
+        system, divergence_equations(f, g, degree)
+    )
+    # the ordering contract: unknowns newest first, then by variable
+    # and lex; rows by degree, then lex; entries by ascending column
+    n = len(f.context)
+    h_bound = degree - f.min_degree() + 1
+    exponents = [
+        e for e in itertools.product(range(max(h_bound, -1) + 1), repeat=n)
+        if sum(e) <= h_bound
+    ]
+    assert unknowns == sorted(
+        ((i, e) for e in exponents for i in range(n)),
+        key=lambda u: (-sum(u[1]), u[0], u[1]),
+    )
+    monomials = list(system.row_monomials)
+    assert monomials == sorted(set(monomials), key=lambda m: (sum(m), m))
+    for row in system.rows:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(type(c) is Fraction for _, c in row)
+    assert all(type(b) is Fraction for b in system.rhs)
+
+
+QUARTIC_D5_LABELS = (
+    ("A02", 0, (0, 2)), ("A11", 0, (1, 1)), ("A20", 0, (2, 0)),
+    ("B02", 1, (0, 2)), ("B11", 1, (1, 1)), ("B20", 1, (2, 0)),
+    ("A01", 0, (0, 1)), ("A10", 0, (1, 0)), ("B01", 1, (0, 1)),
+    ("B10", 1, (1, 0)), ("A00", 0, (0, 0)), ("B00", 1, (0, 0)),
+)
+
+
+def test_unknown_labels_on_the_quartic():
+    system = divergence_system(reiffen(), P("1"), 5)
+    assert system.unknown_labels == QUARTIC_D5_LABELS
+    assert system.unknowns == tuple((i, e) for _, i, e in QUARTIC_D5_LABELS)
+    assert system.unknown_labels is system.unknown_labels  # built once
+
+
+def test_labels_are_built_only_when_read(monkeypatch, capsys):
+    def refuse(i, exps):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(reiffen_module, "_label", refuse)
+    infeasible = divergence_feasible(reiffen(), degree_bound=8)
+    assert infeasible.status == "infeasible"
+    feasible = divergence_feasible(P("x^2 + y^2"), degree_bound=6)
+    assert feasible.status == "feasible"
+    assert cli.main([
+        "reiffen", "check", "--vars", "x,y", "--f", "x^4+y^5+y^4*x",
+        "--degree", "8",
+    ]) == 0
+    assert "verdict=infeasible" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="a label was built"):
+        infeasible.system.unknown_labels
 
 
 def test_unknown_cap_reports_resource_limit():
