@@ -20,7 +20,6 @@ Koszul algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import random
 
 from .algebra import (
     Derivation,
@@ -137,14 +136,15 @@ class CheckReport:
         return self.ok
 
 
-def presentation_check(pres: DGPresentation, seed=0, pairs=25) -> CheckReport:
-    """d²=0 on generators, sign rule on random pairs, weight monotonicity.
+def presentation_check(pres: DGPresentation) -> CheckReport:
+    """d²=0 and weight monotonicity on the odd generators.
 
     Failures are collected and reported, never raised; the first entry
-    names the first violated identity.
+    names the first violated identity.  The Koszul sign rule is not
+    checked here: it is the algebra kernel's (``algebra._mul_exps``),
+    whatever the presentation.
     """
     failures = []
-    ctx = pres.context
     try:
         d = pres.boundary()
     except StructuralError as exc:
@@ -163,17 +163,6 @@ def presentation_check(pres: DGPresentation, seed=0, pairs=25) -> CheckReport:
             failures.append(
                 f"d lowers weight on {g.name}: {light} < {g.weight}"
             )
-    rng = random.Random(seed)
-    names = [g.name for g in ctx.gens]
-    for _ in range(pairs):
-        a = GradedElement.generator(ctx, rng.choice(names))
-        b = GradedElement.generator(ctx, rng.choice(names))
-        da = ctx.degree_of(next(iter(a.terms)))
-        db = ctx.degree_of(next(iter(b.terms)))
-        sign = -1 if (da % 2) and (db % 2) else 1
-        if a * b != (b * a).scale(sign):
-            failures.append("sign rule violated on generator pair")
-            break
     return CheckReport(not failures, tuple(failures))
 
 

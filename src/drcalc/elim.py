@@ -308,25 +308,28 @@ def solve_rational(rows, rhs, ncols):
     reruns with tracking to read lam off it.  The rerun stops at the
     same row, because which columns the rows before it pivot on does
     not depend on the rows after it.  Each row is cleared of its
-    denominators when elimination reaches it, so lam multiplies the
-    combination of cleared rows by their denominators.
+    denominators once, when elimination first reaches it; the rerun
+    eliminates copies of the kept ``(row, den)`` pairs, and lam
+    multiplies the combination of cleared rows by their denominators.
     """
     zero = Fraction(0)  # shared by every absent entry of the answer
-    augmented = []
-    for row, b in zip(rows, rhs):
-        aug = dict(row)
-        if b:
-            aug[ncols] = Fraction(b)
-        augmented.append(aug)
-    pivots = _echelon(
-        (integral(aug)[0] for aug in augmented), until=ncols
-    )
+    cleared = []
+
+    def reached():
+        for row, b in zip(rows, rhs):
+            aug = dict(row)
+            if b:
+                aug[ncols] = Fraction(b)
+            cleared.append(integral(aug))
+            yield dict(cleared[-1][0])
+
+    pivots = _echelon(reached(), until=ncols)
     if ncols in pivots:
         row, combo = _echelon(
-            (integral(aug)[0] for aug in augmented), track=True, until=ncols
+            (dict(row) for row, _ in cleared), track=True, until=ncols
         )[ncols]
         lam = {
-            i: Fraction(w * integral(augmented[i])[1], row[ncols])
+            i: Fraction(w * cleared[i][1], row[ncols])
             for i, w in combo.items()
         }
         # verify the certificate against the original data

@@ -5,6 +5,23 @@ sorted by leading monomial), pair selection follows the normal strategy
 (smallest lcm degree, ties broken by the monomial order, then by pair
 index).  A pair budget guards against runaway computations.
 
+The work is done on term dicts ``{exps: Fraction}``, not on ``Poly``
+objects; a ``Poly`` is built only for what is returned.  A monomial
+order is a key function on exponent tuples, larger key for the larger
+monomial: ``grevlex_key``, ``lex_key`` and, for elimination, ``_elim_key``.
+There is one division routine, ``_divide`` (Cox, Little & O'Shea,
+*Ideals, Varieties, and Algorithms*, §2.3): it reduces a working dict
+in place by monic divisors, each carried as ``(lead, terms)`` so its
+lead is found once, and returns the quotients and the remainder.
+``normal_form``, ``div_exact`` and the S-polynomial reduction in
+Buchberger's loop all call it.  Each product of a monomial and a
+divisor is ``algebra.multiply_terms``.
+
+The reduced basis is formed in one pass (§2.7): the elements whose
+lead another lead divides are dropped, and each survivor's tail is
+reduced modulo the others.  Reduced bases are unique, so the result
+does not depend on the order the completion found its elements in.
+
 Colon ideals (I : f) are computed through the single elimination trick:
 intersect I with the principal ideal (f) using one auxiliary variable,
 then divide the intersection generators by f exactly.
@@ -13,17 +30,33 @@ then divide the intersection generators by f exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
+from .algebra import multiply_terms
 from .errors import ResourceLimitError, StructuralError
-from .poly import Poly, grevlex_key, lex_key
+from .poly import Poly, ring_context
 
 DEFAULT_PAIR_BUDGET = 100_000
 
 
 class PairBudgetExceeded(ResourceLimitError):
     pass
+
+
+def grevlex_key(exps) -> tuple:
+    """Sort key: graded reverse lexicographic, larger key = larger monomial."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def lex_key(exps) -> tuple:
+    return tuple(exps)
+
+
+def _elim_key(exps, base):
+    """Block order: the first exponent dominates, ``base`` orders the rest."""
+    return (exps[0], base(exps[1:]))
 
 
 @dataclass(frozen=True)
@@ -40,134 +73,125 @@ class MonomialOrder:
         return grevlex_key(exps) if self.kind == "grevlex" else lex_key(exps)
 
 
-class _ElimOrder:
-    """Block order making one variable index dominate a base order."""
-
-    def __init__(self, elim_index: int, base: MonomialOrder):
-        self.elim_index = elim_index
-        self.base = base
-
-    def key(self, exps):
-        rest = exps[: self.elim_index] + exps[self.elim_index + 1 :]
-        return (exps[self.elim_index], self.base.key(rest))
+def _monic(terms, key):
+    """``(lead, terms)`` of a nonzero term dict, scaled to lead coefficient 1."""
+    lead = max(terms, key=key)
+    lc = terms[lead]
+    if lc != 1:
+        terms = {e: c / lc for e, c in terms.items()}
+    return lead, terms
 
 
-def _lead(p: Poly, order) -> tuple:
-    return max(p.terms, key=order.key)
+def _subtract(ctx, work, mono, terms):
+    """``work -= mono * terms`` in place, ``mono`` one ``(exps, coeff)`` term."""
+    for e, c in multiply_terms(ctx, (mono,), terms.items()).items():
+        v = work.get(e, 0) - c
+        if v:
+            work[e] = v
+        else:
+            del work[e]
 
 
-def _monic(p: Poly, order) -> Poly:
-    lc = p.terms[_lead(p, order)]
-    return p * (Fraction(1) / lc)
+def _divide(ctx, work, divisors, key):
+    """``(quotients, remainder)`` of the term dict ``work`` by ``divisors``.
 
-
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    ``divisors`` are monic ``(lead, terms)`` pairs.  ``work`` is consumed:
+    its lead is cancelled by the first divisor whose lead divides it, or
+    moved to the remainder.  ``quotients[k]`` is the term dict of the
+    multiplier of ``divisors[k]``.
+    """
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while work:
+        e = max(work, key=key)
+        c = work[e]
+        for quotient, (lead, terms) in zip(quotients, divisors):
+            if all(map(le, lead, e)):
+                shift = tuple(map(sub, e, lead))
+                quotient[shift] = c
+                _subtract(ctx, work, (shift, c), terms)
+                break
+        else:
+            remainder[e] = work.pop(e)
+    return quotients, remainder
 
 
 def normal_form(g: Poly, basis: Sequence[Poly], order=None) -> Poly:
     """Full remainder of g on division by the (nonzero) polynomials in basis."""
-    order = order or MonomialOrder()
-    basis = [b for b in basis if b]
-    if not basis:
+    key = (order or MonomialOrder()).key
+    divisors = [_monic(b.terms, key) for b in basis if b]
+    if not divisors:
         return g
-    leads = [(_lead(b, order), b) for b in basis]
-    remainder = Poly.zero(g.context)
-    work = g
-    while work.terms:
-        e = max(work.terms, key=order.key)
-        c = work.terms[e]
-        for le, b in leads:
-            if _divides(le, e):
-                shift = tuple(x - y for x, y in zip(e, le))
-                factor = Poly.monomial(g.context, shift, c / b.terms[le])
-                work = work - factor * b
-                break
-        else:
-            remainder = remainder + Poly.monomial(g.context, e, c)
-            work = work - Poly.monomial(g.context, e, c)
-    return remainder
+    return Poly._of(g.context, _divide(g.context, dict(g.terms), divisors, key)[1])
 
 
 def div_exact(g: Poly, f: Poly, order=None) -> Poly:
     """Quotient g/f when f divides g exactly; ValueError otherwise."""
-    order = order or MonomialOrder()
+    key = (order or MonomialOrder()).key
     if not f:
         raise StructuralError("division by the zero polynomial")
-    quotient = Poly.zero(g.context)
-    work = g
-    le = _lead(f, order)
-    lc = f.terms[le]
-    while work.terms:
-        e = max(work.terms, key=order.key)
-        if not _divides(le, e):
-            raise ValueError("inexact division")
-        shift = tuple(x - y for x, y in zip(e, le))
-        mono = Poly.monomial(g.context, shift, work.terms[e] / lc)
-        quotient = quotient + mono
-        work = work - mono * f
-    return quotient
+    lead, terms = _monic(f.terms, key)
+    (quotient,), remainder = _divide(g.context, dict(g.terms), [(lead, terms)], key)
+    if remainder:
+        raise ValueError("inexact division")
+    lc = f.terms[lead]
+    return Poly._of(g.context, {e: c / lc for e, c in quotient.items()})
 
 
-def _spoly(f: Poly, g: Poly, order) -> Poly:
-    ef, eg = _lead(f, order), _lead(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = Poly.monomial(f.context, tuple(a - b for a, b in zip(lcm, ef)),
-                       Fraction(1) / f.terms[ef])
-    mg = Poly.monomial(g.context, tuple(a - b for a, b in zip(lcm, eg)),
-                       Fraction(1) / g.terms[eg])
-    return mf * f - mg * g
+def _reduced_basis(ctx, seeds, key, pair_budget):
+    """Reduced Groebner basis of nonzero term dicts.
 
+    Returned as ``(lead, terms)`` pairs in ascending order of their
+    leads.  Pairs wait in a heap under their rank, computed once from the stored
+    leads.  Every pair popped counts against the budget, including those
+    the product criterion skips.
+    """
+    basis = []
+    pairs = []
 
-def _interreduce(basis, order):
-    basis = [b for b in basis if b]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], others, order)
-            if r != basis[i]:
-                changed = True
-            if r:
-                basis[i] = r
-            else:
-                basis.pop(i)
-                break
-    basis = [_monic(b, order) for b in basis]
-    basis.sort(key=lambda b: order.key(_lead(b, order)))
-    return basis
+    def enter(terms):
+        lead, terms = _monic(terms, key)
+        k = len(basis)
+        for m, (other, _) in enumerate(basis):
+            lcm = tuple(map(max, lead, other))
+            heappush(pairs, (sum(lcm), key(lcm), k, m, lcm))
+        basis.append((lead, terms))
 
-
-def _buchberger_core(seeds, order, pair_budget):
-    """Completion loop shared by buchberger() and the elimination path."""
-    basis = [_monic(g, order) for g in seeds]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    for terms in seeds:
+        enter(terms)
     processed = 0
-
-    def pair_rank(p):
-        i, j = p
-        ei, ej = _lead(basis[i], order), _lead(basis[j], order)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        return (sum(lcm), order.key(lcm), i, j)
-
     while pairs:
         processed += 1
         if processed > pair_budget:
             raise PairBudgetExceeded(
                 f"S-pair budget of {pair_budget} exceeded")
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        ei, ej = _lead(basis[i], order), _lead(basis[j], order)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        if lcm == tuple(a + b for a, b in zip(ei, ej)):
+        *_, i, j, lcm = heappop(pairs)
+        (ei, ti), (ej, tj) = basis[i], basis[j]
+        if lcm == tuple(map(add, ei, ej)):
             continue  # product criterion: disjoint leading supports
-        r = normal_form(_spoly(basis[i], basis[j], order), basis, order)
-        if r:
-            basis.append(_monic(r, order))
-            k = len(basis) - 1
-            pairs.update((k, m) for m in range(k))
-    return _interreduce(basis, order)
+        work = {}  # the S-polynomial: (lcm/ei) fi - (lcm/ej) fj
+        _subtract(ctx, work, (tuple(map(sub, lcm, ej)), 1), tj)
+        _subtract(ctx, work, (tuple(map(sub, lcm, ei)), -1), ti)
+        remainder = _divide(ctx, work, basis, key)[1]
+        if remainder:
+            enter(remainder)
+    # a lead divides only larger leads, so ascending order meets divisors first
+    minimal = []
+    for lead, terms in sorted(basis, key=lambda b: key(b[0])):
+        if not any(all(map(le, other, lead)) for other, _ in minimal):
+            minimal.append((lead, terms))
+    return [
+        (lead, _divide(ctx, dict(terms), minimal[:k] + minimal[k + 1:], key)[1])
+        for k, (lead, terms) in enumerate(minimal)
+    ]
+
+
+def _context(polys):
+    """The one context of ``polys``; StructuralError if they mix contexts."""
+    ctx = polys[0].context
+    if any(p.context != ctx for p in polys):
+        raise StructuralError("mixed contexts in ideal generators")
+    return ctx
 
 
 def buchberger(gens: Iterable[Poly], order=None,
@@ -177,12 +201,10 @@ def buchberger(gens: Iterable[Poly], order=None,
     gens = [g for g in gens if g]
     if not gens:
         return GroebnerBasis(context=(), order=order, gens=())
-    ctx = gens[0].context
-    for g in gens:
-        if g.context != ctx:
-            raise StructuralError("mixed contexts in ideal generators")
+    ctx = _context(gens)
+    basis = _reduced_basis(ctx, [g.terms for g in gens], order.key, pair_budget)
     return GroebnerBasis(context=tuple(ctx), order=order,
-                         gens=tuple(_buchberger_core(gens, order, pair_budget)))
+                         gens=tuple(Poly._of(ctx, terms) for _, terms in basis))
 
 
 @dataclass(frozen=True)
@@ -197,7 +219,7 @@ class GroebnerBasis:
         return normal_form(p, self.gens, self.order)
 
     def leading_exponents(self):
-        return [_lead(g, self.order) for g in self.gens]
+        return [max(g.terms, key=self.order.key) for g in self.gens]
 
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
@@ -205,24 +227,31 @@ class GroebnerBasis:
 
 def intersect_principal(gens: Sequence[Poly], f: Poly, order=None,
                         pair_budget: int = DEFAULT_PAIR_BUDGET):
-    """Generators of I  intersect  (f), by one-variable elimination."""
+    """Generators of I  intersect  (f), by one-variable elimination.
+
+    The seeds t·g and (1 − t)·f are written as term dicts over the
+    context with an auxiliary variable t put first; the elimination
+    order makes t dominate, so a basis element is free of t exactly
+    when its lead is.
+    """
     order = order or MonomialOrder()
     if not f:
         raise StructuralError("principal generator must be nonzero")
-    ctx = tuple(f.context)
+    ctx = _context([f, *gens])
     aux = "t_elim"
     while aux in ctx:
         aux = aux + "_"
-    big = (aux,) + ctx
-    t = Poly.var(big, aux)
-    lifted = [t * g.cast(big) for g in gens if g]
-    lifted.append((Poly.const(big, 1) - t) * f.cast(big))
-    elim = _ElimOrder(0, order)
-    out = []
-    for b in _buchberger_core(lifted, elim, pair_budget):
-        if all(e[0] == 0 for e in b.terms):  # free of the auxiliary variable
-            out.append(Poly(ctx, {e[1:]: c for e, c in b.terms.items()}))
-    return out
+    seeds = [{(1,) + e: c for e, c in g.terms.items()} for g in gens if g]
+    seeds.append({(i,) + e: -c if i else c
+                  for e, c in f.terms.items() for i in (0, 1)})
+    big = ring_context((aux, *ctx))
+    basis = _reduced_basis(
+        big, seeds, lambda exps: _elim_key(exps, order.key), pair_budget)
+    return [
+        Poly._of(ctx, {e[1:]: c for e, c in terms.items()})
+        for lead, terms in basis
+        if not lead[0]
+    ]
 
 
 def colon_principal(gens: Sequence[Poly], f: Poly, order=None,
@@ -270,4 +299,3 @@ def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
             stab = n
             break
     return AnnChain(colon_bases=chain, stabilized_at=stab)
-

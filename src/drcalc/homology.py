@@ -157,15 +157,12 @@ class MatrixComplex:
             columns = _columns(entries)
             here = pivots.get(n, {})
             up = pivots.get(n + 1, {})
+            images = dict(_column_products(
+                columns, {c: row for c, (row, _) in here.items()}
+            ))
             reduced = {}
             for c in range(self.dims[n]):
-                if c in here:
-                    image = {}
-                    for j, w in here[c][0].items():
-                        for r, v in columns.get(j, {}).items():
-                            image[r] = image.get(r, 0) + w * v
-                else:
-                    image = columns.get(c, {})
+                image = images[c] if c in here else columns.get(c, {})
                 for r, v in elim.reduce(up, image).items():
                     reduced[(r, c)] = v
             ints, den = elim.integral(reduced)

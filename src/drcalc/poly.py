@@ -36,9 +36,6 @@ from typing import Mapping, Union
 
 from .algebra import GradedContext, GradedElement, Generator
 
-Exponents = tuple  # tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
 def ring_context(names: tuple) -> GradedContext:
     """The all-even context of the polynomial ring on ``names``.
@@ -136,28 +133,6 @@ class Poly(GradedElement):
             if e[i]
         })
 
-    # ---- context surgery ---------------------------------------------
-
-    def cast(self, new_context, mapping: Mapping[str, str] | None = None) -> "Poly":
-        """Re-express in a larger context, optionally mapping variable names.
-
-        ``mapping`` sends old names to new names; unmapped names map to
-        themselves.  Every (mapped) variable must exist in the new
-        context.
-        """
-        new_context = tuple(new_context)
-        mapping = mapping or {}
-        pos = [new_context.index(mapping.get(name, name)) for name in self.context]
-        n = len(new_context)
-        out: dict = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for j, ej in enumerate(e):
-                ne[pos[j]] += ej
-            key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(new_context, out)
-
     # ---- printing -----------------------------------------------------
 
     def __str__(self) -> str:
@@ -194,15 +169,6 @@ def _fmt_coeff(c: Fraction) -> str:
 
 
 # ---- module-level helpers --------------------------------------------
-
-
-def grevlex_key(exps: Exponents) -> tuple:
-    """Sort key: graded reverse lexicographic, larger key = larger monomial."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def lex_key(exps: Exponents) -> tuple:
-    return tuple(exps)
 
 
 def even_poly_parts(elem: GradedElement) -> dict:

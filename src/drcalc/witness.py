@@ -39,6 +39,7 @@ import mpmath
 from mpmath.libmp import (
     MPZ_ONE,
     fone,
+    from_int,
     from_man_exp,
     from_rational,
     fzero,
@@ -53,10 +54,8 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_sign,
     mpf_sub,
-    mpi_add,
     mpi_div,
     mpi_log,
-    mpi_mul,
     mpi_sub,
     round_ceiling,
     round_floor,
@@ -195,6 +194,20 @@ def log_sum_lower_bound(
     return LogValue.from_log(mpmath.mp.make_mpf(log))
 
 
+def _edge_end(lo, span, g, i, end, prec: int):
+    """End ``end`` (0 lower, 1 upper) of the interval lo + span i / g.
+
+    ``lo``, ``span`` and ``g`` are intervals with nonnegative ends and
+    ``g`` positive, so the interval product, quotient and sum take this
+    end from one chain rounded toward floor (end 0) or ceiling (end 1):
+    the same end of lo, span and i, and the other end of g.
+    """
+    rounding = (round_floor, round_ceiling)[end]
+    offset = mpf_mul(span[end], from_int(i, prec, rounding), prec, rounding)
+    offset = mpf_div(offset, g[1 - end], prec, rounding)
+    return mpf_add(lo[end], offset, prec, rounding)
+
+
 def _log_inverse_phi(x: float) -> float:
     """log(1/phi(x)) = u^2 - 2 log|sin u| at u = 1/x, in binary64.
 
@@ -230,15 +243,20 @@ def log_integral_lower_bound(
     bound all the same.  A zero result says nothing.  ``a`` and ``b``
     are ints or floats.
 
-    The cell edges, u = 1/cell and log w are full intervals, both ends
-    rounded outward.  Past them only one end is read, so only that end
-    is computed: the upper end of u^2, the lower end of e^(-u^2) from
-    it, the lower end of sin^2 u from one sine at the end of u where
-    |sin| is least (none when u holds a zero of sin, and the cell is
-    void), phi_lo from the lower ends of sin^2 u and e^(-u^2), the
-    upper end of 1/phi_lo, and the cell's certified log, log w -
-    1/phi_lo, rounded toward floor.  Each is the very endpoint the full
-    interval sine, product, quotient or difference would give.
+    The span b - a, the width w = span/grid, log w and u = 1/cell are
+    full intervals, both ends rounded outward.  Elsewhere only one end
+    is read, so only that end is computed: of a cell's left edge the
+    lower end, lo_a + span_lo i/grid_hi rounded toward floor at every
+    step, and of its right edge the matching upper end rounded toward
+    ceiling (every operand is nonnegative, so these are the ends the
+    interval product, quotient and sum give); then the upper end of u^2,
+    the lower end of e^(-u^2) from it, the lower end of sin^2 u from one
+    sine at the end of u where |sin| is least (none when u holds a zero
+    of sin, and the cell is void), phi_lo from the lower ends of sin^2 u
+    and e^(-u^2), the upper end of 1/phi_lo, and the cell's certified
+    log, log w - 1/phi_lo, rounded toward floor.  Each is the very
+    endpoint the full interval sine, product, quotient or difference
+    would give.
 
     Only the cells that can reach the sum are enclosed.  A binary64
     pre-pass estimates each cell's log as log w - 1/phi at its
@@ -276,18 +294,6 @@ def log_integral_lower_bound(
     if mpf_sign(width[0]) <= 0:  # too coarse to bound any cell's width
         return LogValue.zero()
     log_width = mpi_log(width, prec)
-    edges = {}
-
-    def edge(i):
-        # each edge bounds two cells: keep it only until its second use
-        if i in edges:
-            return edges.pop(i)
-        if i:
-            offset = mpi_div(mpi_mul(span, _enclose(i, prec), prec), g, prec)
-            edges[i] = mpi_add(lo, offset, prec)
-        else:
-            edges[i] = lo
-        return edges[i]
 
     step = (float(b) - float(a)) / grid
     ranked = sorted(
@@ -302,7 +308,10 @@ def log_integral_lower_bound(
     for estimate, i in ranked:
         if estimate * slack > cutoff:
             break
-        cell = (edge(i - 1)[0], edge(i)[1])
+        cell = (
+            _edge_end(lo, span, g, i - 1, 0, prec),
+            _edge_end(lo, span, g, i, 1, prec),
+        )
         if mpf_sign(cell[0]) <= 0:
             continue
         u = mpi_div((fone, fone), cell, prec)

@@ -45,6 +45,13 @@ Each one takes a different road to the same answer:
   graded context by writing its exponents at the positions of its
   variables' names; the package's ``Poly`` multiplies through
   ``algebra.multiply_terms`` and lifts through ``cast_to`` instead.
+- ``poly_buchberger``, ``poly_normal_form`` and ``poly_div_exact``: the
+  Groebner loop on ``Poly`` values, a new ``Poly`` at every reduction
+  step, the lead of every polynomial found again wherever it is read,
+  the S-polynomial formed as two products, and the basis
+  interreduced by normal forms until nothing changes;
+  ``drcalc.groebner`` divides term dicts in place by divisors whose
+  leads it stores, and interreduces in one pass.
 """
 
 import itertools
@@ -142,7 +149,7 @@ def conerve_presentation(variables, f, p) -> DGPresentation:
     md = f.min_degree()
     for j in range(p + 1):
         copy_ctx = tuple(_copy_name(v, j) for v in variables)
-        fj = f.cast(tuple(evens), dict(zip(f.context, copy_ctx)))
+        fj = Poly(copy_ctx, f.terms)  # DGPresentation lifts it by name
         name = f"xi{j}"
         odd.append(OddGenerator(name, -1, md))
         images[name] = fj
@@ -604,3 +611,119 @@ def fraction_back_substitute(pivots, x):
         if s:
             x[c] = -s / prow[c]
     return x
+
+
+# ---------------------------------------------------------------------------
+# Groebner bases on Poly values
+
+
+def _poly_lead(p, key):
+    return max(p.terms, key=key)
+
+
+def _poly_monic(p, key):
+    return p * (Fraction(1) / p.terms[_poly_lead(p, key)])
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def poly_normal_form(g, basis, key):
+    """Full remainder of ``g`` on division by the nonzero ``basis``."""
+    basis = [b for b in basis if b]
+    if not basis:
+        return g
+    leads = [(_poly_lead(b, key), b) for b in basis]
+    remainder = Poly.zero(g.context)
+    work = g
+    while work.terms:
+        e = max(work.terms, key=key)
+        c = work.terms[e]
+        for le, b in leads:
+            if _divides(le, e):
+                shift = tuple(x - y for x, y in zip(e, le))
+                factor = Poly.monomial(g.context, shift, c / b.terms[le])
+                work = work - factor * b
+                break
+        else:
+            remainder = remainder + Poly.monomial(g.context, e, c)
+            work = work - Poly.monomial(g.context, e, c)
+    return remainder
+
+
+def poly_div_exact(g, f, key):
+    """Quotient g/f when f divides g exactly; ValueError otherwise."""
+    quotient = Poly.zero(g.context)
+    work = g
+    le = _poly_lead(f, key)
+    lc = f.terms[le]
+    while work.terms:
+        e = max(work.terms, key=key)
+        if not _divides(le, e):
+            raise ValueError("inexact division")
+        shift = tuple(x - y for x, y in zip(e, le))
+        mono = Poly.monomial(g.context, shift, work.terms[e] / lc)
+        quotient = quotient + mono
+        work = work - mono * f
+    return quotient
+
+
+def _poly_spoly(f, g, key):
+    ef, eg = _poly_lead(f, key), _poly_lead(g, key)
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    mf = Poly.monomial(f.context, tuple(a - b for a, b in zip(lcm, ef)),
+                       Fraction(1) / f.terms[ef])
+    mg = Poly.monomial(g.context, tuple(a - b for a, b in zip(lcm, eg)),
+                       Fraction(1) / g.terms[eg])
+    return mf * f - mg * g
+
+
+def _poly_interreduce(basis, key):
+    basis = [b for b in basis if b]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
+            r = poly_normal_form(basis[i], others, key)
+            if r != basis[i]:
+                changed = True
+            if r:
+                basis[i] = r
+            else:
+                basis.pop(i)
+                break
+    basis = [_poly_monic(b, key) for b in basis]
+    basis.sort(key=lambda b: key(_poly_lead(b, key)))
+    return basis
+
+
+def poly_buchberger(gens, key):
+    """Reduced Groebner basis of the nonzero ``gens``, as a list of Polys.
+
+    Pairs are chosen by smallest lcm degree, then the order, then
+    index; the product criterion skips pairs with disjoint leads.
+    """
+    basis = [_poly_monic(g, key) for g in gens if g]
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+
+    def pair_rank(p):
+        i, j = p
+        ei, ej = _poly_lead(basis[i], key), _poly_lead(basis[j], key)
+        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+        return (sum(lcm), key(lcm), i, j)
+
+    while pairs:
+        i, j = min(pairs, key=pair_rank)
+        pairs.discard((i, j))
+        ei, ej = _poly_lead(basis[i], key), _poly_lead(basis[j], key)
+        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+        if lcm == tuple(a + b for a, b in zip(ei, ej)):
+            continue
+        r = poly_normal_form(_poly_spoly(basis[i], basis[j], key), basis, key)
+        if r:
+            basis.append(_poly_monic(r, key))
+            k = len(basis) - 1
+            pairs.update((k, m) for m in range(k))
+    return _poly_interreduce(basis, key)

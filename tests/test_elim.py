@@ -483,3 +483,36 @@ def test_solve_stops_at_the_certificate_row(monkeypatch):
         "infeasible", lam[:last]
     )
     assert lam == [0, 0, 0, 7, 23, -29] + [0] * (len(rows) - 6)
+
+
+def _clearings(monkeypatch, rows, rhs, ncols):
+    """``solve_rational``'s answer, its ``integral`` calls, rows reached."""
+    cleared, reached = [], []
+    real_integral, real_clear = elim.integral, elim._clear
+
+    def integral(vector):
+        cleared.append(vector)
+        return real_integral(vector)
+
+    def clear(pivots, row, combo, stop):
+        if combo is None:  # the untracked pass meets each row once
+            reached.append(row)
+        return real_clear(pivots, row, combo, stop)
+
+    monkeypatch.setattr(elim, "integral", integral)
+    monkeypatch.setattr(elim, "_clear", clear)
+    return elim.solve_rational(rows, rhs, ncols), len(cleared), len(reached)
+
+
+@pytest.mark.parametrize("f, degree, verdict", [
+    ("x^4+y^5+y^4*x", 8, "infeasible"),
+    ("x^3+x^2*y+y^5", 12, "feasible"),
+])
+def test_solve_clears_each_row_reached_once(monkeypatch, f, degree, verdict):
+    system, rows, rhs = _system(f, degree)
+    (tag, _), cleared, reached = _clearings(
+        monkeypatch, rows, rhs, system.unknown_count
+    )
+    assert tag == verdict
+    assert cleared == reached
+    assert reached == (6 if verdict == "infeasible" else len(rows))

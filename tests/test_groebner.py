@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcalc import elim
 from drcalc.groebner import (
@@ -11,10 +13,15 @@ from drcalc.groebner import (
     buchberger,
     colon_principal,
     div_exact,
+    grevlex_key,
     intersect_principal,
+    lex_key,
+    normal_form,
 )
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
+
+from oracles import poly_buchberger, poly_div_exact, poly_normal_form
 
 XY = ("x", "y")
 
@@ -215,3 +222,58 @@ def test_groebner_basis_is_canonical():
     a = buchberger([P("x^2 + y"), P("x*y")])
     b = buchberger([P("x*y"), P("x^2 + y"), P("x^3 + x*y - x*y")])
     assert [str(g) for g in a.gens] == [str(g) for g in b.gens]
+
+
+def test_monomial_orders():
+    # grevlex: total degree first, then reversed comparison of reversed exps
+    assert grevlex_key((2, 0)) > grevlex_key((1, 1)) > grevlex_key((0, 2))
+    assert grevlex_key((0, 3)) > grevlex_key((2, 0))
+    assert lex_key((1, 5)) > lex_key((0, 9))
+    # at equal degree they disagree: grevlex puts x*z^2 below y^3, lex above
+    assert grevlex_key((1, 0, 2)) < grevlex_key((0, 3, 0))
+    assert lex_key((1, 0, 2)) > lex_key((0, 3, 0))
+
+
+@st.composite
+def ideal_cases(draw):
+    """Generators (zeros and a duplicate allowed), a probe and an order."""
+    ctx = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    polys = st.builds(
+        lambda terms: Poly(ctx, terms),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * len(ctx)),
+            st.fractions(-3, 3, max_denominator=4),
+            max_size=3,
+        ),
+    )
+    gens = draw(st.lists(polys, max_size=3))
+    if gens and draw(st.booleans()):
+        gens.append(gens[0])
+    order = MonomialOrder(draw(st.sampled_from(("grevlex", "lex"))))
+    return gens, draw(polys), order
+
+
+def _quotient(div, g, f, order):
+    try:
+        return div(g, f, order)
+    except ValueError:
+        return "inexact"
+
+
+@settings(max_examples=80, deadline=None)
+@given(ideal_cases())
+def test_matches_poly_oracle(case):
+    gens, probe, order = case
+    key = order.key
+    gb = buchberger(gens, order)
+    want = poly_buchberger(gens, key)
+    assert list(gb.gens) == want
+    assert [str(g) for g in gb.gens] == [str(g) for g in want]
+    assert normal_form(probe, gens, order) == poly_normal_form(probe, gens, key)
+    assert gb.normal_form(probe) == poly_normal_form(probe, want, key)
+    for f in gens:
+        if f:
+            assert div_exact(probe * f, f, order) == probe
+            assert _quotient(div_exact, probe, f, order) == _quotient(
+                poly_div_exact, probe, f, key
+            )

@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     from_float,
     mpf_pos,
     mpf_sign,
+    mpi_add,
+    mpi_div,
     mpi_mul,
     mpi_sin,
+    mpi_sub,
     round_ceiling,
     round_floor,
 )
@@ -205,6 +208,30 @@ def test_enclosure_property(lo, width, grid):
     # halving every cell never lowers the bound
     assert fine.sign == "positive"
     assert fine.log >= coarse.log
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(1e-3, 10.0),
+    st.integers(1, 4096),
+    st.one_of(st.just(7), st.integers(1, 200)),
+    st.floats(0.0, 1.0),
+)
+@example(a=0.1, length=0.3, grid=1000, prec=7, at=0.37)
+@example(a=0.1, length=0.3, grid=1000, prec=7, at=0.0)
+def test_edge_end_matches_the_interval_edge(a, length, grid, prec, at):
+    # the cell edge lo + span i / g as the interval primitives give it;
+    # at 7 bits _enclose(i) is not exact for i = 370
+    i = round(at * grid)
+    lo = witness._enclose(a, prec)
+    span = mpi_sub(witness._enclose(a + length, prec), lo, prec)
+    g = witness._enclose(grid, prec)
+    assume(mpf_sign(mpi_div(span, g, prec)[0]) > 0)  # as the bound requires
+    offset = mpi_div(mpi_mul(span, witness._enclose(i, prec), prec), g, prec)
+    want = mpi_add(lo, offset, prec) if i else lo
+    ends = tuple(witness._edge_end(lo, span, g, i, end, prec) for end in (0, 1))
+    assert ends == want
 
 
 def test_integral_across_a_null_point_collapses():
