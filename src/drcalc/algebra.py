@@ -16,15 +16,19 @@ graded Leibniz rule ``D(ab) = D(a) b + (-1)^|a| a D(b)``.  The sum of
 two derivations of the same degree is again one, which is how total
 differentials are assembled downstream.
 
-Products, derivations and presentation morphisms all expand on
-exponent tuples: an image is kept as a list of ``(exps, coeff)`` terms,
-every term of an expansion goes through ``_mul_exps`` into one
-accumulator dict, and zero coefficients are dropped once at the end.
-While an expansion runs, integral coefficients travel as ``int``; every
-coefficient stored in a ``GradedElement`` is a ``Fraction``.  The
-accumulator of a derivation is also read directly
-(``Derivation.expand``), which is how truncated complexes are assembled
-on ints.
+Products and presentation morphisms expand on exponent tuples: an
+image is kept as a list of ``(exps, coeff)`` terms, every term of a
+product goes through ``_mul_exps`` into one accumulator dict, and zero
+coefficients are dropped once at the end.  Derivations expand on
+packed monomial codes instead (``MonomialCode``, Monagan & Pearce,
+CASC 2007): one int per monomial, a field per generator, so a Leibniz
+term's monomial is one int add and its Koszul sign a mask test and a
+popcount (``leibniz``).  ``Derivation.expand`` encodes its tuple
+input, runs that loop and decodes the result; truncated complexes are
+assembled on the codes directly, from ``graded_monomials``, the one
+enumeration walk.  While an expansion runs, integral coefficients
+travel as ``int``; every coefficient stored in a ``GradedElement`` is
+a ``Fraction``.
 
 ``multiply_terms`` is the package's one polynomial product loop:
 ``poly.Poly`` is a ``GradedElement`` over an all-even context, so its
@@ -39,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from math import lcm
+from operator import add, itemgetter, mul
 
 from .errors import StructuralError
 
@@ -359,22 +364,65 @@ class GradedElement:
         return f"<GradedElement {self}>"
 
 
+class MonomialCode:
+    """Exponent tuples of one context packed into ints.
+
+    Field ``j`` of a code holds the exponent of generator ``j``, lowest
+    bits first, wide enough for ``bounds[j]`` (Monagan & Pearce, CASC
+    2007).  While every field stays in range no field carries, so the
+    code of a product is the sum of the codes, and ``code & odd_bits``
+    (the lowest bit of each odd generator's field) is the monomial's
+    odd-factor mask, the only part its Koszul signs depend on.
+    """
+
+    __slots__ = ("units", "odd_bits", "_offsets", "_masks")
+
+    def __init__(self, context: GradedContext, bounds):
+        offsets, top = [], 0
+        for bound in bounds:
+            offsets.append(top)
+            top += max(bound, 1).bit_length()
+        self._offsets = tuple(offsets)
+        self._masks = tuple(
+            (1 << (b - a)) - 1 for a, b in zip(offsets, offsets[1:] + [top])
+        )
+        self.units = tuple(1 << a for a in offsets)
+        self.odd_bits = sum(
+            u for u, g in zip(self.units, context.gens) if g.odd
+        )
+
+    def encode(self, exps) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def decode(self, code):
+        return tuple(
+            (code >> a) & m for a, m in zip(self._offsets, self._masks)
+        )
+
+
 class Derivation:
     """Degree ``+1`` derivation given by generator images.
 
     ``images`` maps generator names to elements; omitted generators map
     to zero.  Application follows the graded Leibniz rule, so the sign
     in front of the ``i``-th factor of a monomial is the parity of the
-    degree of everything to its left.  Each image is also kept as a term
-    list, and every Leibniz term is formed by one tuple product straight
-    into one accumulator: with ``base`` the monomial less one factor of
-    the ``i``-th generator, split as prefix·rest around position ``i``,
-    the term prefix·t·rest of an image term ``t`` is
-    ``(-1)^(|t|·|rest|) · base·t``.  prefix and rest sit at disjoint,
+    degree of everything to its left.  With ``base`` the monomial less
+    one factor of the ``i``-th generator, split as prefix·rest around
+    position ``i``, the term prefix·t·rest of an image term ``t`` is
+    ``(-1)^(|t|·|rest|) · base·t``; prefix and rest sit at disjoint,
     ordered positions, so prefix·rest is ``base`` with sign +1.
+
+    Every Leibniz term is formed on codes (``MonomialCode``) by
+    ``leibniz``, from the per-term data ``coded_table`` works out once
+    per code, with each image coefficient times ``den``, the least
+    common denominator of them all, so integral input stays on ints:
+    base·t has code ``code(m) + (code(t) - code(1_i))``, it
+    vanishes when t's odd mask meets base's, and its Koszul sign is the
+    parity of the odd factors of base past each odd factor of t, one
+    popcount against a mask of t's.
     """
 
-    __slots__ = ("context", "images", "_terms")
+    __slots__ = ("context", "images", "den", "_terms", "_reach")
 
     def __init__(self, context: GradedContext, images):
         self.context = context
@@ -392,7 +440,25 @@ class Derivation:
                             f"degree {expect}"
                         )
                 self.images[i] = elem
-        self._terms = {i: term_list(elem) for i, elem in self.images.items()}
+        # every image coefficient times den is an int: the coded loop
+        # runs on ints and forms den times the image
+        self.den = lcm(*(
+            c.denominator
+            for elem in self.images.values()
+            for c in elem.terms.values()
+        ))
+        self._terms = {
+            i: tuple(
+                (e, c.numerator * (self.den // c.denominator))
+                for e, c in elem.terms.items()
+            )
+            for i, elem in self.images.items()
+        }
+        # the largest exponent per position over every image term
+        self._reach = [0] * len(context)
+        for elem in self.images.values():
+            for exps in elem.terms:
+                self._reach = list(map(max, self._reach, exps))
 
     def __add__(self, other):
         if self.context != other.context:
@@ -413,45 +479,147 @@ class Derivation:
         acc = self.expand(term_list(elem))
         return GradedElement.from_accumulator(self.context, acc)
 
+    def code_for(self, bounds) -> MonomialCode:
+        """Codes for images of monomials with exponents up to ``bounds``.
+
+        Each field is wide enough for the exponent a Leibniz term can
+        reach there: the bound plus the largest image exponent.
+        """
+        return MonomialCode(self.context, map(add, bounds, self._reach))
+
+    def coded_table(self, code: MonomialCode, keep=None):
+        """``leibniz``'s data: ``(i, unit, below, terms)`` per generator.
+
+        ``terms`` lists ``(shift, coeff, clash, flip)`` per image term
+        ``t`` of generator ``i``, in image order: ``shift`` is
+        ``code(t) - code(1_i)``, ``clash`` is t's odd mask and ``flip``
+        the XOR, over t's odd factors, of the odd bits past each.
+        ``below`` is None for an even generator, else the odd bits
+        before position ``i``.  Generators go by position, as the
+        factors of a monomial do.  ``keep(i, t)``, if given, selects the
+        image terms; generators left without one are not listed.
+        """
+        odd_bits = code.odd_bits
+        table = []
+        for i, image in sorted(self._terms.items()):
+            unit = code.units[i]
+            terms = []
+            for t, c in image:
+                if keep is not None and not keep(i, t):
+                    continue
+                k = code.encode(t)
+                clash = k & odd_bits
+                flip = 0
+                for u in code.units:
+                    if clash & u:  # the odd bits past u
+                        flip ^= odd_bits & -(u << 1)
+                terms.append((k - unit, c, clash, flip))
+            if terms:
+                below = odd_bits & (unit - 1) if unit & odd_bits else None
+                table.append((i, unit, below, tuple(terms)))
+        return tuple(table)
+
     def expand(self, terms):
         """Image of a term list as an accumulator dict ``{exps: coeff}``.
 
         ``terms`` are ``(exps, coeff)`` pairs as ``term_list`` gives
-        them.  Coefficients stay ``int`` while every input is integral;
-        zeros are left in, as in ``multiply_terms``.
+        them.  They are encoded with fields as wide as their exponents
+        need (``code_for``), expanded by ``leibniz``, decoded and divided
+        by ``den``.  Coefficients stay ``int`` while every input is
+        integral; zeros are left in, as in ``multiply_terms``.
         """
-        ctx = self.context
-        degrees = ctx._degrees
-        images = self._terms
+        terms = tuple(terms)
+        inputs = [exps for exps, _ in terms] or [(0,) * len(self.context)]
+        code = self.code_for(map(max, zip(*inputs)))
+        table = self.coded_table(code)
         acc = {}
         for exps, coeff in terms:
-            total = ctx.degree_of(exps)
-            prefix_degree = 0
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                degree = degrees[i]
-                image = images.get(i)
-                if image is not None:
-                    scale = coeff if degree % 2 else coeff * e
-                    # |t| = degree + 1; rest is base less the prefix
-                    rest_degree = total - prefix_degree - degree
-                    if (prefix_degree + (degree + 1) * rest_degree) % 2:
-                        scale = -scale
-                    base = exps[:i] + (e - 1,) + exps[i + 1:]
-                    for t, c in image:
-                        hit = _mul_exps(ctx, base, t)
-                        if hit is not None:
-                            sign, m = hit
-                            acc[m] = acc.get(m, 0) + sign * scale * c
-                prefix_degree += e * degree
-        return acc
+            leibniz(table, code.odd_bits, exps, code.encode(exps), coeff, acc)
+        den = self.den
+        return {
+            code.decode(m): c if den == 1 else Fraction(c, den)
+            for m, c in acc.items()
+        }
+
+
+def leibniz(table, odd_bits, exps, code, coeff, acc):
+    """Add ``coeff`` times ``den`` times the image of one monomial to ``acc``.
+
+    The monomial is ``exps`` with code ``code``; ``table`` is the
+    derivation's ``coded_table`` for that code's ``MonomialCode``, and
+    ``acc`` is keyed by code.  The sign in front of the ``i``-th factor
+    is the parity of the odd factors before it for an odd generator and
+    of all of them for an even one, ``(-1)^(|prefix| + |t|·|rest|)``
+    with ``|t| = |x_i| + 1``.
+    """
+    odd = code & odd_bits
+    total = odd.bit_count() & 1
+    for i, unit, below, terms in table:
+        e = exps[i]
+        if not e:
+            continue
+        if below is None:
+            base, scale = odd, -coeff * e if total else coeff * e
+        else:
+            base = odd ^ unit
+            scale = -coeff if (odd & below).bit_count() & 1 else coeff
+        for shift, c, clash, flip in terms:
+            if base & clash:
+                continue
+            m = code + shift
+            if (base & flip).bit_count() & 1:
+                acc[m] = acc.get(m, 0) - scale * c
+            else:
+                acc[m] = acc.get(m, 0) + scale * c
 
 
 def check_weight(weight):
     """Raise unless ``weight`` is a usable weight window (at least 0)."""
     if weight < 0:
         raise StructuralError(f"weight {weight} is negative; windows start at 0")
+
+
+def exponent_caps(context: GradedContext, max_weight):
+    """The largest exponent per generator within a weight cap."""
+    return [1 if g.odd else max_weight // g.weight for g in context.gens]
+
+
+def graded_monomials(context: GradedContext, max_weight, max_hodge, code):
+    """``(exps, weight, hodge, degree, code)`` within the caps, by weight.
+
+    A breadth-first walk, one generator position per step: each prefix
+    is extended by every exponent its weight and Hodge budgets allow,
+    so each step lists the prefixes in lex order, and a stable sort on
+    weight at the end gives ascending weight, ties in lex order.  The
+    gradings and the code are summed along the walk.  ``max_hodge`` is
+    None for no Hodge cap.
+    """
+    check_weight(max_weight)
+    if max_hodge is None:  # no monomial within the weight cap goes past it
+        max_hodge = max_weight * max(context._hodges, default=0)
+    if max_hodge < 0:
+        return []
+    states = [((), 0, 0, 0, 0)]
+    for g, unit in zip(context.gens, code.units):
+        w, h, d = g.weight, g.hodge, g.degree
+        top = 1 if g.odd else max_weight // w
+        steps = [((e,), e * w, e * h, e * d, e * unit) for e in range(top + 1)]
+        if h:
+            states = [
+                (p + q, a + da, b + db, c + dc, k + dk)
+                for p, a, b, c, k in states
+                for q, da, db, dc, dk in steps[
+                    : min((max_weight - a) // w, (max_hodge - b) // h) + 1
+                ]
+            ]
+        else:
+            states = [
+                (p + q, a + da, b, c + dc, k + dk)
+                for p, a, b, c, k in states
+                for q, da, _, dc, dk in steps[: (max_weight - a) // w + 1]
+            ]
+    states.sort(key=itemgetter(1))
+    return states
 
 
 def enumerate_monomials(
@@ -462,37 +630,13 @@ def enumerate_monomials(
     ``max_weight`` must be supplied: together with the positive
     generator weights it is what keeps the answer finite.  A negative
     weight cap is refused rather than read as an empty window.  Both
-    caps prune the walk: Hodge levels are nonnegative, so an exponent
-    past the Hodge budget left is never tried.  The walk meets the
-    tuples in lex order and files each under the weight it used.
+    caps prune the walk (``graded_monomials``): Hodge levels are
+    nonnegative, so an exponent past the Hodge budget left is never
+    tried.
     """
     if max_weight is None:
         raise StructuralError("monomial enumeration needs a weight cap")
-    check_weight(max_weight)
-    weights, hodges = context._weights, context._hodges
-    if max_hodge is None:  # no monomial within the weight cap goes past it
-        max_hodge = max_weight * max(hodges, default=0)
-    if max_hodge < 0:
-        return []
-    odd = tuple(g.odd for g in context.gens)
-    last = len(weights)
-    found = [[] for _ in range(max_weight + 1)]  # by weight used
-    exps = [0] * last
-
-    def walk(i, budget, hodge_budget):
-        if i == last:
-            found[max_weight - budget].append(tuple(exps))
-            return
-        w, h = weights[i], hodges[i]
-        cap = budget // w
-        if h:
-            cap = min(cap, hodge_budget // h)
-        if odd[i]:
-            cap = min(cap, 1)
-        for e in range(cap + 1):
-            exps[i] = e
-            walk(i + 1, budget - e * w, hodge_budget - e * h)
-        exps[i] = 0
-
-    walk(0, max_weight, max_hodge)
-    return [exps for bucket in found for exps in bucket]
+    code = MonomialCode(context, exponent_caps(context, max_weight))
+    return [
+        m[0] for m in graded_monomials(context, max_weight, max_hodge, code)
+    ]

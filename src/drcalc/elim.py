@@ -30,6 +30,16 @@ The pivot count after any prefix of the rows is the rank of that
 prefix, so ``rank_split`` reads two nested ranks off one elimination;
 ``homology`` reads a weight cut's rank off the light-row prefix.
 
+Column order is the pivot order, since each row is reduced at its
+smallest column.  Ranks do not depend on it, but fill-in does, so
+where only a rank is read (``rank_split``, ``rank_sparse``) a caller
+may number columns as it likes: ``MatrixComplex.cut_cohomology``
+numbers them heaviest first.  Where an echelon form is read the order
+is fixed: ``echelon`` and ``reduce`` in ``MatrixComplex.quotient``,
+whose cut needs pivots at the lowest weight; ``solve_rational``, whose
+certificate is pinned; and ``nullspace``, whose canonical basis tests
+read.
+
 Row combinations are tracked only where they are read: an
 infeasibility certificate.  ``solve_rational`` eliminates untracked
 first and reruns tracked only when the right-hand side opens a pivot.

@@ -281,7 +281,11 @@ class AnnChain:
 def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
                       order=None,
                       pair_budget: int = DEFAULT_PAIR_BUDGET) -> AnnChain:
-    """Colon ideals by successive powers of f, with syntactic stabilization."""
+    """Colon ideals by successive powers of f, with syntactic stabilization.
+
+    Level n is (I : f^n) = ((I : f^(n-1)) : f) (Cox, Little & O'Shea,
+    §4.4): one colon by f of the level before, so f^n is never formed.
+    """
     order = order or MonomialOrder()
     if not f:
         raise StructuralError("annihilator chain of the zero polynomial")
@@ -289,10 +293,10 @@ def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
         raise StructuralError(
             f"annihilator chain needs at least 1 level, got {n_max}")
     chain = []
-    power = f
+    level = list(gens)
     for n in range(1, n_max + 1):
-        chain.append(colon_principal(gens, power, order, pair_budget))
-        power = power * f
+        chain.append(colon_principal(level, f, order, pair_budget))
+        level = list(chain[-1].gens)
     stab = None
     for n in range(1, len(chain)):
         if chain[n - 1].gens == chain[n].gens:

@@ -24,9 +24,13 @@ Each one takes a different road to the same answer:
   ``quotient_fraction_matrices``: the rational matrices of a truncated
   complex, of the normalized conerve and of a quotient complex, entry
   by entry on ``Fraction``s.  Images go through ``Derivation.__call__``
-  as ``GradedElement``s and quotients through a reduced row echelon
-  form of the span; the package assembles integer matrices over one
-  denominator from the derivation's accumulator instead.
+  as ``GradedElement``s, with the caps tested on exponent tuples, and
+  quotients through a reduced row echelon form of the span; the
+  package assembles integer matrices over one denominator on monomial
+  codes, with the cuts decided before a term is formed, instead.
+- ``truncation_basis``: a truncation's basis from every exponent tuple
+  in the box the weight cap allows, each tested against the caps; the
+  package walks only the monomials within them.
 - ``two_build_stalk``: the stalk cohomology with the weight-``W``
   quotient built on its own, from the ambient restricted to weight
   ``W`` and the span cut at ``W``, next to the ``W + 1`` quotient; the
@@ -35,8 +39,9 @@ Each one takes a different road to the same answer:
 - ``two_product_expand``: a derivation's image of a term list with each
   Leibniz term prefix·t·rest formed by two tuple products, (prefix·t)
   then ·rest, signed by the prefix's degree alone;
-  ``Derivation.expand`` forms base·t once and moves t past rest with
-  the Koszul sign instead.
+  ``Derivation.expand`` forms base·t once, as a sum of packed monomial
+  codes, and moves t past rest with a sign read off odd-factor masks
+  instead.
 - ``fraction_back_substitute``: back substitution through echelon
   pivot rows with one ``Fraction`` dot product per row; the package
   solves the integer rows over one running common denominator instead.
@@ -372,6 +377,33 @@ def fraction_matrices(source, weight, labels):
                     entries[(index[exps], col)] = c
         mats[n] = entries
     return mats
+
+
+def truncation_basis(source, weight):
+    """Basis keys by degree of ``source`` truncated at ``weight``.
+
+    Every exponent tuple in the box the weight cap allows is tested on
+    its own: weight at most ``weight``, Hodge level in the source's
+    range, standard for its normal form; the survivors are sorted by
+    weight, ties in lex order, and grouped by degree.
+    """
+    ctx, _, hodge, nf = source.truncation_data()
+    ranges = [
+        range(2 if g.odd else weight // g.weight + 1) for g in ctx.gens
+    ]
+    keys = sorted(
+        (
+            e for e in itertools.product(*ranges)
+            if ctx.weight_of(e) <= weight
+            and (hodge is None or ctx.hodge_of(e) in hodge)
+            and (nf is None or nf.is_standard(e))
+        ),
+        key=lambda e: (ctx.weight_of(e), e),
+    )
+    labels = {}
+    for e in keys:
+        labels.setdefault(ctx.degree_of(e), []).append(e)
+    return labels
 
 
 def conerve_fraction_matrices(variables, f, p_max, weight, labels):

@@ -42,6 +42,7 @@ from oracles import (
     conerve_fraction_matrices,
     fraction_matrices,
     quotient_fraction_matrices,
+    truncation_basis,
     two_product_expand,
 )
 
@@ -259,6 +260,82 @@ def test_one_product_expand_matches_two_products(case):
     assert list(got.items()) == list(two_product_expand(d, terms).items())
 
 
+# exponents just below and at powers of two: a product reaching one
+# fills its code field to the top bit or needs the next one
+FIELD_FILLING = (0, 1, 2, 3, 7, 8, 15, 16)
+
+
+@st.composite
+def _wide_derivations(draw):
+    """Like ``_random_derivations``, on exponents that fill code fields.
+
+    Generators have degree -2..2, so even ones of nonzero degree occur;
+    at least two are odd and of degree 1 or -1, so an image term of an
+    odd generator can hold two odd factors.  Even exponents are drawn
+    from ``FIELD_FILLING``, in the input terms and the images alike.
+    """
+    degrees = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+    degrees = draw(st.permutations(degrees + draw(
+        st.lists(st.sampled_from((-1, 1)), min_size=2, max_size=2)
+    )))
+    ctx = GradedContext(
+        Generator(f"g{i}", d) for i, d in enumerate(degrees)
+    )
+    by_degree = {}
+    for m in product(*((0, 1) if g.odd else (0, 1, 7, 16) for g in ctx.gens)):
+        by_degree.setdefault(ctx.degree_of(m), []).append(m)
+    coeffs = st.one_of(
+        st.integers(-4, 4).filter(bool),
+        st.fractions(-3, 3, max_denominator=4).filter(bool),
+    )
+    images = {}
+    for g in ctx.gens:
+        fits = by_degree.get(g.degree + 1)
+        if not fits:
+            continue
+        picks = draw(st.lists(st.sampled_from(fits), max_size=4, unique=True))
+        images[g.name] = GradedElement(
+            ctx, {m: Fraction(draw(coeffs)) for m in picks}
+        )
+    exps = st.tuples(*(
+        st.integers(0, 1) if g.odd else st.sampled_from(FIELD_FILLING)
+        for g in ctx.gens
+    ))
+    picks = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    terms = tuple((m, draw(coeffs)) for m in picks)
+    return Derivation(ctx, images), terms
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_wide_derivations())
+def test_coded_expand_fills_fields_and_keeps_two_odd_factors(case):
+    d, terms = case
+    got = d.expand(terms)
+    assert list(got.items()) == list(two_product_expand(d, terms).items())
+
+
+def test_coded_expand_two_odd_factors_and_even_degree_two():
+    # a (odd, degree 1) -> b*c + x^15*e: two odd factors in one term;
+    # e (even, degree 2) -> x^15*a*b*c + x*a*e; x^15 or x^16 times x^15
+    # fills x's five-bit code field to its top bit
+    ctx = GradedContext([
+        Generator("x", 0), Generator("a", 1), Generator("e", 2),
+        Generator("b", 1), Generator("c", 1),
+    ])
+    x, a, e, b, c = (GradedElement.generator(ctx, n) for n in ctx)
+    x15 = GradedElement.monomial(ctx, (15, 0, 0, 0, 0))
+    d = Derivation(ctx, {
+        "a": b * c + x15 * e,
+        "e": x15 * a * b * c + x * a * e,
+        "x": a.scale(Fraction(1, 2)),
+    })
+    for m in [(16, 1, 3, 0, 0), (15, 1, 1, 0, 1), (1, 0, 8, 1, 0)]:
+        terms = ((m, 3),)
+        got = d.expand(terms)
+        assert got
+        assert list(got.items()) == list(two_product_expand(d, terms).items())
+
+
 # ---------------------------------------------------------------------------
 # presentation morphisms
 
@@ -444,6 +521,36 @@ def test_integer_matrices_match_the_fraction_oracle(f, weight):
     _check_conerve(variables, f, 2, min(weight, 3))
     _check_morphism(tower_map(variables, [f], 2, 1), weight)
     _check_stalk([f], weight)
+
+
+@st.composite
+def _truncation_sources(draw):
+    """A Hodge slice, a de Rham stage or a related Koszul model of f."""
+    f = draw(_rational_polys())
+    variables = tuple(f.context)
+    pres = koszul_presentation(variables, [f], 1)
+    kind = draw(st.sampled_from(["cotangent", "wedge", "stage", "relations"]))
+    k = draw(st.integers(1, 3))
+    if kind == "cotangent":
+        return CotangentPresentation(pres, k)
+    if kind == "wedge":
+        return _WedgeSource(pres, k)
+    if kind == "stage":
+        return DeRhamStage(pres, k, 0)
+    relation = draw(_rational_polys().filter(lambda r: r.context == f.context))
+    return koszul_presentation(variables, [f], 1, relations=[relation])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_truncation_sources(), st.integers(1, 6))
+def test_assembly_matches_the_basis_and_fraction_oracles(source, weight):
+    # the low-Hodge filter and the Hodge cut (slices k >= 1), the weight
+    # cut with the Hodge cut (stages), the normal form and its decoded
+    # images (relations), each against tuples tested one by one
+    cx = weight_truncate(source, weight)
+    want = truncation_basis(source, weight)
+    assert cx.labels == {n: tuple(keys) for n, keys in want.items()}
+    _check_against(cx, fraction_matrices(source, weight, cx.labels))
 
 
 # ---------------------------------------------------------------------------

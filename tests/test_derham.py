@@ -302,7 +302,7 @@ def test_amitsur_matches_stage_node():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="amitsur_vs_derham ignores derham_stable (ROADMAP item 3)",
+    reason="amitsur_vs_derham ignores derham_stable (ROADMAP item 1)",
 )
 def test_amitsur_unstable_degree_is_inconclusive():
     # the stage is unstable in degree 1 between W = 5 and W = 6, so the

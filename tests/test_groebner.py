@@ -200,6 +200,28 @@ def test_annihilator_chain_nilpotent_direction():
     assert chain.stabilized_at == 3
 
 
+ANNIHILATOR_CASES = [
+    (["3/2*x^2*y", "x*y^3-1/2*y^4"], "x+y"),
+    (["x^3", "y^2"], "x-y"),
+    (["x^2*y^2", "x^4+y^3"], "x*y"),
+    (["x*y", "y^3"], "y"),
+    (["x^4-x^2*y"], "x"),
+    (["x^3*y - y^4", "x^2*y^2"], "x + 2*y"),
+    (["x^2 - y^3", "x*y^2"], "y"),
+]
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("gens, f", ANNIHILATOR_CASES)
+def test_annihilator_chain_equals_colons_by_powers(gens, f, order):
+    # each level is a colon by f of the level before; the oracle takes
+    # the colon by f^n of the original ideal, from scratch
+    gens, f, order = [P(g) for g in gens], P(f), MonomialOrder(order)
+    chain = annihilator_chain(gens, f, 4, order)
+    for n, gb in enumerate(chain.colon_bases, start=1):
+        assert gb.gens == colon_principal(gens, f ** n, order).gens, n
+
+
 def test_div_exact():
     q = div_exact(P("x^2*y + x*y^2"), P("x*y"))
     assert q == P("x + y")
