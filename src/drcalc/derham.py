@@ -31,7 +31,6 @@ from .algebra import (
     GradedContext,
     GradedElement,
     Generator,
-    enumerate_monomials,
 )
 from .dg import (
     DGPresentation,
@@ -373,8 +372,10 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
     The ambient complex is the de Rham complex of the free algebra; the
     deep part is the intersection of all powers of (f) with the weight
     window, which Krull's theorem makes zero — certified here by
-    checking a single sufficiently high power clears the window; the
-    stage is the derived de Rham complex of the quotient.  With the
+    checking a single sufficiently high power clears the window: every
+    term of f^power has degree above the window, every generator has
+    weight at least 1, so no multiple of f^power has a term inside it.
+    The stage is the derived de Rham complex of the quotient.  With the
     deep part zero, additivity of Euler characteristics reduces to the
     ambient and stage complexes agreeing.
     """
@@ -396,13 +397,6 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
     high = f ** power
     if high.min_degree() <= weight:
         raise StructuralError("power bookkeeping error")  # pragma: no cover
-    ctx = _stage_context(free)
-    lifted = high.cast_to(ctx)
-    deep_dim = 0
-    for m in enumerate_monomials(ctx, max_weight=weight, max_hodge=hodge_level):
-        hit = (lifted * GradedElement.monomial(ctx, m)).weight_filter(weight)
-        if hit:
-            deep_dim += 1
 
     stage = derham_stage(
         koszul_presentation(variables, [f], 1), hodge_level, weight
@@ -410,7 +404,7 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
     stage_cx = stage.complex()
     return FibreReport(
         ambient=tuple(sorted(ambient_cx.cohomology().items())),
-        deep_part_dim=deep_dim,
+        deep_part_dim=0,
         deep_power=power,
         stage=tuple(sorted(stage_cx.cohomology().items())),
         euler_ambient=ambient_cx.euler_characteristic(),
@@ -456,7 +450,8 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     slots with K's own matrices, signed by the degrees of the earlier
     slots and by (-1)^p; of the alternating coface sum only d^0
     survives the quotient: (k0, ...) -> (1, k0, ...) when k0 is not
-    the unit.  The matrices share the least common multiple of K's
+    the unit.  Each column's image is scattered into the rows it
+    reaches.  The matrices share the least common multiple of K's
     denominators, which the coface entry 1 becomes, and are brought to
     lowest terms one by one.  The total complex is checked for d o d = 0
     before it is returned.
@@ -471,12 +466,12 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     weights = [ctx.weight_of(k) for k in keys]
     one = lcm(*koszul.dens.values())  # the coface entry 1, over `one`
     d_slot = [[] for _ in keys]  # per key: [(image key, coefficient), ...]
-    for q, entries in koszul.diffs.items():
+    for q, mat in koszul.diffs.items():
         scale = one // koszul.dens[q]
-        for (r, c), v in entries.items():
-            src_key = index[koszul.labels[q][c]]
+        for r, row in mat.items():
             image = index[koszul.labels[q + 1][r]]
-            d_slot[src_key].append((image, v * scale))
+            for c, v in row.items():
+                d_slot[index[koszul.labels[q][c]]].append((image, v * scale))
 
     # columns[p]: (slot indices, internal degree, weight), sorted
     columns = [[((k,), degree[k], weights[k]) for k in range(len(keys))]]
@@ -510,11 +505,11 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
                     if w - weights[k] + weights[image] > weight:
                         continue
                     row = target[slots[:i] + (image,) + slots[i + 1:]]
-                    entries[(row, col)] = sign * v
+                    entries.setdefault(row, {})[col] = sign * v
                 if degree[k] % 2:
                     sign = -sign
             if p < p_max and slots[0] != unit:
-                entries[(target[(unit,) + slots], col)] = one
+                entries.setdefault(target[(unit,) + slots], {})[col] = one
         diffs[n], dens[n] = lowest_terms(entries, one)
     dims = {n: len(ss) for n, ss in buckets.items()}
     labels = {

@@ -44,25 +44,25 @@ Row combinations are tracked only where they are read: an
 infeasibility certificate.  ``solve_rational`` eliminates untracked
 first and reruns tracked only when the right-hand side opens a pivot.
 
-``integral`` turns rational entries into integers over their least
-common denominator.  It is where rational input enters the kernel: once
-per matrix in ``rank_sparse`` and ``nullspace``, once per row in
-``echelon``, ``reduce`` and ``solve_rational``.  ``homology`` uses it
-to put an assembled rational matrix into its canonical integer form.
+``integral`` turns a rational row into integers over its least common
+denominator, on a copy.  It is where rational input enters the kernel,
+once per row in ``rank_sparse``, ``nullspace``, ``echelon``, ``reduce``
+and ``solve_rational``, so these leave the rows they are given as they
+were; ``rank_split`` takes integer rows and reduces them in place, so
+its caller hands it rows it can give up.
 
 ``echelon`` and ``reduce`` expose the same routine for working modulo
 a span: ``reduce`` clears every pivot column of a vector with the pivot
 rows, which is how ``MatrixComplex.quotient`` writes the differential
 of a quotient complex in its non-pivot basis.
 
-Matrices come in sparse only, in one of two forms.  ``rank_sparse``
-and ``nullspace`` take ``{(row, col): value}`` entries, rational or
-integer, the form the complexes store their differentials in (as
-integers over one denominator, which neither rank nor kernel depends
-on).  ``solve_rational`` takes a sequence of rows, each a sequence of
-``(col, value)`` pairs, the form of ``DivergenceSystem.rows``: its
-certificate is one multiplier per input row, so the rows keep their
-positions.
+Every matrix comes in as sparse rows, rational or integer.
+``rank_sparse`` and ``nullspace`` take ``{row: {col: value}}``, the
+form the complexes store their differentials in (as integers over one
+denominator, which neither rank nor kernel depends on, any more than
+on each row's own scale); ``solve_rational`` takes a sequence of rows
+of ``(col, value)`` pairs, since its certificate is one multiplier per
+row.
 """
 
 from __future__ import annotations
@@ -251,21 +251,9 @@ def _back_substitute(pivots, x):
     return {c: Fraction(v, den) for c, v in x.items()}
 
 
-def _rows(entries, nrows):
-    """Integer kernel rows ``{col: int}`` of ``{(row, col): value}`` entries.
-
-    The whole matrix is scaled once, by the least common denominator of
-    its entries; rank and kernel do not change.
-    """
-    rows = [{} for _ in range(nrows)]
-    for (r, c), v in integral(entries)[0].items():
-        rows[r][c] = v
-    return rows
-
-
-def rank_sparse(entries, nrows, ncols) -> int:
-    """Exact rank of a sparse rational matrix {(row, col): value}."""
-    return len(_echelon(_rows(entries, nrows)))
+def rank_sparse(rows, nrows, ncols) -> int:
+    """Exact rank of sparse rational rows ``{row: {col: value}}``."""
+    return len(echelon(rows.values()))
 
 
 def rank_split(head, tail):
@@ -281,15 +269,15 @@ def rank_split(head, tail):
     return low, len(_echelon(tail, pivots=pivots))
 
 
-def nullspace(entries, nrows, ncols):
-    """Basis of the right kernel of a sparse rational matrix.
+def nullspace(rows, nrows, ncols):
+    """Basis of the right kernel of sparse rational rows.
 
-    ``entries`` is ``{(row, col): value}``.  Returns one sparse
+    ``rows`` is ``{row: {col: value}}``.  Returns one sparse
     ``{col: Fraction}`` vector per free column in ascending order: the
     vector for free column ``f`` is 1 at ``f`` and 0 at every other
     free column (the basis read off the reduced row echelon form).
     """
-    pivots = _echelon(_rows(entries, nrows))
+    pivots = echelon(rows.values())
     return [
         _back_substitute(pivots, {f: 1})
         for f in range(ncols)

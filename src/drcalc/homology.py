@@ -25,12 +25,18 @@ ranks) numbers each matrix's columns heaviest first; the ranks in
 the basis order: the stalk's cut needs each pivot at its span
 vector's lowest-weight key.
 
-Every matrix is stored on integers: ``{(row, col): int}`` entries with
-one positive denominator for the whole matrix, in lowest terms (the
-least common denominator of the rational matrix, 1 whenever its
-entries are integers, so no prime divides it and every entry).  The
-form is made once, where a matrix is assembled; ``restrict``,
-``quotient``, products and ranks take the integers as they are.
+Every matrix is stored as sparse integer rows, ``{row: {col: int}}``
+with nonzero rows only, over one positive denominator for the whole
+matrix, in lowest terms (the least common denominator of the rational
+matrix, 1 whenever its entries are integers, so no prime divides it
+and every entry).  The form is made once, where a matrix is
+assembled: each column's image is scattered into the rows it reaches.
+``restrict``, ``quotient``, products and ranks take the rows as they
+are; a product multiplies rows by rows (``_row_products``), and only
+``quotient``, which reduces column images, transposes a matrix, one
+degree at a time.  The rows a complex stores are never handed to
+``elim``'s kernel, which reduces its rows in place: ``cut_cohomology``
+feeds it renumbered copies.
 
 d o d = 0 is checked once, where a complex is assembled:
 ``weight_truncate`` (and the conerve totalization in ``derham``) call
@@ -59,7 +65,7 @@ degrees where both sides are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import le
 
 from . import elim
@@ -80,12 +86,14 @@ class MatrixComplex:
     assembled complexes, ``(p, slot keys)`` pairs for the conerve
     totalization (column p, one Koszul exponent tuple per tensor slot),
     anything hashable for hand-built ones.  ``diffs[n] / dens[n]``
-    maps degree ``n`` to degree ``n + 1``: ``diffs[n]`` holds sparse
-    nonzero ``{(row, col): int}`` entries, rows indexed by the target
+    maps degree ``n`` to degree ``n + 1``: ``diffs[n]`` holds the
+    nonzero rows ``{row: {col: int}}``, rows indexed by the target
     basis and columns by the source basis, and ``dens[n]`` is the
     positive denominator of the whole matrix, in lowest terms with them
     (see the module docstring; ``lowest_terms`` makes the form).  A
-    degree missing from ``dens`` has denominator 1.
+    degree missing from ``dens`` has denominator 1.  The complex takes
+    its rows as they are, without a copy, and never changes them; a
+    caller hands over rows it no longer changes.
     """
 
     __slots__ = ("dims", "labels", "diffs", "dens")
@@ -93,19 +101,21 @@ class MatrixComplex:
     def __init__(self, dims, labels, diffs, dens):
         self.dims = dict(dims)
         self.labels = {n: tuple(ls) for n, ls in labels.items()}
-        self.diffs = {n: dict(m) for n, m in diffs.items()}
+        self.diffs = dict(diffs)
         self.dens = {n: dens.get(n, 1) for n in self.diffs}
-        for n, entries in self.diffs.items():
+        for n, rows in self.diffs.items():
             if self.dens[n] < 1:
                 raise StructuralError(
                     f"denominator {self.dens[n]} at degree {n} is not positive"
                 )
-            rows = self.dims.get(n + 1, 0)
-            cols = self.dims.get(n, 0)
-            for (r, c) in entries:
-                if not (0 <= r < rows and 0 <= c < cols):
+            nrows = self.dims.get(n + 1, 0)
+            ncols = self.dims.get(n, 0)
+            for r, row in rows.items():
+                if not 0 <= r < nrows or row and not (
+                    0 <= min(row) and max(row) < ncols
+                ):
                     raise StructuralError(
-                        f"matrix entry ({r},{c}) outside {rows}x{cols} "
+                        f"matrix row {r} reaches outside {nrows}x{ncols} "
                         f"at degree {n}"
                     )
 
@@ -131,19 +141,16 @@ class MatrixComplex:
         diffs, dens = {}, {}
         for n, old in self.diffs.items():
             cols = renumber.get(n, {})
-            rows = renumber.get(n + 1, {})
-            entries = {}
-            for (r, c), v in old.items():
-                if r not in rows:
-                    continue
-                if c not in cols:
-                    raise StructuralError(
-                        f"restriction is not a quotient: dropped column {c} "
-                        f"of degree {n} reaches a kept row"
-                    )
-                entries[(rows[r], cols[c])] = v
+            kept_rows = renumber.get(n + 1, {})
+            rows = {}
+            for r, row in old.items():
+                if r in kept_rows:
+                    try:
+                        rows[kept_rows[r]] = {cols[c]: v for c, v in row.items()}
+                    except KeyError as err:
+                        raise _not_a_quotient(err.args[0], n) from None
             if n in dims:
-                diffs[n], dens[n] = lowest_terms(entries, self.dens[n])
+                diffs[n], dens[n] = lowest_terms(rows, self.dens[n])
         return MatrixComplex(dims, labels, diffs, dens)
 
     def quotient(self, span) -> "MatrixComplex":
@@ -156,7 +163,9 @@ class MatrixComplex:
         degree up, and so is the image of each pivot's echelon row:
         ``restrict`` then drops the pivot keys and raises unless those
         images vanish, i.e. unless d maps the span into the span.  Basis
-        keys must be distinct across degrees.  ``reduce`` returns the
+        keys must be distinct across degrees.  The images are columns,
+        so each degree's rows are transposed for them, and the reduced
+        columns are scattered back into rows.  ``reduce`` returns the
         rational image of the integer matrix; divided by ``dens[n]`` it
         is the quotient's matrix, scaled to integers once per degree.
 
@@ -175,19 +184,22 @@ class MatrixComplex:
                 [{index[key]: v for key, v in vec.items()} for vec in vectors]
             )
         diffs, dens = {}, {}
-        for n, entries in self.diffs.items():
-            columns = _columns(entries)
+        for n, rows in self.diffs.items():
+            columns = {}
+            for r, row in rows.items():
+                for c, v in row.items():
+                    columns.setdefault(c, {})[r] = v
             here = pivots.get(n, {})
             up = pivots.get(n + 1, {})
-            images = dict(_column_products(
-                columns, {c: row for c, (row, _) in here.items()}
+            images = dict(_row_products(
+                {c: row for c, (row, _) in here.items()}, columns
             ))
             reduced = {}
             for c in range(self.dims[n]):
                 image = images[c] if c in here else columns.get(c, {})
                 for r, v in elim.reduce(up, image).items():
-                    reduced[(r, c)] = v
-            ints, den = elim.integral(reduced)
+                    reduced.setdefault(r, {})[c] = v
+            ints, den = _integral(reduced)
             diffs[n], dens[n] = lowest_terms(ints, den * self.dens[n])
         dropped = {
             self.labels[n][c] for n, found in pivots.items() for c in found
@@ -199,19 +211,17 @@ class MatrixComplex:
     def check_composition(self):
         """Raise unless consecutive differentials compose to zero.
 
-        The integer matrices are multiplied as they are: their
-        denominators do not change whether the product is zero.  Each
-        matrix is grouped into columns once, serving as the first factor
-        of one product and the second of the next, and the check stops
-        at the first column whose product is not zero.
+        The integer matrices are multiplied as they are, rows by rows:
+        their denominators do not change whether the product is zero.
+        The check stops at the first product row that is not zero and
+        names its smallest column.
         """
-        columns = {n: _columns(m) for n, m in self.diffs.items()}
-        for n, first in columns.items():
-            second = columns.get(n + 1, {})
-            for c, col in _column_products(second, first):
-                if col:
+        for n, first in self.diffs.items():
+            second = self.diffs.get(n + 1, {})
+            for _, row in _row_products(second, first):
+                if row:
                     raise StructuralError(
-                        f"d o d != 0 out of degree {n}, column {c}"
+                        f"d o d != 0 out of degree {n}, column {min(row)}"
                     )
 
     def cohomology(self):
@@ -230,36 +240,40 @@ class MatrixComplex:
         go first (``elim.rank_split``).  The dropped keys must span a
         subcomplex, so a kept row is zero on every dropped column, i.e.
         it is its row of the restricted matrix, and the rank after the
-        kept rows is the restricted rank.  The pass that splits the rows
-        raises, as ``restrict`` does, when a dropped column reaches a
-        kept row.  The restricted dimensions are the kept-key counts;
-        degrees without a kept key disappear, as from ``restrict``.
+        kept rows is the restricted rank.  A kept row that reaches a
+        dropped column raises, as in ``restrict``.  The restricted
+        dimensions are the kept-key counts; degrees without a kept key
+        disappear, as from ``restrict``.
 
-        Each matrix's columns are numbered heaviest first
-        (``ncols - 1 - c``), which ranks do not see: on a basis in
-        ascending weight, pivoting on the heavy columns first keeps the
-        echelon small (the quartic x^4+y^5+xy^4 at K 21, W 20: 3,566
-        nonzeros against 9,683 in basis order).
+        The kernel reduces its rows in place, so each stored row is
+        copied as it is fed to it, one degree at a time, in row order,
+        with its columns numbered heaviest first (``ncols - 1 - c``),
+        which ranks do not see: on a basis in ascending weight,
+        pivoting on the heavy columns first keeps the echelon small
+        (the quartic x^4+y^5+xy^4 at K 21, W 20: 3,566 nonzeros against
+        9,683 in basis order).
         """
         kept = {
             n: [True] * d if keep is None else [keep(k) for k in self.labels[n]]
             for n, d in self.dims.items()
         }
         low, high = {}, {}
-        for n, entries in self.diffs.items():
+        for n, rows in self.diffs.items():
             cols, up = kept.get(n, ()), kept.get(n + 1, ())
-            last = len(cols) - 1
-            rows = [{} for _ in up]
-            for (r, c), v in entries.items():
-                if up[r] and not cols[c]:
-                    raise StructuralError(
-                        f"restriction is not a quotient: dropped column {c} "
-                        f"of degree {n} reaches a kept row"
-                    )
-                rows[r][last - c] = v
+            light, heavy = [], []
+            # in basis order: the assembly's scatter order is not, and
+            # the fill-in depends on the order of the rows
+            for r in sorted(rows):
+                (light if up[r] else heavy).append(rows[r])
+            if keep is not None:
+                for row in light:
+                    if not all(map(cols.__getitem__, row)):
+                        raise _not_a_quotient(
+                            next(c for c in row if not cols[c]), n
+                        )
             low[n], high[n] = elim.rank_split(
-                (row for row, k in zip(rows, up) if k and row),
-                (row for row, k in zip(rows, up) if not k and row),
+                _heaviest_first(light, len(cols)),
+                _heaviest_first(heavy, len(cols)),
             )
         counts = {n: sum(flags) for n, flags in kept.items() if any(flags)}
         return _rank_nullity(counts, low), _rank_nullity(self.dims, high)
@@ -317,7 +331,8 @@ def weight_truncate(source, weight) -> MatrixComplex:
     weight and Hodge level left above it: the cuts are decided from
     each term's raises, worked out once, before the term is formed.  A
     formed term is looked up by code among the basis one degree up, and
-    one that is not there is missing.  A relation normal form can bring
+    one that is not there is missing; the image is scattered into the
+    rows it reaches.  A relation normal form can bring
     heavy terms back, so there every term is formed, decoded into a
     ``GradedElement``, reduced, cut to the caps and encoded again.  Each
     matrix is scaled to integers once.  The assembled complex is
@@ -365,7 +380,7 @@ def weight_truncate(source, weight) -> MatrixComplex:
     odd_bits = code.odd_bits
     diffs, dens = {}, {}
     for n, ms in buckets.items():
-        entries = {}
+        rows = {}
         target = {c: i for i, (_, _, c) in enumerate(buckets.get(n + 1, ()))}
         for col, (m, room, c) in enumerate(ms):
             table = tables.get(room)
@@ -387,9 +402,10 @@ def weight_truncate(source, weight) -> MatrixComplex:
                         f"image term {ctx.monomial_str(code.decode(k))} "
                         f"missing from degree {n + 1} basis"
                     )
-                entries[(row, col)] = coeff
-        # the coded loop formed diff.den times each image
-        ints, den = elim.integral(entries)
+                rows.setdefault(row, {})[col] = coeff
+        # the coded loop formed diff.den times each image, on ints; a
+        # relation normal form brings rationals back
+        ints, den = (rows, 1) if nf is None else _integral(rows)
         diffs[n], dens[n] = lowest_terms(ints, den * diff.den)
     dims = {n: len(ms) for n, ms in buckets.items()}
     labels = {n: [m for m, _, _ in ms] for n, ms in buckets.items()}
@@ -462,7 +478,8 @@ def chain_map_check(morphism, weight) -> "ChainMapReport":
     Both sides are assembled as matrices; the check is
     ``Phi_{n+1} d_src^n == d_tgt^n Phi_n`` for every degree of the
     source.  Each side is an integer product over the product of its
-    factors' denominators, so the two are compared cross-multiplied.
+    factors' denominators; brought to lowest terms, the one integer
+    form of a rational matrix, the two are compared as they are.
     Failure is a result, not an exception.
     """
     src = weight_truncate(morphism.source, weight)
@@ -473,9 +490,7 @@ def chain_map_check(morphism, weight) -> "ChainMapReport":
         rhs = _compose(tgt.diffs.get(n, {}), mats.get(n, {}))
         lhs_den = mats.dens.get(n + 1, 1) * src.dens.get(n, 1)
         rhs_den = tgt.dens.get(n, 1) * mats.dens.get(n, 1)
-        lhs = {k: v * rhs_den for k, v in lhs.items()}
-        rhs = {k: v * lhs_den for k, v in rhs.items()}
-        if lhs != rhs:
+        if lowest_terms(lhs, lhs_den) != lowest_terms(rhs, rhs_den):
             return ChainMapReport(False, n)
     return ChainMapReport(True, None)
 
@@ -489,26 +504,56 @@ class ChainMapReport:
         return self.ok
 
 
-def lowest_terms(entries, den):
-    """``(entries, den)`` with their common factor divided out.
+def lowest_terms(rows, den):
+    """``(rows, den)`` with their common factor divided out.
 
-    ``entries`` is ``{key: int}`` and ``den`` a positive int; the pair
-    is returned as it is when ``den`` is 1, the common case.
+    ``rows`` are ``{row: {col: int}}`` and ``den`` a positive int; the
+    pair is returned as it is when ``den`` is 1, the common case.
     """
     if den > 1:
-        g = gcd(den, *entries.values())
+        g = gcd(den, *(v for row in rows.values() for v in row.values()))
         if g > 1:
-            entries = {k: v // g for k, v in entries.items()}
+            rows = {
+                r: {c: v // g for c, v in row.items()}
+                for r, row in rows.items()
+            }
             den //= g
-    return entries, den
+    return rows, den
 
 
-def _columns(entries):
-    """``{col: {row: value}}`` of ``{(row, col): value}`` entries."""
-    columns = {}
-    for (r, c), v in entries.items():
-        columns.setdefault(c, {})[r] = v
-    return columns
+def _integral(rows):
+    """``(rows, den)``: rational rows as ints over one denominator.
+
+    ``den`` is the least common denominator of the entries: this is
+    ``elim.integral`` of a whole matrix.
+    """
+    den = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return {
+        r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        for r, row in rows.items()
+    }, den
+
+
+def _heaviest_first(rows, ncols):
+    """Copies of ``rows``, made one at a time as they are read.
+
+    Column ``c`` of a copy is numbered ``ncols - 1 - c``.
+    """
+    last = ncols - 1
+    for row in rows:
+        copy = {}
+        for c, v in row.items():
+            copy[last - c] = v
+        yield copy
+
+
+def _not_a_quotient(c, n):
+    """The error for a dropped column ``c`` of degree ``n`` reaching a
+    kept row: the dropped keys span no subcomplex."""
+    return StructuralError(
+        f"restriction is not a quotient: dropped column {c} of degree {n} "
+        "reaches a kept row"
+    )
 
 
 def _rank_nullity(dims, ranks):
@@ -519,35 +564,32 @@ def _rank_nullity(dims, ranks):
     }
 
 
-def _column_products(second, first):
-    """``(c, {row: int})`` per column ``c`` of second o first, lazily.
+def _row_products(outer, inner):
+    """``(r, {col: int})`` per row ``r`` of outer o inner, lazily.
 
-    Both factors are grouped by column (``_columns``).  Summed on ints
-    as they are, with no rescaling; only nonzero entries are kept.
+    Both factors are rows; row ``r`` of the product sums row ``mid`` of
+    ``inner`` times ``outer[r][mid]``.  Summed as they are, with no
+    rescaling; only nonzero entries are kept.
     """
-    for c, col in first.items():
+    for r, row in outer.items():
         acc = {}
-        for mid, v in col.items():
-            for r, w in second.get(mid, {}).items():
-                acc[r] = acc.get(r, 0) + w * v
-        yield c, {r: v for r, v in acc.items() if v}
+        for mid, w in row.items():
+            for c, v in inner.get(mid, {}).items():
+                acc[c] = acc.get(c, 0) + w * v
+        yield r, {c: v for c, v in acc.items() if v}
 
 
 def _compose(second, first):
-    """Sparse product second o first of ``{(row, col): int}`` entries.
+    """Sparse product second o first of ``{row: {col: value}}`` rows.
 
     The product of two stored matrices is over the product of their
-    denominators.  Only nonzero entries are kept.
+    denominators.  Only nonzero rows and entries are kept.
     """
-    return {
-        (r, c): v
-        for c, col in _column_products(_columns(second), _columns(first))
-        for r, v in col.items()
-    }
+    return {r: row for r, row in _row_products(second, first) if row}
 
 
 class GradedMatrices(dict):
-    """``{degree: {(row, col): int}}`` with one ``dens[degree]`` each.
+    """``{degree: {row: {col: int}}}`` with one ``dens[degree]`` each.
 
     The form of ``morphism_matrices``: each matrix is in the integer
     form of a ``MatrixComplex`` differential.
@@ -563,7 +605,8 @@ def morphism_matrices(morphism, src_cx, tgt_cx, weight) -> GradedMatrices:
     source and target contexts: the matrices are computed by pushing
     each source basis monomial through the generator images and
     expanding in the target basis (terms falling outside the truncation
-    are projected away).  Each matrix is scaled to integers once.
+    are projected away), each image scattered into the rows it reaches.
+    Each matrix is scaled to integers once.
     """
     src_ctx = morphism.source.context
     mats = GradedMatrices()
@@ -572,15 +615,15 @@ def morphism_matrices(morphism, src_cx, tgt_cx, weight) -> GradedMatrices:
         target_index = {
             exps: i for i, exps in enumerate(tgt_cx.labels.get(n, ()))
         }
-        entries = {}
+        rows = {}
         for col, exps in enumerate(src_cx.labels[n]):
             image = morphism.apply(GradedElement.monomial(src_ctx, exps))
             image = image.weight_filter(weight)
             for t_exps, coeff in image.terms.items():
                 row = target_index.get(t_exps)
                 if row is not None:
-                    entries[(row, col)] = coeff
-        mats[n], mats.dens[n] = elim.integral(entries)
+                    rows.setdefault(row, {})[col] = coeff
+        mats[n], mats.dens[n] = _integral(rows)
     return mats
 
 
@@ -601,16 +644,15 @@ def induced_map_vanishes(src_cx, tgt_cx, mats, degree) -> bool:
     nrows = tgt_cx.dims.get(n, 0)
     bnd = tgt_cx.diffs.get(n - 1, {})
     base_cols = tgt_cx.dims.get(n - 1, 0)
-    # the cycle basis as the integer columns of one matrix, pushed
-    # through phi
-    basis = {
-        (c, k): v
-        for k, z in enumerate(cycles)
-        for c, v in elim.integral(z)[0].items()
-    }
-    aug = dict(bnd)
-    for (r, k), v in _compose(mats.get(n, {}), basis).items():
-        aug[(r, base_cols + k)] = v
+    # the cycle basis as the integer columns of one matrix, numbered
+    # after the boundary columns and pushed through phi
+    basis = {}
+    for k, z in enumerate(cycles):
+        for c, v in elim.integral(z)[0].items():
+            basis.setdefault(c, {})[base_cols + k] = v
+    aug = {r: dict(row) for r, row in bnd.items()}
+    for r, row in _compose(mats.get(n, {}), basis).items():
+        aug.setdefault(r, {}).update(row)
     rank_b = elim.rank_sparse(bnd, nrows, base_cols)
     rank_aug = elim.rank_sparse(aug, nrows, base_cols + len(cycles))
     return rank_aug == rank_b

@@ -50,6 +50,10 @@ Each one takes a different road to the same answer:
   graded context by writing its exponents at the positions of its
   variables' names; the package's ``Poly`` multiplies through
   ``algebra.multiply_terms`` and lifts through ``cast_to`` instead.
+- ``flat_entries``: the package stores a matrix as rows
+  ``{row: {col: value}}``; the oracles build and compare
+  ``{(row, col): value}`` entries, and tests flatten the package's
+  rows through this one helper to compare them.
 - ``poly_buchberger``, ``poly_normal_form`` and ``poly_div_exact``: the
   Groebner loop on ``Poly`` values, a new ``Poly`` at every reduction
   step, the lead of every polynomial found again wherever it is read,
@@ -219,7 +223,7 @@ def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
                 row0 = offsets[(n + 1, p)]
                 sign = -1 if p % 2 else 1
                 den = cx.dens.get(q, 1)
-                for (r, c), v in cx.diffs.get(q, {}).items():
+                for (r, c), v in flat_entries(cx.diffs.get(q, {})).items():
                     entries[(row0 + r, col0 + c)] = Fraction(sign * v, den)
             if p < p_max and (n + 1, p + 1) in offsets:
                 row0 = offsets[(n + 1, p + 1)]
@@ -227,16 +231,24 @@ def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
                 for j, mats in enumerate(coface_mats[p + 1]):
                     sign = -1 if j % 2 else 1
                     den = mats.dens.get(q, 1)
-                    for (r, c), v in mats.get(q, {}).items():
+                    for (r, c), v in flat_entries(mats.get(q, {})).items():
                         v = Fraction(sign * v, den)
                         acc[(r, c)] = acc.get((r, c), 0) + v
                 for (r, c), v in acc.items():
                     if v:
                         entries[(row0 + r, col0 + c)] = v
-        diffs[n], dens[n] = elim.integral(entries)
+        ints, dens[n] = elim.integral(entries)
+        diffs[n] = {}
+        for (r, c), v in ints.items():
+            diffs[n].setdefault(r, {})[c] = v
     tot = MatrixComplex(dims, labels, diffs, dens)
     tot.check_composition()  # assembled here, so checked here
     return tot
+
+
+def flat_entries(rows):
+    """``{(row, col): value}`` of sparse rows ``{row: {col: value}}``."""
+    return {(r, c): v for r, row in rows.items() for c, v in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from drcalc.reiffen import (
 )
 from drcalc.witness import nonexactness_witness, zero_free_window
 
-from oracles import float64_lower_bound, gauss_rank
+from oracles import flat_entries, float64_lower_bound, gauss_rank
 
 X = ("x",)
 XY = ("x", "y")
@@ -227,8 +227,8 @@ def test_criterion_10_log_domain_witness():
 def _square_is_zero(cx):
     degrees = sorted(cx.dims)
     for n in degrees:
-        first = cx.diffs.get(n, {})
-        second = cx.diffs.get(n + 1, {})
+        first = flat_entries(cx.diffs.get(n, {}))
+        second = flat_entries(cx.diffs.get(n + 1, {}))
         by_col = {}
         for (r, c), v in first.items():
             by_col.setdefault(c, []).append((r, v))
@@ -290,10 +290,12 @@ def test_criterion_11_engine_invariant_suite():
             [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        entries = {
-            (r, c): v for r, row in enumerate(mat) for c, v in enumerate(row) if v
+        sparse = {
+            r: {c: v for c, v in enumerate(row) if v}
+            for r, row in enumerate(mat)
+            if any(row)
         }
-        assert elim.rank_sparse(entries, rows, cols) == gauss_rank(mat), trial
+        assert elim.rank_sparse(sparse, rows, cols) == gauss_rank(mat), trial
 
     # order-independence of ideal membership
     for trial in range(20):

@@ -40,6 +40,7 @@ from drcalc.poly import Poly
 from oracles import (
     conerve_cofaces,
     conerve_fraction_matrices,
+    flat_entries,
     fraction_matrices,
     quotient_fraction_matrices,
     truncation_basis,
@@ -393,18 +394,21 @@ def test_tower_images_exercise_coefficients_and_normal_form():
 
 
 def _assert_integral_form(matrices, dens):
-    """Nonzero int entries; each ``dens[n]`` a positive int in lowest terms."""
-    for n, entries in matrices.items():
+    """Nonzero rows of nonzero int entries; each ``dens[n]`` a positive
+    int in lowest terms."""
+    for n, rows in matrices.items():
         den = dens[n]
         assert type(den) is int and den >= 1, (n, den)
+        assert all(rows.values()), n
+        entries = flat_entries(rows)
         assert all(type(v) is int and v for v in entries.values()), n
         assert gcd(den, *entries.values()) == 1, (n, den)
 
 
 def _as_fractions(matrices, dens):
     return {
-        n: {key: Fraction(v, dens[n]) for key, v in entries.items()}
-        for n, entries in matrices.items()
+        n: {key: Fraction(v, dens[n]) for key, v in flat_entries(rows).items()}
+        for n, rows in matrices.items()
     }
 
 

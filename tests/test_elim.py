@@ -13,10 +13,12 @@ from drcalc.reiffen import divergence_system
 from oracles import fraction_back_substitute, gauss_rank, rref_nullspace
 
 
-def _entries(dense):
-    """The ``{(row, col): value}`` entries of a dense matrix."""
+def _rows(dense):
+    """The nonzero ``{row: {col: value}}`` rows of a dense matrix."""
     return {
-        (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v
+        r: {c: v for c, v in enumerate(row) if v}
+        for r, row in enumerate(dense)
+        if any(row)
     }
 
 
@@ -31,7 +33,7 @@ def _solve(dense, rhs):
 
 def _kernel(dense, ncols):
     """``elim.nullspace`` of a dense matrix, its vectors made dense."""
-    basis = elim.nullspace(_entries(dense), len(dense), ncols)
+    basis = elim.nullspace(_rows(dense), len(dense), ncols)
     assert all(all(v.values()) for v in basis)  # no stored zeros
     return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in basis]
 
@@ -54,7 +56,7 @@ def test_rank_matches_dense_oracle_100():
         nr = rng.randrange(1, 7)
         nc = rng.randrange(1, 7)
         m = _random_matrix(rng, nr, nc)
-        assert elim.rank_sparse(_entries(m), nr, nc) == gauss_rank(m)
+        assert elim.rank_sparse(_rows(m), nr, nc) == gauss_rank(m)
 
 
 def test_rank_split_reads_both_prefix_ranks():
@@ -83,18 +85,17 @@ def test_both_kernels_agree_with_oracle():
             [rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)
         ]
         want = gauss_rank([[Fraction(v) for v in row] for row in ints])
-        assert elim.rank_sparse(_entries(ints), nr, nc) == want
+        assert elim.rank_sparse(_rows(ints), nr, nc) == want
 
 
 def test_rank_sparse_structural_cases():
     # the three-row shape from the divergence system: rank 2,
     # augmented with an inconsistent rhs column: rank 3
-    rows = {(0, 0): Fraction(5), (0, 1): Fraction(1),
-            (1, 0): Fraction(1), (1, 1): Fraction(6),
-            (2, 0): Fraction(2), (2, 1): Fraction(5)}
+    rows = {0: {0: Fraction(5), 1: Fraction(1)},
+            1: {0: Fraction(1), 1: Fraction(6)},
+            2: {0: Fraction(2), 1: Fraction(5)}}
     assert elim.rank_sparse(rows, 3, 2) == 2
-    aug = dict(rows)
-    aug[(0, 2)] = aug[(1, 2)] = aug[(2, 2)] = Fraction(1)
+    aug = {r: {**row, 2: Fraction(1)} for r, row in rows.items()}
     assert elim.rank_sparse(aug, 3, 3) == 3
 
 
@@ -104,13 +105,13 @@ def test_rank_sparse_matches_dense():
         nr = rng.randrange(1, 8)
         nc = rng.randrange(1, 8)
         dense = _random_matrix(rng, nr, nc, density=0.3)
-        assert elim.rank_sparse(_entries(dense), nr, nc) == gauss_rank(dense)
+        assert elim.rank_sparse(_rows(dense), nr, nc) == gauss_rank(dense)
 
 
 def test_empty_and_zero():
     assert elim.rank_sparse({}, 0, 0) == 0
     assert elim.rank_sparse({}, 5, 5) == 0
-    assert elim.rank_sparse(_entries([[Fraction(0), Fraction(0)]]), 1, 2) == 0
+    assert elim.rank_sparse(_rows([[Fraction(0), Fraction(0)]]), 1, 2) == 0
     # no unknowns and an empty row with b != 0: 0 = b refutes on its own
     assert elim.solve_rational([(), ()], [Fraction(0), Fraction(1)], 0) == (
         "infeasible", [0, 1]
@@ -278,7 +279,7 @@ def test_sparse_kernel_property(system):
     dense, rhs = system
     nr, nc = len(dense), len(dense[0])
     rank = gauss_rank(dense)
-    assert elim.rank_sparse(_entries(dense), nr, nc) == rank
+    assert elim.rank_sparse(_rows(dense), nr, nc) == rank
     tag, payload = _solve(dense, rhs)
     augmented = gauss_rank([row + [b] for row, b in zip(dense, rhs)])
     assert (tag == "infeasible") == (augmented > rank)
@@ -426,10 +427,10 @@ def _hilbert(n, m):
 
 def test_hilbert_matrix_rank_and_kernel():
     square = _hilbert(8, 8)
-    assert elim.rank_sparse(_entries(square), 8, 8) == 8
+    assert elim.rank_sparse(_rows(square), 8, 8) == 8
     assert _kernel(square, 8) == []
     wide = _hilbert(8, 11)
-    assert elim.rank_sparse(_entries(wide), 8, 11) == 8
+    assert elim.rank_sparse(_rows(wide), 8, 11) == 8
     assert _kernel(wide, 11) == rref_nullspace(wide, 11)
     # the unique solution of H x = e_1 is the first column of H^-1
     tag, x = _solve(square, [Fraction(int(i == 0)) for i in range(8)])
@@ -454,7 +455,7 @@ def test_rank_deficient_matrix_with_large_entries():
         for row in left
     ]
     assert gauss_rank(m) == 3
-    assert elim.rank_sparse(_entries(m), 7, 9) == 3
+    assert elim.rank_sparse(_rows(m), 7, 9) == 3
     assert _kernel(m, 9) == rref_nullspace(m, 9)
     rng.shuffle(m)
     assert _kernel(m, 9) == rref_nullspace(m, 9)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from drcalc import elim
 from drcalc.derham import (
     CotangentPresentation,
     _WedgeSource,
+    conerve_totalization,
     cotangent_complex,
     derham_stage,
     free_presentation,
@@ -17,7 +19,9 @@ from drcalc.derham import (
 )
 from drcalc.dg import DGMorphism, koszul_presentation, tower_map
 from drcalc.errors import StructuralError
+from drcalc.algebra import GradedElement
 from drcalc.homology import (
+    GradedMatrices,
     MatrixComplex,
     _compose,
     chain_map_check,
@@ -30,7 +34,7 @@ from drcalc.homology import (
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
 
-from oracles import gauss_rank, rref_nullspace
+from oracles import flat_entries, gauss_rank, rref_nullspace
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -52,7 +56,7 @@ def _two_term(matrix, nsrc, ntgt):
 
 def test_two_term_cohomology():
     # 0 -> Q^2 --(1 1)--> Q -> 0
-    cx = _two_term({(0, 0): 1, (0, 1): 1}, 2, 1)
+    cx = _two_term({0: {0: 1, 1: 1}}, 2, 1)
     assert cx.cohomology() == {0: 1, 1: 0}
     assert cx.euler_characteristic() == 1
     # zero map
@@ -65,25 +69,26 @@ def test_composition_guard():
     cx = MatrixComplex(
         dims={0: 1, 1: 1, 2: 1},
         labels={0: ["a"], 1: ["b"], 2: ["c"]},
-        diffs={0: {(0, 0): 1}, 1: {(0, 0): 1}},
+        diffs={0: {0: {0: 1}}, 1: {0: {0: 1}}},
         dens={0: 1, 1: 1},
     )
     with pytest.raises(StructuralError) as err:
         cx.check_composition()
     assert "d o d" in str(err.value)
-    # the first column (in entry order) whose product is nonzero is named
+    # the first nonzero row of the product names its smallest column:
+    # row 0 of d1 d0 is (0, 1, 2), its column 0 cancels (1 - 1)
     cx = MatrixComplex(
         dims={0: 3, 1: 2, 2: 1},
         labels={0: ["a0", "a1", "a2"], 1: ["b0", "b1"], 2: ["c"]},
         diffs={
-            0: {(0, 0): 1, (1, 0): -1, (1, 2): 2, (0, 1): 1},
-            1: {(0, 0): 1, (0, 1): 1},
+            0: {0: {0: 1, 1: 1}, 1: {0: -1, 2: 2}},
+            1: {0: {0: 1, 1: 1}},
         },
         dens={0: 1, 1: 1},
     )
     with pytest.raises(StructuralError) as err:
         cx.check_composition()
-    assert str(err.value) == "d o d != 0 out of degree 0, column 2"
+    assert str(err.value) == "d o d != 0 out of degree 0, column 1"
 
 
 def test_weight_truncate_checks_composition():
@@ -139,14 +144,14 @@ def test_entry_bounds_guard():
         MatrixComplex(
             dims={0: 1, 1: 1},
             labels={0: ["a"], 1: ["b"]},
-            diffs={0: {(3, 0): 1}},
+            diffs={0: {3: {0: 1}}},
             dens={0: 1},
         )
     with pytest.raises(StructuralError):
         MatrixComplex(
             dims={0: 1, 1: 1},
             labels={0: ["a"], 1: ["b"]},
-            diffs={0: {(0, 0): 1}},
+            diffs={0: {0: {0: 1}}},
             dens={0: 0},
         )
 
@@ -163,11 +168,15 @@ def _random_complex(rng):
         for col in range(a)
         if rng.random() < 0.7
     }
+    rows = {}
+    for (r, col), v in d0.items():
+        if v:
+            rows.setdefault(r, {})[col] = v
     cx = MatrixComplex(
         dims={0: a, 1: b},
         labels={0: [f"a{i}" for i in range(a)],
                 1: [f"b{i}" for i in range(b)]},
-        diffs={0: {key: v for key, v in d0.items() if v}},
+        diffs={0: rows},
         dens={0: 1},
     )
     return cx
@@ -198,8 +207,8 @@ def test_permutation_invariance():
             dims=cx.dims,
             labels=cx.labels,
             diffs={0: {
-                (perm1[r], perm0[c]): v
-                for (r, c), v in cx.diffs[0].items()
+                perm1[r]: {perm0[c]: v for c, v in row.items()}
+                for r, row in cx.diffs[0].items()
             }},
             dens=cx.dens,
         )
@@ -383,7 +392,7 @@ def test_cut_cohomology_reads_both_cuts():
     cx = MatrixComplex(
         dims={0: 2, 1: 2},
         labels={0: ["a", "heavy-b"], 1: ["c", "heavy-d"]},
-        diffs={0: {(0, 0): 2, (1, 0): 1}},
+        diffs={0: {0: {0: 2}, 1: {0: 1}}},
         dens={0: 1},
     )
     here, above = cx.cut_cohomology(lambda key: not key.startswith("heavy"))
@@ -394,7 +403,7 @@ def test_cut_cohomology_reads_both_cuts():
     bad = MatrixComplex(
         dims={0: 2, 1: 1},
         labels={0: ["a", "heavy-b"], 1: ["c"]},
-        diffs={0: {(0, 0): 1, (0, 1): 1}},
+        diffs={0: {0: {0: 1, 1: 1}}},
         dens={0: 1},
     )
     with pytest.raises(StructuralError) as err:
@@ -440,7 +449,7 @@ def test_restriction_must_drop_a_subcomplex():
         stability_report(lowering, 4)
     assert "not a quotient" in str(err.value)
     # hand-built keys: dropping the target of a map is a quotient
-    two = _two_term({(0, 0): 1, (0, 1): 1}, 2, 1)
+    two = _two_term({0: {0: 1, 1: 1}}, 2, 1)
     low = two.restrict(lambda key: key != "f0")
     assert low.dims == {0: 2} and low.diffs == {0: {}}
     assert low.cohomology() == {0: 2}
@@ -476,6 +485,68 @@ def test_quotient_needs_a_subcomplex():
     # with dx ^ Omega^0 and x * Omega^1 added it is the whole of Omega^1
     span[1] = [{key: Fraction(1)} for key in cx.labels[1]]
     assert cx.quotient(span).cohomology() == {0: 1}
+
+
+def _stalk_quotient(g, weight):
+    """The free de Rham stage modulo K = g*Omega + dg^Omega, keyed by
+    exponent tuples, and the weight of a key."""
+    n = len(g.context)
+    stage = derham_stage(free_presentation(g.context), n, weight)
+    ctx, d, _, _ = stage.truncation_data()
+    ambient = weight_truncate(stage, weight)
+    lifted = g.cast_to(ctx)
+    span = {k: [] for k in range(n + 1)}
+    for factor, shift in ((lifted, 0), (d(lifted), 1)):
+        for k, keys in ambient.labels.items():
+            if k + shift <= n:
+                span[k + shift] += [
+                    (factor * GradedElement.monomial(ctx, m))
+                    .weight_filter(weight).terms
+                    for m in keys
+                ]
+    return ambient.quotient(span), ctx.weight_of
+
+
+def test_stored_rows_survive_every_consumer():
+    # elim's kernel reduces the rows it is given in place, so a stored
+    # row must never reach it: every consumer leaves a stage, a conerve
+    # and a stalk quotient (and a morphism's matrices) as they were
+    node = koszul_presentation(XY, [P("x*y")], 1)
+    stage = derham_stage(node, 3, 5)
+    koszul_ctx = node.context
+    cases = [
+        (stage.complex(), stage.truncation_data()[0].weight_of),
+        (
+            conerve_totalization(XY, P("x*y"), 3, 5),
+            lambda key: sum(koszul_ctx.weight_of(k) for k in key[1]),
+        ),
+        _stalk_quotient(P("x^2+y^3"), 7),
+    ]
+    seen = set()
+    for cx, weight_of in cases:
+        top = max(weight_of(k) for ks in cx.labels.values() for k in ks)
+        keep = lambda key: weight_of(key) < top
+        ident = GradedMatrices(
+            {n: {i: {i: 1} for i in range(d)} for n, d in cx.dims.items()}
+        )
+        ident.dens = {n: 1 for n in cx.dims}
+        rows, mats = copy.deepcopy(cx.diffs), copy.deepcopy(ident)
+        cx.check_composition()
+        dims = cx.cohomology()
+        here, above = cx.cut_cohomology(keep)
+        assert here == cx.restrict(keep).cohomology() and above == dims
+        span = {
+            n: [{key: Fraction(1)} for key in keys if not keep(key)]
+            for n, keys in cx.labels.items()
+        }
+        assert cx.quotient(span).cohomology() == here
+        for n in cx.degrees():
+            vanishes = induced_map_vanishes(cx, cx, ident, n)
+            assert vanishes == (dims[n] == 0), n
+            seen.add(vanishes)
+        assert cx.diffs == rows
+        assert ident == mats
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +602,7 @@ def test_map_off_by_a_fraction_detected():
 
 def _dense_product(second, first, nrows, nmid, ncols):
     """The product as ``{(row, col): Fraction}``, summed densely."""
+    second, first = flat_entries(second), flat_entries(first)
     out = {}
     for r in range(nrows):
         for c in range(ncols):
@@ -546,15 +618,13 @@ def _dense_product(second, first, nrows, nmid, ncols):
 
 def test_compose_matches_dense_fraction_product():
     # (1/3)*3 - 1*1 cancels only exactly; 1/3 in binary64 would not
-    second = {
-        (0, 0): Fraction(1, 3), (0, 1): Fraction(-1), (1, 1): Fraction(2, 7)
-    }
-    first = {(0, 0): Fraction(3), (1, 0): Fraction(1), (1, 1): Fraction(7, 4)}
+    second = {0: {0: Fraction(1, 3), 1: Fraction(-1)}, 1: {1: Fraction(2, 7)}}
+    first = {0: {0: Fraction(3)}, 1: {0: Fraction(1), 1: Fraction(7, 4)}}
     product = _compose(second, first)
-    assert product == {
+    assert flat_entries(product) == {
         (1, 0): Fraction(2, 7), (0, 1): Fraction(-7, 4), (1, 1): Fraction(1, 2)
     }
-    assert all(type(v) is Fraction for v in product.values())
+    assert all(type(v) is Fraction for v in flat_entries(product).values())
     assert _compose({}, first) == {} and _compose(second, {}) == {}
     rng = random.Random(61)
     dens = (1, 2, 3, 10**12)
@@ -562,16 +632,20 @@ def test_compose_matches_dense_fraction_product():
         nrows, nmid, ncols = (rng.randrange(1, 6) for _ in range(3))
 
         def sparse(nr, nc):
-            return {
-                (r, c): Fraction(rng.randrange(-9, 10), rng.choice(dens))
-                for r in range(nr)
-                for c in range(nc)
-                if rng.random() < 0.5
-            }
+            rows = {}
+            for r in range(nr):
+                for c in range(nc):
+                    if rng.random() < 0.5:
+                        rows.setdefault(r, {})[c] = Fraction(
+                            rng.randrange(-9, 10), rng.choice(dens)
+                        )
+            return rows
 
         second, first = sparse(nrows, nmid), sparse(nmid, ncols)
         want = _dense_product(second, first, nrows, nmid, ncols)
-        assert _compose(second, first) == want
+        product = _compose(second, first)
+        assert all(product.values())  # nonzero rows only
+        assert flat_entries(product) == want
 
 
 def test_induced_map_on_cohomology():
@@ -586,9 +660,9 @@ def test_induced_map_on_cohomology():
     assert not induced_map_vanishes(cx, cx, mats, 0)
 
 
-def _dense(entries, nrows, ncols):
+def _dense(sparse, nrows, ncols):
     rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for (r, c), v in entries.items():
+    for (r, c), v in flat_entries(sparse).items():
         rows[r][c] = v
     return rows
 
