@@ -151,8 +151,7 @@ class CotangentPresentation:
         return _shift_degrees(weight_truncate(self, weight), -self.column)
 
     def report(self, weight) -> CohomologyReport:
-        ctx = _stage_context(self.base)
-        return restricted_report(self.complex, ctx, weight)
+        return restricted_report(self.complex, weight)
 
 
 def cotangent_complex(pres: DGPresentation) -> CotangentPresentation:
@@ -169,7 +168,8 @@ def _shift_degrees(cx: MatrixComplex, shift: int) -> MatrixComplex:
     labels = {n + shift: ls for n, ls in cx.labels.items()}
     diffs = {n + shift: m for n, m in cx.diffs.items()}
     dens = {n + shift: d for n, d in cx.dens.items()}
-    return MatrixComplex(dims, labels, diffs, dens)
+    light = {n + shift: k for n, k in cx.light.items()}
+    return MatrixComplex(dims, labels, diffs, dens, light)
 
 
 class _WedgeSource:
@@ -198,11 +198,12 @@ class _WedgeSource:
 
 
 def wedge_power(cotangent: CotangentPresentation, k: int, weight: int) -> MatrixComplex:
-    """k-th wedge of the cotangent complex, shifted down by k.
+    """k-th wedge of the cotangent complex, in total degrees.
 
     Exterior on the odd ``dx`` generators, symmetric on the even
-    ``dxi`` ones, with base-algebra coefficients; degrees land so that
-    the result is directly comparable with the k-th Hodge column.
+    ``dxi`` ones, with base-algebra coefficients.  Degrees are not
+    shifted: like ``hodge_graded``, the result sits in the total
+    degrees of the k-th Hodge column, so the two compare directly.
     """
     if k < 0:
         raise StructuralError("wedge exponent must be non-negative")
@@ -248,12 +249,8 @@ def cartier_check(pres: DGPresentation, k: int, weight: int) -> CartierReport:
     not.
     """
     cot = cotangent_complex(pres)
-    graded = restricted_report(
-        lambda w: hodge_graded(pres, k, w), _stage_context(pres), weight
-    )
-    wedge = restricted_report(
-        lambda w: wedge_power(cot, k, w), _WedgeSource(pres, k).context, weight
-    )
+    graded = restricted_report(lambda w: hodge_graded(pres, k, w), weight)
+    wedge = restricted_report(lambda w: wedge_power(cot, k, w), weight)
     g_stable = dict(graded.stable)
     w_stable = dict(wedge.stable)
     verdicts = []

@@ -6,15 +6,16 @@ the quotient spanned by the light monomials is again a complex; that
 quotient is what ``weight_truncate`` materializes, one sparse rational
 matrix per adjacent degree pair, with exponent tuples as basis keys.
 Every assembled basis lists its keys in ascending weight, ties in lex
-order (``algebra.graded_monomials``), which ``quotient`` relies on.
-The assembly itself runs on packed monomial codes
-(``algebra.MonomialCode``): the walk that lists the basis also gives
-each monomial's code, the Leibniz terms are formed on codes
-(``algebra.leibniz``) and target rows are looked up by code; tuples
-are decoded only for the relation normal form and for the error that
-names a missing image term.  Cohomology is rank-nullity bookkeeping on
-top of exact sparse elimination (``elim``), one elimination per
-differential.
+order (``algebra.graded_monomials``), so in each degree the keys below
+the top weight ``W`` are a prefix, whose length the complex records
+(``MatrixComplex.light``).  The assembly itself runs on packed
+monomial codes (``algebra.MonomialCode``): the walk that lists the
+basis also gives each monomial's code, the Leibniz terms are formed on
+codes (``algebra.leibniz``) and target rows are looked up by code;
+tuples are decoded only for the relation normal form and for the error
+that names a missing image term.  Cohomology is rank-nullity
+bookkeeping on top of exact sparse elimination (``elim``), one
+elimination per differential.
 
 Column order is free where only ranks are read, and fixed where an
 echelon form is read.  ``elim``'s kernel pivots each row at its
@@ -31,40 +32,41 @@ matrix, in lowest terms (the least common denominator of the rational
 matrix, 1 whenever its entries are integers, so no prime divides it
 and every entry).  The form is made once, where a matrix is
 assembled: each column's image is scattered into the rows it reaches.
-``restrict``, ``quotient``, products and ranks take the rows as they
-are; a product multiplies rows by rows (``_row_products``), and only
-``quotient``, which reduces column images, transposes a matrix, one
-degree at a time.  The rows a complex stores are never handed to
-``elim``'s kernel, which reduces its rows in place: ``cut_cohomology``
-feeds it renumbered copies.
+``quotient``, products and ranks take the rows as they are; a product
+multiplies rows by rows (``_row_products``), and only ``quotient``,
+which reduces column images, transposes a matrix, one degree at a
+time.  The rows a complex stores are never handed to ``elim``'s
+kernel, which reduces its rows in place: ``cut_cohomology`` feeds it
+renumbered copies.
 
 d o d = 0 is checked once, where a complex is assembled:
 ``weight_truncate`` (and the conerve totalization in ``derham``) call
 ``check_composition`` on what they build.  Everything else is derived
-from a checked complex by ``restrict``, ``quotient`` or a degree shift,
-and a quotient of a complex by a subcomplex is again a complex; both
-raise unless the part they drop is a subcomplex, so no derived complex
-needs a second check and ``cohomology`` is rank-nullity only.
+from a checked complex by ``quotient`` or a degree shift, and a
+quotient of a complex by a subcomplex is again a complex;
+``quotient`` raises unless what it divides out is a subcomplex, so no
+derived complex needs a second check and ``cohomology`` is
+rank-nullity only.
 
 Truncation does not commute with cohomology in general.  The stability
 flags reported by ``stability_report`` compare dimensions at ``W`` and
 ``W + 1``: evidence, not proof, that a dimension has settled.  The
 complex is assembled once, at ``W + 1``; the ``W`` complex is its
-quotient by the weight-``(W + 1)`` part, i.e. the same matrices
-restricted to the basis keys of weight at most ``W``.  Its ranks are
-read off the ``W + 1`` elimination, not off a restricted copy: each
-matrix's light rows (keys of weight at most ``W``) are eliminated
-first, and since the differential never lowers weight they are zero on
-every heavy column, i.e. they are the rows of the ``W`` matrix.  The
-pivot count after them is the ``W`` rank, the count after the heavy
-rows the ``W + 1`` rank (``MatrixComplex.cut_cohomology``).  Callers
-that compare two constructions are expected to restrict attention to
-degrees where both sides are stable.
+quotient by the weight-``(W + 1)`` part, i.e. the same matrices cut to
+the light prefix of each basis.  Its ranks are read off the ``W + 1``
+elimination, not off a quotient: each matrix's light rows are
+eliminated first, and since the differential never lowers weight they
+are zero on every heavy column, i.e. they are the rows of the ``W``
+matrix.  The pivot count after them is the ``W`` rank, the count after
+the heavy rows the ``W + 1`` rank (``MatrixComplex.cut_cohomology``).
+Callers that compare two constructions are expected to restrict
+attention to degrees where both sides are stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import bisect_left
 from math import gcd, lcm
 from operator import le
 
@@ -94,15 +96,29 @@ class MatrixComplex:
     degree missing from ``dens`` has denominator 1.  The complex takes
     its rows as they are, without a copy, and never changes them; a
     caller hands over rows it no longer changes.
+
+    ``light[n]`` is the complex's weight cut: the number of leading
+    basis keys of degree ``n`` below its top weight, which
+    ``cut_cohomology`` reads.  A degree missing from ``light`` has
+    every key light, so a complex built without a cut (the conerve,
+    hand-built ones) cuts nothing.
     """
 
-    __slots__ = ("dims", "labels", "diffs", "dens")
+    __slots__ = ("dims", "labels", "diffs", "dens", "light")
 
-    def __init__(self, dims, labels, diffs, dens):
+    def __init__(self, dims, labels, diffs, dens, light=None):
         self.dims = dict(dims)
         self.labels = {n: tuple(ls) for n, ls in labels.items()}
         self.diffs = dict(diffs)
         self.dens = {n: dens.get(n, 1) for n in self.diffs}
+        light = light or {}
+        self.light = {n: light.get(n, d) for n, d in self.dims.items()}
+        for n, count in light.items():
+            if not 0 <= count <= self.dims.get(n, 0):
+                raise StructuralError(
+                    f"light count {count} at degree {n} is outside "
+                    f"0..{self.dims.get(n, 0)}"
+                )
         for n, rows in self.diffs.items():
             if self.dens[n] < 1:
                 raise StructuralError(
@@ -122,60 +138,30 @@ class MatrixComplex:
     def degrees(self):
         return sorted(self.dims)
 
-    def restrict(self, keep) -> "MatrixComplex":
-        """Quotient by the span of the basis keys failing ``keep``.
-
-        The dropped keys must span a subcomplex (for a weight cut: the
-        differential never lowers weight); the matrices of the quotient
-        are then the old ones with dropped rows and columns deleted, the
-        denominator brought back to lowest terms where it exceeds 1.
-        Degrees left without a basis disappear.
-        """
-        dims, labels, renumber = {}, {}, {}
-        for n, keys in self.labels.items():
-            kept = [i for i, key in enumerate(keys) if keep(key)]
-            if kept:
-                dims[n] = len(kept)
-                labels[n] = [keys[i] for i in kept]
-                renumber[n] = {old: new for new, old in enumerate(kept)}
-        diffs, dens = {}, {}
-        for n, old in self.diffs.items():
-            cols = renumber.get(n, {})
-            kept_rows = renumber.get(n + 1, {})
-            rows = {}
-            for r, row in old.items():
-                if r in kept_rows:
-                    try:
-                        rows[kept_rows[r]] = {cols[c]: v for c, v in row.items()}
-                    except KeyError as err:
-                        raise _not_a_quotient(err.args[0], n) from None
-            if n in dims:
-                diffs[n], dens[n] = lowest_terms(rows, self.dens[n])
-        return MatrixComplex(dims, labels, diffs, dens)
-
     def quotient(self, span) -> "MatrixComplex":
         """Quotient by the subcomplex spanned by ``span``.
 
         ``span[n]`` lists sparse vectors ``{basis key: value}`` of
         degree ``n``.  Each degree's span is put in echelon form over
         the basis positions; the non-pivot keys are a basis of the
-        quotient.  A kept column's image is reduced modulo the span one
-        degree up, and so is the image of each pivot's echelon row:
-        ``restrict`` then drops the pivot keys and raises unless those
-        images vanish, i.e. unless d maps the span into the span.  Basis
-        keys must be distinct across degrees.  The images are columns,
-        so each degree's rows are transposed for them, and the reduced
-        columns are scattered back into rows.  ``reduce`` returns the
-        rational image of the integer matrix; divided by ``dens[n]`` it
-        is the quotient's matrix, scaled to integers once per degree.
+        quotient, in the old order.  A kept column's image is reduced
+        modulo the span one degree up and written into the kept rows it
+        reaches; the image of each pivot's echelon row must reduce to
+        zero, i.e. d must map the span into the span, or the quotient
+        raises.  The images are columns, so each degree's rows are
+        transposed for them.  ``reduce`` returns the rational image of
+        the integer matrix; divided by ``dens[n]`` it is the quotient's
+        matrix, scaled to integers once per degree.  Degrees left
+        without a basis disappear.
 
+        A key of the quotient is light if it was light and is kept.
         The echelon pivots at each span vector's smallest basis
         position, so on a basis in ascending weight a pivot's row is its
-        lowest-weight key plus heavier ones, and the quotient's keys
-        above a weight span a subcomplex when the basis keys above it
-        do: ``cut_cohomology`` can cut there.  On a basis out of that
-        order the cut raises where it sees a heavy key reach a light
-        row, but it need not see every miscount.
+        lowest-weight key plus heavier ones, and the quotient's heavy
+        keys span a subcomplex when the old ones do: ``cut_cohomology``
+        can cut there.  On a basis out of that order the cut raises
+        where it sees a heavy key reach a light row, but it need not
+        see every miscount.
         """
         pivots = {}
         for n, vectors in span.items():
@@ -183,30 +169,36 @@ class MatrixComplex:
             pivots[n] = elim.echelon(
                 [{index[key]: v for key, v in vec.items()} for vec in vectors]
             )
+        dims, labels, light, renumber = {}, {}, {}, {}
+        for n, keys in self.labels.items():
+            found = pivots.get(n, {})
+            kept = [i for i in range(len(keys)) if i not in found]
+            if kept:
+                dims[n] = len(kept)
+                labels[n] = [keys[i] for i in kept]
+                light[n] = bisect_left(kept, self.light[n])
+                renumber[n] = {old: new for new, old in enumerate(kept)}
         diffs, dens = {}, {}
         for n, rows in self.diffs.items():
             columns = {}
             for r, row in rows.items():
                 for c, v in row.items():
                     columns.setdefault(c, {})[r] = v
-            here = pivots.get(n, {})
             up = pivots.get(n + 1, {})
-            images = dict(_row_products(
-                {c: row for c, (row, _) in here.items()}, columns
-            ))
+            found = {c: row for c, (row, _) in pivots.get(n, {}).items()}
+            for c, image in _row_products(found, columns):
+                if elim.reduce(up, image):
+                    raise _not_a_quotient(c, n)
+            if n not in dims:
+                continue
+            kept_rows = renumber.get(n + 1, {})
             reduced = {}
-            for c in range(self.dims[n]):
-                image = images[c] if c in here else columns.get(c, {})
-                for r, v in elim.reduce(up, image).items():
-                    reduced.setdefault(r, {})[c] = v
+            for c, new in renumber[n].items():
+                for r, v in elim.reduce(up, columns.get(c, {})).items():
+                    reduced.setdefault(kept_rows[r], {})[new] = v
             ints, den = _integral(reduced)
             diffs[n], dens[n] = lowest_terms(ints, den * self.dens[n])
-        dropped = {
-            self.labels[n][c] for n, found in pivots.items() for c in found
-        }
-        return MatrixComplex(self.dims, self.labels, diffs, dens).restrict(
-            lambda key: key not in dropped
-        )
+        return MatrixComplex(dims, labels, diffs, dens, light)
 
     def check_composition(self):
         """Raise unless consecutive differentials compose to zero.
@@ -228,54 +220,56 @@ class MatrixComplex:
         """{degree: dim H} via dim ker(d^n) - rank(d^{n-1}).
 
         Rank-nullity only: d o d = 0 was checked where the complex was
-        assembled (see the module docstring).
+        assembled (see the module docstring).  It is the second half of
+        ``cut_cohomology``, so a cut that is no quotient raises here
+        too: a relation's normal form that lowers weight leaves the
+        window no truncation of the complex.
         """
-        return self.cut_cohomology(None)[1]
+        return self.cut_cohomology()[1]
 
-    def cut_cohomology(self, keep):
-        """``(here, above)``: cohomology of ``restrict(keep)`` and of self.
+    def cut_cohomology(self):
+        """``(here, above)``: cohomology below the cut and of self.
 
-        ``keep`` is a predicate on basis keys, or None to cut nothing.
-        One elimination per degree gives both: each matrix's kept rows
-        go first (``elim.rank_split``).  The dropped keys must span a
-        subcomplex, so a kept row is zero on every dropped column, i.e.
-        it is its row of the restricted matrix, and the rank after the
-        kept rows is the restricted rank.  A kept row that reaches a
-        dropped column raises, as in ``restrict``.  The restricted
-        dimensions are the kept-key counts; degrees without a kept key
-        disappear, as from ``restrict``.
+        The complex below the cut is the quotient by the heavy keys,
+        those past ``light[n]`` in each degree.  One elimination per
+        degree gives both: each matrix's light rows go first
+        (``elim.rank_split``).  The heavy keys must span a subcomplex,
+        so a light row is zero on every heavy column, i.e. it is its
+        row of the quotient's matrix, and the rank after the light rows
+        is the quotient's rank.  A light row that reaches a heavy
+        column raises, as ``quotient`` does.  The quotient's dimensions
+        are the light counts; degrees without a light key disappear, as
+        from ``quotient``.
 
-        The kernel reduces its rows in place, so each stored row is
-        copied as it is fed to it, one degree at a time, in row order,
-        with its columns numbered heaviest first (``ncols - 1 - c``),
-        which ranks do not see: on a basis in ascending weight,
-        pivoting on the heavy columns first keeps the echelon small
-        (the quartic x^4+y^5+xy^4 at K 21, W 20: 3,566 nonzeros against
-        9,683 in basis order).
+        The light keys are a prefix, so feeding the rows in basis order
+        puts the light ones first.  The kernel reduces its rows in
+        place, so each stored row is copied as it is fed to it, one
+        degree at a time, with its columns numbered heaviest first
+        (``ncols - 1 - c``), which ranks do not see: on a basis in
+        ascending weight, pivoting on the heavy columns first keeps the
+        echelon small (the quartic x^4+y^5+xy^4 at K 21, W 20: 3,566
+        nonzeros against 9,683 in basis order).
         """
-        kept = {
-            n: [True] * d if keep is None else [keep(k) for k in self.labels[n]]
-            for n, d in self.dims.items()
-        }
         low, high = {}, {}
         for n, rows in self.diffs.items():
-            cols, up = kept.get(n, ()), kept.get(n + 1, ())
+            ncols, cut = self.dims.get(n, 0), self.light.get(n, 0)
+            split = self.light.get(n + 1, 0)
             light, heavy = [], []
             # in basis order: the assembly's scatter order is not, and
             # the fill-in depends on the order of the rows
             for r in sorted(rows):
-                (light if up[r] else heavy).append(rows[r])
-            if keep is not None:
+                (light if r < split else heavy).append(rows[r])
+            if cut < ncols:
                 for row in light:
-                    if not all(map(cols.__getitem__, row)):
+                    if max(row, default=-1) >= cut:
                         raise _not_a_quotient(
-                            next(c for c in row if not cols[c]), n
+                            next(c for c in row if c >= cut), n
                         )
             low[n], high[n] = elim.rank_split(
-                _heaviest_first(light, len(cols)),
-                _heaviest_first(heavy, len(cols)),
+                _heaviest_first(light, ncols),
+                _heaviest_first(heavy, ncols),
             )
-        counts = {n: sum(flags) for n, flags in kept.items() if any(flags)}
+        counts = {n: k for n, k in self.light.items() if k}
         return _rank_nullity(counts, low), _rank_nullity(self.dims, high)
 
     def euler_characteristic(self) -> int:
@@ -341,11 +335,11 @@ def weight_truncate(source, weight) -> MatrixComplex:
     ctx, diff, hodge, nf = source.truncation_data()
     for i, image in diff.images.items():
         gen = ctx.gens[i]
-        light = image.min_weight()
-        if light is not None and light < gen.weight:
+        lowest = image.min_weight()
+        if lowest is not None and lowest < gen.weight:
             raise StructuralError(
                 f"differential lowers weight on generator {gen.name!r}: "
-                f"image has weight {light} < {gen.weight}"
+                f"image has weight {lowest} < {gen.weight}"
             )
     low_hodge, top_hodge = 0, None
     if hodge is not None:
@@ -365,9 +359,11 @@ def weight_truncate(source, weight) -> MatrixComplex:
     most_w = max((r for r, _ in raises.values()), default=0)
     most_h = max((r for _, r in raises.values()), default=0)
     buckets = {}  # degree -> [(exps, room, code)]
+    light = {}  # degree -> keys below the top weight, a prefix
     for m, w, h, n, c in graded_monomials(ctx, weight, top_hodge, code):
         if h < low_hodge or nf is not None and not nf.is_standard(m):
             continue
+        light[n] = light.get(n, 0) + (w < weight)
         if nf is not None:  # a normal form can bring heavy terms back
             room = None
         else:
@@ -409,7 +405,7 @@ def weight_truncate(source, weight) -> MatrixComplex:
         diffs[n], dens[n] = lowest_terms(ints, den * diff.den)
     dims = {n: len(ms) for n, ms in buckets.items()}
     labels = {n: [m for m, _, _ in ms] for n, ms in buckets.items()}
-    cx = MatrixComplex(dims, labels, diffs, dens)
+    cx = MatrixComplex(dims, labels, diffs, dens, light)
     cx.check_composition()
     return cx
 
@@ -437,26 +433,22 @@ def stability_report(source, weight) -> CohomologyReport:
 
     The source is assembled once, at ``weight + 1``.
     """
-    ctx = source.truncation_data()[0]
-    return restricted_report(lambda w: weight_truncate(source, w), ctx, weight)
+    return restricted_report(lambda w: weight_truncate(source, w), weight)
 
 
-def restricted_report(build, ctx, weight) -> CohomologyReport:
+def restricted_report(build, weight) -> CohomologyReport:
     """Flagged report from one build and one elimination per degree.
 
-    ``build(weight + 1)`` is the W+1 complex; the W complex is its
-    quotient by the keys (exponent tuples over ``ctx``) of weight
-    ``weight + 1``, and ``cut_cohomology`` reads both off the W+1
-    elimination, light rows first, with no restricted copy.  d o d = 0
-    is checked once, when the W+1 complex is assembled.  A differential
-    that lowers weight after all (through a relation's normal form)
-    leaves no such quotient, and the cut raises.
+    ``build(weight + 1)`` is the W+1 complex, its cut at the keys of
+    weight ``weight + 1``; the W complex is its quotient by them, and
+    ``cut_cohomology`` reads both off the W+1 elimination, light rows
+    first, with no quotient built.  d o d = 0 is checked once, when
+    the W+1 complex is assembled.  A differential that lowers weight
+    after all (through a relation's normal form) leaves no such
+    quotient, and the cut raises.
     """
     check_weight(weight)
-    here, above = build(weight + 1).cut_cohomology(
-        lambda exps: ctx.weight_of(exps) <= weight
-    )
-    return flag_stability(here, above)
+    return flag_stability(*build(weight + 1).cut_cohomology())
 
 
 def flag_stability(here, above) -> CohomologyReport:

@@ -53,9 +53,10 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     spanned by the weight-cut products of each generator g with the
     ambient k-forms and of dg with the (k-1)-forms; the quotient is
     ``MatrixComplex.quotient``, which also checks that d maps K into K.
-    The ambient basis is in ascending weight, so the quotient cut at
-    ``weight`` is the quotient at ``weight`` (see ``quotient``), and
-    ``cut_cohomology`` reads both off one elimination per degree.
+    The ambient's cut is at ``weight`` and its basis is in ascending
+    weight, so the quotient's cut is the quotient at ``weight`` (see
+    ``quotient``), and ``cut_cohomology`` reads both off one
+    elimination per degree.
     Flags compare the dimensions at ``weight`` and ``weight + 1``;
     every form degree is reported.
     """
@@ -82,9 +83,7 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
                         .weight_filter(weight + 1).terms
                         for m in keys
                     ]
-    cuts = ambient.quotient(span).cut_cohomology(
-        lambda m: ctx.weight_of(m) <= weight
-    )
+    cuts = ambient.quotient(span).cut_cohomology()
     here, above = ({k: h.get(k, 0) for k in range(n + 1)} for h in cuts)
     return flag_stability(here, above)
 

@@ -32,7 +32,7 @@ Each one takes a different road to the same answer:
   in the box the weight cap allows, each tested against the caps; the
   package walks only the monomials within them.
 - ``two_build_stalk``: the stalk cohomology with the weight-``W``
-  quotient built on its own, from the ambient restricted to weight
+  quotient built on its own, from the ambient assembled at weight
   ``W`` and the span cut at ``W``, next to the ``W + 1`` quotient; the
   package cuts the one ``W + 1`` quotient instead, which rests on its
   bases being in ascending weight.
@@ -533,9 +533,9 @@ def two_build_stalk(gens, weight):
 
     The ambient free de Rham stage and the span of K are formed as in
     ``classical_stalk_cohomology`` at ``weight + 1``; the ``weight``
-    side is its own quotient, of the ambient restricted to ``weight``
+    side is its own quotient, of the ambient assembled at ``weight``
     by the span with its heavier terms dropped.  Neither quotient
-    depends on the order of the basis keys.
+    depends on the order of the basis keys, nor on the complexes' cut.
     """
     variables = tuple(gens[0].context)
     n = len(variables)
@@ -559,7 +559,7 @@ def two_build_stalk(gens, weight):
             for vec in vecs]
         for k, vecs in span.items()
     }
-    here = ambient.restrict(lambda m: ctx.weight_of(m) <= weight).quotient(light)
+    here = weight_truncate(stage, weight).quotient(light)
     h_here, h_above = here.cohomology(), above.cohomology()
     return flag_stability(
         {k: h_here.get(k, 0) for k in range(n + 1)},

@@ -316,42 +316,74 @@ def _restriction_cases():
     ]
 
 
+def _heavy_unit_vectors(cx, heavy):
+    """The span of the unit vectors of the keys ``heavy`` picks."""
+    return {
+        n: [{key: Fraction(1)} for key in keys if heavy(key)]
+        for n, keys in cx.labels.items()
+    }
+
+
 def test_restriction_matches_direct_build():
-    # the W complex is the W+1 complex restricted to weight <= W: same
-    # basis keys, same entries, for every way a complex is assembled;
-    # the flagged report read off one W+1 build must agree with two
-    # direct builds
+    # the W complex is the W+1 complex divided by the unit vectors of
+    # its keys of weight W+1: same basis keys, same entries, for every
+    # way a complex is assembled, and every kept key was light; the
+    # flagged report read off one W+1 build must agree with two direct
+    # builds
     for name, ctx, build in _restriction_cases():
         for weight in (2, 3, 4, 6):
             above = build(weight + 1)
-            here = above.restrict(lambda e: ctx.weight_of(e) <= weight)
+            here = above.quotient(_heavy_unit_vectors(
+                above, lambda e: ctx.weight_of(e) > weight
+            ))
             direct = build(weight)
             assert here.dims == direct.dims, (name, weight)
             assert here.labels == direct.labels, (name, weight)
             assert here.diffs == direct.diffs, (name, weight)
             assert here.dens == direct.dens, (name, weight)
+            assert here.light == here.dims, (name, weight)
             low, high = direct.cohomology(), above.cohomology()
-            report = restricted_report(build, ctx, weight)
+            report = restricted_report(build, weight)
             assert report.dims == tuple(sorted(low.items())), (name, weight)
             assert dict(report.stable) == {
                 n: low.get(n, 0) == high.get(n, 0) for n in set(low) | set(high)
             }, (name, weight)
 
 
+def test_light_keys_are_the_prefix_below_the_top_weight():
+    # every assembled basis is in ascending weight, so the keys below
+    # the top weight are a prefix: light[n] counts them, also after a
+    # degree shift and in a stalk quotient
+    node = koszul_presentation(XY, [P("x*y")], 1)
+    column = CotangentPresentation(node, 2)
+    cases = [
+        (f"{name} W={weight}", build(weight), ctx.weight_of, weight)
+        for name, ctx, build in _restriction_cases()
+        for weight in (2, 3, 4, 6)
+    ]
+    column_ctx = column.truncation_data()[0]
+    cases.append(("shifted", column.complex(5), column_ctx.weight_of, 5))
+    cases.append(("stalk", *_stalk_quotient(P("x^2+y^3"), 7), 7))
+    for name, cx, weight_of, top in cases:
+        assert set(cx.light) == set(cx.dims), name
+        for n, keys in cx.labels.items():
+            weights = [weight_of(key) for key in keys]
+            assert weights == sorted(weights), (name, n)
+            assert cx.light[n] == sum(w <= top - 1 for w in weights), (name, n)
+    # a count outside 0..dims[n] is refused, as is one for a degree
+    # without a basis
+    for light in ({0: -1}, {0: 3}, {1: 1}):
+        with pytest.raises(StructuralError):
+            MatrixComplex({0: 2}, {0: ["a", "b"]}, {}, {}, light)
+
+
 def _report_builds(pres, source):
-    """``(context, build)`` of one flagged source at Hodge level 2."""
+    """The build of one flagged source at Hodge level 2."""
     if source == "stage":
-        return (
-            derham_stage(pres, 2, 1).truncation_data()[0],
-            lambda w: weight_truncate(derham_stage(pres, 2, w), w),
-        )
+        return lambda w: weight_truncate(derham_stage(pres, 2, w), w)
     if source == "cotangent":
-        column = CotangentPresentation(pres, 2)
-        return column.truncation_data()[0], column.complex
-    return (
-        _WedgeSource(pres, 2).context,
-        lambda w: wedge_power(cotangent_complex(pres), 2, w),
-    )
+        return CotangentPresentation(pres, 2).complex
+    return lambda w: wedge_power(cotangent_complex(pres), 2, w)
 
 
 @st.composite
@@ -376,9 +408,9 @@ def test_restricted_report_matches_two_builds(f, source, weight):
     # one elimination of the W+1 complex, light rows first, gives what
     # two separate builds at W and W+1 give
     pres = koszul_presentation(f.context, [f], 1)
-    ctx, build = _report_builds(pres, source)
+    build = _report_builds(pres, source)
     low, high = build(weight).cohomology(), build(weight + 1).cohomology()
-    report = restricted_report(build, ctx, weight)
+    report = restricted_report(build, weight)
     assert report.dims == tuple(sorted(low.items())), (str(f), source)
     assert dict(report.stable) == {
         n: low.get(n, 0) == high.get(n, 0) for n in set(low) | set(high)
@@ -386,28 +418,31 @@ def test_restricted_report_matches_two_builds(f, source, weight):
 
 
 def test_cut_cohomology_reads_both_cuts():
-    # hand-built keys cut at "heavy": a -> 2c + d, heavy-b -> 0; the
-    # kept side has rank 1 on one key each, the whole complex one class
-    # in each degree
+    # hand-built keys cut after one light key each: a -> 2c + d,
+    # heavy-b -> 0; the light side has rank 1 on one key each, the
+    # whole complex one class in each degree
     cx = MatrixComplex(
         dims={0: 2, 1: 2},
         labels={0: ["a", "heavy-b"], 1: ["c", "heavy-d"]},
         diffs={0: {0: {0: 2}, 1: {0: 1}}},
         dens={0: 1},
+        light={0: 1, 1: 1},
     )
-    here, above = cx.cut_cohomology(lambda key: not key.startswith("heavy"))
-    assert here == cx.restrict(lambda key: not key.startswith("heavy")).cohomology()
+    here, above = cx.cut_cohomology()
+    heavy = _heavy_unit_vectors(cx, lambda key: key.startswith("heavy"))
+    assert here == cx.quotient(heavy).cohomology()
     assert here == {0: 0, 1: 0}
     assert above == cx.cohomology() == {0: 1, 1: 1}
-    # the heavy column meets the kept row: no quotient
+    # the heavy column meets the light row: no quotient
     bad = MatrixComplex(
         dims={0: 2, 1: 1},
         labels={0: ["a", "heavy-b"], 1: ["c"]},
         diffs={0: {0: {0: 1, 1: 1}}},
         dens={0: 1},
+        light={0: 1},
     )
     with pytest.raises(StructuralError) as err:
-        bad.cut_cohomology(lambda key: not key.startswith("heavy"))
+        bad.cut_cohomology()
     assert str(err.value) == (
         "restriction is not a quotient: dropped column 1 of degree 0 "
         "reaches a kept row"
@@ -438,9 +473,11 @@ def test_cut_cohomology_pivots_heaviest_first(monkeypatch):
 def test_restriction_must_drop_a_subcomplex():
     pres = koszul_presentation(XY, [P("x*y")], 1)
     cx = weight_truncate(pres, 4)
-    # dropping degree -1 keeps the boundaries of what was dropped
+    # dividing out degree -1 keeps the boundaries of what was divided out
     with pytest.raises(StructuralError) as err:
-        cx.restrict(lambda e: pres.context.degree_of(e) >= 0)
+        cx.quotient(_heavy_unit_vectors(
+            cx, lambda e: pres.context.degree_of(e) < 0
+        ))
     assert "not a quotient" in str(err.value)
     # a relation whose normal form lowers weight (y^3 -> x^2) leaves the
     # heavy monomials no subcomplex, so no report is read off the window
@@ -448,30 +485,14 @@ def test_restriction_must_drop_a_subcomplex():
     with pytest.raises(StructuralError) as err:
         stability_report(lowering, 4)
     assert "not a quotient" in str(err.value)
+    with pytest.raises(StructuralError) as err:
+        weight_truncate(lowering, 5).cohomology()
+    assert "not a quotient" in str(err.value)
     # hand-built keys: dropping the target of a map is a quotient
     two = _two_term({0: {0: 1, 1: 1}}, 2, 1)
-    low = two.restrict(lambda key: key != "f0")
+    low = two.quotient(_heavy_unit_vectors(two, lambda key: key == "f0"))
     assert low.dims == {0: 2} and low.diffs == {0: {}}
     assert low.cohomology() == {0: 2}
-
-
-def test_quotient_by_dropped_unit_vectors_is_restrict():
-    # quotienting by the unit vectors of the heavy keys is the weight
-    # restriction: same labels, same matrices, in every assembled case
-    for name, ctx, build in _restriction_cases():
-        for weight in (2, 3, 4, 6):
-            above = build(weight + 1)
-            keep = lambda e: ctx.weight_of(e) <= weight
-            span = {
-                n: [{key: Fraction(1)} for key in keys if not keep(key)]
-                for n, keys in above.labels.items()
-            }
-            quotient = above.quotient(span)
-            restricted = above.restrict(keep)
-            assert quotient.dims == restricted.dims, (name, weight)
-            assert quotient.labels == restricted.labels, (name, weight)
-            assert quotient.diffs == restricted.diffs, (name, weight)
-            assert quotient.dens == restricted.dens, (name, weight)
 
 
 def test_quotient_needs_a_subcomplex():
@@ -489,7 +510,7 @@ def test_quotient_needs_a_subcomplex():
 
 def _stalk_quotient(g, weight):
     """The free de Rham stage modulo K = g*Omega + dg^Omega, keyed by
-    exponent tuples, and the weight of a key."""
+    exponent tuples, and the weight of a key; cut below ``weight``."""
     n = len(g.context)
     stage = derham_stage(free_presentation(g.context), n, weight)
     ctx, d, _, _ = stage.truncation_data()
@@ -510,22 +531,22 @@ def _stalk_quotient(g, weight):
 def test_stored_rows_survive_every_consumer():
     # elim's kernel reduces the rows it is given in place, so a stored
     # row must never reach it: every consumer leaves a stage, a conerve
-    # and a stalk quotient (and a morphism's matrices) as they were
+    # and a stalk quotient (and a morphism's matrices) as they were.
+    # The stage and the stalk are cut below their top weight; the
+    # conerve carries no cut.
     node = koszul_presentation(XY, [P("x*y")], 1)
     stage = derham_stage(node, 3, 5)
-    koszul_ctx = node.context
     cases = [
-        (stage.complex(), stage.truncation_data()[0].weight_of),
-        (
-            conerve_totalization(XY, P("x*y"), 3, 5),
-            lambda key: sum(koszul_ctx.weight_of(k) for k in key[1]),
-        ),
-        _stalk_quotient(P("x^2+y^3"), 7),
+        stage.complex(),
+        conerve_totalization(XY, P("x*y"), 3, 5),
+        _stalk_quotient(P("x^2+y^3"), 7)[0],
     ]
     seen = set()
-    for cx, weight_of in cases:
-        top = max(weight_of(k) for ks in cx.labels.values() for k in ks)
-        keep = lambda key: weight_of(key) < top
+    for cx in cases:
+        heavy = {
+            n: [{key: Fraction(1)} for key in keys[cx.light[n]:]]
+            for n, keys in cx.labels.items()
+        }
         ident = GradedMatrices(
             {n: {i: {i: 1} for i in range(d)} for n, d in cx.dims.items()}
         )
@@ -533,13 +554,8 @@ def test_stored_rows_survive_every_consumer():
         rows, mats = copy.deepcopy(cx.diffs), copy.deepcopy(ident)
         cx.check_composition()
         dims = cx.cohomology()
-        here, above = cx.cut_cohomology(keep)
-        assert here == cx.restrict(keep).cohomology() and above == dims
-        span = {
-            n: [{key: Fraction(1)} for key in keys if not keep(key)]
-            for n, keys in cx.labels.items()
-        }
-        assert cx.quotient(span).cohomology() == here
+        here, above = cx.cut_cohomology()
+        assert here == cx.quotient(heavy).cohomology() and above == dims
         for n in cx.degrees():
             vanishes = induced_map_vanishes(cx, cx, ident, n)
             assert vanishes == (dims[n] == 0), n
