@@ -16,9 +16,9 @@ rows are ``{col: int}`` dicts with a positive lead, primitive (jointly
 with their row combination, when one is tracked), so each is a nonzero
 multiple of the pivot row that rational elimination with pivots scaled
 to 1 would find.  ``Fraction``s appear only where a rational answer
-leaves the module: ``reduce``'s representative, the solution back
-substitution computes on integers over one running denominator, and
-the infeasibility certificate.
+leaves the module: the solution back substitution computes on
+integers over one running denominator, and the infeasibility
+certificate.
 
 No pivot choice is needed for determinism: in any left-to-right echelon
 form, column ``c`` is a pivot exactly when it is not a combination of
@@ -29,16 +29,22 @@ order of the rows.
 The pivot count after any prefix of the rows is the rank of that
 prefix, so ``rank_split`` reads two nested ranks off one elimination;
 ``homology`` reads a weight cut's rank off the light-row prefix.
+``echelon`` continues from the pivots an earlier call left, so a
+caller can feed one elimination in steps and count the pivots after
+each.  The pivots among the columns below any ``c`` count the rank of
+the projection onto those columns, since a row pivots at its smallest
+column; ``MatrixComplex.quotient_cohomology`` reads a weight cut's
+ranks that way, with the light columns numbered first.
 
 Column order is the pivot order, since each row is reduced at its
 smallest column.  Ranks do not depend on it, but fill-in does, so
-where only a rank is read (``rank_split``, ``rank_sparse``) a caller
-may number columns as it likes: ``MatrixComplex.cut_cohomology``
-numbers them heaviest first.  Where an echelon form is read the order
-is fixed: ``echelon`` and ``reduce`` in ``MatrixComplex.quotient``,
-whose cut needs pivots at the lowest weight; ``solve_rational``, whose
-certificate is pinned; and ``nullspace``, whose canonical basis tests
-read.
+where only a rank is read (``rank_split``, ``rank_sparse``,
+``echelon`` in ``quotient_cohomology``) a caller may number columns as
+it likes: ``MatrixComplex.cut_cohomology`` numbers them heaviest
+first, and ``quotient_cohomology`` only keeps its light columns before
+the heavy ones.  Where an echelon form is read the order is fixed:
+``solve_rational``, whose certificate is pinned, and ``nullspace``,
+whose canonical basis tests read.
 
 Row combinations are tracked only where they are read: an
 infeasibility certificate.  ``solve_rational`` eliminates untracked
@@ -46,15 +52,11 @@ first and reruns tracked only when the right-hand side opens a pivot.
 
 ``integral`` turns a rational row into integers over its least common
 denominator, on a copy.  It is where rational input enters the kernel,
-once per row in ``rank_sparse``, ``nullspace``, ``echelon``, ``reduce``
-and ``solve_rational``, so these leave the rows they are given as they
-were; ``rank_split`` takes integer rows and reduces them in place, so
-its caller hands it rows it can give up.
-
-``echelon`` and ``reduce`` expose the same routine for working modulo
-a span: ``reduce`` clears every pivot column of a vector with the pivot
-rows, which is how ``MatrixComplex.quotient`` writes the differential
-of a quotient complex in its non-pivot basis.
+once per row in ``echelon`` (and so in ``rank_sparse`` and
+``nullspace``, which call it) and in ``solve_rational``, so these
+leave the rows they are given as they were; ``rank_split`` takes
+integer rows and reduces them in place, so its caller hands it rows it
+can give up.
 
 Every matrix comes in as sparse rows, rational or integer.
 ``rank_sparse`` and ``nullspace`` take ``{row: {col: value}}``, the
@@ -146,7 +148,7 @@ def _echelon(rows, track=False, until=None, pivots=None):
     for i, row in enumerate(rows):
         combo = {i: 1} if track else None
         _divide_content(row, combo)
-        c = _clear(pivots, row, combo, stop=True)[0]
+        c = _clear(pivots, row, combo)
         if c is not None:
             _divide_content(row, combo, lead=c)
             pivots[c] = (row, combo)
@@ -155,20 +157,17 @@ def _echelon(rows, track=False, until=None, pivots=None):
     return pivots
 
 
-def _clear(pivots, row, combo, stop):
+def _clear(pivots, row, combo):
     """Subtract pivot rows from int ``row`` in place, smallest column first.
 
     Each step is ``row = a * row - b * pivot`` (see the module
     docstring); ``combo`` (or None) follows the same row operations.
-    Returns ``(column, scale)``: with ``stop``, ``column`` is the first
-    column of ``row`` that is not a pivot (the left-looking step: the
-    rest of the row is left as it is); otherwise every pivot column is
-    cleared and ``column`` is None.  ``scale`` is the product of the
-    ``a``s, so the row ends as ``scale`` times its rational reduction.
+    Returns the first column of ``row`` that is not a pivot (the
+    left-looking step: the rest of the row is left as it is), or None
+    when the row vanishes.
     """
     heap = list(row)
     heapify(heap)
-    scale = 1
     while heap:
         c = heappop(heap)
         v = row.get(c)
@@ -176,9 +175,7 @@ def _clear(pivots, row, combo, stop):
             continue
         pivot = pivots.get(c)
         if pivot is None:
-            if stop:
-                return c, scale
-            continue
+            return c
         prow, pcombo = pivot
         lead = prow[c]
         if lead != 1:
@@ -186,7 +183,6 @@ def _clear(pivots, row, combo, stop):
             a = lead // g
             v //= g
             if a != 1:
-                scale *= a
                 for j in row:
                     row[j] *= a
                 if combo is not None:
@@ -195,32 +191,19 @@ def _clear(pivots, row, combo, stop):
         _axpy(row, -v, prow, heap)
         if combo is not None:
             _axpy(combo, -v, pcombo)
-    return None, scale
+    return None
 
 
-def echelon(rows):
-    """Pivots of sparse rational rows, in the form ``reduce`` takes.
+def echelon(rows, pivots=None):
+    """Pivots of sparse rational rows, as ``_echelon`` returns them.
 
     ``rows`` are ``{col: value}`` dicts with comparable columns; the
     pivots are ``_echelon``'s primitive integer rows, without
-    combinations.  Each row is cleared of its denominators on its own.
+    combinations.  Each row is cleared of its denominators on its own,
+    on a copy.  Given the ``pivots`` of an earlier call, this one
+    continues from them, extending them in place.
     """
-    return _echelon(integral(row)[0] for row in rows)
-
-
-def reduce(pivots, vector):
-    """``vector`` modulo the pivot rows: no pivot column left in it.
-
-    Returns a new sparse ``{col: Fraction}`` dict without zero entries:
-    the canonical representative of the coset of ``vector`` modulo the
-    span of the pivot rows, supported on non-pivot columns only.  The
-    elimination runs on integers; the scale it tracks is divided out
-    once, at the end.
-    """
-    row, den = integral(vector)
-    content = _divide_content(row, None)
-    scale = _clear(pivots, row, None, stop=False)[1]
-    return {c: Fraction(v * content, den * scale) for c, v in row.items()}
+    return _echelon((integral(row)[0] for row in rows), pivots=pivots)
 
 
 def _back_substitute(pivots, x):

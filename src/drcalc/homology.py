@@ -17,14 +17,15 @@ that names a missing image term.  Cohomology is rank-nullity
 bookkeeping on top of exact sparse elimination (``elim``), one
 elimination per differential.
 
-Column order is free where only ranks are read, and fixed where an
-echelon form is read.  ``elim``'s kernel pivots each row at its
-smallest column, so the column numbering is the pivot order: ranks do
-not depend on it, fill-in does.  ``cut_cohomology`` (every report's
-ranks) numbers each matrix's columns heaviest first; the ranks in
-``induced_map_vanishes`` keep the basis order.  ``quotient`` must keep
-the basis order: the stalk's cut needs each pivot at its span
-vector's lowest-weight key.
+Only ranks are read here, so column order is free up to one contract.
+``elim``'s kernel pivots each row at its smallest column, so the
+column numbering is the pivot order: ranks do not depend on it,
+fill-in does.  ``cut_cohomology`` (every report's ranks) numbers each
+matrix's columns heaviest first; the ranks in ``induced_map_vanishes``
+keep the basis order.  ``quotient_cohomology`` reads a cut's ranks off
+the pivots among the light positions, so it numbers the light
+positions before the heavy ones; inside each block the order is free,
+and it takes ascending weight, ties in reverse basis order.
 
 Every matrix is stored as sparse integer rows, ``{row: {col: int}}``
 with nonzero rows only, over one positive denominator for the whole
@@ -32,21 +33,27 @@ matrix, in lowest terms (the least common denominator of the rational
 matrix, 1 whenever its entries are integers, so no prime divides it
 and every entry).  The form is made once, where a matrix is
 assembled: each column's image is scattered into the rows it reaches.
-``quotient``, products and ranks take the rows as they are; a product
-multiplies rows by rows (``_row_products``), and only ``quotient``,
-which reduces column images, transposes a matrix, one degree at a
+Products and ranks take the rows as they are; a product multiplies
+rows by rows (``_row_products``), and only ``quotient_cohomology``,
+which eliminates column images, transposes a matrix, one degree at a
 time.  The rows a complex stores are never handed to ``elim``'s
-kernel, which reduces its rows in place: ``cut_cohomology`` feeds it
-renumbered copies.
+kernel, which reduces its rows in place: ``cut_cohomology`` and
+``quotient_cohomology`` feed it renumbered copies.
 
 d o d = 0 is checked once, where a complex is assembled:
 ``weight_truncate`` (and the conerve totalization in ``derham``) call
 ``check_composition`` on what they build.  Everything else is derived
-from a checked complex by ``quotient`` or a degree shift, and a
-quotient of a complex by a subcomplex is again a complex;
-``quotient`` raises unless what it divides out is a subcomplex, so no
-derived complex needs a second check and ``cohomology`` is
-rank-nullity only.
+from a checked complex by a degree shift or is a quotient by a
+subcomplex, again a complex; ``quotient_cohomology`` raises unless
+what it divides out is a subcomplex, so no derived complex needs a
+second check and ``cohomology`` is rank-nullity only.
+
+A quotient by a subcomplex S (the stalk's differential ideal) is never
+built: no quotient basis, no reduced images.  Its dimensions and the
+ranks of its differential are ranks of stacked matrices, S's span
+vectors with the images of d (the Macaulay-matrix view, Lazard 1983,
+EUROCAL, LNCS 162), so ``quotient_cohomology`` reads them, and those
+of the quotient's W cut, off one elimination per degree.
 
 Truncation does not commute with cohomology in general.  The stability
 flags reported by ``stability_report`` compare dimensions at ``W`` and
@@ -66,7 +73,6 @@ attention to degrees where both sides are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from bisect import bisect_left
 from math import gcd, lcm
 from operator import le
 
@@ -99,9 +105,9 @@ class MatrixComplex:
 
     ``light[n]`` is the complex's weight cut: the number of leading
     basis keys of degree ``n`` below its top weight, which
-    ``cut_cohomology`` reads.  A degree missing from ``light`` has
-    every key light, so a complex built without a cut (the conerve,
-    hand-built ones) cuts nothing.
+    ``cut_cohomology`` and ``quotient_cohomology`` read.  A degree
+    missing from ``light`` has every key light, so a complex built
+    without a cut (the conerve, hand-built ones) cuts nothing.
     """
 
     __slots__ = ("dims", "labels", "diffs", "dens", "light")
@@ -137,68 +143,6 @@ class MatrixComplex:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def quotient(self, span) -> "MatrixComplex":
-        """Quotient by the subcomplex spanned by ``span``.
-
-        ``span[n]`` lists sparse vectors ``{basis key: value}`` of
-        degree ``n``.  Each degree's span is put in echelon form over
-        the basis positions; the non-pivot keys are a basis of the
-        quotient, in the old order.  A kept column's image is reduced
-        modulo the span one degree up and written into the kept rows it
-        reaches; the image of each pivot's echelon row must reduce to
-        zero, i.e. d must map the span into the span, or the quotient
-        raises.  The images are columns, so each degree's rows are
-        transposed for them.  ``reduce`` returns the rational image of
-        the integer matrix; divided by ``dens[n]`` it is the quotient's
-        matrix, scaled to integers once per degree.  Degrees left
-        without a basis disappear.
-
-        A key of the quotient is light if it was light and is kept.
-        The echelon pivots at each span vector's smallest basis
-        position, so on a basis in ascending weight a pivot's row is its
-        lowest-weight key plus heavier ones, and the quotient's heavy
-        keys span a subcomplex when the old ones do: ``cut_cohomology``
-        can cut there.  On a basis out of that order the cut raises
-        where it sees a heavy key reach a light row, but it need not
-        see every miscount.
-        """
-        pivots = {}
-        for n, vectors in span.items():
-            index = {key: i for i, key in enumerate(self.labels.get(n, ()))}
-            pivots[n] = elim.echelon(
-                [{index[key]: v for key, v in vec.items()} for vec in vectors]
-            )
-        dims, labels, light, renumber = {}, {}, {}, {}
-        for n, keys in self.labels.items():
-            found = pivots.get(n, {})
-            kept = [i for i in range(len(keys)) if i not in found]
-            if kept:
-                dims[n] = len(kept)
-                labels[n] = [keys[i] for i in kept]
-                light[n] = bisect_left(kept, self.light[n])
-                renumber[n] = {old: new for new, old in enumerate(kept)}
-        diffs, dens = {}, {}
-        for n, rows in self.diffs.items():
-            columns = {}
-            for r, row in rows.items():
-                for c, v in row.items():
-                    columns.setdefault(c, {})[r] = v
-            up = pivots.get(n + 1, {})
-            found = {c: row for c, (row, _) in pivots.get(n, {}).items()}
-            for c, image in _row_products(found, columns):
-                if elim.reduce(up, image):
-                    raise _not_a_quotient(c, n)
-            if n not in dims:
-                continue
-            kept_rows = renumber.get(n + 1, {})
-            reduced = {}
-            for c, new in renumber[n].items():
-                for r, v in elim.reduce(up, columns.get(c, {})).items():
-                    reduced.setdefault(kept_rows[r], {})[new] = v
-            ints, den = _integral(reduced)
-            diffs[n], dens[n] = lowest_terms(ints, den * self.dens[n])
-        return MatrixComplex(dims, labels, diffs, dens, light)
 
     def check_composition(self):
         """Raise unless consecutive differentials compose to zero.
@@ -237,9 +181,8 @@ class MatrixComplex:
         so a light row is zero on every heavy column, i.e. it is its
         row of the quotient's matrix, and the rank after the light rows
         is the quotient's rank.  A light row that reaches a heavy
-        column raises, as ``quotient`` does.  The quotient's dimensions
-        are the light counts; degrees without a light key disappear, as
-        from ``quotient``.
+        column raises.  The quotient's dimensions are the light counts;
+        degrees without a light key disappear.
 
         The light keys are a prefix, so feeding the rows in basis order
         puts the light ones first.  The kernel reduces its rows in
@@ -271,6 +214,90 @@ class MatrixComplex:
             )
         counts = {n: k for n, k in self.light.items() if k}
         return _rank_nullity(counts, low), _rank_nullity(self.dims, high)
+
+    def quotient_cohomology(self, span, weight_of):
+        """``(here, above)`` of the quotient by the span of ``span``.
+
+        ``span[n]`` lists sparse vectors ``{basis key: value}`` of
+        degree ``n``; d must map their span S into S.  ``above`` is the
+        cohomology of the quotient Q by S, ``here`` that of its cut: Q
+        modulo the heavy keys, i.e. the light complex modulo S with its
+        heavy terms dropped.  The heavy keys must span a subcomplex, as
+        for ``cut_cohomology``, and a light row that reaches a heavy
+        column raises as it does there.
+
+        No quotient basis is built: both are read off ranks, with one
+        elimination per degree ``m`` of the vectors of degree ``m``:
+
+        1. the span vectors of degree ``m``;
+        2. the images under d of the pivot rows step 1 found one degree
+           down; they lie in S when d maps S into S, so one that opens
+           a pivot raises;
+        3. the images of the light columns of d into degree ``m``, in
+           basis order;
+        4. the images of its heavy columns.
+
+        The light positions are numbered before the heavy ones, so the
+        pivots among them count the rank of the projection that drops
+        the heavy keys.  Hence dim Q^m is ``dims[m]`` less the pivots
+        after step 1, and its cut's ``light[m]`` less the light ones;
+        the rank of d into Q^m is the pivots step 4 leaves less those
+        of step 1, and of its cut the light pivots step 3 leaves less
+        those of step 1 (step 4 opens heavy pivots only: a heavy
+        column's image is zero on every light position).  Degrees of
+        the quotient without a basis disappear.
+
+        Inside each block the order is free: ranks do not see it, but
+        fill-in does.  Positions are numbered by ascending
+        ``weight_of(key)``, ties in reverse basis order (on an assembled
+        basis, descending lex).  The stalk of x^3+y^3+z^4+xyz at W 20
+        then takes 0.58 M row operations (``elim._axpy`` calls),
+        against 1.06 M heaviest first and 1.0 M in basis order; that of
+        x^5+y^7+xy^6 at W 40 takes 75 k, against 796 k heaviest first
+        and 92 k in basis order.
+        """
+        low, high, here, above = {}, {}, {}, {}
+        found = {}  # degree -> step 1's pivot rows, on basis positions
+        for m in sorted(self.dims):
+            keys, cut = self.labels[m], self.light[m]
+            order = sorted(
+                range(len(keys)),
+                key=lambda i: (i >= cut, weight_of(keys[i]), -i),
+            )
+            number = [0] * len(keys)
+            for k, i in enumerate(order):
+                number[i] = k
+            index = dict(zip(keys, number))
+            pivots = elim.echelon(
+                {index[key]: v for key, v in vec.items()}
+                for vec in span.get(m, ())
+            )
+            rank, light = len(pivots), sum(c < cut for c in pivots)
+            above[m], here[m] = len(keys) - rank, cut - light
+            found[m] = {
+                order[c]: {order[j]: v for j, v in row.items()}
+                for c, (row, _) in pivots.items()
+            }
+            n = m - 1
+            split = self.light.get(n, 0)
+            columns = {}  # d's columns into degree m, numbered as above
+            for r, row in self.diffs.get(n, {}).items():
+                if r < cut and max(row, default=-1) >= split:
+                    raise _not_a_quotient(next(c for c in row if c >= split), n)
+                for c, v in row.items():
+                    columns.setdefault(c, {})[number[r]] = v
+            for c, image in _row_products(found.pop(n, {}), columns):
+                if len(elim.echelon([image], pivots)) > rank:
+                    raise _not_a_quotient(c, n)
+            fed = sorted(columns)
+            elim.echelon((columns[c] for c in fed if c < split), pivots)
+            low[n] = sum(c < cut for c in pivots) - light
+            elim.echelon((columns[c] for c in fed if c >= split), pivots)
+            high[n] = len(pivots) - rank
+        return (
+            _rank_nullity({m: k for m, k in here.items() if k}, low),
+            _rank_nullity({m: k for m, k in above.items() if k}, high),
+        )
 
     def euler_characteristic(self) -> int:
         return sum((-d if n % 2 else d) for n, d in self.dims.items())

@@ -2,14 +2,14 @@
 
 Two computations drive this module.  The first is the stalk: the free
 de Rham stage on the variables modulo the differential ideal K
-generated by the defining equations, built as one quotient
-``MatrixComplex``; its cohomology detects failure of the Poincaré lemma
-on the singular germ.  The second is the divergence
-equation ``f*g = sum_i d(f*h_i)/dx_i`` viewed as an exact linear system
-on the Taylor coefficients of the unknowns ``h_i``: a rational
-certificate of infeasibility refutes solvability of the untruncated
-problem, because every row is a necessary condition on any formal
-solution.  Truncation soundness is asymmetric by design — infeasible
+generated by the defining equations, whose cohomology is read off
+ranks of one ``MatrixComplex`` and K's span, with no quotient built;
+it detects failure of the Poincaré lemma on the singular germ.  The
+second is the divergence equation ``f*g = sum_i d(f*h_i)/dx_i``
+viewed as an exact linear system on the Taylor coefficients of the
+unknowns ``h_i``: a rational certificate of infeasibility refutes
+solvability of the untruncated problem, because every row is a
+necessary condition on any formal solution.  Truncation soundness is asymmetric by design — infeasible
 verdicts are conclusive, feasible ones are limited to the window — and
 every verdict says so.
 
@@ -42,21 +42,23 @@ SOUNDNESS_NOTE = (
 
 
 # ---------------------------------------------------------------------------
-# the differential ideal K^* and the stalk quotient complex
+# the differential ideal K^* and the stalk's cohomology
 
 
 def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     """Cohomology of the germ's de Rham quotient, with stability flags.
 
     The ambient is the free de Rham stage on the variables, assembled
-    once at ``weight + 1``.  K^k = I*Omega^k + dI ^ Omega^{k-1} is
-    spanned by the weight-cut products of each generator g with the
-    ambient k-forms and of dg with the (k-1)-forms; the quotient is
-    ``MatrixComplex.quotient``, which also checks that d maps K into K.
-    The ambient's cut is at ``weight`` and its basis is in ascending
-    weight, so the quotient's cut is the quotient at ``weight`` (see
-    ``quotient``), and ``cut_cohomology`` reads both off one
-    elimination per degree.
+    once at ``weight + 1``: the one complex built.  K^k = I*Omega^k +
+    dI ^ Omega^{k-1} is spanned by the weight-cut products of each
+    generator g with the ambient k-forms and of dg with the
+    (k-1)-forms.  The quotient by K is never built:
+    ``MatrixComplex.quotient_cohomology`` reads its cohomology off
+    ranks, one elimination per degree of K's span and the images of d,
+    and checks on the way that d maps K into K.  The ambient's cut is at
+    ``weight``, and dropping the heavy keys from the quotient at
+    ``weight + 1`` leaves the quotient at ``weight`` (its K is K's span
+    with the heavy terms dropped), so the same elimination gives both.
     Flags compare the dimensions at ``weight`` and ``weight + 1``;
     every form degree is reported.
     """
@@ -83,7 +85,7 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
                         .weight_filter(weight + 1).terms
                         for m in keys
                     ]
-    cuts = ambient.quotient(span).cut_cohomology()
+    cuts = ambient.quotient_cohomology(span, ctx.weight_of)
     here, above = ({k: h.get(k, 0) for k in range(n + 1)} for h in cuts)
     return flag_stability(here, above)
 

@@ -27,15 +27,23 @@ Each one takes a different road to the same answer:
   as ``GradedElement``s, with the caps tested on exponent tuples, and
   quotients through a reduced row echelon form of the span; the
   package assembles integer matrices over one denominator on monomial
-  codes, with the cuts decided before a term is formed, instead.
+  codes, with the cuts decided before a term is formed, instead, and
+  builds no quotient complex at all.
+- ``reference_quotient`` and ``fraction_cohomology``: a quotient
+  complex in the package's integer form, built through
+  ``quotient_fraction_matrices``, and cohomology from the ranks of
+  reduced row echelon forms on ``Fraction``s; the package reads a
+  quotient's cohomology off ranks of stacked span and image vectors
+  (``MatrixComplex.quotient_cohomology``) instead.
 - ``truncation_basis``: a truncation's basis from every exponent tuple
   in the box the weight cap allows, each tested against the caps; the
   package walks only the monomials within them.
-- ``two_build_stalk``: the stalk cohomology with the weight-``W``
-  quotient built on its own, from the ambient assembled at weight
-  ``W`` and the span cut at ``W``, next to the ``W + 1`` quotient; the
-  package cuts the one ``W + 1`` quotient instead, which rests on its
-  bases being in ascending weight.
+- ``two_build_stalk``: the stalk cohomology with the weight-``W`` and
+  the weight-``W + 1`` quotients each built on its own, from
+  ``truncation_basis``, ``fraction_matrices`` and
+  ``quotient_fraction_matrices``, with ranks from
+  ``fraction_cohomology``; the package assembles the ``W + 1`` ambient
+  once and reads both sides off one elimination per degree instead.
 - ``two_product_expand``: a derivation's image of a term list with each
   Leibniz term prefix·t·rest formed by two tuple products, (prefix·t)
   then ·rest, signed by the prefix's degree alone;
@@ -76,6 +84,7 @@ from drcalc.dg import (
     koszul_presentation,
 )
 from drcalc.derham import DeRhamStage, free_presentation
+from drcalc.errors import StructuralError
 from drcalc.homology import (
     MatrixComplex,
     flag_stability,
@@ -493,7 +502,9 @@ def quotient_fraction_matrices(mats, labels, span):
     that are not pivots of the span's reduced row echelon form (basis
     positions in order); a kept column's image is reduced by the
     echelon rows one degree up, which leaves the one representative
-    supported off the pivots.
+    supported off the pivots.  The image of each echelon row must
+    reduce to zero too, i.e. d must map the span into the span, or
+    this raises.
     """
     pivots = {}
     for n, vectors in span.items():
@@ -510,13 +521,30 @@ def quotient_fraction_matrices(mats, labels, span):
     }
     out = {}
     for n, entries in mats.items():
+        columns = {}
+        for (r, c), v in entries.items():
+            columns.setdefault(c, {})[r] = v
+        up = pivots.get(n + 1, {}).items()
+        for p, prow in pivots.get(n, {}).items():
+            image = {}
+            for c, w in prow.items():
+                for r, v in columns.get(c, {}).items():
+                    image[r] = image.get(r, 0) + w * v
+            image = {r: v for r, v in image.items() if v}
+            for q, qrow in up:
+                _eliminate(image, q, qrow)
+            if image:
+                raise StructuralError(
+                    f"not a quotient: the span's pivot {p} of degree {n} "
+                    "leaves the span under d"
+                )
         if n not in out_labels:
             continue
         rows = {old: new for new, old in enumerate(kept.get(n + 1, ()))}
         quotient = {}
         for new_col, c in enumerate(kept[n]):
-            image = {r: v for (r, col), v in entries.items() if col == c}
-            for p, prow in pivots.get(n + 1, {}).items():
+            image = dict(columns.get(c, {}))
+            for p, prow in up:
                 _eliminate(image, p, prow)
             for r, v in image.items():
                 quotient[(rows[r], new_col)] = v
@@ -524,47 +552,107 @@ def quotient_fraction_matrices(mats, labels, span):
     return out_labels, out
 
 
+def reference_quotient(cx, span):
+    """The quotient complex of ``cx`` by the subcomplex ``span`` spans.
+
+    ``quotient_fraction_matrices`` on the rational matrices of ``cx``,
+    written back in the package's integer form: each matrix over the
+    least common denominator of its entries.  A kept key is light when
+    it was light in ``cx``.  The package reads the cohomology of such
+    a quotient off ranks instead (``MatrixComplex.quotient_cohomology``)
+    and builds no quotient.
+    """
+    fractions = {
+        n: {
+            key: Fraction(v, cx.dens[n])
+            for key, v in flat_entries(rows).items()
+        }
+        for n, rows in cx.diffs.items()
+    }
+    labels, mats = quotient_fraction_matrices(fractions, cx.labels, span)
+    diffs, dens = {}, {}
+    for n, entries in mats.items():
+        dens[n] = math.lcm(*(v.denominator for v in entries.values()))
+        diffs[n] = {}
+        for (r, c), v in entries.items():
+            diffs[n].setdefault(r, {})[c] = int(v * dens[n])
+    light = {}
+    for n, keys in labels.items():
+        light_keys = set(cx.labels[n][:cx.light[n]])
+        light[n] = sum(key in light_keys for key in keys)
+    dims = {n: len(keys) for n, keys in labels.items()}
+    return MatrixComplex(dims, labels, diffs, dens, light)
+
+
+def fraction_cohomology(labels, mats):
+    """``{degree: dim H}`` of rational matrices on the bases ``labels``.
+
+    Each rank is the number of pivots of the matrix's reduced row
+    echelon form on Fractions; degrees without a basis are left out.
+    """
+    ranks = {}
+    for n, entries in mats.items():
+        rows = {}
+        for (r, c), v in entries.items():
+            rows.setdefault(r, {})[c] = v
+        ranks[n] = len(_rref(rows.values()))
+    return {
+        n: len(keys) - ranks.get(n, 0) - ranks.get(n - 1, 0)
+        for n, keys in sorted(labels.items())
+    }
+
+
 # ---------------------------------------------------------------------------
 # the stalk from two quotients
+
+
+def stalk_span(stage, labels, gens, weight):
+    """``{k: vectors}`` spanning K^k = I*Omega^k + dI ^ Omega^(k-1).
+
+    Each generator of ``gens``, lifted into the context of ``stage``,
+    and its d times every basis key of ``labels``, cut at ``weight``.
+    """
+    ctx, d, _, _ = stage.truncation_data()
+    span = {k: [] for k in labels}
+    for g in gens:
+        lifted = lift_by_name(ctx, g)
+        for factor, shift in ((lifted, 0), (d(lifted), 1)):
+            for k, keys in labels.items():
+                if k + shift in span:
+                    span[k + shift] += [
+                        (factor * GradedElement.monomial(ctx, m))
+                        .weight_filter(weight).terms
+                        for m in keys
+                    ]
+    return span
 
 
 def two_build_stalk(gens, weight):
     """Flagged stalk cohomology of the germ of ``gens``, two quotients.
 
-    The ambient free de Rham stage and the span of K are formed as in
-    ``classical_stalk_cohomology`` at ``weight + 1``; the ``weight``
-    side is its own quotient, of the ambient assembled at ``weight``
-    by the span with its heavier terms dropped.  Neither quotient
-    depends on the order of the basis keys, nor on the complexes' cut.
+    The free de Rham stage on the variables is truncated at ``weight``
+    and at ``weight + 1`` on its own, each time from the basis of
+    ``truncation_basis`` and the matrices of ``fraction_matrices``; each
+    side is the quotient by its own K (``quotient_fraction_matrices``),
+    and its cohomology is read off ``fraction_cohomology``.  So the
+    oracle shares no assembly, elimination or quotient code with
+    ``classical_stalk_cohomology``, which builds the ``weight + 1``
+    ambient once and reads both sides off ranks with no quotient
+    built; only the presentation, its differential and
+    ``flag_stability`` are shared.
     """
     variables = tuple(gens[0].context)
     n = len(variables)
     stage = DeRhamStage(free_presentation(variables), n, weight + 1)
-    ctx, d, _, _ = stage.truncation_data()
-    ambient = weight_truncate(stage, weight + 1)
-    span = {k: [] for k in range(n + 1)}
-    for g in gens:
-        lifted = lift_by_name(ctx, g)
-        for factor, shift in ((lifted, 0), (d(lifted), 1)):
-            for k, keys in ambient.labels.items():
-                if k + shift <= n:
-                    span[k + shift] += [
-                        (factor * GradedElement.monomial(ctx, m))
-                        .weight_filter(weight + 1).terms
-                        for m in keys
-                    ]
-    above = ambient.quotient(span)
-    light = {
-        k: [{m: v for m, v in vec.items() if ctx.weight_of(m) <= weight}
-            for vec in vecs]
-        for k, vecs in span.items()
-    }
-    here = weight_truncate(stage, weight).quotient(light)
-    h_here, h_above = here.cohomology(), above.cohomology()
-    return flag_stability(
-        {k: h_here.get(k, 0) for k in range(n + 1)},
-        {k: h_above.get(k, 0) for k in range(n + 1)},
-    )
+    sides = []
+    for w in (weight, weight + 1):
+        labels = truncation_basis(stage, w)
+        span = stalk_span(stage, labels, gens, w)
+        h = fraction_cohomology(*quotient_fraction_matrices(
+            fraction_matrices(stage, w, labels), labels, span
+        ))
+        sides.append({k: h.get(k, 0) for k in range(n + 1)})
+    return flag_stability(*sides)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,11 @@ from oracles import (
     conerve_cofaces,
     conerve_fraction_matrices,
     flat_entries,
+    fraction_cohomology,
     fraction_matrices,
     quotient_fraction_matrices,
+    reference_quotient,
+    stalk_span,
     truncation_basis,
     two_product_expand,
 )
@@ -453,7 +456,7 @@ def _check_cut(stage, cx, weight):
     """The quotient of ``cx`` by its weight-``weight`` keys, entry by
     entry against the fraction oracle at ``weight - 1``."""
     ctx = stage.truncation_data()[0]
-    low = cx.quotient({
+    low = reference_quotient(cx, {
         n: [{e: Fraction(1)} for e in keys if ctx.weight_of(e) == weight]
         for n, keys in cx.labels.items()
     })
@@ -461,28 +464,23 @@ def _check_cut(stage, cx, weight):
 
 
 def _check_stalk(gens, weight):
-    """The stalk quotient of the free stage by K, as the package builds it."""
+    """The stalk's cohomology read off ranks, as the package reads it,
+    against the fraction oracle's quotients at ``weight`` and at
+    ``weight - 1``."""
     variables = tuple(gens[0].context)
     stage = DeRhamStage(free_presentation(variables), len(variables), weight)
-    ctx, d, _, _ = stage.truncation_data()
     ambient = weight_truncate(stage, weight)
-    span = {k: [] for k in ambient.labels}
-    for g in gens:
-        lifted = g.cast_to(ctx)
-        for factor, shift in ((lifted, 0), (d(lifted), 1)):
-            for k, keys in ambient.labels.items():
-                if k + shift in span:
-                    span[k + shift] += [
-                        (factor * GradedElement.monomial(ctx, m))
-                        .weight_filter(weight).terms
-                        for m in keys
-                    ]
-    quotient = ambient.quotient(span)
-    labels, want = quotient_fraction_matrices(
-        fraction_matrices(stage, weight, ambient.labels), ambient.labels, span
-    )
-    assert {n: tuple(ks) for n, ks in labels.items()} == quotient.labels
-    _check_against(quotient, want)
+    want = []
+    for w in (weight - 1, weight):
+        labels = truncation_basis(stage, w)
+        want.append(fraction_cohomology(*quotient_fraction_matrices(
+            fraction_matrices(stage, w, labels),
+            labels,
+            stalk_span(stage, labels, gens, w),
+        )))
+    span = stalk_span(stage, ambient.labels, gens, weight)
+    weight_of = stage.truncation_data()[0].weight_of
+    assert ambient.quotient_cohomology(span, weight_of) == tuple(want)
 
 
 def test_matrix_entries_are_integers_over_one_denominator():

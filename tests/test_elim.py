@@ -400,8 +400,8 @@ def _dense_rows(rows, nc):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_span_and_vector())
-def test_reduce_is_the_canonical_representative(case):
+@given(_span_and_vector(), st.integers(0, 7))
+def test_echelon_continues_from_its_pivots(case, cut):
     nc, rows, shuffled, vector = case
     pivots = elim.echelon(rows)
     span = _dense_rows(rows, nc)
@@ -411,14 +411,19 @@ def test_reduce_is_the_canonical_representative(case):
         assert min(prow) == c and prow[c] > 0
         assert all(type(w) is int for w in prow.values())
         assert gcd(*prow.values()) == 1
-    got = elim.reduce(pivots, vector)
-    assert all(type(v) is Fraction and v for v in got.values())
-    assert not set(got) & set(pivots)
-    # vector - reduce(vector) lies in the span of the rows
-    diff = {c: vector.get(c, 0) - got.get(c, 0) for c in range(nc)}
-    assert gauss_rank(span + _dense_rows([diff], nc)) == gauss_rank(span)
-    # and the representative does not depend on the order of the rows
-    assert elim.reduce(elim.echelon(shuffled), vector) == got
+    # the pivots below any column count the rank of the projection onto
+    # the columns below it, whatever the order of the rows
+    below = gauss_rank([row[:cut] for row in span]) if cut else 0
+    assert sum(c < cut for c in pivots) == below
+    assert sum(c < cut for c in elim.echelon(shuffled)) == below
+    # continuing from the pivots adds a vector's rank over the span, and
+    # leaves the pivots already found as they were
+    found = {c: dict(prow) for c, (prow, _) in pivots.items()}
+    given = dict(vector)
+    assert elim.echelon([vector], pivots) is pivots
+    assert len(pivots) == gauss_rank(span + _dense_rows([vector], nc))
+    assert all(pivots[c][0] == prow for c, prow in found.items())
+    assert vector == given  # the rational input is left as it was
 
 
 def _hilbert(n, m):
@@ -467,9 +472,9 @@ def test_solve_stops_at_the_certificate_row(monkeypatch):
     calls = []
     real = elim._clear
 
-    def spy(pivots, row, combo, stop):
+    def spy(pivots, row, combo):
         calls.append(combo is not None)  # True in the tracked rerun
-        return real(pivots, row, combo, stop)
+        return real(pivots, row, combo)
 
     monkeypatch.setattr(elim, "_clear", spy)
     tag, lam = elim.solve_rational(rows, rhs, n)
@@ -495,10 +500,10 @@ def _clearings(monkeypatch, rows, rhs, ncols):
         cleared.append(vector)
         return real_integral(vector)
 
-    def clear(pivots, row, combo, stop):
+    def clear(pivots, row, combo):
         if combo is None:  # the untracked pass meets each row once
             reached.append(row)
-        return real_clear(pivots, row, combo, stop)
+        return real_clear(pivots, row, combo)
 
     monkeypatch.setattr(elim, "integral", integral)
     monkeypatch.setattr(elim, "_clear", clear)

@@ -34,7 +34,13 @@ from drcalc.homology import (
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
 
-from oracles import flat_entries, gauss_rank, rref_nullspace
+from oracles import (
+    flat_entries,
+    gauss_rank,
+    reference_quotient,
+    rref_nullspace,
+    stalk_span,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -333,7 +339,7 @@ def test_restriction_matches_direct_build():
     for name, ctx, build in _restriction_cases():
         for weight in (2, 3, 4, 6):
             above = build(weight + 1)
-            here = above.quotient(_heavy_unit_vectors(
+            here = reference_quotient(above, _heavy_unit_vectors(
                 above, lambda e: ctx.weight_of(e) > weight
             ))
             direct = build(weight)
@@ -353,7 +359,7 @@ def test_restriction_matches_direct_build():
 def test_light_keys_are_the_prefix_below_the_top_weight():
     # every assembled basis is in ascending weight, so the keys below
     # the top weight are a prefix: light[n] counts them, also after a
-    # degree shift and in a stalk quotient
+    # degree shift
     node = koszul_presentation(XY, [P("x*y")], 1)
     column = CotangentPresentation(node, 2)
     cases = [
@@ -363,7 +369,6 @@ def test_light_keys_are_the_prefix_below_the_top_weight():
     ]
     column_ctx = column.truncation_data()[0]
     cases.append(("shifted", column.complex(5), column_ctx.weight_of, 5))
-    cases.append(("stalk", *_stalk_quotient(P("x^2+y^3"), 7), 7))
     for name, cx, weight_of, top in cases:
         assert set(cx.light) == set(cx.dims), name
         for n, keys in cx.labels.items():
@@ -430,9 +435,11 @@ def test_cut_cohomology_reads_both_cuts():
     )
     here, above = cx.cut_cohomology()
     heavy = _heavy_unit_vectors(cx, lambda key: key.startswith("heavy"))
-    assert here == cx.quotient(heavy).cohomology()
+    assert here == reference_quotient(cx, heavy).cohomology()
     assert here == {0: 0, 1: 0}
     assert above == cx.cohomology() == {0: 1, 1: 1}
+    # dividing out the heavy keys leaves the cut on both sides
+    assert cx.quotient_cohomology(heavy, _no_weight) == (here, here)
     # the heavy column meets the light row: no quotient
     bad = MatrixComplex(
         dims={0: 2, 1: 1},
@@ -441,12 +448,15 @@ def test_cut_cohomology_reads_both_cuts():
         dens={0: 1},
         light={0: 1},
     )
-    with pytest.raises(StructuralError) as err:
-        bad.cut_cohomology()
-    assert str(err.value) == (
-        "restriction is not a quotient: dropped column 1 of degree 0 "
-        "reaches a kept row"
-    )
+    for cohomology in (
+        bad.cut_cohomology, lambda: bad.quotient_cohomology({}, _no_weight)
+    ):
+        with pytest.raises(StructuralError) as err:
+            cohomology()
+        assert str(err.value) == (
+            "restriction is not a quotient: dropped column 1 of degree 0 "
+            "reaches a kept row"
+        )
 
 
 def test_cut_cohomology_pivots_heaviest_first(monkeypatch):
@@ -475,9 +485,9 @@ def test_restriction_must_drop_a_subcomplex():
     cx = weight_truncate(pres, 4)
     # dividing out degree -1 keeps the boundaries of what was divided out
     with pytest.raises(StructuralError) as err:
-        cx.quotient(_heavy_unit_vectors(
+        cx.quotient_cohomology(_heavy_unit_vectors(
             cx, lambda e: pres.context.degree_of(e) < 0
-        ))
+        ), pres.context.weight_of)
     assert "not a quotient" in str(err.value)
     # a relation whose normal form lowers weight (y^3 -> x^2) leaves the
     # heavy monomials no subcomplex, so no report is read off the window
@@ -490,59 +500,57 @@ def test_restriction_must_drop_a_subcomplex():
     assert "not a quotient" in str(err.value)
     # hand-built keys: dropping the target of a map is a quotient
     two = _two_term({0: {0: 1, 1: 1}}, 2, 1)
-    low = two.quotient(_heavy_unit_vectors(two, lambda key: key == "f0"))
-    assert low.dims == {0: 2} and low.diffs == {0: {}}
-    assert low.cohomology() == {0: 2}
+    span = _heavy_unit_vectors(two, lambda key: key == "f0")
+    assert two.quotient_cohomology(span, _no_weight) == ({0: 2}, {0: 2})
+
+
+def _no_weight(key):
+    """One weight for every key: positions keep their order reversed."""
+    return 0
 
 
 def test_quotient_needs_a_subcomplex():
     # (x) in degree 0 without dx: d(x) = dx leaves the span; keys are
-    # exponent tuples over (x, dx)
-    cx = derham_stage(free_presentation(("x",)), 1, 3).complex()
+    # exponent tuples over (x, dx), cut below weight 3
+    stage = derham_stage(free_presentation(("x",)), 1, 3)
+    cx, weight_of = stage.complex(), stage.truncation_data()[0].weight_of
     span = {0: [{key: Fraction(1)} for key in cx.labels[0] if key[0] >= 1]}
-    with pytest.raises(StructuralError) as err:
-        cx.quotient(span)
-    assert "not a quotient" in str(err.value)
+    with pytest.raises(StructuralError, match="not a quotient"):
+        cx.quotient_cohomology(span, weight_of)
+    with pytest.raises(StructuralError, match="not a quotient"):
+        reference_quotient(cx, span)
     # with dx ^ Omega^0 and x * Omega^1 added it is the whole of Omega^1
     span[1] = [{key: Fraction(1)} for key in cx.labels[1]]
-    assert cx.quotient(span).cohomology() == {0: 1}
+    assert cx.quotient_cohomology(span, weight_of) == ({0: 1}, {0: 1})
+    assert reference_quotient(cx, span).cohomology() == {0: 1}
 
 
-def _stalk_quotient(g, weight):
-    """The free de Rham stage modulo K = g*Omega + dg^Omega, keyed by
-    exponent tuples, and the weight of a key; cut below ``weight``."""
+def _stalk_ambient(g, weight):
+    """The free de Rham stage cut below ``weight``, the span of K =
+    g*Omega + dg^Omega on it, and the weight of a key."""
     n = len(g.context)
     stage = derham_stage(free_presentation(g.context), n, weight)
-    ctx, d, _, _ = stage.truncation_data()
     ambient = weight_truncate(stage, weight)
-    lifted = g.cast_to(ctx)
-    span = {k: [] for k in range(n + 1)}
-    for factor, shift in ((lifted, 0), (d(lifted), 1)):
-        for k, keys in ambient.labels.items():
-            if k + shift <= n:
-                span[k + shift] += [
-                    (factor * GradedElement.monomial(ctx, m))
-                    .weight_filter(weight).terms
-                    for m in keys
-                ]
-    return ambient.quotient(span), ctx.weight_of
+    span = stalk_span(stage, ambient.labels, [g], weight)
+    return ambient, span, stage.truncation_data()[0].weight_of
 
 
 def test_stored_rows_survive_every_consumer():
     # elim's kernel reduces the rows it is given in place, so a stored
     # row must never reach it: every consumer leaves a stage, a conerve
-    # and a stalk quotient (and a morphism's matrices) as they were.
+    # and a stalk's ambient (and a morphism's matrices) as they were.
     # The stage and the stalk are cut below their top weight; the
     # conerve carries no cut.
     node = koszul_presentation(XY, [P("x*y")], 1)
     stage = derham_stage(node, 3, 5)
+    ambient, span, weight_of = _stalk_ambient(P("x^2+y^3"), 7)
     cases = [
-        stage.complex(),
-        conerve_totalization(XY, P("x*y"), 3, 5),
-        _stalk_quotient(P("x^2+y^3"), 7)[0],
+        (stage.complex(), stage.truncation_data()[0].weight_of),
+        (conerve_totalization(XY, P("x*y"), 3, 5), _no_weight),
+        (ambient, weight_of),
     ]
     seen = set()
-    for cx in cases:
+    for cx, weight_of in cases:
         heavy = {
             n: [{key: Fraction(1)} for key in keys[cx.light[n]:]]
             for n, keys in cx.labels.items()
@@ -555,13 +563,22 @@ def test_stored_rows_survive_every_consumer():
         cx.check_composition()
         dims = cx.cohomology()
         here, above = cx.cut_cohomology()
-        assert here == cx.quotient(heavy).cohomology() and above == dims
+        assert here == reference_quotient(cx, heavy).cohomology()
+        assert above == dims
+        # dividing out the heavy keys leaves the cut on both sides
+        assert cx.quotient_cohomology(heavy, weight_of) == (here, here)
         for n in cx.degrees():
             vanishes = induced_map_vanishes(cx, cx, ident, n)
             assert vanishes == (dims[n] == 0), n
             seen.add(vanishes)
         assert cx.diffs == rows
         assert ident == mats
+    rows = copy.deepcopy(ambient.diffs)
+    want = reference_quotient(ambient, span)
+    assert ambient.quotient_cohomology(span, weight_of) == (
+        want.cut_cohomology()
+    )
+    assert ambient.diffs == rows
     assert seen == {True, False}
 
 

@@ -10,8 +10,8 @@ from drcalc import reiffen as reiffen_module
 from drcalc.errors import StructuralError
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
-from drcalc.derham import derham_stage, free_presentation
-from drcalc.homology import MatrixComplex
+from drcalc.derham import DeRhamStage, derham_stage, free_presentation
+from drcalc.homology import weight_truncate
 from drcalc.reiffen import (
     SOUNDNESS_NOTE,
     classical_stalk_cohomology,
@@ -27,6 +27,8 @@ from oracles import (
     gauss_rank,
     local_colength,
     partial,
+    reference_quotient,
+    stalk_span,
     two_build_stalk,
 )
 
@@ -416,31 +418,25 @@ def test_family_scan_needs_room():
 # differential ideal and stalk cohomology
 
 
-def _stalk_quotients(monkeypatch, gens, weight):
-    """The (ambient, quotient) pairs ``classical_stalk_cohomology`` forms."""
-    seen = []
-    original = MatrixComplex.quotient
+def _k_dims(gens, weight):
+    """The ambient at ``weight + 1`` and dim K^k there, from the oracle.
 
-    def spy(self, span):
-        out = original(self, span)
-        seen.append((self, out))
-        return out
-
-    monkeypatch.setattr(MatrixComplex, "quotient", spy)
-    classical_stalk_cohomology(gens, weight)
-    return seen
-
-
-def _k_dims(monkeypatch, gens, weight):
-    """The ambient and dim K^k at ``weight + 1``, from the one quotient."""
-    (ambient, quotient), = _stalk_quotients(monkeypatch, gens, weight)
+    The ambient is built as ``classical_stalk_cohomology`` builds it;
+    K is the span the oracle forms on its basis, and dim K^k is what
+    the oracle's quotient leaves out of degree k.
+    """
+    variables = tuple(gens[0].context)
+    stage = DeRhamStage(free_presentation(variables), len(variables), weight + 1)
+    ambient = weight_truncate(stage, weight + 1)
+    span = stalk_span(stage, ambient.labels, gens, weight + 1)
+    quotient = reference_quotient(ambient, span)
     return ambient, [
         ambient.dims[k] - quotient.dims.get(k, 0) for k in sorted(ambient.dims)
     ]
 
 
-def test_k_ideal_line(monkeypatch):
-    ambient, dims = _k_dims(monkeypatch, [P("x", X)], 2)
+def test_k_ideal_line():
+    ambient, dims = _k_dims([P("x", X)], 2)
     ctx = derham_stage(free_presentation(X), 1, 3).truncation_data()[0]
     names = [tuple(ctx.monomial_str(m) for m in ambient.labels[k]) for k in (0, 1)]
     assert names[0] == ("1", "x", "x^2", "x^3")
@@ -448,10 +444,9 @@ def test_k_ideal_line(monkeypatch):
     assert dims == [3, 3]
 
 
-def test_k_ideal_quartic(monkeypatch):
-    # one quotient, at W + 1 = 6: quotient checks that d maps K into K,
-    # and the W = 5 side is its cut
-    assert _k_dims(monkeypatch, [reiffen()], 5)[1] == [6, 10, 4]
+def test_k_ideal_quartic():
+    # at W + 1 = 6, where the stalk's one ambient is built
+    assert _k_dims([reiffen()], 5)[1] == [6, 10, 4]
 
 
 def test_k_ideal_guards():
@@ -543,6 +538,9 @@ def _germs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_germs())
 def test_one_quotient_stalk_matches_two_builds(case):
+    # the stalk read off ranks of one W+1 ambient, against the oracle's
+    # two quotients, built with no assembly, elimination or quotient
+    # code of the package
     gens, weight = case
     rep = classical_stalk_cohomology(gens, weight)
     want = two_build_stalk(gens, weight)
