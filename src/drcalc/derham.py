@@ -23,6 +23,7 @@ against the de Rham stage.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import lcm
 
@@ -447,20 +448,31 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     slots with K's own matrices, signed by the degrees of the earlier
     slots and by (-1)^p; of the alternating coface sum only d^0
     survives the quotient: (k0, ...) -> (1, k0, ...) when k0 is not
-    the unit.  Each column's image is scattered into the rows it
-    reaches.  The matrices share the least common multiple of K's
-    denominators, which the coface entry 1 becomes, and are brought to
-    lowest terms one by one.  The total complex is checked for d o d = 0
-    before it is returned.
+    the unit.
+
+    No slot tuple is built: the complex runs on packed slot codes
+    (``_slot_columns``), and each column is walked by weight budget,
+    every entry extended only by the keys that fit the weight left to
+    it.  A Leibniz term adds ``(image - k) << bits * i`` to the code,
+    the coface shifts it one slot up, and each image row is looked up
+    by code among the basis one degree up.  Each column's image is
+    scattered into the rows it reaches.  The matrices share the least
+    common multiple of K's denominators, which the coface entry 1
+    becomes, and are brought to lowest terms one by one.  The labels
+    (``SlotLabels``) store no key: a degree's ``(p, slot keys)`` pairs
+    are decoded only when it is read.  The total complex is checked for
+    d o d = 0 before it is returned.
     """
     pres = koszul_presentation(variables, [f], 1)
     koszul = weight_truncate(pres, weight)
     ctx = pres.context
     keys = sorted(k for ks in koszul.labels.values() for k in ks)
     index = {k: i for i, k in enumerate(keys)}
-    unit = index[(0,) * len(ctx)]
+    bits = len(keys).bit_length()
+    mask = (1 << bits) - 1
     degree = [ctx.degree_of(k) for k in keys]
     weights = [ctx.weight_of(k) for k in keys]
+    odd = [q % 2 for q in degree]
     one = lcm(*koszul.dens.values())  # the coface entry 1, over `one`
     d_slot = [[] for _ in keys]  # per key: [(image key, coefficient), ...]
     for q, mat in koszul.diffs.items():
@@ -469,53 +481,123 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
             image = index[koszul.labels[q + 1][r]]
             for c, v in row.items():
                 d_slot[index[koszul.labels[q][c]]].append((image, v * scale))
+    walk = (bits, weights, degree, weight, p_max)
 
-    # columns[p]: (slot indices, internal degree, weight), sorted
-    columns = [[((k,), degree[k], weights[k]) for k in range(len(keys))]]
-    nonunit = [k for k in range(len(keys)) if k != unit]
-    for _ in range(p_max):
-        columns.append([
-            (slots + (k,), q + degree[k], w + weights[k])
-            for slots, q, w in columns[-1]
-            for k in nonunit
-            if w + weights[k] <= weight
-        ])
-    buckets = {}
-    for p, column in enumerate(columns):
-        for slots, q, w in column:
-            buckets.setdefault(p + q, []).append((slots, w))
-    rows = {
-        n: {slots: i for i, (slots, _) in enumerate(ss)}
-        for n, ss in buckets.items()
-    }
+    # segments[n]: (p, codes, weight left) of the columns' entries of
+    # total degree n, p ascending, each in basis order
+    segments = {}
+    for p, codes, left, qs in _slot_columns(*walk):
+        mine = {}
+        for q in dict.fromkeys(qs):
+            mine[q] = (p, [], [])
+            segments.setdefault(p + q, []).append(mine[q])
+        for code, b, q in zip(codes, left, qs):
+            _, seg_codes, seg_left = mine[q]
+            seg_codes.append(code)
+            seg_left.append(b)
+    # per slot position i and key k: [(weight raised, code change, value)]
+    terms = [
+        [[(weights[im] - weights[k], (im - k) << bits * i, v)
+          for im, v in d_slot[k]] for k in range(len(keys))]
+        for i in range(p_max + 1)
+    ]
     diffs, dens = {}, {}
-    for n, ss in buckets.items():
-        target = rows.get(n + 1, {})
+    for n, segs in segments.items():
+        target = {}
+        for _, codes, _ in segments.get(n + 1, ()):
+            target.update(zip(codes, range(len(target), len(target) + len(codes))))
         entries = {}
-        for col, (slots, w) in enumerate(ss):
-            p = len(slots) - 1
-            sign = -1 if p % 2 else 1
-            for i, k in enumerate(slots):
-                # d never reaches the unit (f has no constant term), so
-                # an image slot stays non-unit; only the weight can fail
-                for image, v in d_slot[k]:
-                    if w - weights[k] + weights[image] > weight:
-                        continue
-                    row = target[slots[:i] + (image,) + slots[i + 1:]]
-                    entries.setdefault(row, {})[col] = sign * v
-                if degree[k] % 2:
-                    sign = -sign
-            if p < p_max and slots[0] != unit:
-                entries.setdefault(target[(unit,) + slots], {})[col] = one
+        col = 0
+        for p, codes, left in segs:
+            start = -1 if p % 2 else 1
+            coface = p < p_max
+            slots = terms[: p + 1]
+            for code, b in zip(codes, left):
+                sign, rest = start, code
+                for at in slots:
+                    k = rest & mask
+                    rest >>= bits
+                    # d never reaches the unit (f has no constant term),
+                    # so an image slot stays non-unit; only the weight
+                    # can fail
+                    for raised, delta, v in at[k]:
+                        if raised <= b:
+                            entries.setdefault(target[code + delta], {})[col] = sign * v
+                    if odd[k]:
+                        sign = -sign
+                if coface and code & mask:
+                    entries.setdefault(target[code << bits], {})[col] = one
+                col += 1
         diffs[n], dens[n] = lowest_terms(entries, one)
-    dims = {n: len(ss) for n, ss in buckets.items()}
-    labels = {
-        n: [(len(s) - 1, tuple(keys[k] for k in s)) for s, _ in ss]
-        for n, ss in buckets.items()
-    }
-    tot = MatrixComplex(dims, labels, diffs, dens)
+    dims = {n: sum(len(codes) for _, codes, _ in segs) for n, segs in segments.items()}
+    del segments
+    tot = MatrixComplex(dims, SlotLabels(keys, walk, tuple(dims)), diffs, dens)
     tot.check_composition()
     return tot
+
+
+def _slot_columns(bits, weights, degree, weight, p_max):
+    """Yield ``(p, codes, weight left, internal degrees)`` per column.
+
+    K's keys are given by index, sorted, so the unit is key 0.  A slot
+    tuple (k0, ..., kp) of indices is the code sum(ki << bits * i), and
+    ``bits`` holds any index; for p >= 1 the top slot is non-unit, so
+    the code also fixes p.  Each column comes as parallel lists in
+    basis order, with each entry's weight left (``weight`` less its
+    slots' weights).  Column p + 1 extends each entry of column p, in
+    order, by the non-unit keys that fit its weight left, in index
+    order.
+    """
+    # fits[b]: the non-unit keys of weight at most b, in index order
+    fits = [
+        [k for k in range(1, len(weights)) if weights[k] <= b]
+        for b in range(weight + 1)
+    ]
+    column = (range(len(weights)), [weight - w for w in weights], degree)
+    for p in range(p_max + 1):
+        codes, left, qs = column
+        if p < p_max:
+            shift = bits * (p + 1)
+            grow = [fits[b] for b in left]
+            column = (
+                [c + (k << shift) for c, ks in zip(codes, grow) for k in ks],
+                [b - weights[k] for b, ks in zip(left, grow) for k in ks],
+                [q + degree[k] for q, ks in zip(qs, grow) for k in ks],
+            )
+            del grow
+        yield p, codes, left, qs
+
+
+class SlotLabels(Mapping):
+    """The conerve's basis keys, ``{degree: ((p, slot keys), ...)}``.
+
+    Read-only, and nothing is stored per key: reading a degree walks
+    the slot codes again (``_slot_columns`` on ``walk``) and decodes
+    those of that degree, so two reads give equal tuples.
+    """
+
+    __slots__ = ("_keys", "_walk", "_degrees")
+
+    def __init__(self, keys, walk, degrees):
+        self._keys, self._walk, self._degrees = keys, walk, degrees
+
+    def __getitem__(self, n):
+        if n not in self._degrees:
+            raise KeyError(n)
+        keys, bits = self._keys, self._walk[0]
+        mask = (1 << bits) - 1
+        return tuple(
+            (p, tuple(keys[code >> bits * i & mask] for i in range(p + 1)))
+            for p, codes, _, qs in _slot_columns(*self._walk)
+            for code, q in zip(codes, qs)
+            if p + q == n
+        )
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self):
+        return len(self._degrees)
 
 
 def amitsur_vs_derham(

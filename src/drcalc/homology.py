@@ -100,8 +100,10 @@ class MatrixComplex:
     positive denominator of the whole matrix, in lowest terms with them
     (see the module docstring; ``lowest_terms`` makes the form).  A
     degree missing from ``dens`` has denominator 1.  The complex takes
-    its rows as they are, without a copy, and never changes them; a
-    caller hands over rows it no longer changes.
+    its rows and its labels as they are, without a copy, and never
+    changes them; a caller hands over rows it no longer changes and
+    labels as tuples, or as a read-only mapping (the conerve's decodes
+    its keys when a degree is read).
 
     ``light[n]`` is the complex's weight cut: the number of leading
     basis keys of degree ``n`` below its top weight, which
@@ -114,7 +116,7 @@ class MatrixComplex:
 
     def __init__(self, dims, labels, diffs, dens, light=None):
         self.dims = dict(dims)
-        self.labels = {n: tuple(ls) for n, ls in labels.items()}
+        self.labels = labels
         self.diffs = dict(diffs)
         self.dens = {n: dens.get(n, 1) for n in self.diffs}
         light = light or {}
@@ -232,7 +234,7 @@ class MatrixComplex:
         1. the span vectors of degree ``m``;
         2. the images under d of the pivot rows step 1 found one degree
            down; they lie in S when d maps S into S, so one that opens
-           a pivot raises;
+           a pivot raises (the span is not closed under d);
         3. the images of the light columns of d into degree ``m``, in
            basis order;
         4. the images of its heavy columns.
@@ -288,7 +290,11 @@ class MatrixComplex:
                     columns.setdefault(c, {})[number[r]] = v
             for c, image in _row_products(found.pop(n, {}), columns):
                 if len(elim.echelon([image], pivots)) > rank:
-                    raise _not_a_quotient(c, n)
+                    raise StructuralError(
+                        f"span is not closed under d: the image of the span "
+                        f"pivot at basis position {c} of degree {n} leaves "
+                        "the span"
+                    )
             fed = sorted(columns)
             elim.echelon((columns[c] for c in fed if c < split), pivots)
             low[n] = sum(c < cut for c in pivots) - light
@@ -431,7 +437,7 @@ def weight_truncate(source, weight) -> MatrixComplex:
         ints, den = (rows, 1) if nf is None else _integral(rows)
         diffs[n], dens[n] = lowest_terms(ints, den * diff.den)
     dims = {n: len(ms) for n, ms in buckets.items()}
-    labels = {n: [m for m, _, _ in ms] for n, ms in buckets.items()}
+    labels = {n: tuple(m for m, _, _ in ms) for n, ms in buckets.items()}
     cx = MatrixComplex(dims, labels, diffs, dens, light)
     cx.check_composition()
     return cx

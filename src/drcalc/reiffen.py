@@ -78,12 +78,18 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     for g in gens:
         lifted = g.cast_to(ctx)
         for factor, shift in ((lifted, 0), (d(lifted), 1)):
+            if not factor:
+                continue
+            # a key past this room leaves every term of its product
+            # above the cut: the product would be empty
+            room = weight + 1 - factor.min_weight()
             for k, keys in ambient.labels.items():
                 if k + shift <= n:
                     span[k + shift] += [
                         (factor * GradedElement.monomial(ctx, m))
                         .weight_filter(weight + 1).terms
                         for m in keys
+                        if ctx.weight_of(m) <= room
                     ]
     cuts = ambient.quotient_cohomology(span, ctx.weight_of)
     here, above = ({k: h.get(k, 0) for k in range(n + 1)} for h in cuts)

@@ -38,6 +38,9 @@ Each one takes a different road to the same answer:
 - ``truncation_basis``: a truncation's basis from every exponent tuple
   in the box the weight cap allows, each tested against the caps; the
   package walks only the monomials within them.
+- ``conerve_basis``: the normalized conerve's basis as slot tuples,
+  listed eagerly; the package walks packed slot codes and decodes a
+  degree's keys only when they are read.
 - ``two_build_stalk``: the stalk cohomology with the weight-``W`` and
   the weight-``W + 1`` quotients each built on its own, from
   ``truncation_basis``, ``fraction_matrices`` and
@@ -219,7 +222,7 @@ def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:
                 offsets[(n, p)] = len(keys)
                 keys.extend((p, exps) for exps in cx.labels[n - p])
         dims[n] = len(keys)
-        labels[n] = keys
+        labels[n] = tuple(keys)
     diffs, dens = {}, {}
     for n in degrees:
         entries = {}
@@ -427,6 +430,38 @@ def truncation_basis(source, weight):
     return labels
 
 
+def conerve_basis(variables, f, p_max, weight):
+    """The normalized conerve's basis keys, ``{degree: ((p, slots), ...)}``.
+
+    Built eagerly on tuples: column p lists the (p+1)-tuples of the
+    keys of K (the Koszul complex truncated at ``weight``, its keys
+    from ``truncation_basis``) whose slots 1..p are not the unit and
+    whose weights sum to at most ``weight``, in lex order of K's sorted
+    keys; each degree lists column 0 first.  That is the package's
+    basis order, which it keeps on packed slot codes and decodes only
+    when read.
+    """
+    pres = koszul_presentation(variables, [f], 1)
+    ctx = pres.context
+    keys = sorted(k for ks in truncation_basis(pres, weight).values() for k in ks)
+    unit = (0,) * len(ctx)
+    columns = [[(k,) for k in keys]]
+    for _ in range(p_max):
+        columns.append([
+            slots + (k,)
+            for slots in columns[-1]
+            for k in keys
+            if k != unit
+            and sum(map(ctx.weight_of, slots + (k,))) <= weight
+        ])
+    labels = {}
+    for p, column in enumerate(columns):
+        for slots in column:
+            n = p + sum(map(ctx.degree_of, slots))
+            labels.setdefault(n, []).append((p, slots))
+    return {n: tuple(keys) for n, keys in labels.items()}
+
+
 def conerve_fraction_matrices(variables, f, p_max, weight, labels):
     """Rational matrices of the normalized conerve on the bases ``labels``.
 
@@ -576,6 +611,7 @@ def reference_quotient(cx, span):
         diffs[n] = {}
         for (r, c), v in entries.items():
             diffs[n].setdefault(r, {})[c] = int(v * dens[n])
+    labels = {n: tuple(keys) for n, keys in labels.items()}
     light = {}
     for n, keys in labels.items():
         light_keys = set(cx.labels[n][:cx.light[n]])

@@ -38,6 +38,7 @@ from drcalc.parse import parse_poly
 from drcalc.poly import Poly
 
 from oracles import (
+    conerve_basis,
     conerve_cofaces,
     conerve_fraction_matrices,
     flat_entries,
@@ -429,6 +430,11 @@ def _check_stage(pres, hodge, weight):
 
 def _check_conerve(variables, f, p_max, weight):
     cx = conerve_totalization(variables, f, p_max, weight)
+    # the labels are decoded from slot codes each time they are read
+    labels = conerve_basis(variables, f, p_max, weight)
+    assert {n: len(cx.labels[n]) for n in cx.labels} == cx.dims
+    assert cx.labels == labels
+    assert dict(cx.labels) == labels  # a second read
     want = conerve_fraction_matrices(variables, f, p_max, weight, cx.labels)
     _check_against(cx, want)
     return cx
@@ -488,6 +494,9 @@ def test_matrix_entries_are_integers_over_one_denominator():
     pres = koszul_presentation(XY, [P("1/2*x^2 + y^3")], 1)
     cx = _check_conerve(XY, f, 3, 4)
     assert set(cx.dens.values()) == {1, 3}
+    xyz = ("x", "y", "z")
+    cx = _check_conerve(xyz, P("x*y + 1/2*z^2", xyz), 3, 5)
+    assert set(cx.dens.values()) == {1, 2}
     stage, cx = _check_stage(pres, 3, 7)
     assert set(cx.dens.values()) == {1, 2}
     _check_cut(stage, cx, 7)

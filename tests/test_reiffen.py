@@ -468,6 +468,10 @@ def test_stalk_cohomology_smooth():
     rep = classical_stalk_cohomology([P("x", X)], 6)
     assert rep.dims == ((0, 1), (1, 0))
     assert all(flag for _, flag in rep.stable)
+    # the unit ideal: dg = 0 spans nothing, and the quotient is zero
+    rep = classical_stalk_cohomology([P("1", X)], 3)
+    assert rep.dims == ((0, 0), (1, 0))
+    assert all(flag for _, flag in rep.stable)
 
 
 # (q, p, with the x*y^(p-1) term): x^q + y^p [+ x*y^(p-1)]
