@@ -30,19 +30,20 @@ The pivot count after any prefix of the rows is the rank of that
 prefix, so ``rank_split`` reads two nested ranks off one elimination;
 ``homology`` reads a weight cut's rank off the light-row prefix.
 ``echelon`` continues from the pivots an earlier call left, so a
-caller can feed one elimination in steps and count the pivots after
-each.  The pivots among the columns below any ``c`` count the rank of
-the projection onto those columns, since a row pivots at its smallest
-column; ``MatrixComplex.quotient_cohomology`` reads a weight cut's
-ranks that way, with the light columns numbered first.
+caller can ask whether a row lies in the span of the rows before: it
+does exactly when it opens no pivot.  The pivots among the columns
+below any ``c`` count the rank of the projection onto those columns,
+since a row pivots at its smallest column;
+``MatrixComplex.subcomplex_cohomology`` reads a weight cut's ranks
+that way, with the light columns numbered first.
 
 Column order is the pivot order, since each row is reduced at its
 smallest column.  Ranks do not depend on it, but fill-in does, so
 where only a rank is read (``rank_split``, ``rank_sparse``,
-``echelon`` in ``quotient_cohomology``) a caller may number columns as
-it likes: ``MatrixComplex.cut_cohomology`` numbers them heaviest
-first, and ``quotient_cohomology`` only keeps its light columns before
-the heavy ones.  Where an echelon form is read the order is fixed:
+``echelon`` in ``subcomplex_cohomology``) a caller may number columns
+as it likes: ``MatrixComplex.cut_cohomology`` numbers them heaviest
+first, and ``subcomplex_cohomology`` only keeps its light columns
+before the heavy ones.  Where an echelon form is read the order is fixed:
 ``solve_rational``, whose certificate is pinned, and ``nullspace``,
 whose canonical basis tests read.
 

@@ -22,8 +22,8 @@ Only ranks are read here, so column order is free up to one contract.
 column numbering is the pivot order: ranks do not depend on it,
 fill-in does.  ``cut_cohomology`` (every report's ranks) numbers each
 matrix's columns heaviest first; the ranks in ``induced_map_vanishes``
-keep the basis order.  ``quotient_cohomology`` reads a cut's ranks off
-the pivots among the light positions, so it numbers the light
+keep the basis order.  ``subcomplex_cohomology`` reads a cut's ranks
+off the pivots among the light positions, so it numbers the light
 positions before the heavy ones; inside each block the order is free,
 and it takes ascending weight, ties in reverse basis order.
 
@@ -34,26 +34,30 @@ matrix, 1 whenever its entries are integers, so no prime divides it
 and every entry).  The form is made once, where a matrix is
 assembled: each column's image is scattered into the rows it reaches.
 Products and ranks take the rows as they are; a product multiplies
-rows by rows (``_row_products``), and only ``quotient_cohomology``,
-which eliminates column images, transposes a matrix, one degree at a
-time.  The rows a complex stores are never handed to ``elim``'s
-kernel, which reduces its rows in place: ``cut_cohomology`` and
-``quotient_cohomology`` feed it renumbered copies.
+rows by rows (``_row_products``), and only ``subcomplex_cohomology``,
+which eliminates images of span vectors, transposes a matrix, one
+degree at a time.  The rows a complex stores are never handed to
+``elim``'s kernel, which reduces its rows in place: ``cut_cohomology``
+and ``subcomplex_cohomology`` feed it renumbered copies.
 
 d o d = 0 is checked once, where a complex is assembled:
 ``weight_truncate`` (and the conerve totalization in ``derham``) call
 ``check_composition`` on what they build.  Everything else is derived
-from a checked complex by a degree shift or is a quotient by a
-subcomplex, again a complex; ``quotient_cohomology`` raises unless
-what it divides out is a subcomplex, so no derived complex needs a
-second check and ``cohomology`` is rank-nullity only.
+from a checked complex by a degree shift, is a quotient by a
+subcomplex or is a spanned subcomplex, again a complex;
+``subcomplex_cohomology`` raises unless what it is given is closed
+under d, so no derived complex needs a second check and
+``cohomology`` is rank-nullity only.
 
-A quotient by a subcomplex S (the stalk's differential ideal) is never
-built: no quotient basis, no reduced images.  Its dimensions and the
-ranks of its differential are ranks of stacked matrices, S's span
-vectors with the images of d (the Macaulay-matrix view, Lazard 1983,
-EUROCAL, LNCS 162), so ``quotient_cohomology`` reads them, and those
-of the quotient's W cut, off one elimination per degree.
+A subcomplex S given by spanning vectors (the stalk's differential
+ideal) gets no basis of its own.  Its dimensions and the ranks of d on
+it are ranks of its span vectors and of their images under d (the
+Macaulay-matrix view, Lazard 1983, EUROCAL, LNCS 162), so
+``subcomplex_cohomology`` reads them, and those of S's W cut, off two
+eliminations per degree.  A quotient by S needs nothing more when the
+complex is acyclic but for a known H^0: the long exact sequence of
+0 -> S -> C -> C/S -> 0 gives H(C/S) from H(S)
+(``reiffen.classical_stalk_cohomology``).
 
 Truncation does not commute with cohomology in general.  The stability
 flags reported by ``stability_report`` compare dimensions at ``W`` and
@@ -107,7 +111,7 @@ class MatrixComplex:
 
     ``light[n]`` is the complex's weight cut: the number of leading
     basis keys of degree ``n`` below its top weight, which
-    ``cut_cohomology`` and ``quotient_cohomology`` read.  A degree
+    ``cut_cohomology`` and ``subcomplex_cohomology`` read.  A degree
     missing from ``light`` has every key light, so a complex built
     without a cut (the conerve, hand-built ones) cuts nothing.
     """
@@ -217,46 +221,42 @@ class MatrixComplex:
         counts = {n: k for n, k in self.light.items() if k}
         return _rank_nullity(counts, low), _rank_nullity(self.dims, high)
 
-    def quotient_cohomology(self, span, weight_of):
-        """``(here, above)`` of the quotient by the span of ``span``.
+    def subcomplex_cohomology(self, span, weight_of):
+        """``(here, above)``: cohomology of a spanned subcomplex and its cut.
 
         ``span[n]`` lists sparse vectors ``{basis key: value}`` of
         degree ``n``; d must map their span S into S.  ``above`` is the
-        cohomology of the quotient Q by S, ``here`` that of its cut: Q
-        modulo the heavy keys, i.e. the light complex modulo S with its
-        heavy terms dropped.  The heavy keys must span a subcomplex, as
-        for ``cut_cohomology``, and a light row that reaches a heavy
-        column raises as it does there.
+        cohomology of S, ``here`` that of its cut: S's projection that
+        drops the heavy keys, a subcomplex of the complex below the
+        cut.  The heavy keys must span a subcomplex, as for
+        ``cut_cohomology``, and a light row that reaches a heavy column
+        raises as it does there.
 
-        No quotient basis is built: both are read off ranks, with one
-        elimination per degree ``m`` of the vectors of degree ``m``:
+        No basis of S is built: both are read off ranks, with two
+        eliminations per degree ``m``:
 
-        1. the span vectors of degree ``m``;
-        2. the images under d of the pivot rows step 1 found one degree
-           down; they lie in S when d maps S into S, so one that opens
-           a pivot raises (the span is not closed under d);
-        3. the images of the light columns of d into degree ``m``, in
-           basis order;
-        4. the images of its heavy columns.
+        1. the span vectors of degree ``m``, whose pivots count dim S^m;
+        2. into a fresh echelon, the images under d of the pivot rows
+           step 1 found one degree down, whose pivots count the rank of
+           d on S^(m-1).
 
         The light positions are numbered before the heavy ones, so the
         pivots among them count the rank of the projection that drops
-        the heavy keys.  Hence dim Q^m is ``dims[m]`` less the pivots
-        after step 1, and its cut's ``light[m]`` less the light ones;
-        the rank of d into Q^m is the pivots step 4 leaves less those
-        of step 1, and of its cut the light pivots step 3 leaves less
-        those of step 1 (step 4 opens heavy pivots only: a heavy
-        column's image is zero on every light position).  Degrees of
-        the quotient without a basis disappear.
+        the heavy keys: of S^m in step 1, and in step 2 of d on the cut
+        of S^(m-1), since the projection commutes with d.  Each pivot
+        row of step 2 lies in S when d maps S into S, so a copy of each
+        is fed to step 1's echelon, and one that opens a pivot raises
+        (the span is not closed under d).  Every degree of the complex
+        is reported, 0 where S has no vectors.
 
         Inside each block the order is free: ranks do not see it, but
         fill-in does.  Positions are numbered by ascending
         ``weight_of(key)``, ties in reverse basis order (on an assembled
         basis, descending lex).  The stalk of x^3+y^3+z^4+xyz at W 20
-        then takes 0.58 M row operations (``elim._axpy`` calls),
-        against 1.06 M heaviest first and 1.0 M in basis order; that of
-        x^5+y^7+xy^6 at W 40 takes 75 k, against 796 k heaviest first
-        and 92 k in basis order.
+        then takes 0.31 M row operations (``elim._axpy`` calls),
+        against 0.44 M heaviest first and 0.56 M in basis order; that of
+        x^5+y^7+xy^6 at W 40 takes 59 k, against 515 k heaviest first
+        and 66 k in basis order.
         """
         low, high, here, above = {}, {}, {}, {}
         found = {}  # degree -> step 1's pivot rows, on basis positions
@@ -266,16 +266,13 @@ class MatrixComplex:
                 range(len(keys)),
                 key=lambda i: (i >= cut, weight_of(keys[i]), -i),
             )
-            number = [0] * len(keys)
-            for k, i in enumerate(order):
-                number[i] = k
+            number = sorted(range(len(keys)), key=order.__getitem__)
             index = dict(zip(keys, number))
             pivots = elim.echelon(
                 {index[key]: v for key, v in vec.items()}
                 for vec in span.get(m, ())
             )
-            rank, light = len(pivots), sum(c < cut for c in pivots)
-            above[m], here[m] = len(keys) - rank, cut - light
+            above[m], here[m] = len(pivots), sum(c < cut for c in pivots)
             found[m] = {
                 order[c]: {order[j]: v for j, v in row.items()}
                 for c, (row, _) in pivots.items()
@@ -288,22 +285,18 @@ class MatrixComplex:
                     raise _not_a_quotient(next(c for c in row if c >= split), n)
                 for c, v in row.items():
                     columns.setdefault(c, {})[number[r]] = v
-            for c, image in _row_products(found.pop(n, {}), columns):
-                if len(elim.echelon([image], pivots)) > rank:
+            images = elim.echelon(
+                image for _, image in _row_products(found.pop(n, {}), columns)
+            )
+            high[n], low[n] = len(images), sum(c < cut for c in images)
+            for row, _ in images.values():
+                if len(elim.echelon([row], pivots)) > above[m]:
                     raise StructuralError(
-                        f"span is not closed under d: the image of the span "
-                        f"pivot at basis position {c} of degree {n} leaves "
-                        "the span"
+                        f"span is not closed under d: an image in degree {m} "
+                        "leaves the span at basis position "
+                        f"{order[next(reversed(pivots))]}"
                     )
-            fed = sorted(columns)
-            elim.echelon((columns[c] for c in fed if c < split), pivots)
-            low[n] = sum(c < cut for c in pivots) - light
-            elim.echelon((columns[c] for c in fed if c >= split), pivots)
-            high[n] = len(pivots) - rank
-        return (
-            _rank_nullity({m: k for m, k in here.items() if k}, low),
-            _rank_nullity({m: k for m, k in above.items() if k}, high),
-        )
+        return _rank_nullity(here, low), _rank_nullity(above, high)
 
     def euler_characteristic(self) -> int:
         return sum((-d if n % 2 else d) for n, d in self.dims.items())

@@ -2,16 +2,17 @@
 
 Two computations drive this module.  The first is the stalk: the free
 de Rham stage on the variables modulo the differential ideal K
-generated by the defining equations, whose cohomology is read off
-ranks of one ``MatrixComplex`` and K's span, with no quotient built;
-it detects failure of the Poincaré lemma on the singular germ.  The
-second is the divergence equation ``f*g = sum_i d(f*h_i)/dx_i``
-viewed as an exact linear system on the Taylor coefficients of the
-unknowns ``h_i``: a rational certificate of infeasibility refutes
-solvability of the untruncated problem, because every row is a
-necessary condition on any formal solution.  Truncation soundness is asymmetric by design — infeasible
-verdicts are conclusive, feasible ones are limited to the window — and
-every verdict says so.
+generated by the defining equations, whose cohomology is read off K's
+own, from ranks of one ``MatrixComplex`` and K's span, with no
+quotient built; it detects failure of the Poincaré lemma on the
+singular germ.  The second is the divergence equation ``f*g = sum_i
+d(f*h_i)/dx_i`` viewed as an exact linear system on the Taylor
+coefficients of the unknowns ``h_i``: a rational certificate of
+infeasibility refutes solvability of the untruncated problem, because
+every row is a necessary condition on any formal solution.  Truncation
+soundness is asymmetric by design — infeasible verdicts are
+conclusive, feasible ones are limited to the window — and every
+verdict says so.
 
 The running example throughout is the quasi-homogeneous-looking but
 obstinate curve x^q + y^p + y^{p-1} x.
@@ -48,19 +49,27 @@ SOUNDNESS_NOTE = (
 def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     """Cohomology of the germ's de Rham quotient, with stability flags.
 
-    The ambient is the free de Rham stage on the variables, assembled
-    once at ``weight + 1``: the one complex built.  K^k = I*Omega^k +
-    dI ^ Omega^{k-1} is spanned by the weight-cut products of each
-    generator g with the ambient k-forms and of dg with the
-    (k-1)-forms.  The quotient by K is never built:
-    ``MatrixComplex.quotient_cohomology`` reads its cohomology off
-    ranks, one elimination per degree of K's span and the images of d,
-    and checks on the way that d maps K into K.  The ambient's cut is at
-    ``weight``, and dropping the heavy keys from the quotient at
-    ``weight + 1`` leaves the quotient at ``weight`` (its K is K's span
-    with the heavy terms dropped), so the same elimination gives both.
-    Flags compare the dimensions at ``weight`` and ``weight + 1``;
-    every form degree is reported.
+    The ambient Omega is the free de Rham stage on the variables,
+    assembled once at ``weight + 1``: the one complex built.  K^k =
+    I*Omega^k + dI ^ Omega^{k-1} is spanned by the weight-cut products
+    of each generator g with the ambient k-forms and of dg with the
+    (k-1)-forms.  Neither K nor the quotient gets a basis:
+    ``MatrixComplex.subcomplex_cohomology`` reads H(K) off ranks, two
+    eliminations per degree of K's span and of its images under d, and
+    checks on the way that d maps K into K.  The ambient's cut is at
+    ``weight``, and dropping the heavy keys from K at ``weight + 1``
+    leaves the K of the ambient at ``weight`` (its span with the heavy
+    terms dropped), so the same eliminations give both cuts.
+
+    The quotient's cohomology is K's, shifted.  Omega's d keeps weight,
+    and on the part of weight w > 0 (w factors x_i or dx_i) the Euler
+    contraction, dx_i -> x_i divided by w, is a homotopy from the
+    identity to zero, so each cut of Omega is Q in degree 0 and acyclic
+    elsewhere.  The long exact sequence of 0 -> K -> Omega -> Omega/K
+    -> 0 then gives H^k(Omega/K) = H^(k+1)(K) for k >= 1 and
+    dim H^0(Omega/K) = 1 - dim H^0(K) + dim H^1(K), on each side of the
+    cut (``quotient_by_sequence``).  Flags compare the dimensions at
+    ``weight`` and ``weight + 1``; every form degree is reported.
     """
     gens = tuple(gens)
     if not gens or any(not g for g in gens):
@@ -91,9 +100,22 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
                         for m in keys
                         if ctx.weight_of(m) <= room
                     ]
-    cuts = ambient.quotient_cohomology(span, ctx.weight_of)
-    here, above = ({k: h.get(k, 0) for k in range(n + 1)} for h in cuts)
-    return flag_stability(here, above)
+    return flag_stability(*(
+        quotient_by_sequence(h, n)
+        for h in ambient.subcomplex_cohomology(span, ctx.weight_of)
+    ))
+
+
+def quotient_by_sequence(h, n):
+    """``{k: dim H^k(Omega/K)}`` for k in 0..n, from ``h`` = H(K).
+
+    The long exact sequence of 0 -> K -> Omega -> Omega/K -> 0 for an
+    Omega that is Q in degree 0 and acyclic elsewhere (see
+    ``classical_stalk_cohomology``); ``h`` has degree 0.
+    """
+    return {0: 1 - h[0] + h.get(1, 0)} | {
+        k: h.get(k + 1, 0) for k in range(1, n + 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Each one takes a different road to the same answer:
   alternating sum of their matrices over every column (no
   normalization).  ``conerve_totalization`` in the package builds the
   normalized quotient instead; the two agree on cohomology.
-- ``local_colength``: dim Q[x, y]/(I + m^N) from monomials and a
-  leading-term elimination of its own.
+- ``local_colength``: dim Q[x_1, ..., x_k]/(I + m^N) from monomials
+  and a leading-term elimination of its own.
 - ``divergence_equations``: the raw coefficient equations of the
   divergence equation, one ``Poly`` product and one ``Poly.partial``
   per unknown coefficient; ``divergence_system`` in the package builds
@@ -32,9 +32,19 @@ Each one takes a different road to the same answer:
 - ``reference_quotient`` and ``fraction_cohomology``: a quotient
   complex in the package's integer form, built through
   ``quotient_fraction_matrices``, and cohomology from the ranks of
-  reduced row echelon forms on ``Fraction``s; the package reads a
-  quotient's cohomology off ranks of stacked span and image vectors
-  (``MatrixComplex.quotient_cohomology``) instead.
+  reduced row echelon forms on ``Fraction``s; the package builds no
+  quotient and reads the stalk's cohomology off that of K instead.
+- ``reference_subcomplex``: the cohomology of a spanned subcomplex and
+  of its weight cut from ``gauss_rank`` of dense span vectors and of
+  their images, the cut's formed by projecting first and applying the
+  light block after; ``MatrixComplex.subcomplex_cohomology`` reads both
+  off two sparse eliminations per degree, the cut's ranks from the
+  pivots among light positions, and checks closure on the way.
+- ``euler_residue``: the Euler contraction h = iota_E / (number of
+  factors) built from ``GradedElement`` products, and id - pi - (dh +
+  hd) on every column of a complex's stored matrices; the package
+  never forms h, and ``classical_stalk_cohomology`` relies on the
+  acyclicity it proves for the free ambient.
 - ``truncation_basis``: a truncation's basis from every exponent tuple
   in the box the weight cap allows, each tested against the caps; the
   package walks only the monomials within them.
@@ -46,7 +56,8 @@ Each one takes a different road to the same answer:
   ``truncation_basis``, ``fraction_matrices`` and
   ``quotient_fraction_matrices``, with ranks from
   ``fraction_cohomology``; the package assembles the ``W + 1`` ambient
-  once and reads both sides off one elimination per degree instead.
+  once, builds no quotient, and reads both sides off the cohomology of
+  K and of its cut instead.
 - ``two_product_expand``: a derivation's image of a term list with each
   Leibniz term prefix·t·rest formed by two tuple products, (prefix·t)
   then ·rest, signed by the prefix's degree alone;
@@ -76,6 +87,7 @@ Each one takes a different road to the same answer:
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from drcalc import elim
@@ -278,20 +290,25 @@ def partial(poly, i):
 
 
 def local_colength(gens, n):
-    """dim Q[x, y]/(I + m^n) for the ideal I spanned by ``gens``.
+    """dim Q[x_1, ..., x_k]/(I + m^n) for the ideal I spanned by ``gens``.
 
-    The quotient is spanned by the monomials of degree below ``n``; I
-    contributes every generator times such a monomial, cut at degree
-    ``n``.  Their span is reduced by leading monomials, one pivot per
-    leading monomial, and its dimension subtracted.
+    ``gens`` are ``{exponent tuple: coefficient}`` dicts in k
+    variables, the first one nonzero.  The quotient is spanned by the
+    monomials of degree below ``n``; I contributes every generator
+    times such a monomial, cut at degree ``n``.  Their span is reduced
+    by leading monomials (the lex-largest), one pivot per leading
+    monomial, and its dimension subtracted.
     """
-    monomials = [(a, d - a) for d in range(n) for a in range(d + 1)]
+    k = len(next(iter(gens[0])))
+    monomials = [
+        m for m in itertools.product(range(n), repeat=k) if sum(m) < n
+    ]
     pivots = {}
     for g in gens:
         for m in monomials:
             row = {}
             for exps, c in g.items():
-                e = (exps[0] + m[0], exps[1] + m[1])
+                e = tuple(map(operator.add, exps, m))
                 if sum(e) < n and c:
                     row[e] = Fraction(c)
             while row:
@@ -594,17 +611,13 @@ def reference_quotient(cx, span):
     written back in the package's integer form: each matrix over the
     least common denominator of its entries.  A kept key is light when
     it was light in ``cx``.  The package reads the cohomology of such
-    a quotient off ranks instead (``MatrixComplex.quotient_cohomology``)
-    and builds no quotient.
+    the stalk's quotient off the cohomology of K instead
+    (``MatrixComplex.subcomplex_cohomology`` and the long exact
+    sequence) and builds no quotient.
     """
-    fractions = {
-        n: {
-            key: Fraction(v, cx.dens[n])
-            for key, v in flat_entries(rows).items()
-        }
-        for n, rows in cx.diffs.items()
-    }
-    labels, mats = quotient_fraction_matrices(fractions, cx.labels, span)
+    labels, mats = quotient_fraction_matrices(
+        stored_fractions(cx), cx.labels, span
+    )
     diffs, dens = {}, {}
     for n, entries in mats.items():
         dens[n] = math.lcm(*(v.denominator for v in entries.values()))
@@ -618,6 +631,62 @@ def reference_quotient(cx, span):
         light[n] = sum(key in light_keys for key in keys)
     dims = {n: len(keys) for n, keys in labels.items()}
     return MatrixComplex(dims, labels, diffs, dens, light)
+
+
+def stored_fractions(cx):
+    """The stored matrices of ``cx`` as ``{n: {(row, col): Fraction}}``."""
+    return {
+        n: {
+            key: Fraction(v, cx.dens[n])
+            for key, v in flat_entries(rows).items()
+        }
+        for n, rows in cx.diffs.items()
+    }
+
+
+def reference_subcomplex(cx, span, mats=None):
+    """``(here, above)``: H of the subcomplex ``span`` spans, and of its cut.
+
+    ``span[n]`` lists ``{basis key: value}`` vectors of degree ``n`` of
+    ``cx``; ``mats`` are rational matrices on its bases in the form
+    ``fraction_matrices`` gives (the stored ones when None).  ``above``
+    is the cohomology of their span S: dim S^n is the ``gauss_rank`` of
+    the span vectors as dense rows, the rank of d on S^n that of their
+    images under ``mats[n]``.  ``here`` is that of S's cut, the same
+    with each vector first projected onto the light keys (the first
+    ``cx.light[n]``) and its image taken by the light block of
+    ``mats[n]`` alone.  Every degree of ``cx`` is reported.  Closure
+    under d is not checked.
+    """
+    if mats is None:
+        mats = stored_fractions(cx)
+    sides = []
+    for keep in (cx.light, cx.dims):
+        dims, ranks = {}, {}
+        for n in sorted(cx.dims):
+            index = {key: i for i, key in enumerate(cx.labels[n])}
+            top, up = keep[n], keep.get(n + 1, 0)
+            columns = {}
+            for (r, c), v in mats.get(n, {}).items():
+                if r < up:
+                    columns.setdefault(c, {})[r] = v
+            vectors, images = [], []
+            for vec in span.get(n, ()):
+                dense = [Fraction(0)] * top
+                image = [Fraction(0)] * up
+                for key, v in vec.items():
+                    c = index[key]
+                    if c < top:
+                        dense[c] += v
+                        for r, w in columns.get(c, {}).items():
+                            image[r] += v * w
+                vectors.append(dense)
+                images.append(image)
+            dims[n], ranks[n] = gauss_rank(vectors), gauss_rank(images)
+        sides.append({
+            n: dims[n] - ranks[n] - ranks.get(n - 1, 0) for n in dims
+        })
+    return tuple(sides)
 
 
 def fraction_cohomology(labels, mats):
@@ -689,6 +758,96 @@ def two_build_stalk(gens, weight):
         ))
         sides.append({k: h.get(k, 0) for k in range(n + 1)})
     return flag_stability(*sides)
+
+
+# ---------------------------------------------------------------------------
+# the Euler contraction
+
+
+def euler_field(ctx, names):
+    """iota_E on a stage context: ``"d" + name`` -> ``name`` for each name.
+
+    ``{generator name: GradedElement}``, the images of a derivation of
+    degree -1 that is zero on every other generator of ``ctx``.
+    """
+    return {"d" + name: GradedElement.generator(ctx, name) for name in names}
+
+
+def contract(ctx, iota, exps):
+    """The degree -1 derivation ``iota`` on the monomial ``exps``.
+
+    Graded Leibniz: around each generator g that ``iota`` moves, the
+    monomial is prefix * g^e * rest, and g^e goes to e * iota(g) *
+    g^(e-1) (g is even when e > 1), signed by (-1)^|prefix|; each term
+    is formed by ``GradedElement`` products.  Returns a
+    ``GradedElement``.
+    """
+    out = GradedElement.zero(ctx)
+    for i, e in enumerate(exps):
+        image = iota.get(ctx.gens[i].name)
+        if not e or image is None:
+            continue
+        prefix = exps[:i] + (0,) * (len(exps) - i)
+        rest = (0,) * i + (e - 1,) + exps[i + 1:]
+        sign = -e if ctx.degree_of(prefix) % 2 else e
+        out = out + (
+            GradedElement.monomial(ctx, prefix, sign)
+            * image
+            * GradedElement.monomial(ctx, rest)
+        )
+    return out
+
+
+def euler_residue(cx, ctx, iota):
+    """``{(degree, key): vector}`` of id - pi - (D h + h D), where nonzero.
+
+    D is the stored differential of ``cx``, whose keys are exponent
+    tuples over ``ctx``; h is ``contract(ctx, iota, key)`` divided by
+    the number of factors of the key (the sum of its exponents), and 0
+    on the unit; pi keeps the unit and drops every other key.  Each
+    vector is ``{key: Fraction}`` on the column's own degree.
+
+    With ``iota = euler_field(ctx, variables)`` on a free de Rham stage,
+    Cartan's formula d iota_E + iota_E d = L_E, which multiplies a
+    monomial by its number of factors, and d keeping that number give
+    dh + hd = id - pi: the residue is empty, and h contracts every cut
+    of the stage onto Q in degree 0.  On a stage with a Koszul part
+    delta (D = d + delta, with iota also sending dt to t) the residue
+    is what delta leaves, to be bounded rather than zero.
+    """
+    images = {n: {key: {} for key in keys} for n, keys in cx.labels.items()}
+    for n, entries in stored_fractions(cx).items():
+        for (r, c), v in entries.items():
+            images[n][cx.labels[n][c]][cx.labels[n + 1][r]] = v
+
+    def push(n, vec):
+        """D^n of ``{key: value}``; a key outside the basis raises."""
+        out = {}
+        for key, v in vec.items():
+            for t, w in images[n][key].items():
+                out[t] = out.get(t, 0) + v * w
+        return out
+
+    def h(vec):
+        out = {}
+        for key, v in vec.items():
+            if sum(key):
+                for t, w in contract(ctx, iota, key).terms.items():
+                    out[t] = out.get(t, 0) + v * w / sum(key)
+        return out
+
+    residue = {}
+    for n, keys in cx.labels.items():
+        for key in keys:
+            column = {key: Fraction(1)}
+            acc = dict(column) if sum(key) else {}
+            for image in (push(n - 1, h(column)), h(push(n, column))):
+                for t, v in image.items():
+                    acc[t] = acc.get(t, 0) - v
+            acc = {t: v for t, v in acc.items() if v}
+            if acc:
+                residue[n, key] = acc
+    return residue
 
 
 # ---------------------------------------------------------------------------

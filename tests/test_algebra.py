@@ -36,6 +36,7 @@ from drcalc.errors import StructuralError
 from drcalc.homology import morphism_matrices, weight_truncate
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
+from drcalc.reiffen import quotient_by_sequence
 
 from oracles import (
     conerve_basis,
@@ -46,6 +47,7 @@ from oracles import (
     fraction_matrices,
     quotient_fraction_matrices,
     reference_quotient,
+    reference_subcomplex,
     stalk_span,
     truncation_basis,
     two_product_expand,
@@ -470,23 +472,30 @@ def _check_cut(stage, cx, weight):
 
 
 def _check_stalk(gens, weight):
-    """The stalk's cohomology read off ranks, as the package reads it,
-    against the fraction oracle's quotients at ``weight`` and at
-    ``weight - 1``."""
+    """K's cohomology and its cut's read off ranks, as the package reads
+    them, against the dense oracle on the fraction oracle's matrices;
+    and the quotient's, by the long exact sequence, against the
+    fraction oracle's quotients at ``weight`` and at ``weight - 1``."""
     variables = tuple(gens[0].context)
-    stage = DeRhamStage(free_presentation(variables), len(variables), weight)
+    n = len(variables)
+    stage = DeRhamStage(free_presentation(variables), n, weight)
     ambient = weight_truncate(stage, weight)
     want = []
     for w in (weight - 1, weight):
         labels = truncation_basis(stage, w)
-        want.append(fraction_cohomology(*quotient_fraction_matrices(
+        h = fraction_cohomology(*quotient_fraction_matrices(
             fraction_matrices(stage, w, labels),
             labels,
             stalk_span(stage, labels, gens, w),
-        )))
+        ))
+        want.append({k: h.get(k, 0) for k in range(n + 1)})
     span = stalk_span(stage, ambient.labels, gens, weight)
     weight_of = stage.truncation_data()[0].weight_of
-    assert ambient.quotient_cohomology(span, weight_of) == tuple(want)
+    got = ambient.subcomplex_cohomology(span, weight_of)
+    assert got == reference_subcomplex(
+        ambient, span, fraction_matrices(stage, weight, ambient.labels)
+    )
+    assert [quotient_by_sequence(h, n) for h in got] == want
 
 
 def test_matrix_entries_are_integers_over_one_denominator():

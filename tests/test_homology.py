@@ -33,11 +33,13 @@ from drcalc.homology import (
 )
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
+from drcalc.reiffen import quotient_by_sequence
 
 from oracles import (
     flat_entries,
     gauss_rank,
     reference_quotient,
+    reference_subcomplex,
     rref_nullspace,
     stalk_span,
 )
@@ -438,8 +440,11 @@ def test_cut_cohomology_reads_both_cuts():
     assert here == reference_quotient(cx, heavy).cohomology()
     assert here == {0: 0, 1: 0}
     assert above == cx.cohomology() == {0: 1, 1: 1}
-    # dividing out the heavy keys leaves the cut on both sides
-    assert cx.quotient_cohomology(heavy, _no_weight) == (here, here)
+    # the heavy keys span a subcomplex, heavy-b -> 0 and heavy-d, one
+    # class in each degree; its cut is zero
+    assert cx.subcomplex_cohomology(heavy, _no_weight) == (
+        reference_subcomplex(cx, heavy)
+    ) == ({0: 0, 1: 0}, {0: 1, 1: 1})
     # the heavy column meets the light row: no quotient
     bad = MatrixComplex(
         dims={0: 2, 1: 1},
@@ -449,7 +454,7 @@ def test_cut_cohomology_reads_both_cuts():
         light={0: 1},
     )
     for cohomology in (
-        bad.cut_cohomology, lambda: bad.quotient_cohomology({}, _no_weight)
+        bad.cut_cohomology, lambda: bad.subcomplex_cohomology({}, _no_weight)
     ):
         with pytest.raises(StructuralError) as err:
             cohomology()
@@ -483,9 +488,9 @@ def test_cut_cohomology_pivots_heaviest_first(monkeypatch):
 def test_restriction_must_drop_a_subcomplex():
     pres = koszul_presentation(XY, [P("x*y")], 1)
     cx = weight_truncate(pres, 4)
-    # dividing out degree -1 keeps the boundaries of what was divided out
+    # degree -1 alone is no subcomplex: d maps it onto boundaries
     with pytest.raises(StructuralError) as err:
-        cx.quotient_cohomology(_heavy_unit_vectors(
+        cx.subcomplex_cohomology(_heavy_unit_vectors(
             cx, lambda e: pres.context.degree_of(e) < 0
         ), pres.context.weight_of)
     assert "span is not closed under d" in str(err.value)
@@ -498,10 +503,14 @@ def test_restriction_must_drop_a_subcomplex():
     with pytest.raises(StructuralError) as err:
         weight_truncate(lowering, 5).cohomology()
     assert "not a quotient" in str(err.value)
-    # hand-built keys: dropping the target of a map is a quotient
+    # hand-built keys: the target of a map is a subcomplex, one class
+    # in degree 1; every key is light, so its cut is all of it
     two = _two_term({0: {0: 1, 1: 1}}, 2, 1)
     span = _heavy_unit_vectors(two, lambda key: key == "f0")
-    assert two.quotient_cohomology(span, _no_weight) == ({0: 2}, {0: 2})
+    assert two.subcomplex_cohomology(span, _no_weight) == (
+        reference_subcomplex(two, span)
+    ) == ({0: 0, 1: 1}, {0: 0, 1: 1})
+    assert reference_quotient(two, span).cohomology() == {0: 2}
 
 
 def _no_weight(key):
@@ -517,15 +526,20 @@ def test_quotient_needs_a_subcomplex():
     span = {0: [{key: Fraction(1)} for key in cx.labels[0] if key[0] >= 1]}
     with pytest.raises(
         StructuralError,
-        match="span is not closed under d: the image of the span pivot at "
-        "basis position 1 of degree 0 leaves the span",
+        match="span is not closed under d: an image in degree 1 leaves "
+        "the span at basis position 0",
     ):
-        cx.quotient_cohomology(span, weight_of)
+        cx.subcomplex_cohomology(span, weight_of)
     with pytest.raises(StructuralError, match="not a quotient"):
         reference_quotient(cx, span)
-    # with dx ^ Omega^0 and x * Omega^1 added it is the whole of Omega^1
+    # with dx ^ Omega^0 and x * Omega^1 added it is the whole of Omega^1:
+    # d maps (x) onto it, so K is acyclic, and the quotient is Q in
+    # degree 0, 1 - dim H^0(K) + dim H^1(K)
     span[1] = [{key: Fraction(1)} for key in cx.labels[1]]
-    assert cx.quotient_cohomology(span, weight_of) == ({0: 1}, {0: 1})
+    zero = {0: 0, 1: 0}
+    assert cx.subcomplex_cohomology(span, weight_of) == (
+        reference_subcomplex(cx, span)
+    ) == (zero, zero)
     assert reference_quotient(cx, span).cohomology() == {0: 1}
 
 
@@ -569,8 +583,10 @@ def test_stored_rows_survive_every_consumer():
         here, above = cx.cut_cohomology()
         assert here == reference_quotient(cx, heavy).cohomology()
         assert above == dims
-        # dividing out the heavy keys leaves the cut on both sides
-        assert cx.quotient_cohomology(heavy, weight_of) == (here, here)
+        # the heavy keys span a subcomplex whose cut is zero
+        low, high = cx.subcomplex_cohomology(heavy, weight_of)
+        assert (low, high) == reference_subcomplex(cx, heavy)
+        assert set(low.values()) == {0}
         for n in cx.degrees():
             vanishes = induced_map_vanishes(cx, cx, ident, n)
             assert vanishes == (dims[n] == 0), n
@@ -578,10 +594,14 @@ def test_stored_rows_survive_every_consumer():
         assert cx.diffs == rows
         assert ident == mats
     rows = copy.deepcopy(ambient.diffs)
-    want = reference_quotient(ambient, span)
-    assert ambient.quotient_cohomology(span, weight_of) == (
-        want.cut_cohomology()
-    )
+    got = ambient.subcomplex_cohomology(span, weight_of)
+    assert got == reference_subcomplex(ambient, span)
+    # the ambient is acyclic but for Q in degree 0 on both sides of its
+    # cut, so the quotient's cohomology is K's, shifted
+    want = reference_quotient(ambient, span).cut_cohomology()
+    assert [quotient_by_sequence(h, 2) for h in got] == [
+        {k: h.get(k, 0) for k in range(3)} for h in want
+    ]
     assert ambient.diffs == rows
     assert seen == {True, False}
 

@@ -20,10 +20,13 @@ from drcalc.reiffen import (
     euler_witness,
     family_member,
     family_scan,
+    quotient_by_sequence,
 )
 
 from oracles import (
     divergence_equations,
+    euler_field,
+    euler_residue,
     gauss_rank,
     local_colength,
     partial,
@@ -33,6 +36,7 @@ from oracles import (
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 X = ("x",)
 
 
@@ -503,6 +507,111 @@ def test_stalk_h1_is_milnor_minus_tjurina(q, p, tail):
     poly = Poly(XY, f)
     rep = classical_stalk_cohomology([poly], 12)
     assert rep.dim(1) == mu - tau, (str(poly), mu, tau)
+
+
+# (f, mu, tau): T_{3,3,4}, whose tau is mu - 1; x^2+y^3+z^5 (E_8),
+# quasi-homogeneous; x^2+y^3+z^4+xyz, which completing the square in x
+# makes E_6 plus a term above its weights
+STALK_SURFACES = [
+    ("x^3+y^3+z^4+x*y*z", 9, 8),
+    ("x^2+y^3+z^5", 8, 8),
+    ("x^2+y^3+z^4+x*y*z", 6, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "f, mu, tau", STALK_SURFACES, ids=[f for f, _, _ in STALK_SURFACES]
+)
+def test_stalk_h2_is_milnor_minus_tjurina(f, mu, tau):
+    # for an isolated surface germ in 3 variables H^1 = 0 and dim H^2 =
+    # mu - tau (Brieskorn 1970); the local colengths are the oracle's
+    # own, checked to have settled in m^n
+    poly = P(f, XYZ)
+    terms = dict(poly.terms)
+    jacobian = [partial(terms, i) for i in range(3)]
+    for n in (12, 14):
+        assert local_colength(jacobian, n) == mu, n
+        assert local_colength([terms] + jacobian, n) == tau, n
+    rep = classical_stalk_cohomology([poly], 10)
+    assert rep.dim(1) == 0
+    assert rep.dim(2) == mu - tau, (f, mu, tau)
+    assert all(flag for _, flag in rep.stable)
+
+
+@pytest.mark.parametrize(
+    "variables, weight", [(X, 10), (XY, 6), (XY, 8), (XYZ, 6)],
+    ids=["x-W10", "xy-W6", "xy-W8", "xyz-W6"],
+)
+def test_stalk_ambient_is_contracted_by_the_euler_field(variables, weight):
+    # the stalk reads Omega/K off K through the long exact sequence,
+    # which needs the ambient Omega to be Q in degree 0 and acyclic
+    # elsewhere, at W + 1 and at its cut W: h = iota_E / (number of
+    # factors) gives dh + hd = id - pi exactly on every column of both
+    n = len(variables)
+    stage = DeRhamStage(free_presentation(variables), n, weight + 1)
+    ctx = stage.truncation_data()[0]
+    ambient = weight_truncate(stage, weight + 1)
+    cut = reference_quotient(ambient, {
+        n: [{key: Fraction(1)} for key in keys[ambient.light[n]:]]
+        for n, keys in ambient.labels.items()
+    })
+    iota = euler_field(ctx, variables)
+    point = {k: int(k == 0) for k in range(n + 1)}
+    for cx in (ambient, cut):
+        assert euler_residue(cx, ctx, iota) == {}
+        assert cx.cohomology() == point
+        # a wrong scale leaves a residue on every column but the unit
+        doubled = {name: image.scale(2) for name, image in iota.items()}
+        moved = euler_residue(cx, ctx, doubled)
+        assert len(moved) == sum(cx.dims.values()) - 1
+    assert ambient.cut_cohomology() == (point, point)
+
+
+def test_quotient_by_the_exact_sequence():
+    # Omega/K from H(K) alone, on subcomplexes of the free stage on x
+    # below weight 4 that no ideal spans: Q*dx has H^1 = 1, and its
+    # quotient two classes in degree 0, 1 and x; K spanned by x^2 and
+    # x*dx, or by x, x^3, dx and x^2*dx, is acyclic
+    stage = DeRhamStage(free_presentation(X), 1, 4)
+    weight_of = stage.truncation_data()[0].weight_of
+    cx = weight_truncate(stage, 4)
+    one = Fraction(1)
+    spans = [
+        {1: [{(0, 1): one}]},
+        {0: [{(2, 0): one}], 1: [{(1, 1): one}]},
+        {
+            0: [{(1, 0): one}, {(3, 0): one}],
+            1: [{(0, 1): one}, {(2, 1): one}],
+        },
+    ]
+    h1 = []
+    for span in spans:
+        got = cx.subcomplex_cohomology(span, weight_of)
+        want = reference_quotient(cx, span).cut_cohomology()
+        assert [quotient_by_sequence(h, 1) for h in got] == [
+            {k: h.get(k, 0) for k in (0, 1)} for h in want
+        ]
+        h1.append(got[1][1])
+    assert h1 == [1, 0, 0]
+
+
+def test_stalk_row_operations_stay_bounded(monkeypatch):
+    # per degree one elimination of K's span and one of the images under
+    # d of its pivot rows, whose echelon basis alone is checked to lie in
+    # K.  The stalk of T_{3,3,4} at W 12 takes 23,528 row operations
+    # (elim._axpy calls); eliminating d's light and heavy columns after
+    # every image, as it once did, took 49,409.
+    calls = [0]
+    axpy = elim._axpy
+
+    def spy(*args):
+        calls[0] += 1
+        return axpy(*args)
+
+    monkeypatch.setattr(elim, "_axpy", spy)
+    rep = classical_stalk_cohomology([P("x^3+y^3+z^4+x*y*z", XYZ)], 12)
+    assert rep.dims == ((0, 1), (1, 0), (2, 1), (3, 0))
+    assert calls[0] <= 30_000
 
 
 @st.composite
