@@ -16,14 +16,15 @@ quotients and the result is a finite bicomplex.
 
 Also here: the two-term cotangent complex and its wedge powers, the
 column-versus-wedge comparison, polynomial homotopy invariance, the
-fibre-sequence bookkeeping for a hypersurface, and the finite
-totalization of the normalized tensor-power conerve with its comparison
-against the de Rham stage.
+fibre-sequence bookkeeping for a hypersurface, and the Amitsur side of
+the descent comparison: the normalized tensor-power conerve, cut at a
+column, read off its deformation retract onto the unit and the keys of
+the last column whose first slot is not the unit, against the de Rham
+stage.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from math import lcm
 
@@ -436,31 +437,32 @@ class AmitsurComparison:
 
 
 def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixComplex:
-    """Normalized total complex of the first p_max+1 tensor-power columns.
+    """The normalized conerve of columns 0..p_max, up to homotopy: ℚ·1 ⊕ N.
 
-    Column p is the (p+1)-fold tensor power of one weight-truncated
-    Koszul complex K of the quotient, on slot tuples of K's basis keys.
-    The cofaces insert the unit, so tuples with the unit in a slot
-    1..p span the degenerate subcomplex; its quotient (the Dold-Kan
-    normalization) keeps the tuples whose slots 1..p are all non-unit
-    and whose weights sum to at most ``weight``.  Basis keys are
-    ``(p, slot keys)``.  The internal direction is Leibniz over the
-    slots with K's own matrices, signed by the degrees of the earlier
-    slots and by (-1)^p; of the alternating coface sum only d^0
-    survives the quotient: (k0, ...) -> (1, k0, ...) when k0 is not
-    the unit.
+    Column p of the Čech–Amitsur conerve is the (p+1)-fold tensor power
+    of one weight-truncated Koszul complex K of the quotient, on slot
+    tuples of K's basis keys; its normalization keeps the tuples whose
+    slots 1..p are not the unit and whose weights sum to at most
+    ``weight``.  Every accepted f has f(0) = 0, so K is augmented and
+    the normalized conerve has the extra codegeneracy
+    h(p, (1, k1, ..., kp)) = (p - 1, (k1, ..., kp)), zero on the other
+    keys, with dh + hd = id - φ (Weibel, *An Introduction to Homological
+    Algebra*, 8.4.6).  φ projects onto the unit and onto N, the keys of
+    column p_max whose slot 0 is not the unit.  The unit is a cycle and
+    d never reaches it, since f has no constant term, so ℚ·1 ⊕ N is a
+    subcomplex, a deformation retract of the whole, and it is what is
+    returned: the unit ``(0, (1,))`` in degree 0, then N's keys
+    ``(p_max, slot keys)``.  No coface acts on N; its differential is
+    Leibniz over the slots with K's own matrices, signed by (-1)^p_max
+    and by the degrees of the earlier slots.
 
-    No slot tuple is built: the complex runs on packed slot codes
-    (``_slot_columns``), and each column is walked by weight budget,
-    every entry extended only by the keys that fit the weight left to
-    it.  A Leibniz term adds ``(image - k) << bits * i`` to the code,
-    the coface shifts it one slot up, and each image row is looked up
-    by code among the basis one degree up.  Each column's image is
-    scattered into the rows it reaches.  The matrices share the least
-    common multiple of K's denominators, which the coface entry 1
-    becomes, and are brought to lowest terms one by one.  The labels
-    (``SlotLabels``) store no key: a degree's ``(p, slot keys)`` pairs
-    are decoded only when it is read.  The total complex is checked for
+    N is walked on packed slot codes: a slot tuple (k0, ..., kp_max) of
+    indices into K's sorted keys is sum(ki << bits * i), extended slot
+    by slot by the non-unit keys that fit the weight left to it.  A
+    Leibniz term adds ``(image - k) << bits * i`` to the code, and each
+    image row is looked up by code among the basis one degree up.  The
+    matrices share the least common multiple of K's denominators and
+    are brought to lowest terms one by one.  The complex is checked for
     d o d = 0 before it is returned.
     """
     pres = koszul_presentation(variables, [f], 1)
@@ -472,132 +474,68 @@ def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixC
     mask = (1 << bits) - 1
     degree = [ctx.degree_of(k) for k in keys]
     weights = [ctx.weight_of(k) for k in keys]
-    odd = [q % 2 for q in degree]
-    one = lcm(*koszul.dens.values())  # the coface entry 1, over `one`
+    den = lcm(*koszul.dens.values())
     d_slot = [[] for _ in keys]  # per key: [(image key, coefficient), ...]
     for q, mat in koszul.diffs.items():
-        scale = one // koszul.dens[q]
+        scale = den // koszul.dens[q]
         for r, row in mat.items():
             image = index[koszul.labels[q + 1][r]]
             for c, v in row.items():
                 d_slot[index[koszul.labels[q][c]]].append((image, v * scale))
-    walk = (bits, weights, degree, weight, p_max)
 
-    # segments[n]: (p, codes, weight left) of the columns' entries of
-    # total degree n, p ascending, each in basis order
-    segments = {}
-    for p, codes, left, qs in _slot_columns(*walk):
-        mine = {}
-        for q in dict.fromkeys(qs):
-            mine[q] = (p, [], [])
-            segments.setdefault(p + q, []).append(mine[q])
-        for code, b, q in zip(codes, left, qs):
-            _, seg_codes, seg_left = mine[q]
-            seg_codes.append(code)
-            seg_left.append(b)
+    # N's codes in lex order of their slots, with each entry's weight
+    # left and total degree; the unit is key 0, so no code of N is 0
+    fits = [
+        [k for k in range(1, len(keys)) if weights[k] <= b]
+        for b in range(weight + 1)
+    ]
+    codes, left, degrees = [0], [weight], [p_max]
+    for i in range(p_max + 1):
+        grow = [fits[b] for b in left]
+        codes = [c + (k << bits * i) for c, ks in zip(codes, grow) for k in ks]
+        left = [b - weights[k] for b, ks in zip(left, grow) for k in ks]
+        degrees = [n + degree[k] for n, ks in zip(degrees, grow) for k in ks]
+    # basis[n]: [(code, weight left), ...]; code 0 is the unit, whose
+    # slots are all key 0, which d sends to 0
+    basis = {0: [(0, weight)]}
+    for code, b, n in zip(codes, left, degrees):
+        basis.setdefault(n, []).append((code, b))
     # per slot position i and key k: [(weight raised, code change, value)]
     terms = [
         [[(weights[im] - weights[k], (im - k) << bits * i, v)
           for im, v in d_slot[k]] for k in range(len(keys))]
         for i in range(p_max + 1)
     ]
+    start = -1 if p_max % 2 else 1
     diffs, dens = {}, {}
-    for n, segs in segments.items():
-        target = {}
-        for _, codes, _ in segments.get(n + 1, ()):
-            target.update(zip(codes, range(len(target), len(target) + len(codes))))
+    for n, cols in basis.items():
+        target = {code: r for r, (code, _) in enumerate(basis.get(n + 1, ()))}
         entries = {}
-        col = 0
-        for p, codes, left in segs:
-            start = -1 if p % 2 else 1
-            coface = p < p_max
-            slots = terms[: p + 1]
-            for code, b in zip(codes, left):
-                sign, rest = start, code
-                for at in slots:
-                    k = rest & mask
-                    rest >>= bits
-                    # d never reaches the unit (f has no constant term),
-                    # so an image slot stays non-unit; only the weight
-                    # can fail
-                    for raised, delta, v in at[k]:
-                        if raised <= b:
-                            entries.setdefault(target[code + delta], {})[col] = sign * v
-                    if odd[k]:
-                        sign = -sign
-                if coface and code & mask:
-                    entries.setdefault(target[code << bits], {})[col] = one
-                col += 1
-        diffs[n], dens[n] = lowest_terms(entries, one)
-    dims = {n: sum(len(codes) for _, codes, _ in segs) for n, segs in segments.items()}
-    del segments
-    tot = MatrixComplex(dims, SlotLabels(keys, walk, tuple(dims)), diffs, dens)
+        for col, (code, b) in enumerate(cols):
+            sign, rest = start, code
+            for at in terms:
+                k = rest & mask
+                rest >>= bits
+                # d never reaches the unit, so an image slot stays
+                # non-unit; only the weight can fail
+                for raised, delta, v in at[k]:
+                    if raised <= b:
+                        entries.setdefault(target[code + delta], {})[col] = sign * v
+                if degree[k] % 2:
+                    sign = -sign
+        diffs[n], dens[n] = lowest_terms(entries, den)
+    labels = {
+        n: tuple(
+            (p_max, tuple(keys[code >> bits * i & mask] for i in range(p_max + 1)))
+            if code else (0, (keys[0],))
+            for code, _ in cols
+        )
+        for n, cols in basis.items()
+    }
+    dims = {n: len(cols) for n, cols in basis.items()}
+    tot = MatrixComplex(dims, labels, diffs, dens)
     tot.check_composition()
     return tot
-
-
-def _slot_columns(bits, weights, degree, weight, p_max):
-    """Yield ``(p, codes, weight left, internal degrees)`` per column.
-
-    K's keys are given by index, sorted, so the unit is key 0.  A slot
-    tuple (k0, ..., kp) of indices is the code sum(ki << bits * i), and
-    ``bits`` holds any index; for p >= 1 the top slot is non-unit, so
-    the code also fixes p.  Each column comes as parallel lists in
-    basis order, with each entry's weight left (``weight`` less its
-    slots' weights).  Column p + 1 extends each entry of column p, in
-    order, by the non-unit keys that fit its weight left, in index
-    order.
-    """
-    # fits[b]: the non-unit keys of weight at most b, in index order
-    fits = [
-        [k for k in range(1, len(weights)) if weights[k] <= b]
-        for b in range(weight + 1)
-    ]
-    column = (range(len(weights)), [weight - w for w in weights], degree)
-    for p in range(p_max + 1):
-        codes, left, qs = column
-        if p < p_max:
-            shift = bits * (p + 1)
-            grow = [fits[b] for b in left]
-            column = (
-                [c + (k << shift) for c, ks in zip(codes, grow) for k in ks],
-                [b - weights[k] for b, ks in zip(left, grow) for k in ks],
-                [q + degree[k] for q, ks in zip(qs, grow) for k in ks],
-            )
-            del grow
-        yield p, codes, left, qs
-
-
-class SlotLabels(Mapping):
-    """The conerve's basis keys, ``{degree: ((p, slot keys), ...)}``.
-
-    Read-only, and nothing is stored per key: reading a degree walks
-    the slot codes again (``_slot_columns`` on ``walk``) and decodes
-    those of that degree, so two reads give equal tuples.
-    """
-
-    __slots__ = ("_keys", "_walk", "_degrees")
-
-    def __init__(self, keys, walk, degrees):
-        self._keys, self._walk, self._degrees = keys, walk, degrees
-
-    def __getitem__(self, n):
-        if n not in self._degrees:
-            raise KeyError(n)
-        keys, bits = self._keys, self._walk[0]
-        mask = (1 << bits) - 1
-        return tuple(
-            (p, tuple(keys[code >> bits * i & mask] for i in range(p + 1)))
-            for p, codes, _, qs in _slot_columns(*self._walk)
-            for code, q in zip(codes, qs)
-            if p + q == n
-        )
-
-    def __iter__(self):
-        return iter(self._degrees)
-
-    def __len__(self):
-        return len(self._degrees)
 
 
 def amitsur_vs_derham(

@@ -41,7 +41,7 @@ degree at a time.  The rows a complex stores are never handed to
 and ``subcomplex_cohomology`` feed it renumbered copies.
 
 d o d = 0 is checked once, where a complex is assembled:
-``weight_truncate`` (and the conerve totalization in ``derham``) call
+``weight_truncate`` (and the conerve's retract in ``derham``) call
 ``check_composition`` on what they build.  Everything else is derived
 from a checked complex by a degree shift, is a quotient by a
 subcomplex or is a spanned subcomplex, again a complex;
@@ -95,8 +95,8 @@ class MatrixComplex:
     """Bases (as key lists) per degree plus one matrix per step up.
 
     ``labels[n]`` lists opaque hashable basis keys: exponent tuples for
-    assembled complexes, ``(p, slot keys)`` pairs for the conerve
-    totalization (column p, one Koszul exponent tuple per tensor slot),
+    assembled complexes, ``(p, slot keys)`` pairs for the conerve's
+    retract (column p, one Koszul exponent tuple per tensor slot),
     anything hashable for hand-built ones.  ``diffs[n] / dens[n]``
     maps degree ``n`` to degree ``n + 1``: ``diffs[n]`` holds the
     nonzero rows ``{row: {col: int}}``, rows indexed by the target
@@ -106,8 +106,7 @@ class MatrixComplex:
     degree missing from ``dens`` has denominator 1.  The complex takes
     its rows and its labels as they are, without a copy, and never
     changes them; a caller hands over rows it no longer changes and
-    labels as tuples, or as a read-only mapping (the conerve's decodes
-    its keys when a degree is read).
+    labels as tuples.
 
     ``light[n]`` is the complex's weight cut: the number of leading
     basis keys of degree ``n`` below its top weight, which

@@ -9,8 +9,10 @@ Each one takes a different road to the same answer:
   (p+1)-fold tensor power on p+1 renamed copies of the variables, the
   cofaces are presentation morphisms, and the totalization is the
   alternating sum of their matrices over every column (no
-  normalization).  ``conerve_totalization`` in the package builds the
-  normalized quotient instead; the two agree on cohomology.
+  normalization).  ``conerve_totalization`` in the package builds only
+  the unit and the last column's keys whose first slot is not the unit,
+  the normalized conerve's retract by its extra codegeneracy; the two
+  agree on cohomology in the degrees the column cut leaves alone.
 - ``local_colength``: dim Q[x_1, ..., x_k]/(I + m^N) from monomials
   and a leading-term elimination of its own.
 - ``divergence_equations``: the raw coefficient equations of the
@@ -22,13 +24,13 @@ Each one takes a different road to the same answer:
   underflows to zero past n = 2.
 - ``fraction_matrices``, ``conerve_fraction_matrices`` and
   ``quotient_fraction_matrices``: the rational matrices of a truncated
-  complex, of the normalized conerve and of a quotient complex, entry
-  by entry on ``Fraction``s.  Images go through ``Derivation.__call__``
-  as ``GradedElement``s, with the caps tested on exponent tuples, and
-  quotients through a reduced row echelon form of the span; the
-  package assembles integer matrices over one denominator on monomial
-  codes, with the cuts decided before a term is formed, instead, and
-  builds no quotient complex at all.
+  complex, of the whole normalized conerve (cofaces included) and of a
+  quotient complex, entry by entry on ``Fraction``s.  Images go through
+  ``Derivation.__call__`` as ``GradedElement``s, with the caps tested
+  on exponent tuples, and quotients through a reduced row echelon form
+  of the span; the package assembles integer matrices over one
+  denominator on monomial codes, with the cuts decided before a term
+  is formed, instead, and builds no quotient complex at all.
 - ``reference_quotient`` and ``fraction_cohomology``: a quotient
   complex in the package's integer form, built through
   ``quotient_fraction_matrices``, and cohomology from the ranks of
@@ -48,9 +50,10 @@ Each one takes a different road to the same answer:
 - ``truncation_basis``: a truncation's basis from every exponent tuple
   in the box the weight cap allows, each tested against the caps; the
   package walks only the monomials within them.
-- ``conerve_basis``: the normalized conerve's basis as slot tuples,
-  listed eagerly; the package walks packed slot codes and decodes a
-  degree's keys only when they are read.
+- ``conerve_basis``: the whole normalized conerve's basis as slot
+  tuples, every column listed; the package walks the last column alone,
+  on packed slot codes, and keeps the unit and the keys whose first
+  slot is not the unit.
 - ``two_build_stalk``: the stalk cohomology with the weight-``W`` and
   the weight-``W + 1`` quotients each built on its own, from
   ``truncation_basis``, ``fraction_matrices`` and
@@ -454,9 +457,9 @@ def conerve_basis(variables, f, p_max, weight):
     keys of K (the Koszul complex truncated at ``weight``, its keys
     from ``truncation_basis``) whose slots 1..p are not the unit and
     whose weights sum to at most ``weight``, in lex order of K's sorted
-    keys; each degree lists column 0 first.  That is the package's
-    basis order, which it keeps on packed slot codes and decodes only
-    when read.
+    keys; each degree lists column 0 first.  The package's retract keeps
+    the unit and the keys of column ``p_max`` whose slot 0 is not the
+    unit, in this order.
     """
     pres = koszul_presentation(variables, [f], 1)
     ctx = pres.context
@@ -487,6 +490,8 @@ def conerve_fraction_matrices(variables, f, p_max, weight, labels):
     degrees of the earlier slots, and cut at ``weight``; plus the
     coface key ``(p + 1, (1, k0, ..., kp))`` when ``p < p_max`` and k0
     is not the unit.  The Koszul images come from ``fraction_matrices``.
+    ``labels`` may be the bases of a subcomplex, such as the package's
+    retract.
     """
     pres = koszul_presentation(variables, [f], 1)
     ctx = pres.context

@@ -24,7 +24,12 @@ from drcalc.homology import weight_truncate
 from drcalc.parse import parse_poly
 from drcalc.poly import Poly
 
-from oracles import coface_totalization
+from oracles import (
+    coface_totalization,
+    conerve_basis,
+    conerve_fraction_matrices,
+    fraction_cohomology,
+)
 
 X = ("x",)
 XY = ("x", "y")
@@ -236,10 +241,10 @@ def test_fibre_rejects_zero():
 
 
 def test_conerve_totalization_shape():
-    # normalized columns: slots 1..p never hold the unit
+    # the unit, then the triples of non-unit keys of weight at most 4
     f = P("x^2", X)
     tot = conerve_totalization(X, f, 2, 4)
-    assert dict(tot.dims) == {-1: 4, 0: 15, 1: 19, 2: 10}
+    assert dict(tot.dims) == {0: 1, 1: 3, 2: 4}
     ctx = koszul_presentation(X, [f], 1).context
     labels = {
         n: [
@@ -248,14 +253,63 @@ def test_conerve_totalization_shape():
         ]
         for n, keys in tot.labels.items()
     }
-    assert labels[-1] == ["p0:t", "p0:x*t", "p0:x^2*t", "p1:t|t"]
-    assert labels[0][0] == "p0:1"
-    assert "p1:1|t" in labels[0] and "p2:1|t|t" in labels[0]
-    for n, keys in tot.labels.items():
-        for p, slots in keys:
-            assert len(slots) == p + 1
-            assert all(any(k) for k in slots[1:]), (n, p, slots)
-    assert tot.cohomology()[0] == 1
+    assert labels == {
+        0: ["p0:1"],
+        1: ["p2:t|x|x", "p2:x|t|x", "p2:x|x|t"],
+        2: ["p2:x|x|x", "p2:x|x|x^2", "p2:x|x^2|x", "p2:x^2|x|x"],
+    }
+    assert tot.cohomology() == {0: 1, 1: 0, 2: 1}
+
+
+def test_conerve_is_the_unit_when_the_last_column_is_empty():
+    # p_max + 1 non-unit slots weigh at least p_max + 1, so at W <= p_max
+    # the retract is the unit alone, however large the whole conerve
+    # (826,805 keys for x*y at p_max 10, W 10)
+    for f, p_max in (("x*y", 10), ("x^2+y^3", 6)):
+        tot = conerve_totalization(XY, P(f), p_max, p_max)
+        assert tot.dims == {0: 1}
+        assert tot.cohomology() == {0: 1}
+
+
+@pytest.mark.parametrize("variables,f,p_max,weight", [
+    (X, "x^2", 3, 6),
+    (XY, "x*y", 3, 5),
+    (XY, "3/2*x^2+x*y^2", 3, 6),
+    (XY, "x*y+x", 2, 6),
+    (("x", "y", "z"), "x*y+1/2*z^2", 3, 5),
+    (XY, "x*y", 4, 5),
+])
+def test_extra_codegeneracy_retracts_onto_unit_and_last_column(
+    variables, f, p_max, weight
+):
+    # on the oracle's whole normalized conerve, h(p, (1, k1..kp)) =
+    # (p-1, (k1..kp)) satisfies dh + hd = id - phi, where phi keeps the
+    # unit and the keys of column p_max whose slot 0 is not the unit
+    f = P(f, variables)
+    unit = (0,) * (len(variables) + 1)
+    labels = conerve_basis(variables, f, p_max, weight)
+    mats = conerve_fraction_matrices(variables, f, p_max, weight, labels)
+    d = {key: {} for keys in labels.values() for key in keys}
+    for n, entries in mats.items():
+        for (r, c), v in entries.items():
+            d[labels[n][c]][labels[n + 1][r]] = v
+
+    def h(key):
+        p, slots = key
+        return {(p - 1, slots[1:]): 1} if p and slots[0] == unit else {}
+
+    def apply(op, vec, out):
+        for key, v in vec.items():
+            for image, w in op(key).items():
+                out[image] = out.get(image, 0) + v * w
+        return out
+
+    for key in d:
+        p, slots = key
+        kept = slots == (unit,) or (p == p_max and slots[0] != unit)
+        got = apply(h, d[key], apply(d.get, h(key), {}))
+        got = {k: v for k, v in got.items() if v}
+        assert got == ({} if kept else {key: 1}), key
 
 
 @st.composite
@@ -274,10 +328,17 @@ def _hypersurfaces(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_hypersurfaces(), st.integers(0, 4), st.integers(2, 3))
 def test_normalized_conerve_matches_disjoint_copies(case, weight, p_max):
-    # the normalized quotient and the full cosimplicial totalization
-    # agree in every degree the column cut leaves alone
+    # the retract has the cohomology of the whole normalized conerve in
+    # every degree, and that of the full cosimplicial totalization in
+    # every degree the column cut leaves alone
     variables, f = case
     got = conerve_totalization(variables, f, p_max, weight).cohomology()
+    labels = conerve_basis(variables, f, p_max, weight)
+    whole = fraction_cohomology(
+        labels, conerve_fraction_matrices(variables, f, p_max, weight, labels)
+    )
+    for n in set(got) | set(whole):
+        assert got.get(n, 0) == whole.get(n, 0), (str(f), weight, p_max, n)
     want = coface_totalization(variables, f, p_max, weight).cohomology()
     for n in range(p_max - 1):
         assert got.get(n, 0) == want.get(n, 0), (str(f), weight, p_max, n)
