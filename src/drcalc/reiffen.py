@@ -352,6 +352,10 @@ def divergence_feasible(
     is assessed from the predicted system size, before anything is
     built.
     """
+    if degree_bound < 0:
+        raise StructuralError(
+            f"degree {degree_bound} is negative; windows start at 0"
+        )
     if g is None:
         g = Poly.const(f.context, 1)
     predicted = _unknown_total(f, degree_bound)

@@ -27,6 +27,10 @@ terms can only lower a sum, so any subset of the cells still gives a
 proof; a binary64 estimate at each cell's midpoint therefore picks the
 cells, with no rigor needed, and the enclosure runs on those alone.
 Past n = 2 a single cell of the window decides the bound.
+
+The mpmath arithmetic lives in ``drcalc._enclosure``, which the
+functions here import when they compute, once per call: loading this
+module, as ``drcalc.cli`` does at start, does not load mpmath.
 """
 
 from __future__ import annotations
@@ -34,33 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import (
-    MPZ_ONE,
-    fone,
-    from_int,
-    from_man_exp,
-    from_rational,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_cos_sin,
-    mpf_div,
-    mpf_exp,
-    mpf_le,
-    mpf_log,
-    mpf_mul,
-    mpf_neg,
-    mpf_sign,
-    mpf_sub,
-    mpi_div,
-    mpi_log,
-    mpi_sub,
-    round_ceiling,
-    round_floor,
-)
-from mpmath.libmp.libelefun import mod_pi2
 
 from .errors import StructuralError
 
@@ -84,128 +61,15 @@ class LogValue:
         return cls(sign="positive", log=log)
 
 
-def _enclose(x, prec: int):
-    """An int or float as an interval of prec-bit endpoints, rounded outward."""
-    p, q = x.as_integer_ratio()
-    return (
-        from_rational(p, q, prec, round_floor),
-        from_rational(p, q, prec, round_ceiling),
-    )
-
-
-def _quadrant(x) -> int:
-    """n with n pi/2 <= x < (n + 1) pi/2, read as mpmath reads it.
-
-    This is the quadrant of mpmath.libmp.libmpi.cos_sin_quadrant, which
-    mpi_sin orders its endpoints by.
-    """
-    sign, man, exp, bc = x
-    if not man:
-        return 0
-    n = mod_pi2(man, exp, exp + bc, 15)[1]
-    return -1 - n if sign else n
-
-
-def _sin_square_lo(u, prec: int):
-    """The lower end of sin(u)^2 over a finite interval u, from one sine.
-
-    Bit for bit ``mpi_mul(s, s, prec)[0]`` with ``s = mpi_sin(u, prec)``,
-    which computes cos and sin at both ends.  sin is monotone in each
-    quadrant, so the quadrants of the ends say where |sin| is least: at
-    the lower end in quadrants 0 and 2 (mod 4), where |sin| rises, at
-    the upper end in 1 and 3, where it falls, and at the smaller of the
-    two across a maximum of |sin| (quadrant 0 to 1 or 2 to 3).  Across
-    a zero of sin the lower end is at most 0: that returns fzero, with
-    no sine computed.  The chosen sine, computed at prec + 20 bits,
-    gets mpi_sin's outward rounding: scaled by 1 - 2^(10 - prec - 20)
-    toward zero (floor on the positive side, ceiling on the negative)
-    and clamped at |sin| = 1.  Its square is rounded toward floor.
-    """
-    a, b = u
-    na, nb = _quadrant(a), _quadrant(b)
-    wp = prec + 20
-    if na == nb:
-        s = mpf_abs(mpf_cos_sin(b if na % 2 else a, wp, which=2))
-    elif nb == na + 1 and na % 2 == 0:
-        sa = mpf_abs(mpf_cos_sin(a, wp, which=2))
-        sb = mpf_abs(mpf_cos_sin(b, wp, which=2))
-        s = sa if mpf_le(sa, sb) else sb
-    else:
-        return fzero
-    less = from_man_exp((MPZ_ONE << wp) - (MPZ_ONE << 10), -wp)
-    s = mpf_mul(s, less, prec, round_floor)
-    if s[2] + s[3] >= 1:
-        s = fone
-    return mpf_mul(s, s, prec, round_floor)
-
-
-def phi_eval(x, precision_bits: int = DEFAULT_PRECISION):
-    """sin^2(1/x) e^{-1/x^2}, extended by zero at x = 0.
-
-    An input indistinguishable from a null point 1/(k*pi) — closer
-    than half the coarser of the calling and working precisions —
-    returns exactly zero; this only ever lowers the computed integral
-    bounds.
-    """
-    tol_bits = min(precision_bits, mpmath.mp.prec) // 2
-    with mpmath.workprec(precision_bits):
-        x = mpmath.mpf(x)
-        if x == 0:
-            return mpmath.mpf(0)
-        u = 1 / (mpmath.pi * abs(x))
-        k = mpmath.nint(u)
-        if k >= 1 and abs(u - k) < mpmath.mpf(2) ** (-tol_bits):
-            return mpmath.mpf(0)
-        s = mpmath.sin(1 / x)
-        return s * s * mpmath.exp(-1 / (x * x))
-
-
 def tau_log_eval(x, precision_bits: int = DEFAULT_PRECISION) -> LogValue:
     """tau = e^{-1/phi} as a log-domain value; zero where phi vanishes."""
-    with mpmath.workprec(precision_bits):
+    from ._enclosure import phi_eval, workprec
+
+    with workprec(precision_bits):
         p = phi_eval(x, precision_bits)
         if p == 0:
             return LogValue.zero()
         return LogValue.from_log(-1 / p)
-
-
-def log_sum_lower_bound(
-    logs, precision_bits: int = DEFAULT_PRECISION
-) -> LogValue:
-    """A lower bound for log(sum of e^l over logs), rounded downward.
-
-    ``logs`` are mpf values, each taken with all its bits.  Evaluated
-    as top + log sum e^(l - top), top the largest log, on lower ends
-    only: every difference, exponential, partial sum and the final log
-    and add are rounded toward floor, so the result is certified.  An
-    empty sum is zero.
-    """
-    if precision_bits < 1:
-        raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
-    if not logs:
-        return LogValue.zero()
-    prec = precision_bits
-    top = max(logs)._mpf_
-    total = fzero
-    for log in logs:
-        shifted = mpf_sub(log._mpf_, top, prec, round_floor)
-        total = mpf_add(total, mpf_exp(shifted, prec, round_floor), prec, round_floor)
-    log = mpf_add(mpf_log(total, prec, round_floor), top, prec, round_floor)
-    return LogValue.from_log(mpmath.mp.make_mpf(log))
-
-
-def _edge_end(lo, span, g, i, end, prec: int):
-    """End ``end`` (0 lower, 1 upper) of the interval lo + span i / g.
-
-    ``lo``, ``span`` and ``g`` are intervals with nonnegative ends and
-    ``g`` positive, so the interval product, quotient and sum take this
-    end from one chain rounded toward floor (end 0) or ceiling (end 1):
-    the same end of lo, span and i, and the other end of g.
-    """
-    rounding = (round_floor, round_ceiling)[end]
-    offset = mpf_mul(span[end], from_int(i, prec, rounding), prec, rounding)
-    offset = mpf_div(offset, g[1 - end], prec, rounding)
-    return mpf_add(lo[end], offset, prec, rounding)
 
 
 def _log_inverse_phi(x: float) -> float:
@@ -286,14 +150,11 @@ def log_integral_lower_bound(
         raise StructuralError(f"grid must be at least 1, got {grid}")
     if precision_bits < 1:
         raise StructuralError(f"need precision >= 1 bit, got {precision_bits}")
-    prec = precision_bits
-    lo = _enclose(a, prec)
-    span = mpi_sub(_enclose(b, prec), lo, prec)
-    g = _enclose(grid, prec)
-    width = mpi_div(span, g, prec)
-    if mpf_sign(width[0]) <= 0:  # too coarse to bound any cell's width
+    from . import _enclosure
+
+    cells = _enclosure.Cells(a, b, grid, precision_bits)
+    if cells.empty:  # too coarse to bound any cell's width
         return LogValue.zero()
-    log_width = mpi_log(width, prec)
 
     step = (float(b) - float(a)) / grid
     ranked = sorted(
@@ -308,29 +169,15 @@ def log_integral_lower_bound(
     for estimate, i in ranked:
         if estimate * slack > cutoff:
             break
-        cell = (
-            _edge_end(lo, span, g, i - 1, 0, prec),
-            _edge_end(lo, span, g, i, 1, prec),
-        )
-        if mpf_sign(cell[0]) <= 0:
+        log = cells.log(i)
+        if log is None:
             continue
-        u = mpi_div((fone, fone), cell, prec)
-        uu_hi = mpf_mul(u[1], u[1], prec, round_ceiling)
-        e_lo = mpf_exp(mpf_neg(uu_hi), prec, round_floor)
-        phi_lo = mpf_mul(_sin_square_lo(u, prec), e_lo, prec, round_floor)
-        if mpf_sign(phi_lo) <= 0:
-            continue
-        inverse_hi = mpf_div(fone, phi_lo, prec, round_ceiling)
-        log = mpmath.mp.make_mpf(
-            mpf_sub(log_width[0], inverse_hi, prec, round_floor)
-        )
         logs[i] = log
         if best is None or log > best:
             best = log
-            gap = mpmath.mpf(log_width[1]) - best + margin
-            cutoff = float(mpmath.log(gap))
+            cutoff = cells.cutoff(best, margin)
     kept = [logs[i] for i in sorted(logs) if logs[i] - best >= -margin]
-    return log_sum_lower_bound(kept, precision_bits)
+    return _enclosure.log_sum_lower_bound(kept, precision_bits)
 
 
 def zero_free_window(n: int):
@@ -356,7 +203,9 @@ class WitnessEntry:
 
     def format(self) -> str:
         if self.bound.sign == "positive":
-            value = mpmath.nstr(self.bound.log, 10)
+            from ._enclosure import nstr
+
+            value = nstr(self.bound.log, 10)
         else:
             value = "-inf"
         return f"n={self.n} logT_lower={value} verdict={self.verdict}"

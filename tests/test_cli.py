@@ -1,5 +1,9 @@
 import contextlib
 import io
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -507,6 +511,19 @@ def test_negative_truncate_directive_exits_2(tmp_path, capsys, argv):
     assert err == "error: weight -1 is negative; windows start at 0\n"
 
 
+@pytest.mark.parametrize("degree", ["-1", "-5"])
+def test_negative_degree_flag_exits_2(capsys, degree):
+    argv = ["reiffen", "check", "--vars", "x,y", "--f", "x^2+y^3"]
+    code, out, err = run(capsys, argv + ["--degree", degree])
+    assert code == 2
+    assert not out
+    assert err == f"error: degree {degree} is negative; windows start at 0\n"
+    # degree 0 is a window: the constant terms alone
+    code, out, _ = run(capsys, argv + ["--degree", "0"])
+    assert code == 0
+    assert out[2] == "verdict=feasible witness=[0; 0]"
+
+
 # ---------------------------------------------------------------------------
 # argument fuzz on the fat point: a verdict, a usage error or a limit,
 # never a traceback
@@ -548,3 +565,44 @@ def test_cli_fuzz_fat_point(tmp_path_factory, command, data):
     else:
         assert not out.getvalue()
         assert err.getvalue().startswith(("error: ", "resource limit: "))
+
+
+# ---------------------------------------------------------------------------
+# cold start: only the witness loads mpmath.  This runs in a fresh
+# interpreter, since other tests load mpmath into this one.
+
+COLD_START = """
+import contextlib, io, json, sys
+import drcalc.cli
+print(json.dumps(["import", "mpmath" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = drcalc.cli.main(argv)
+    print(json.dumps([argv[0], "mpmath" in sys.modules, code, out.getvalue()]))
+"""
+
+
+def test_only_the_witness_loads_mpmath(fat_file):
+    commands = [
+        ["derham", "--file", fat_file, "--truncate", "6"],
+        ["stalk", "--vars", "x,y", "--f", "x*y", "--truncate", "4"],
+        ["reiffen", "check", "--vars", "x,y", "--f", "x^2+y^3", "--degree", "6"],
+        ["ideal", "gb", "--vars", "x,y", "--gen", "x^2+y", "--gen", "x*y"],
+        ["amitsur-compare", "--vars", "x,y", "--f", "x*y", "--pmax", "3",
+         "--truncate", "4"],
+        ["witness", "--nmax", "1", "--grid", "128"],
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(commands)], cwd=src,
+        capture_output=True, text=True, check=True,
+    )
+    steps = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(steps) == len(commands) + 1
+    assert steps[0] == ["import", False]
+    for (name, loaded, code, _), argv in zip(steps[1:-1], commands):
+        assert (name, loaded, code) == (argv[0], False, 0)
+    name, loaded, code, out = steps[-1]
+    assert (name, loaded, code) == ("witness", True, 0)
+    assert out.splitlines()[-1] == "n=1 logT_lower=-5.868070226 verdict=positive"

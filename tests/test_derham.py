@@ -28,6 +28,8 @@ from oracles import (
     coface_totalization,
     conerve_basis,
     conerve_fraction_matrices,
+    euler_field,
+    euler_residue,
     fraction_cohomology,
 )
 
@@ -96,6 +98,39 @@ def test_stage_complex_at_weight_zero():
     cx = stage.complex(0)
     assert cx.labels == weight_truncate(stage, 0).labels
     assert cx.labels != stage.complex().labels
+
+
+@st.composite
+def _stage_functions(draw):
+    """f in 1-3 variables with f(0) = 0, linear terms allowed."""
+    variables = draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")]))
+    exponents = st.tuples(*[st.integers(0, 3) for _ in variables]).filter(
+        lambda e: 1 <= sum(e) <= 3
+    )
+    terms = draw(st.dictionaries(
+        exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    ))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+    return variables, Poly(variables, {e: c * scale for e, c in terms.items()})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_stage_functions(), st.integers(4, 7))
+def test_completed_stage_is_contracted_by_the_euler_homotopy(case, weight):
+    # h = iota_E / (number of factors), iota_E sending dx_i to x_i and
+    # dt to t: on a completed stage (K = W + 1) with D = d + delta,
+    # id - pi - (Dh + hD) is what [delta, iota_E] leaves, dt -> f - E(f),
+    # which strictly raises the number of factors; it is nilpotent on
+    # the window, so the stage is Q in degree 0
+    variables, f = case
+    stage = derham_stage(koszul_presentation(variables, [f], 1), weight + 1, weight)
+    ctx = stage.truncation_data()[0]
+    cx = stage.complex(weight)
+    residue = euler_residue(cx, ctx, euler_field(ctx, variables + ("t",)))
+    for (n, key), vec in residue.items():
+        assert all(sum(t) > sum(key) for t in vec), (str(f), weight, n, key)
+    h = cx.cohomology()
+    assert {n: dim for n, dim in h.items() if dim} == {0: 1}, (str(f), weight)
 
 
 def test_stage_guards():

@@ -20,15 +20,14 @@ from mpmath.libmp import (
     round_floor,
 )
 
-from drcalc import witness
+from drcalc import _enclosure, witness
+from drcalc._enclosure import log_sum_lower_bound, phi_eval
 from drcalc.cli import main
 from drcalc.errors import StructuralError
 from drcalc.witness import (
     LogValue,
     log_integral_lower_bound,
-    log_sum_lower_bound,
     nonexactness_witness,
-    phi_eval,
     tau_log_eval,
     zero_free_window,
 )
@@ -224,13 +223,13 @@ def test_edge_end_matches_the_interval_edge(a, length, grid, prec, at):
     # the cell edge lo + span i / g as the interval primitives give it;
     # at 7 bits _enclose(i) is not exact for i = 370
     i = round(at * grid)
-    lo = witness._enclose(a, prec)
-    span = mpi_sub(witness._enclose(a + length, prec), lo, prec)
-    g = witness._enclose(grid, prec)
+    lo = _enclosure._enclose(a, prec)
+    span = mpi_sub(_enclosure._enclose(a + length, prec), lo, prec)
+    g = _enclosure._enclose(grid, prec)
     assume(mpf_sign(mpi_div(span, g, prec)[0]) > 0)  # as the bound requires
-    offset = mpi_div(mpi_mul(span, witness._enclose(i, prec), prec), g, prec)
+    offset = mpi_div(mpi_mul(span, _enclosure._enclose(i, prec), prec), g, prec)
     want = mpi_add(lo, offset, prec) if i else lo
-    ends = tuple(witness._edge_end(lo, span, g, i, end, prec) for end in (0, 1))
+    ends = tuple(_enclosure._edge_end(lo, span, g, i, end, prec) for end in (0, 1))
     assert ends == want
 
 
@@ -407,7 +406,7 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
     # rank in the log domain and enclose fewer than grid cells
     sins = []
     calls = []
-    real_sin = witness._sin_square_lo
+    real_sin = _enclosure._sin_square_lo
     real_bound = witness.log_integral_lower_bound
 
     def counting_sin(x, prec):
@@ -421,7 +420,7 @@ def test_deep_windows_prune_without_overflow(monkeypatch, capsys):
         calls.append((a, b, grid, bits, bound, len(sins) - before))
         return bound
 
-    monkeypatch.setattr(witness, "_sin_square_lo", counting_sin)
+    monkeypatch.setattr(_enclosure, "_sin_square_lo", counting_sin)
     monkeypatch.setattr(witness, "log_integral_lower_bound", recording_bound)
     assert main(["witness", "--nmax", "30", "--grid", "64"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -449,7 +448,7 @@ def _assert_sin_square_matches_mpi_sin(u, prec):
     # or both lower ends at most 0 (a void cell)
     s = mpi_sin(u, prec)
     want = mpi_mul(s, s, prec)[0]
-    got = witness._sin_square_lo(u, prec)
+    got = _enclosure._sin_square_lo(u, prec)
     if mpf_sign(want) <= 0:
         assert mpf_sign(got) <= 0, (u, prec)
     else:
@@ -514,20 +513,20 @@ def test_sin_square_lo_on_every_quadrant_pair():
                         nb = int(mpmath.floor(b / (mpmath.pi / 2)))
                         first_zero = mpmath.ceil(a / mpmath.pi) * mpmath.pi
                     seen.add((na % 4, nb - na))
-                    void = mpf_sign(witness._sin_square_lo(u, prec)) <= 0
+                    void = mpf_sign(_enclosure._sin_square_lo(u, prec)) <= 0
                     assert void == (first_zero <= b), (k, span, prec)
     assert seen >= {(q, span) for q in range(4) for span in range(5)}
 
 
 def test_one_sine_per_same_quadrant_cell(monkeypatch):
     sines = []
-    real = witness.mpf_cos_sin
+    real = _enclosure.mpf_cos_sin
 
     def counting(x, prec, *args, **kwargs):
         sines.append(x)
         return real(x, prec, *args, **kwargs)
 
-    monkeypatch.setattr(witness, "mpf_cos_sin", counting)
+    monkeypatch.setattr(_enclosure, "mpf_cos_sin", counting)
     # (k, offset): the cell [k pi/2 + offset, + 0.5]
     cases = {
         1: [(0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25), (401, 0.25)],
@@ -538,5 +537,5 @@ def test_one_sine_per_same_quadrant_cell(monkeypatch):
         for k, offset in cells:
             sines.clear()
             u = _quadrant_interval(k, offset, 0.5, 200)
-            witness._sin_square_lo(u, 200)
+            _enclosure._sin_square_lo(u, 200)
             assert len(sines) == count, (k, offset)
