@@ -622,21 +622,12 @@ def graded_monomials(context: GradedContext, max_weight, max_hodge, code):
     return states
 
 
-def enumerate_monomials(
-    context: GradedContext, max_weight=None, max_hodge=None
-):
-    """All exponent tuples within the caps, by weight, ties in lex order.
+def enumerate_monomials(context: GradedContext, max_weight):
+    """All exponent tuples within the weight cap, by weight, ties in lex order.
 
-    ``max_weight`` must be supplied: together with the positive
-    generator weights it is what keeps the answer finite.  A negative
-    weight cap is refused rather than read as an empty window.  Both
-    caps prune the walk (``graded_monomials``): Hodge levels are
-    nonnegative, so an exponent past the Hodge budget left is never
-    tried.
+    Together with the positive generator weights the cap is what keeps
+    the answer finite.  A negative cap is refused rather than read as an
+    empty window.  The cap prunes the walk (``graded_monomials``).
     """
-    if max_weight is None:
-        raise StructuralError("monomial enumeration needs a weight cap")
     code = MonomialCode(context, exponent_caps(context, max_weight))
-    return [
-        m[0] for m in graded_monomials(context, max_weight, max_hodge, code)
-    ]
+    return [m[0] for m in graded_monomials(context, max_weight, None, code)]

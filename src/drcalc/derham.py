@@ -294,11 +294,11 @@ def _fresh_name(taken):
     return f"u{i}"
 
 
-def extend_with_variable(pres: DGPresentation, name=None) -> DGPresentation:
+def extend_with_variable(pres: DGPresentation) -> DGPresentation:
     """Same presentation over one more free even variable."""
     taken = {g.name for g in pres.context.gens}
     taken |= {"d" + g.name for g in pres.context.gens}
-    name = name or _fresh_name(taken)
+    name = _fresh_name(taken)
     even = tuple(pres.even) + (name,)
     rebuilt = DGPresentation(even, pres.odd, {}, pres.relations)
     images = {

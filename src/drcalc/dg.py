@@ -251,7 +251,8 @@ def koszul_presentation(variables, polys, n, relations=()) -> DGPresentation:
     The ``n``-th stage bounds the ``n``-th powers: the generator for
     ``f`` satisfies ``d t = f^n`` and carries weight ``n`` times the
     least total degree of ``f``, which keeps the differential from
-    lowering weight.
+    lowering weight.  A polynomial with a unit part would give its
+    generator weight 0, so it is refused by name.
     """
     if n < 1:
         raise StructuralError("stage must be a positive integer")
@@ -274,6 +275,11 @@ def koszul_presentation(variables, polys, n, relations=()) -> DGPresentation:
                 "a cycle generating unbounded homology"
             )
         md = f.min_degree()
+        if md < 1:
+            raise StructuralError(
+                f"polynomial {f} has a unit part; the weighted Koszul "
+                "complex needs every polynomial to vanish at the origin"
+            )
         odd.append(OddGenerator(name, -1, n * md))
         images[name] = f ** n
     return DGPresentation(variables, odd, images, relations)

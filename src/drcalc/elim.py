@@ -22,20 +22,20 @@ certificate.
 
 No pivot choice is needed for determinism: in any left-to-right echelon
 form, column ``c`` is a pivot exactly when it is not a combination of
-the columns before it.  Ranks, the canonical kernel basis and the
-solution with free unknowns at zero therefore do not depend on the
-order of the rows.
+the columns before it.  Ranks and the solution with free unknowns at
+zero therefore do not depend on the order of the rows.
 
 The pivot count after any prefix of the rows is the rank of that
 prefix, so ``rank_split`` reads two nested ranks off one elimination;
-``homology`` reads a weight cut's rank off the light-row prefix.
-``echelon`` continues from the pivots an earlier call left, so a
-caller can ask whether a row lies in the span of the rows before: it
-does exactly when it opens no pivot.  The pivots among the columns
-below any ``c`` count the rank of the projection onto those columns,
-since a row pivots at its smallest column;
-``MatrixComplex.subcomplex_cohomology`` reads a weight cut's ranks
-that way, with the light columns numbered first.
+``homology`` reads a weight cut's rank off the light-row prefix, and
+a mapping cone's rank after its source block's.  ``echelon``
+continues from the pivots an earlier call left, so a caller can ask
+whether a row lies in the span of the rows before: it does exactly
+when it opens no pivot.  The pivots among the columns below any ``c``
+count the rank of the projection onto those columns, since a row
+pivots at its smallest column; ``MatrixComplex.subcomplex_cohomology``
+reads a weight cut's ranks that way, with the light columns numbered
+first.
 
 Column order is the pivot order, since each row is reduced at its
 smallest column.  Ranks do not depend on it, but fill-in does, so
@@ -43,9 +43,8 @@ where only a rank is read (``rank_split``, ``rank_sparse``,
 ``echelon`` in ``subcomplex_cohomology``) a caller may number columns
 as it likes: ``MatrixComplex.cut_cohomology`` numbers them heaviest
 first, and ``subcomplex_cohomology`` only keeps its light columns
-before the heavy ones.  Where an echelon form is read the order is fixed:
-``solve_rational``, whose certificate is pinned, and ``nullspace``,
-whose canonical basis tests read.
+before the heavy ones.  Where an echelon form is read the order is
+fixed: ``solve_rational``, whose certificate is pinned.
 
 Row combinations are tracked only where they are read: an
 infeasibility certificate.  ``solve_rational`` eliminates untracked
@@ -53,19 +52,20 @@ first and reruns tracked only when the right-hand side opens a pivot.
 
 ``integral`` turns a rational row into integers over its least common
 denominator, on a copy.  It is where rational input enters the kernel,
-once per row in ``echelon`` (and so in ``rank_sparse`` and
-``nullspace``, which call it) and in ``solve_rational``, so these
-leave the rows they are given as they were; ``rank_split`` takes
-integer rows and reduces them in place, so its caller hands it rows it
-can give up.
+once per row in ``echelon`` (and so in ``rank_sparse``, which calls
+it) and in ``solve_rational``, so these leave the rows they are given
+as they were; ``rank_split`` takes integer rows and reduces them in
+place, so its caller hands it rows it can give up.
 
 Every matrix comes in as sparse rows, rational or integer.
-``rank_sparse`` and ``nullspace`` take ``{row: {col: value}}``, the
-form the complexes store their differentials in (as integers over one
-denominator, which neither rank nor kernel depends on, any more than
-on each row's own scale); ``solve_rational`` takes a sequence of rows
-of ``(col, value)`` pairs, since its certificate is one multiplier per
-row.
+``rank_sparse`` takes ``{row: {col: value}}``, the form the complexes
+store their differentials in (as integers over one denominator, which
+no rank depends on, any more than on each row's own scale);
+``solve_rational`` takes a sequence of rows of ``(col, value)`` pairs,
+since its certificate is one multiplier per row.  No package code
+calls ``rank_sparse``: it is kept only as the function the benchmark's
+tracer wraps as its ``elim.rank`` span, and goes when that span moves
+to ``rank_split``.
 """
 
 from __future__ import annotations
@@ -236,7 +236,11 @@ def _back_substitute(pivots, x):
 
 
 def rank_sparse(rows, nrows, ncols) -> int:
-    """Exact rank of sparse rational rows ``{row: {col: value}}``."""
+    """Exact rank of sparse rational rows ``{row: {col: value}}``.
+
+    No package code calls it: it stays as the function the benchmark's
+    tracer wraps as its ``elim.rank`` span, until that span moves.
+    """
     return len(echelon(rows.values()))
 
 
@@ -251,22 +255,6 @@ def rank_split(head, tail):
     pivots = _echelon(head)
     low = len(pivots)
     return low, len(_echelon(tail, pivots=pivots))
-
-
-def nullspace(rows, nrows, ncols):
-    """Basis of the right kernel of sparse rational rows.
-
-    ``rows`` is ``{row: {col: value}}``.  Returns one sparse
-    ``{col: Fraction}`` vector per free column in ascending order: the
-    vector for free column ``f`` is 1 at ``f`` and 0 at every other
-    free column (the basis read off the reduced row echelon form).
-    """
-    pivots = echelon(rows.values())
-    return [
-        _back_substitute(pivots, {f: 1})
-        for f in range(ncols)
-        if f not in pivots
-    ]
 
 
 def solve_rational(rows, rhs, ncols):

@@ -138,13 +138,13 @@ def div_exact(g: Poly, f: Poly, order=None) -> Poly:
     return Poly._of(g.context, {e: c / lc for e, c in quotient.items()})
 
 
-def _reduced_basis(ctx, seeds, key, pair_budget):
+def _reduced_basis(ctx, seeds, key):
     """Reduced Groebner basis of nonzero term dicts.
 
     Returned as ``(lead, terms)`` pairs in ascending order of their
     leads.  Pairs wait in a heap under their rank, computed once from the stored
-    leads.  Every pair popped counts against the budget, including those
-    the product criterion skips.
+    leads.  Every pair popped counts against ``DEFAULT_PAIR_BUDGET``,
+    including those the product criterion skips.
     """
     basis = []
     pairs = []
@@ -162,9 +162,9 @@ def _reduced_basis(ctx, seeds, key, pair_budget):
     processed = 0
     while pairs:
         processed += 1
-        if processed > pair_budget:
+        if processed > DEFAULT_PAIR_BUDGET:
             raise PairBudgetExceeded(
-                f"S-pair budget of {pair_budget} exceeded")
+                f"S-pair budget of {DEFAULT_PAIR_BUDGET} exceeded")
         *_, i, j, lcm = heappop(pairs)
         (ei, ti), (ej, tj) = basis[i], basis[j]
         if lcm == tuple(map(add, ei, ej)):
@@ -194,15 +194,14 @@ def _context(polys):
     return ctx
 
 
-def buchberger(gens: Iterable[Poly], order=None,
-               pair_budget: int = DEFAULT_PAIR_BUDGET) -> "GroebnerBasis":
+def buchberger(gens: Iterable[Poly], order=None) -> "GroebnerBasis":
     """Reduced Groebner basis of the ideal generated by gens."""
     order = order or MonomialOrder()
     gens = [g for g in gens if g]
     if not gens:
         return GroebnerBasis(context=(), order=order, gens=())
     ctx = _context(gens)
-    basis = _reduced_basis(ctx, [g.terms for g in gens], order.key, pair_budget)
+    basis = _reduced_basis(ctx, [g.terms for g in gens], order.key)
     return GroebnerBasis(context=tuple(ctx), order=order,
                          gens=tuple(Poly._of(ctx, terms) for _, terms in basis))
 
@@ -225,8 +224,7 @@ class GroebnerBasis:
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
 
 
-def intersect_principal(gens: Sequence[Poly], f: Poly, order=None,
-                        pair_budget: int = DEFAULT_PAIR_BUDGET):
+def intersect_principal(gens: Sequence[Poly], f: Poly, order=None):
     """Generators of I  intersect  (f), by one-variable elimination.
 
     The seeds t·g and (1 − t)·f are written as term dicts over the
@@ -246,7 +244,7 @@ def intersect_principal(gens: Sequence[Poly], f: Poly, order=None,
                   for e, c in f.terms.items() for i in (0, 1)})
     big = ring_context((aux, *ctx))
     basis = _reduced_basis(
-        big, seeds, lambda exps: _elim_key(exps, order.key), pair_budget)
+        big, seeds, lambda exps: _elim_key(exps, order.key))
     return [
         Poly._of(ctx, {e[1:]: c for e, c in terms.items()})
         for lead, terms in basis
@@ -254,17 +252,17 @@ def intersect_principal(gens: Sequence[Poly], f: Poly, order=None,
     ]
 
 
-def colon_principal(gens: Sequence[Poly], f: Poly, order=None,
-                    pair_budget: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
+def colon_principal(gens: Sequence[Poly], f: Poly,
+                    order=None) -> GroebnerBasis:
     """Reduced Groebner basis of the colon ideal (I : f), f nonzero."""
     order = order or MonomialOrder()
     if not f:
         raise StructuralError("colon by the zero polynomial")
-    inter = intersect_principal(gens, f, order, pair_budget)
+    inter = intersect_principal(gens, f, order)
     quotients = [div_exact(g, f, order) for g in inter]
     if not quotients:
         return GroebnerBasis(context=tuple(f.context), order=order, gens=())
-    return buchberger(quotients, order, pair_budget)
+    return buchberger(quotients, order)
 
 
 @dataclass
@@ -279,8 +277,7 @@ class AnnChain:
 
 
 def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
-                      order=None,
-                      pair_budget: int = DEFAULT_PAIR_BUDGET) -> AnnChain:
+                      order=None) -> AnnChain:
     """Colon ideals by successive powers of f, with syntactic stabilization.
 
     Level n is (I : f^n) = ((I : f^(n-1)) : f) (Cox, Little & O'Shea,
@@ -295,7 +292,7 @@ def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
     chain = []
     level = list(gens)
     for n in range(1, n_max + 1):
-        chain.append(colon_principal(level, f, order, pair_budget))
+        chain.append(colon_principal(level, f, order))
         level = list(chain[-1].gens)
     stab = None
     for n in range(1, len(chain)):

@@ -21,11 +21,12 @@ Only ranks are read here, so column order is free up to one contract.
 ``elim``'s kernel pivots each row at its smallest column, so the
 column numbering is the pivot order: ranks do not depend on it,
 fill-in does.  ``cut_cohomology`` (every report's ranks) numbers each
-matrix's columns heaviest first; the ranks in ``induced_map_vanishes``
-keep the basis order.  ``subcomplex_cohomology`` reads a cut's ranks
-off the pivots among the light positions, so it numbers the light
-positions before the heavy ones; inside each block the order is free,
-and it takes ascending weight, ties in reverse basis order.
+matrix's columns heaviest first; ``induced_map_vanishes`` reads the
+mapping cone's rank, its source columns in basis order before the
+target's.  ``subcomplex_cohomology`` reads a cut's ranks off the
+pivots among the light positions, so it numbers the light positions
+before the heavy ones; inside each block the order is free, and it
+takes ascending weight, ties in reverse basis order.
 
 Every matrix is stored as sparse integer rows, ``{row: {col: int}}``
 with nonzero rows only, over one positive denominator for the whole
@@ -37,8 +38,8 @@ Products and ranks take the rows as they are; a product multiplies
 rows by rows (``_row_products``), and only ``subcomplex_cohomology``,
 which eliminates images of span vectors, transposes a matrix, one
 degree at a time.  The rows a complex stores are never handed to
-``elim``'s kernel, which reduces its rows in place: ``cut_cohomology``
-and ``subcomplex_cohomology`` feed it renumbered copies.
+``elim``'s kernel, which reduces its rows in place: ``cut_cohomology``,
+``subcomplex_cohomology`` and ``induced_map_vanishes`` feed it copies.
 
 d o d = 0 is checked once, where a complex is assembled:
 ``weight_truncate`` (and the conerve's retract in ``derham``) call
@@ -647,29 +648,32 @@ def morphism_matrices(morphism, src_cx, tgt_cx, weight) -> GradedMatrices:
 def induced_map_vanishes(src_cx, tgt_cx, mats, degree) -> bool:
     """Does the induced map on H^degree land in zero?
 
-    True when the image of every cycle is a boundary: the rank of the
-    target boundary matrix does not grow when the pushed-forward cycle
-    basis is adjoined.  Every matrix is used on integers: scaling a
-    column, or a whole matrix, changes neither rank.
+    Read off the rank of the mapping cone's differential (Weibel 1994,
+    §1.5) out of degree ``n``,
+
+        M = [[d_src^n, 0], [phi_n, d_tgt^(n-1)]],
+
+    whose kernel is the pairs (z, t) with d z = 0 and phi z = -d t.
+    Dropping t maps it onto the cycles that phi sends to boundaries,
+    with kernel the cycles of d_tgt^(n-1), so every cycle goes to a
+    boundary exactly when rank M = rank d_src^n + rank d_tgt^(n-1).
+    That holds for any linear phi, a chain map or not.  Each block
+    stays on its own stored integers: scaling a block row or a block
+    column changes no rank.  ``elim.rank_split`` reads rank d_src^n
+    and rank M off one elimination of copies, d_src^n's rows first,
+    then those of [phi_n | d_tgt^(n-1)] with d_tgt's columns numbered
+    after the source's; ``elim.echelon`` gives rank d_tgt^(n-1).
     """
     n = degree
-    cycles = elim.nullspace(
-        src_cx.diffs.get(n, {}), src_cx.dims.get(n + 1, 0), src_cx.dims.get(n, 0)
-    )
-    if not cycles:
-        return True
-    nrows = tgt_cx.dims.get(n, 0)
+    shift = src_cx.dims.get(n, 0)
     bnd = tgt_cx.diffs.get(n - 1, {})
-    base_cols = tgt_cx.dims.get(n - 1, 0)
-    # the cycle basis as the integer columns of one matrix, numbered
-    # after the boundary columns and pushed through phi
-    basis = {}
-    for k, z in enumerate(cycles):
-        for c, v in elim.integral(z)[0].items():
-            basis.setdefault(c, {})[base_cols + k] = v
-    aug = {r: dict(row) for r, row in bnd.items()}
-    for r, row in _compose(mats.get(n, {}), basis).items():
-        aug.setdefault(r, {}).update(row)
-    rank_b = elim.rank_sparse(bnd, nrows, base_cols)
-    rank_aug = elim.rank_sparse(aug, nrows, base_cols + len(cycles))
-    return rank_aug == rank_b
+    cone = {r: dict(row) for r, row in mats.get(n, {}).items()}
+    for r, row in bnd.items():
+        cone.setdefault(r, {}).update(
+            (shift + c, v) for c, v in row.items()
+        )
+    rank_src, rank_cone = elim.rank_split(
+        (dict(row) for row in src_cx.diffs.get(n, {}).values()),
+        cone.values(),
+    )
+    return rank_cone == rank_src + len(elim.echelon(bnd.values()))

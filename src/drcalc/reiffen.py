@@ -341,16 +341,16 @@ def _unknown_total(f: Poly, degree_bound: int) -> int:
 
 
 def divergence_feasible(
-    f: Poly, g: Poly = None, degree_bound: int = 8, unknown_cap: int = DEFAULT_UNKNOWN_CAP
+    f: Poly, g: Poly = None, degree_bound: int = 8
 ) -> FeasibilityVerdict:
     """Decide the truncated divergence system, with checkable output.
 
     Feasible verdicts carry the h_i as polynomials and are re-verified
     by substitution before returning: the residual f*g - sum d(f*h_i)
     must have no terms of degree <= D.  Infeasible verdicts carry exact
-    row multipliers lam with lam.A = 0 and lam.b = 1.  The unknown cap
-    is assessed from the predicted system size, before anything is
-    built.
+    row multipliers lam with lam.A = 0 and lam.b = 1.  The unknown cap,
+    ``DEFAULT_UNKNOWN_CAP``, is assessed from the predicted system size,
+    before anything is built.
     """
     if degree_bound < 0:
         raise StructuralError(
@@ -359,7 +359,7 @@ def divergence_feasible(
     if g is None:
         g = Poly.const(f.context, 1)
     predicted = _unknown_total(f, degree_bound)
-    if predicted > unknown_cap:
+    if predicted > DEFAULT_UNKNOWN_CAP:
         return FeasibilityVerdict(status="resource-limit", unknowns=predicted)
     system = divergence_system(f, g, degree_bound)
     tag, payload = elim.solve_rational(
@@ -432,9 +432,9 @@ def euler_witness(f: Poly, weights) -> tuple:
 # the obstinate family
 
 
-def family_member(q: int, p: int, variables=("x", "y")) -> Poly:
-    x = Poly.var(variables, variables[0])
-    y = Poly.var(variables, variables[1])
+def family_member(q: int, p: int) -> Poly:
+    x = Poly.var(("x", "y"), "x")
+    y = Poly.var(("x", "y"), "y")
     return x ** q + y ** p + y ** (p - 1) * x
 
 
@@ -452,6 +452,11 @@ class FamilyScan:
 
 def family_scan(q_max: int, p_max: int, degree_bound: int) -> FamilyScan:
     """Verdicts for x^q + y^p + y^{p-1}x over 4 <= q, q+1 <= p."""
+    if q_max < 4 or p_max < 5:
+        raise StructuralError(
+            f"scan range qmax={q_max} pmax={p_max} holds no member; the "
+            "family starts at q=4, p=5"
+        )
     if degree_bound < p_max + 3:
         raise StructuralError(
             "degree bound too small to see the family's obstruction rows"

@@ -21,8 +21,11 @@ from drcalc.algebra import (
     GradedContext,
     GradedElement,
     Generator,
+    MonomialCode,
     _mul_exps,
     enumerate_monomials,
+    exponent_caps,
+    graded_monomials,
 )
 from drcalc.derham import (
     CotangentPresentation,
@@ -144,7 +147,8 @@ def test_pruned_enumeration_equals_filtered(ctx, weight, hodge):
         (exps for exps in product(*ranges) if ctx.weight_of(exps) <= weight),
         key=lambda e: (ctx.weight_of(e), e),
     )
-    pruned = enumerate_monomials(ctx, max_weight=weight, max_hodge=hodge)
+    code = MonomialCode(ctx, exponent_caps(ctx, weight))
+    pruned = [m[0] for m in graded_monomials(ctx, weight, hodge, code)]
     assert pruned == [m for m in full if ctx.hodge_of(m) <= hodge]
 
 

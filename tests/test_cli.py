@@ -173,6 +173,20 @@ def test_reiffen_scan(capsys):
     assert out[2] == "q=4 p=5 verdict=infeasible"
 
 
+@pytest.mark.parametrize("qmax, pmax", [("3", "3"), ("3", "7"), ("5", "4")])
+def test_reiffen_scan_empty_range_exits_2(capsys, qmax, pmax):
+    code, out, err = run(
+        capsys,
+        ["reiffen", "scan", "--qmax", qmax, "--pmax", pmax, "--degree", "20"],
+    )
+    assert code == 2
+    assert not out
+    assert err == (
+        f"error: scan range qmax={qmax} pmax={pmax} holds no member; the "
+        "family starts at q=4, p=5\n"
+    )
+
+
 def test_stalk(capsys):
     code, out, _ = run(
         capsys,
@@ -250,6 +264,27 @@ def test_reserved_generator_name_exits_2(capsys, argv, name):
     assert err == (
         f"error: variable {name!r} clashes with a reserved Koszul generator "
         "name (t for one polynomial, t1, t2, ... for several)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, f",
+    [
+        (["koszul", "--vars", "x,y", "--f", "1+x"], "x + 1"),
+        (["tower", "--vars", "x,y", "--f", "1+x", "--from", "2", "--to", "1"],
+         "x + 1"),
+        (["amitsur-compare", "--vars", "x,y", "--f", "1+x*y"], "x*y + 1"),
+        (["koszul", "--vars", "x,y", "--f", "x", "--f", "2"], "2"),
+    ],
+    ids=["koszul", "tower", "amitsur-compare", "koszul-second"],
+)
+def test_unit_part_exits_2(capsys, argv, f):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err == (
+        f"error: polynomial {f} has a unit part; the weighted Koszul "
+        "complex needs every polynomial to vanish at the origin\n"
     )
 
 

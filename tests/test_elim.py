@@ -10,7 +10,7 @@ from drcalc import elim
 from drcalc.parse import parse_poly
 from drcalc.reiffen import divergence_system
 
-from oracles import fraction_back_substitute, gauss_rank, rref_nullspace
+from oracles import fraction_back_substitute, gauss_rank
 
 
 def _rows(dense):
@@ -29,13 +29,6 @@ def _pairs(dense):
 
 def _solve(dense, rhs):
     return elim.solve_rational(_pairs(dense), rhs, len(dense[0]))
-
-
-def _kernel(dense, ncols):
-    """``elim.nullspace`` of a dense matrix, its vectors made dense."""
-    basis = elim.nullspace(_rows(dense), len(dense), ncols)
-    assert all(all(v.values()) for v in basis)  # no stored zeros
-    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in basis]
 
 
 def _random_matrix(rng, nr, nc, density=0.6):
@@ -116,23 +109,6 @@ def test_empty_and_zero():
     assert elim.solve_rational([(), ()], [Fraction(0), Fraction(1)], 0) == (
         "infeasible", [0, 1]
     )
-    assert elim.nullspace({}, 0, 3) == [{0: 1}, {1: 1}, {2: 1}]
-
-
-def test_nullspace_is_a_kernel_basis():
-    rng = random.Random(45)
-    for _ in range(40):
-        nr = rng.randrange(1, 6)
-        nc = rng.randrange(1, 6)
-        m = _random_matrix(rng, nr, nc)
-        basis = _kernel(m, nc)
-        assert len(basis) == nc - gauss_rank(m)
-        for v in basis:
-            for row in m:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-        # basis vectors independent
-        if basis:
-            assert gauss_rank(basis) == len(basis)
 
 
 def test_solve_rational_feasible():
@@ -225,20 +201,6 @@ def test_certificate_is_independent_of_row_order():
         )
         assert tag == "infeasible"
         assert lam == [pinned[p] for p in perm]
-
-
-def test_nullspace_is_the_canonical_basis():
-    rng = random.Random(51)
-    for _ in range(40):
-        nr = rng.randrange(1, 7)
-        nc = rng.randrange(1, 8)
-        m = _random_matrix(rng, nr, nc, density=0.4)
-        # a dependent row so that free columns appear among pivots
-        m.append([a + 2 * b for a, b in zip(m[0], m[-1])])
-        want = rref_nullspace(m, nc)
-        assert _kernel(m, nc) == want
-        rng.shuffle(m)
-        assert _kernel(m, nc) == want
 
 
 _small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -433,10 +395,8 @@ def _hilbert(n, m):
 def test_hilbert_matrix_rank_and_kernel():
     square = _hilbert(8, 8)
     assert elim.rank_sparse(_rows(square), 8, 8) == 8
-    assert _kernel(square, 8) == []
     wide = _hilbert(8, 11)
     assert elim.rank_sparse(_rows(wide), 8, 11) == 8
-    assert _kernel(wide, 11) == rref_nullspace(wide, 11)
     # the unique solution of H x = e_1 is the first column of H^-1
     tag, x = _solve(square, [Fraction(int(i == 0)) for i in range(8)])
     assert tag == "feasible"
@@ -461,9 +421,6 @@ def test_rank_deficient_matrix_with_large_entries():
     ]
     assert gauss_rank(m) == 3
     assert elim.rank_sparse(_rows(m), 7, 9) == 3
-    assert _kernel(m, 9) == rref_nullspace(m, 9)
-    rng.shuffle(m)
-    assert _kernel(m, 9) == rref_nullspace(m, 9)
 
 
 def test_solve_stops_at_the_certificate_row(monkeypatch):

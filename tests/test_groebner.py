@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcalc import elim
+from drcalc import cli, elim, groebner
 from drcalc.groebner import (
     MonomialOrder,
     PairBudgetExceeded,
@@ -229,9 +229,16 @@ def test_div_exact():
         div_exact(P("x^2 + 1"), P("x"))
 
 
-def test_pair_budget():
+def test_pair_budget(monkeypatch, capsys):
+    monkeypatch.setattr(groebner, "DEFAULT_PAIR_BUDGET", 1)
     with pytest.raises(PairBudgetExceeded):
-        buchberger([P("x^3 - y^2"), P("x*y^2 - x^2")], pair_budget=1)
+        buchberger([P("x^3 - y^2"), P("x*y^2 - x^2")])
+    argv = ["ideal", "gb", "--vars", "x,y", "--gen", "x^3-y^2",
+            "--gen", "x*y^2-x^2"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "resource limit: S-pair budget of 1 exceeded\n"
 
 
 def test_zero_generators_dropped():

@@ -738,6 +738,19 @@ def _pushed_cycles_are_boundaries(src_cx, tgt_cx, mats, n):
     return gauss_rank(aug) == gauss_rank(bnd)
 
 
+def _scaled(tower):
+    """``tower``'s stages, each Koszul generator sent to 3/2 of itself.
+
+    No chain map: d(3/2 t) = 3/2 f^small, not f^big.
+    """
+    target = tower.target
+    images = {
+        g.name: target.generator(g.name).scale(Fraction(3, 2))
+        for g in target.odd
+    }
+    return DGMorphism(tower.source, target, images)
+
+
 def test_induced_map_vanishes_matches_dense_oracle():
     towers = [
         ([P("x^2")], ()),
@@ -746,17 +759,28 @@ def test_induced_map_vanishes_matches_dense_oracle():
         ([P("x"), P("y")], ()),
         ([P("x")], (P("x*y"),)),
     ]
-    seen = set()
+    maps = []
     for polys, relations in towers:
         for big, small in ((1, 1), (2, 1), (3, 1), (3, 2)):
-            phi = tower_map(XY, polys, big, small, relations=relations)
-            for w in (4, 5, 6):
-                src_cx = weight_truncate(phi.source, w)
-                tgt_cx = weight_truncate(phi.target, w)
-                mats = morphism_matrices(phi, src_cx, tgt_cx, w)
-                for n in src_cx.degrees():
-                    want = _pushed_cycles_are_boundaries(src_cx, tgt_cx, mats, n)
-                    got = induced_map_vanishes(src_cx, tgt_cx, mats, n)
-                    assert got == want, (polys, relations, big, small, w, n)
-                    seen.add(want)
-    assert seen == {True, False}
+            tower = tower_map(XY, polys, big, small, relations=relations)
+            maps += [("tower", tower), ("scaled", _scaled(tower))]
+    # rational towers: the stored matrices have denominators 1-12
+    for text in ("1/2*x^2+2/3*y^3", "3/4*x*y", "x^2-1/3*x*y^2"):
+        for big, small in ((2, 1), (3, 1), (3, 2)):
+            maps.append(("rational", tower_map(XY, [P(text)], big, small)))
+    seen = set()
+    for kind, phi in maps:
+        for w in (4, 5, 6):
+            src_cx = weight_truncate(phi.source, w)
+            tgt_cx = weight_truncate(phi.target, w)
+            mats = morphism_matrices(phi, src_cx, tgt_cx, w)
+            for n in src_cx.degrees():
+                want = _pushed_cycles_are_boundaries(src_cx, tgt_cx, mats, n)
+                got = induced_map_vanishes(src_cx, tgt_cx, mats, n)
+                assert got == want, (kind, phi.source, phi.images, w, n)
+                seen.add((kind, want))
+    assert seen == {
+        (kind, want)
+        for kind in ("tower", "scaled", "rational")
+        for want in (True, False)
+    }

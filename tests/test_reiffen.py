@@ -13,6 +13,7 @@ from drcalc.poly import Poly
 from drcalc.derham import DeRhamStage, derham_stage, free_presentation
 from drcalc.homology import weight_truncate
 from drcalc.reiffen import (
+    DEFAULT_UNKNOWN_CAP,
     SOUNDNESS_NOTE,
     classical_stalk_cohomology,
     divergence_feasible,
@@ -350,9 +351,9 @@ def test_labels_are_built_only_when_read(monkeypatch, capsys):
 
 
 def test_unknown_cap_reports_resource_limit():
-    verdict = divergence_feasible(reiffen(), degree_bound=8, unknown_cap=10)
+    verdict = divergence_feasible(reiffen(), degree_bound=200)
     assert verdict.status == "resource-limit"
-    assert verdict.unknowns == 42
+    assert verdict.unknowns == 39402 > DEFAULT_UNKNOWN_CAP
     assert verdict.system is None  # nothing was built past the size estimate
     assert not verdict
 
