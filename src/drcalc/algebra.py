@@ -126,10 +126,6 @@ class GradedContext:
     def hodge_of(self, exps) -> int:
         return sum(map(mul, exps, self._hodges))
 
-    def ring_variables(self):
-        """Names of the underlying polynomial variables (degree 0, column 0)."""
-        return tuple(g.name for g in self.gens if g.degree == 0 and g.hodge == 0)
-
     def monomial_str(self, exps) -> str:
         parts = []
         for e, g in zip(exps, self.gens):

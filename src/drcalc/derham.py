@@ -95,7 +95,7 @@ class DeRhamStage:
     def truncation_data(self):
         ctx = _stage_context(self.presentation)
         boundary, d_dr = _stage_derivations(self.presentation, ctx)
-        return ctx, boundary + d_dr, range(self.hodge_level + 1), None
+        return ctx, boundary + d_dr, range(self.hodge_level + 1)
 
     def complex(self, weight=None) -> MatrixComplex:
         return weight_truncate(self, self.weight if weight is None else weight)
@@ -107,12 +107,6 @@ class DeRhamStage:
 def derham_stage(pres: DGPresentation, hodge_level: int, weight: int) -> DeRhamStage:
     if hodge_level < 1:
         raise StructuralError("Hodge level must be positive")
-    if pres.relations:
-        raise StructuralError(
-            "de Rham stages need a free ambient; quotient relations would "
-            "also impose relations among the one-forms, which this model "
-            "does not represent"
-        )
     check = presentation_check(pres)
     if not check:
         raise StructuralError(f"presentation rejected: {check.failures[0]}")
@@ -146,7 +140,7 @@ class CotangentPresentation:
     def truncation_data(self):
         ctx = _stage_context(self.base)
         boundary, _ = _stage_derivations(self.base, ctx)
-        return ctx, boundary, range(self.column, self.column + 1), None
+        return ctx, boundary, range(self.column, self.column + 1)
 
     def complex(self, weight) -> MatrixComplex:
         """The column slice, graded by internal degree."""
@@ -160,8 +154,6 @@ def cotangent_complex(pres: DGPresentation) -> CotangentPresentation:
     check = presentation_check(pres)
     if not check:
         raise StructuralError(f"presentation rejected: {check.failures[0]}")
-    if pres.relations:
-        raise StructuralError("cotangent presentation needs a free ambient")
     return CotangentPresentation(pres)
 
 
@@ -196,7 +188,7 @@ class _WedgeSource:
 
     def truncation_data(self):
         boundary, _ = _stage_derivations(self.base, self.context)
-        return self.context, boundary, range(self.k, self.k + 1), None
+        return self.context, boundary, range(self.k, self.k + 1)
 
 
 def wedge_power(cotangent: CotangentPresentation, k: int, weight: int) -> MatrixComplex:
@@ -300,11 +292,11 @@ def extend_with_variable(pres: DGPresentation) -> DGPresentation:
     taken |= {"d" + g.name for g in pres.context.gens}
     name = _fresh_name(taken)
     even = tuple(pres.even) + (name,)
-    rebuilt = DGPresentation(even, pres.odd, {}, pres.relations)
+    rebuilt = DGPresentation(even, pres.odd, {})
     images = {
         key: img.cast_to(rebuilt.context) for key, img in pres.images.items()
     }
-    return DGPresentation(even, pres.odd, images, pres.relations)
+    return DGPresentation(even, pres.odd, images)
 
 
 def a1_invariance_check(

@@ -1,15 +1,13 @@
 """Presentations of free graded-commutative dg algebras.
 
 A presentation lists even variables (degree 0), odd generators in
-negative degrees with assigned weights, the differential on the odd
-generators, and optionally a set of ambient relations among the even
-variables.  The differential raises degree by one; signs follow the
-Koszul rule fixed in the algebra layer.
+negative degrees with assigned weights, and the differential on the
+odd generators.  The differential raises degree by one; signs follow
+the Koszul rule fixed in the algebra layer.
 
-Relations are handled by normal forms: a reduced Groebner basis of the
-relation ideal singles out the standard monomials, and every
-differential image is reduced before it is read off.  Only the even
-part is ever rewritten.
+The ambient is always free: a quotient such as Q[x,y]/(xy) is
+presented derivedly, by an odd generator s with d s = xy; the even
+variables satisfy no equations of their own.
 
 Koszul algebras and their tower transition maps are the two
 constructors the rest of the package consumes; the conerve of a
@@ -30,34 +28,7 @@ from .algebra import (
     term_list,
 )
 from .errors import StructuralError
-from .groebner import GroebnerBasis, MonomialOrder, buchberger
-from .poly import Poly, map_even_parts
-
-
-class RelationNormalForm:
-    """Even-part reduction modulo a relation ideal, bound to a context."""
-
-    __slots__ = ("gb", "_var_pos", "_leads")
-
-    def __init__(self, gb: GroebnerBasis, context: GradedContext):
-        self.gb = gb
-        names = context.ring_variables()
-        if gb.context != names:
-            raise StructuralError(
-                "relation ideal context does not match the even variables"
-            )
-        self._var_pos = tuple(context.index(n) for n in names)
-        self._leads = gb.leading_exponents()
-
-    def is_standard(self, exps) -> bool:
-        pex = tuple(exps[i] for i in self._var_pos)
-        for lead in self._leads:
-            if all(p >= l for p, l in zip(pex, lead)):
-                return False
-        return True
-
-    def reduce(self, elem: GradedElement) -> GradedElement:
-        return map_even_parts(elem, self.gb.normal_form)
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -70,9 +41,9 @@ class OddGenerator:
 class DGPresentation:
     """Semifree model: even variables, odd generators, differential."""
 
-    __slots__ = ("even", "odd", "context", "images", "relations", "nf")
+    __slots__ = ("even", "odd", "context", "images")
 
-    def __init__(self, even, odd, images, relations=()):
+    def __init__(self, even, odd, images):
         self.even = tuple(even)
         self.odd = tuple(odd)
         for g in self.odd:
@@ -89,15 +60,6 @@ class DGPresentation:
                 value = value.cast_to(self.context)
             lifted[name] = value
         self.images = lifted
-        # a zero relation imposes nothing; with only zeros the
-        # presentation is the free one
-        self.relations = tuple(r for r in relations if r)
-        if self.relations:
-            order = MonomialOrder("grevlex")
-            gb = buchberger(list(self.relations), order)
-            self.nf = RelationNormalForm(gb, self.context)
-        else:
-            self.nf = None
 
     def __eq__(self, other):
         return (
@@ -105,14 +67,13 @@ class DGPresentation:
             and self.even == other.even
             and self.odd == other.odd
             and self.images == other.images
-            and self.relations == other.relations
         )
 
     def boundary(self) -> Derivation:
         return Derivation(self.context, self.images)
 
     def truncation_data(self):
-        return self.context, self.boundary(), None, self.nf
+        return self.context, self.boundary(), None
 
     def generator(self, name) -> GradedElement:
         return GradedElement.generator(self.context, name)
@@ -154,8 +115,6 @@ def presentation_check(pres: DGPresentation) -> CheckReport:
         if image is None or not image:
             continue
         square = d(image)
-        if pres.nf is not None:
-            square = pres.nf.reduce(square)
         if square:
             failures.append(f"d^2 {g.name} = {square} != 0")
         light = image.min_weight()
@@ -194,7 +153,7 @@ class DGMorphism:
         )
 
     def apply(self, elem: GradedElement) -> GradedElement:
-        """Image of ``elem``, reduced by the target's normal form.
+        """Image of ``elem`` in the target.
 
         Each monomial's image is the product of its generators' image
         term lists in source order, multiplied out on exponent tuples;
@@ -210,10 +169,7 @@ class DGMorphism:
                     partial = multiply_terms(tgt, partial, image).items()
             for m, c in partial:
                 acc[m] = acc.get(m, 0) + c
-        out = GradedElement.from_accumulator(tgt, acc)
-        if self.target.nf is not None:
-            out = self.target.nf.reduce(out)
-        return out
+        return GradedElement.from_accumulator(tgt, acc)
 
     def compose(self, inner: "DGMorphism") -> "DGMorphism":
         """self o inner (inner applied first)."""
@@ -231,9 +187,6 @@ class DGMorphism:
         for g in self.source.context.gens:
             lhs = self.apply(d_src(GradedElement.generator(self.source.context, g.name)))
             rhs = d_tgt(self.images[g.name])
-            if self.target.nf is not None:
-                lhs = self.target.nf.reduce(lhs)
-                rhs = self.target.nf.reduce(rhs)
             if lhs != rhs:
                 return g.name
         return None
@@ -245,7 +198,7 @@ def _koszul_names(count):
     return tuple(f"t{i + 1}" for i in range(count))
 
 
-def koszul_presentation(variables, polys, n, relations=()) -> DGPresentation:
+def koszul_presentation(variables, polys, n) -> DGPresentation:
     """Koszul algebra with one odd generator per element of ``polys``.
 
     The ``n``-th stage bounds the ``n``-th powers: the generator for
@@ -282,15 +235,15 @@ def koszul_presentation(variables, polys, n, relations=()) -> DGPresentation:
             )
         odd.append(OddGenerator(name, -1, n * md))
         images[name] = f ** n
-    return DGPresentation(variables, odd, images, relations)
+    return DGPresentation(variables, odd, images)
 
 
-def tower_map(variables, polys, big, small, relations=()) -> DGMorphism:
+def tower_map(variables, polys, big, small) -> DGMorphism:
     """Transition K_big -> K_small, t ↦ f^{big-small} t."""
     if big < small:
         raise StructuralError("tower maps go from higher stage to lower")
-    src = koszul_presentation(variables, polys, big, relations)
-    tgt = koszul_presentation(variables, polys, small, relations)
+    src = koszul_presentation(variables, polys, big)
+    tgt = koszul_presentation(variables, polys, small)
     names = _koszul_names(len(polys))
     images = {}
     for name, f in zip(names, polys):

@@ -25,6 +25,9 @@ does not depend on the order the completion found its elements in.
 Colon ideals (I : f) are computed through the single elimination trick:
 intersect I with the principal ideal (f) using one auxiliary variable,
 then divide the intersection generators by f exactly.
+
+Only the ``ideal`` commands use this module: dg presentations are free
+(``drcalc.dg``), so no de Rham computation reduces modulo a basis.
 """
 
 from __future__ import annotations
@@ -199,26 +202,22 @@ def buchberger(gens: Iterable[Poly], order=None) -> "GroebnerBasis":
     order = order or MonomialOrder()
     gens = [g for g in gens if g]
     if not gens:
-        return GroebnerBasis(context=(), order=order, gens=())
+        return GroebnerBasis(order=order, gens=())
     ctx = _context(gens)
     basis = _reduced_basis(ctx, [g.terms for g in gens], order.key)
-    return GroebnerBasis(context=tuple(ctx), order=order,
+    return GroebnerBasis(order=order,
                          gens=tuple(Poly._of(ctx, terms) for _, terms in basis))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis (canonical for the ideal and order)."""
+    """A reduced Groebner basis (canonical for the ideal and order).
 
-    context: tuple
+    Reduce modulo it with ``normal_form(p, basis.gens, basis.order)``.
+    """
+
     order: MonomialOrder
     gens: tuple
-
-    def normal_form(self, p: Poly) -> Poly:
-        return normal_form(p, self.gens, self.order)
-
-    def leading_exponents(self):
-        return [max(g.terms, key=self.order.key) for g in self.gens]
 
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
@@ -261,7 +260,7 @@ def colon_principal(gens: Sequence[Poly], f: Poly,
     inter = intersect_principal(gens, f, order)
     quotients = [div_exact(g, f, order) for g in inter]
     if not quotients:
-        return GroebnerBasis(context=tuple(f.context), order=order, gens=())
+        return GroebnerBasis(order=order, gens=())
     return buchberger(quotients, order)
 
 

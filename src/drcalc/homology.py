@@ -12,10 +12,9 @@ the top weight ``W`` are a prefix, whose length the complex records
 monomial codes (``algebra.MonomialCode``): the walk that lists the
 basis also gives each monomial's code, the Leibniz terms are formed on
 codes (``algebra.leibniz``) and target rows are looked up by code;
-tuples are decoded only for the relation normal form and for the error
-that names a missing image term.  Cohomology is rank-nullity
-bookkeeping on top of exact sparse elimination (``elim``), one
-elimination per differential.
+tuples are decoded only for the error that names a missing image
+term.  Cohomology is rank-nullity bookkeeping on top of exact sparse
+elimination (``elim``), one elimination per differential.
 
 Only ranks are read here, so column order is free up to one contract.
 ``elim``'s kernel pivots each row at its smallest column, so the
@@ -172,8 +171,8 @@ class MatrixComplex:
         Rank-nullity only: d o d = 0 was checked where the complex was
         assembled (see the module docstring).  It is the second half of
         ``cut_cohomology``, so a cut that is no quotient raises here
-        too: a relation's normal form that lowers weight leaves the
-        window no truncation of the complex.
+        too, as it does on a hand-built complex whose light rows reach
+        a heavy column.
         """
         return self.cut_cohomology()[1]
 
@@ -338,11 +337,10 @@ def weight_truncate(source, weight) -> MatrixComplex:
     """Finite quotient complex of everything of weight at most ``weight``.
 
     ``source`` is any object exposing ``truncation_data()``, which
-    returns ``(context, differential, hodge, normal_form)``: ``hodge``
-    is ``None`` or the range of Hodge columns kept (columns above it
-    span a subcomplex and are quotiented away), and ``normal_form`` is
-    ``None`` or the relation normal form whose standard monomials form
-    the basis.  Basis keys are exponent tuples by ascending weight.
+    returns ``(context, differential, hodge)``: ``hodge`` is ``None`` or
+    the range of Hodge columns kept (columns above it span a subcomplex
+    and are quotiented away).  Basis keys are exponent tuples by
+    ascending weight.
 
     One walk (``graded_monomials``) lists the basis with each
     monomial's weight, Hodge level, degree and code.  Each basis
@@ -352,13 +350,10 @@ def weight_truncate(source, weight) -> MatrixComplex:
     each term's raises, worked out once, before the term is formed.  A
     formed term is looked up by code among the basis one degree up, and
     one that is not there is missing; the image is scattered into the
-    rows it reaches.  A relation normal form can bring
-    heavy terms back, so there every term is formed, decoded into a
-    ``GradedElement``, reduced, cut to the caps and encoded again.  Each
-    matrix is scaled to integers once.  The assembled complex is
-    checked for d o d = 0 before it is returned.
+    rows it reaches.  Each matrix is brought to lowest terms once.  The
+    assembled complex is checked for d o d = 0 before it is returned.
     """
-    ctx, diff, hodge, nf = source.truncation_data()
+    ctx, diff, hodge = source.truncation_data()
     for i, image in diff.images.items():
         gen = ctx.gens[i]
         lowest = image.min_weight()
@@ -387,16 +382,13 @@ def weight_truncate(source, weight) -> MatrixComplex:
     buckets = {}  # degree -> [(exps, room, code)]
     light = {}  # degree -> keys below the top weight, a prefix
     for m, w, h, n, c in graded_monomials(ctx, weight, top_hodge, code):
-        if h < low_hodge or nf is not None and not nf.is_standard(m):
+        if h < low_hodge:
             continue
         light[n] = light.get(n, 0) + (w < weight)
-        if nf is not None:  # a normal form can bring heavy terms back
-            room = None
-        else:
-            room = (
-                min(weight - w, most_w),
-                most_h if top_hodge is None else min(top_hodge - h, most_h),
-            )
+        room = (
+            min(weight - w, most_w),
+            most_h if top_hodge is None else min(top_hodge - h, most_h),
+        )
         buckets.setdefault(n, []).append((m, room, c))
     tables = {}  # room -> coded_table of the terms that stay in it
     odd_bits = code.odd_bits
@@ -407,14 +399,12 @@ def weight_truncate(source, weight) -> MatrixComplex:
         for col, (m, room, c) in enumerate(ms):
             table = tables.get(room)
             if table is None:
-                keep = None if room is None else (
-                    lambda i, t, room=room: all(map(le, raises[i, t], room))
+                table = tables[room] = diff.coded_table(
+                    code,
+                    lambda i, t, room=room: all(map(le, raises[i, t], room)),
                 )
-                table = tables[room] = diff.coded_table(code, keep)
             image = {}
             leibniz(table, odd_bits, m, c, 1, image)
-            if nf is not None:
-                image = _normal_form(ctx, nf, code, image, weight, top_hodge)
             for k, coeff in image.items():
                 if not coeff:
                     continue
@@ -425,33 +415,13 @@ def weight_truncate(source, weight) -> MatrixComplex:
                         f"missing from degree {n + 1} basis"
                     )
                 rows.setdefault(row, {})[col] = coeff
-        # the coded loop formed diff.den times each image, on ints; a
-        # relation normal form brings rationals back
-        ints, den = (rows, 1) if nf is None else _integral(rows)
-        diffs[n], dens[n] = lowest_terms(ints, den * diff.den)
+        # the coded loop formed diff.den times each image, on ints
+        diffs[n], dens[n] = lowest_terms(rows, diff.den)
     dims = {n: len(ms) for n, ms in buckets.items()}
     labels = {n: tuple(m for m, _, _ in ms) for n, ms in buckets.items()}
     cx = MatrixComplex(dims, labels, diffs, dens, light)
     cx.check_composition()
     return cx
-
-
-def _normal_form(ctx, nf, code, image, weight, top_hodge):
-    """A coded image reduced by the relation normal form, cut to the caps.
-
-    Decoded into a ``GradedElement``, reduced, and encoded again, less
-    the terms past the weight or Hodge cap: the ones the truncation
-    cuts away.
-    """
-    elem = GradedElement.from_accumulator(
-        ctx, {code.decode(k): v for k, v in image.items()}
-    )
-    return {
-        code.encode(exps): coeff
-        for exps, coeff in nf.reduce(elem).terms.items()
-        if ctx.weight_of(exps) <= weight
-        and (top_hodge is None or ctx.hodge_of(exps) <= top_hodge)
-    }
 
 
 def stability_report(source, weight) -> CohomologyReport:
@@ -469,9 +439,7 @@ def restricted_report(build, weight) -> CohomologyReport:
     weight ``weight + 1``; the W complex is its quotient by them, and
     ``cut_cohomology`` reads both off the W+1 elimination, light rows
     first, with no quotient built.  d o d = 0 is checked once, when
-    the W+1 complex is assembled.  A differential that lowers weight
-    after all (through a relation's normal form) leaves no such
-    quotient, and the cut raises.
+    the W+1 complex is assembled.
     """
     check_weight(weight)
     return flag_stability(*build(weight + 1).cut_cohomology())

@@ -21,9 +21,10 @@ printed with the larger exponent first, so the Reiffen polynomial prints
 as ``x^4 + y^4*x + y^5``.  Graded orders for Groebner bases live in
 :mod:`drcalc.groebner`.
 
-``even_poly_parts`` and ``map_even_parts`` go the other way: they read
-the ring-variable part of an element of a larger graded context as
-polynomials, which is how relation ideals act on dg algebras.
+A differential image enters a dg presentation by ``cast_to`` into the
+presentation's context, which lists the even variables first;
+``presfile.serialize_presentation`` reads a polynomial image back by
+cutting its exponent tuples there.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Mapping, Union
 
 from .algebra import GradedContext, GradedElement, Generator
@@ -166,39 +166,3 @@ class Poly(GradedElement):
 
 def _fmt_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-# ---- module-level helpers --------------------------------------------
-
-
-def even_poly_parts(elem: GradedElement) -> dict:
-    """Split into {residual exponent tuple: polynomial coefficient}.
-
-    The residual keeps every generator that is not a ring variable;
-    the ring-variable exponents are gathered into ``Poly`` values over
-    the variable names in context order.
-    """
-    ctx = elem.context
-    names = ctx.ring_variables()
-    var_pos = [ctx.index(n) for n in names]
-    var_set = set(var_pos)
-    split = {}
-    for exps, coeff in elem.terms.items():
-        residual = tuple(0 if i in var_set else e for i, e in enumerate(exps))
-        split.setdefault(residual, {})[tuple(exps[i] for i in var_pos)] = coeff
-    return {res: Poly(names, bucket) for res, bucket in split.items()}
-
-
-def map_even_parts(elem: GradedElement, fn) -> GradedElement:
-    """Rebuild ``elem`` after applying ``fn`` to each Poly part.
-
-    Ring variables are even, so putting a part back is adding its
-    exponents to the residual's, with no sign.
-    """
-    ctx = elem.context
-    acc = {}
-    for residual, poly in even_poly_parts(elem).items():
-        for exps, coeff in fn(poly).cast_to(ctx).terms.items():
-            key = tuple(map(add, residual, exps))
-            acc[key] = acc.get(key, 0) + coeff
-    return GradedElement.from_accumulator(ctx, acc)

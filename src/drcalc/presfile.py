@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .dg import DGPresentation, OddGenerator
 from .parse import IDENTIFIER, PolyParseError, integer, parse_poly
-from .poly import Poly, even_poly_parts
+from .poly import Poly
 
 
 class PresentationFormatError(ValueError):
@@ -132,18 +132,19 @@ def _directive_int(number, fields):
 
 
 def serialize_presentation(pres: DGPresentation) -> str:
-    if pres.relations:
-        raise ValueError("the interchange format carries no relations")
     lines = ["vars " + " ".join(pres.even)]
     for g in pres.odd:
         lines.append(f"odd {g.name} deg {g.degree} weight {g.weight}")
-    zero = (0,) * len(pres.context)
+    # the context lists the even variables first: a polynomial image is
+    # one whose exponents vanish past them
+    k = len(pres.even)
     for g in pres.odd:
-        parts = even_poly_parts(pres.images[g.name])
-        if set(parts) - {zero}:
+        terms = pres.images[g.name].terms
+        if any(any(exps[k:]) for exps in terms):
             raise ValueError(
                 f"image of {g.name!r} is not polynomial; "
                 "the interchange format cannot carry it"
             )
-        lines.append(f"d {g.name} = {parts.get(zero, Poly.zero(pres.even))}")
+        image = Poly(pres.even, {exps[:k]: c for exps, c in terms.items()})
+        lines.append(f"d {g.name} = {image}")
     return "\n".join(lines) + "\n"

@@ -81,7 +81,7 @@ def classical_stalk_cohomology(gens, weight) -> CohomologyReport:
     check_weight(weight)
     n = len(variables)
     stage = DeRhamStage(free_presentation(variables), n, weight + 1)
-    ctx, d, _, _ = stage.truncation_data()
+    ctx, d, _ = stage.truncation_data()
     ambient = weight_truncate(stage, weight + 1)
     span = {k: [] for k in range(n + 1)}
     for g in gens:

@@ -404,18 +404,16 @@ def fraction_matrices(source, weight, labels):
     """``{n: {(row, col): Fraction}}`` of ``source`` truncated at ``weight``.
 
     ``labels`` are the bases of the truncation.  Each basis monomial is
-    a ``GradedElement`` pushed through ``Derivation.__call__``, the
-    normal form, and the weight and Hodge filters.
+    a ``GradedElement`` pushed through ``Derivation.__call__`` and the
+    weight and Hodge filters.
     """
-    ctx, diff, hodge, nf = source.truncation_data()
+    ctx, diff, hodge = source.truncation_data()
     mats = {}
     for n, keys in labels.items():
         index = {key: i for i, key in enumerate(labels.get(n + 1, ()))}
         entries = {}
         for col, m in enumerate(keys):
             image = diff(GradedElement.monomial(ctx, m))
-            if nf is not None:
-                image = nf.reduce(image)
             for exps, c in image.weight_filter(weight).terms.items():
                 if hodge is None or ctx.hodge_of(exps) < hodge.stop:
                     entries[(index[exps], col)] = c
@@ -427,11 +425,11 @@ def truncation_basis(source, weight):
     """Basis keys by degree of ``source`` truncated at ``weight``.
 
     Every exponent tuple in the box the weight cap allows is tested on
-    its own: weight at most ``weight``, Hodge level in the source's
-    range, standard for its normal form; the survivors are sorted by
-    weight, ties in lex order, and grouped by degree.
+    its own: weight at most ``weight`` and Hodge level in the source's
+    range; the survivors are sorted by weight, ties in lex order, and
+    grouped by degree.
     """
-    ctx, _, hodge, nf = source.truncation_data()
+    ctx, _, hodge = source.truncation_data()
     ranges = [
         range(2 if g.odd else weight // g.weight + 1) for g in ctx.gens
     ]
@@ -440,7 +438,6 @@ def truncation_basis(source, weight):
             e for e in itertools.product(*ranges)
             if ctx.weight_of(e) <= weight
             and (hodge is None or ctx.hodge_of(e) in hodge)
-            and (nf is None or nf.is_standard(e))
         ),
         key=lambda e: (ctx.weight_of(e), e),
     )
@@ -722,7 +719,7 @@ def stalk_span(stage, labels, gens, weight):
     Each generator of ``gens``, lifted into the context of ``stage``,
     and its d times every basis key of ``labels``, cut at ``weight``.
     """
-    ctx, d, _, _ = stage.truncation_data()
+    ctx, d, _ = stage.truncation_data()
     span = {k: [] for k in labels}
     for g in gens:
         lifted = lift_by_name(ctx, g)

@@ -168,13 +168,13 @@ def _koszul():
 
 def _stage_total():
     pres = koszul_presentation(XY, [P("2/3*x^2 + y^3")], 1)
-    ctx, total, _, _ = DeRhamStage(pres, 3, 6).truncation_data()
+    ctx, total, _ = DeRhamStage(pres, 3, 6).truncation_data()
     return ctx, total
 
 
 def _stage_internal():
     pres = koszul_presentation(XY, [P("x*y - 5*y^2")], 1)
-    ctx, boundary, _, _ = CotangentPresentation(pres, 1).truncation_data()
+    ctx, boundary, _ = CotangentPresentation(pres, 1).truncation_data()
     return ctx, boundary
 
 
@@ -352,7 +352,7 @@ def test_coded_expand_two_odd_factors_and_even_degree_two():
 
 
 MORPHISMS = [f"coface-{p}-{j}" for p in (1, 2, 3) for j in range(p + 1)]
-MORPHISMS += ["tower", "tower-two", "tower-relation"]
+MORPHISMS += ["tower", "tower-two"]
 
 
 @cache
@@ -362,9 +362,7 @@ def _morphism(name):
         return conerve_cofaces(XY, P("x*y"), int(p))[int(j)]
     if name == "tower":
         return tower_map(XY, [P("1/2*x^2 + 3*y^3")], 3, 1)
-    if name == "tower-two":
-        return tower_map(XY, [P("x - 2*y"), P("x*y")], 2, 1)
-    return tower_map(XY, [P("x^3")], 3, 1, relations=[P("x*y - y^2")])
+    return tower_map(XY, [P("x - 2*y"), P("x*y")], 2, 1)
 
 
 def _product_oracle(phi, elem):
@@ -376,8 +374,6 @@ def _product_oracle(phi, elem):
             for _ in range(e):
                 term = term * phi.images[g.name]
         out = out + term
-    if phi.target.nf is not None:
-        out = phi.target.nf.reduce(out)
     return out
 
 
@@ -391,11 +387,10 @@ def test_morphism_apply_matches_product_of_images(data, which):
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
-def test_tower_images_exercise_coefficients_and_normal_form():
+def test_tower_images_exercise_coefficients():
     phi = _morphism("tower")
     coeffs = set(phi.images["t"].terms.values())
     assert coeffs - {1}
-    assert _morphism("tower-relation").target.nf is not None
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +520,6 @@ def test_matrix_entries_are_integers_over_one_denominator():
     _check_cut(stage, cx, 7)
     mats = _check_morphism(_morphism("tower"), 8)
     assert set(mats.dens.values()) - {1}
-    relations = koszul_presentation(
-        XY, [P("x^3")], 1, relations=[P("x*y - y^2")]
-    )
-    cx = weight_truncate(relations, 7)
-    assert cx.diffs
-    _check_against(cx, fraction_matrices(relations, 7, cx.labels))
     _check_stalk([P("1/2*x^2 + 2/3*y^3")], 6)
     product = P("x - 1/3*y").cast_to(pres.context) * pres.generator("t")
     assert all(type(c) is Fraction for c in product.terms.values())
@@ -564,11 +553,11 @@ def test_integer_matrices_match_the_fraction_oracle(f, weight):
 
 @st.composite
 def _truncation_sources(draw):
-    """A Hodge slice, a de Rham stage or a related Koszul model of f."""
+    """A Hodge slice, a de Rham stage or the Koszul model of f."""
     f = draw(_rational_polys())
     variables = tuple(f.context)
     pres = koszul_presentation(variables, [f], 1)
-    kind = draw(st.sampled_from(["cotangent", "wedge", "stage", "relations"]))
+    kind = draw(st.sampled_from(["cotangent", "wedge", "stage", "koszul"]))
     k = draw(st.integers(1, 3))
     if kind == "cotangent":
         return CotangentPresentation(pres, k)
@@ -576,16 +565,15 @@ def _truncation_sources(draw):
         return _WedgeSource(pres, k)
     if kind == "stage":
         return DeRhamStage(pres, k, 0)
-    relation = draw(_rational_polys().filter(lambda r: r.context == f.context))
-    return koszul_presentation(variables, [f], 1, relations=[relation])
+    return pres
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_truncation_sources(), st.integers(1, 6))
 def test_assembly_matches_the_basis_and_fraction_oracles(source, weight):
     # the low-Hodge filter and the Hodge cut (slices k >= 1), the weight
-    # cut with the Hodge cut (stages), the normal form and its decoded
-    # images (relations), each against tuples tested one by one
+    # cut with the Hodge cut (stages), the weight cut alone (Koszul
+    # models), each against tuples tested one by one
     cx = weight_truncate(source, weight)
     want = truncation_basis(source, weight)
     assert cx.labels == {n: tuple(keys) for n, keys in want.items()}
@@ -624,7 +612,7 @@ def test_truncation_data_images_match_exterior_formula():
         XY, [P("x^2*y - 1/2*y^3"), P("4*x*y")], 1
     )
     for source in (CotangentPresentation(pres, 1), _WedgeSource(pres, 2)):
-        ctx, boundary, _, _ = source.truncation_data()
+        ctx, boundary, _ = source.truncation_data()
         assert len(boundary.images) == 2 * len(pres.odd)
         for g in pres.odd:
             lifted = pres.images[g.name].cast_to(ctx)

@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from drcalc import dg
 from drcalc.algebra import GradedElement
 from drcalc.dg import (
     DGMorphism,
@@ -210,3 +214,17 @@ def test_morphism_detects_noncommuting():
     ctx = pres1.context
     bad = DGMorphism(pres2, pres1, {"t": GradedElement.generator(ctx, "t")})
     assert bad.commutes_on_generators() == "t"
+
+
+def test_derham_modules_do_not_load_groebner():
+    # presentations are free: Groebner bases serve the ideal commands only
+    src = Path(dg.__file__).resolve().parents[1]
+    code = (
+        "import sys, drcalc.derham, drcalc.reiffen, drcalc.presfile; "
+        "print('drcalc.groebner' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

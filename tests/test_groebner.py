@@ -32,13 +32,13 @@ def P(text, ctx=XY):
 
 def in_ideal(gb, p):
     """Ideal membership: ``p`` has zero normal form modulo the basis."""
-    return not gb.normal_form(p).terms
+    return not normal_form(p, gb.gens, gb.order).terms
 
 
 def test_reduced_basis_shape():
     gb = buchberger([P("x^2 + y"), P("x*y")])
     # reduced: monic leads, no lead divides another, tails reduced
-    leads = gb.leading_exponents()
+    leads = [max(g.terms, key=gb.order.key) for g in gb.gens]
     for i, a in enumerate(leads):
         for j, b in enumerate(leads):
             if i != j:
@@ -53,7 +53,7 @@ def test_membership_basics():
     assert in_ideal(gb, P("y^3"))
     assert not in_ideal(gb, P("x*y"))
     assert not in_ideal(gb, P("x + y"))
-    assert gb.normal_form(P("x^2 + x")) == P("x")
+    assert normal_form(P("x^2 + x"), gb.gens, gb.order) == P("x")
 
 
 def membership_oracle(f, gens, bound):
@@ -140,7 +140,9 @@ def test_normal_form_is_idempotent_and_linear():
         gb = buchberger(gens)
         f = gens[0] * P("x") + P("y^2 + 1")
         g = P("x*y - 2")
-        nf = gb.normal_form
+        def nf(p):
+            return normal_form(p, gb.gens, gb.order)
+
         assert nf(nf(f)) == nf(f)
         assert nf(f + g) == nf(nf(f) + nf(g))
         assert in_ideal(gb, f - nf(f))
@@ -299,7 +301,9 @@ def test_matches_poly_oracle(case):
     assert list(gb.gens) == want
     assert [str(g) for g in gb.gens] == [str(g) for g in want]
     assert normal_form(probe, gens, order) == poly_normal_form(probe, gens, key)
-    assert gb.normal_form(probe) == poly_normal_form(probe, want, key)
+    assert normal_form(probe, gb.gens, order) == poly_normal_form(
+        probe, want, key
+    )
     for f in gens:
         if f:
             assert div_exact(probe * f, f, order) == probe

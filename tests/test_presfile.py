@@ -111,27 +111,6 @@ def test_structural_errors():
         parse_presentation("vars x\nodd t deg -1 weight 1\n")
 
 
-def test_serialize_rejects_relations():
-    glued = DGPresentation(
-        ("x",), (), {}, relations=(parse_poly(("x",), "x^2"),)
-    )
-    with pytest.raises(ValueError, match="no relations"):
-        serialize_presentation(glued)
-
-
-def test_zero_relations_give_the_free_presentation():
-    free = DGPresentation(("x",), (), {})
-    glued = DGPresentation(("x",), (), {}, relations=(Poly.zero(("x",)),))
-    assert glued == free
-    assert glued.nf is None
-    assert serialize_presentation(glued) == serialize_presentation(free)
-    koszul = koszul_presentation(("x",), [parse_poly(("x",), "x^2")], 1)
-    assert koszul_presentation(
-        ("x",), [parse_poly(("x",), "x^2")], 1,
-        relations=(Poly.zero(("x",)), Poly.zero(("x",))),
-    ) == koszul
-
-
 def test_serialize_rejects_nonpolynomial_image():
     pres = DGPresentation(
         ("x",),
