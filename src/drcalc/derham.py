@@ -18,21 +18,23 @@ Also here: the two-term cotangent complex and its wedge powers, the
 column-versus-wedge comparison, polynomial homotopy invariance, the
 fibre-sequence bookkeeping for a hypersurface, and the Amitsur side of
 the descent comparison: the normalized tensor-power conerve, cut at a
-column, read off its deformation retract onto the unit and the keys of
-the last column whose first slot is not the unit, against the de Rham
+column, whose cohomology is forced (ℚ in degree 0, a count of weight
+tuples in the last column's degree, 0 elsewhere) and is returned in
+closed form, with no key of the conerve built, against the de Rham
 stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import comb
 
 from .algebra import (
     Derivation,
     GradedContext,
     GradedElement,
     Generator,
+    check_weight,
 )
 from .dg import (
     DGPresentation,
@@ -43,7 +45,6 @@ from .errors import StructuralError
 from .homology import (
     CohomologyReport,
     MatrixComplex,
-    lowest_terms,
     restricted_report,
     stability_report,
     weight_truncate,
@@ -300,7 +301,7 @@ def extend_with_variable(pres: DGPresentation) -> DGPresentation:
 
 
 def a1_invariance_check(
-    pres: DGPresentation, weight: int, hodge_level: int = 3
+    pres: DGPresentation, weight: int, hodge_level: int
 ) -> InvarianceReport:
     """Stable-range dims unchanged under adjoining a free variable."""
     base = stability_report(derham_stage(pres, hodge_level, weight), weight)
@@ -429,105 +430,58 @@ class AmitsurComparison:
 
 
 def conerve_totalization(variables, f: Poly, p_max: int, weight: int) -> MatrixComplex:
-    """The normalized conerve of columns 0..p_max, up to homotopy: ℚ·1 ⊕ N.
+    """The conerve of columns 0..p_max, cut at ``weight``: its minimal model.
 
     Column p of the Čech–Amitsur conerve is the (p+1)-fold tensor power
-    of one weight-truncated Koszul complex K of the quotient, on slot
-    tuples of K's basis keys; its normalization keeps the tuples whose
-    slots 1..p are not the unit and whose weights sum to at most
-    ``weight``.  Every accepted f has f(0) = 0, so K is augmented and
-    the normalized conerve has the extra codegeneracy
-    h(p, (1, k1, ..., kp)) = (p - 1, (k1, ..., kp)), zero on the other
-    keys, with dh + hd = id - φ (Weibel, *An Introduction to Homological
-    Algebra*, 8.4.6).  φ projects onto the unit and onto N, the keys of
-    column p_max whose slot 0 is not the unit.  The unit is a cycle and
-    d never reaches it, since f has no constant term, so ℚ·1 ⊕ N is a
-    subcomplex, a deformation retract of the whole, and it is what is
-    returned: the unit ``(0, (1,))`` in degree 0, then N's keys
-    ``(p_max, slot keys)``.  No coface acts on N; its differential is
-    Leibniz over the slots with K's own matrices, signed by (-1)^p_max
-    and by the degrees of the earlier slots.
+    of K, the weight-truncated Koszul complex of f (t ↦ f, t of weight
+    d = min_degree(f)), on slot tuples of total weight at most
+    ``weight``; the normalized conerve keeps the tuples whose slots
+    1..p are not the unit.  Its cohomology is forced:
 
-    N is walked on packed slot codes: a slot tuple (k0, ..., kp_max) of
-    indices into K's sorted keys is sum(ki << bits * i), extended slot
-    by slot by the non-unit keys that fit the weight left to it.  A
-    Leibniz term adds ``(image - k) << bits * i`` to the code, and each
-    image row is looked up by code among the basis one degree up.  The
-    matrices share the least common multiple of K's denominators and
-    are brought to lowest terms one by one.  The complex is checked for
-    d o d = 0 before it is returned.
+    1. Every accepted f has f(0) = 0, so K is augmented and the
+       normalized conerve has the extra codegeneracy
+       h(p, (1, k1, ..., kp)) = (p - 1, (k1, ..., kp)), with
+       dh + hd = id - φ (Weibel, *An Introduction to Homological
+       Algebra*, 8.4.6).  φ projects onto ℚ·1 ⊕ N, the unit and the
+       keys of column p_max whose slot 0 is not the unit, a subcomplex
+       with the same cohomology as the whole.  N's differential is
+       K's, slot by slot.
+    2. d never lowers weight, so the keys of N of weight at least w
+       span a subcomplex: a finite filtration, whose spectral sequence
+       converges (Weibel 5.4).  Its E0 is N built from f_d, the part of
+       f of degree d, since the rest of f raises weight.
+    3. A slot of weight w >= 1 of that E0 is the Koszul complex
+       t·ℚ[x]_(w-d) -> ℚ[x]_w, multiplication by f_d, injective since
+       ℚ[x] is a domain.  Its cohomology is (ℚ[x]/(f_d))_w in internal
+       degree 0 only, of dimension
+       h(w) = C(w+n-1, n-1) - C(w-d+n-1, n-1), n variables, the second
+       term 0 for w < d.  By Künneth over ℚ, E1 sits in total degree
+       p_max alone, so the sequence degenerates there.
+
+    So H is ℚ in degree 0 and, in degree p_max, of dimension the sum
+    over w0 + ... + wp_max <= ``weight``, all wi >= 1, of the products
+    h(w0)···h(wp_max), and 0 elsewhere.  That is what is returned, with
+    no differential: the unit ``(0, (1,))`` in degree 0 and the count's
+    classes in degree p_max, labelled ``range(count)``, so no key of N
+    is built.  The count is a convolution over weights.
     """
-    pres = koszul_presentation(variables, [f], 1)
-    koszul = weight_truncate(pres, weight)
-    ctx = pres.context
-    keys = sorted(k for ks in koszul.labels.values() for k in ks)
-    index = {k: i for i, k in enumerate(keys)}
-    bits = len(keys).bit_length()
-    mask = (1 << bits) - 1
-    degree = [ctx.degree_of(k) for k in keys]
-    weights = [ctx.weight_of(k) for k in keys]
-    den = lcm(*koszul.dens.values())
-    d_slot = [[] for _ in keys]  # per key: [(image key, coefficient), ...]
-    for q, mat in koszul.diffs.items():
-        scale = den // koszul.dens[q]
-        for r, row in mat.items():
-            image = index[koszul.labels[q + 1][r]]
-            for c, v in row.items():
-                d_slot[index[koszul.labels[q][c]]].append((image, v * scale))
-
-    # N's codes in lex order of their slots, with each entry's weight
-    # left and total degree; the unit is key 0, so no code of N is 0
-    fits = [
-        [k for k in range(1, len(keys)) if weights[k] <= b]
-        for b in range(weight + 1)
+    koszul_presentation(variables, [f], 1)  # refuses f as K would
+    check_weight(weight)
+    if p_max < 1:
+        raise StructuralError(f"p_max {p_max} is below 1: no column past 0")
+    n, d = len(variables), f.min_degree()
+    h = [0] + [
+        comb(w + n - 1, n - 1) - (comb(w - d + n - 1, n - 1) if w >= d else 0)
+        for w in range(1, weight + 1)
     ]
-    codes, left, degrees = [0], [weight], [p_max]
-    for i in range(p_max + 1):
-        grow = [fits[b] for b in left]
-        codes = [c + (k << bits * i) for c, ks in zip(codes, grow) for k in ks]
-        left = [b - weights[k] for b, ks in zip(left, grow) for k in ks]
-        degrees = [n + degree[k] for n, ks in zip(degrees, grow) for k in ks]
-    # basis[n]: [(code, weight left), ...]; code 0 is the unit, whose
-    # slots are all key 0, which d sends to 0
-    basis = {0: [(0, weight)]}
-    for code, b, n in zip(codes, left, degrees):
-        basis.setdefault(n, []).append((code, b))
-    # per slot position i and key k: [(weight raised, code change, value)]
-    terms = [
-        [[(weights[im] - weights[k], (im - k) << bits * i, v)
-          for im, v in d_slot[k]] for k in range(len(keys))]
-        for i in range(p_max + 1)
-    ]
-    start = -1 if p_max % 2 else 1
-    diffs, dens = {}, {}
-    for n, cols in basis.items():
-        target = {code: r for r, (code, _) in enumerate(basis.get(n + 1, ()))}
-        entries = {}
-        for col, (code, b) in enumerate(cols):
-            sign, rest = start, code
-            for at in terms:
-                k = rest & mask
-                rest >>= bits
-                # d never reaches the unit, so an image slot stays
-                # non-unit; only the weight can fail
-                for raised, delta, v in at[k]:
-                    if raised <= b:
-                        entries.setdefault(target[code + delta], {})[col] = sign * v
-                if degree[k] % 2:
-                    sign = -sign
-        diffs[n], dens[n] = lowest_terms(entries, den)
-    labels = {
-        n: tuple(
-            (p_max, tuple(keys[code >> bits * i & mask] for i in range(p_max + 1)))
-            if code else (0, (keys[0],))
-            for code, _ in cols
-        )
-        for n, cols in basis.items()
-    }
-    dims = {n: len(cols) for n, cols in basis.items()}
-    tot = MatrixComplex(dims, labels, diffs, dens)
-    tot.check_composition()
-    return tot
+    ways = [1] + [0] * weight  # tuples of the slots so far, by weight
+    for _ in range(p_max + 1):
+        ways = [sum(ways[v] * h[w - v] for v in range(w)) for w in range(weight + 1)]
+    count = sum(ways)
+    dims, labels = {0: 1}, {0: ((0, ((0,) * (n + 1),)),)}
+    if count:
+        dims[p_max], labels[p_max] = count, range(count)
+    return MatrixComplex(dims, labels, {}, {})
 
 
 def amitsur_vs_derham(
@@ -538,7 +492,9 @@ def amitsur_vs_derham(
     The conerve totalization is cut at column p_max, so only degrees up
     to p_max - 2 are unaffected by the cut; those are compared against
     the stage of the one-generator Koszul presentation at the same
-    weight.
+    weight.  The conerve's side is its closed form
+    (``conerve_totalization``): 1 in degree 0 and 0 in the rest of that
+    range.
     """
     if not f:
         raise StructuralError("need a nonzero equation")

@@ -11,8 +11,8 @@ variables satisfy no equations of their own.
 
 Koszul algebras and their tower transition maps are the two
 constructors the rest of the package consumes; the conerve of a
-principal quotient is built in ``derham`` from tensor powers of one
-Koszul algebra.
+principal quotient, the tensor powers of one Koszul algebra, is not
+built: ``derham`` reads its cohomology off a closed form.
 """
 
 from __future__ import annotations
@@ -170,15 +170,6 @@ class DGMorphism:
             for m, c in partial:
                 acc[m] = acc.get(m, 0) + c
         return GradedElement.from_accumulator(tgt, acc)
-
-    def compose(self, inner: "DGMorphism") -> "DGMorphism":
-        """self o inner (inner applied first)."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise StructuralError("composition mismatch")
-        images = {
-            name: self.apply(img) for name, img in inner.images.items()
-        }
-        return DGMorphism(inner.source, self.target, images)
 
     def commutes_on_generators(self):
         """None if a chain map, else the name of the first bad generator."""

@@ -275,12 +275,15 @@ class AnnChain:
         return len(self.colon_bases)
 
 
-def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
+def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int,
                       order=None) -> AnnChain:
     """Colon ideals by successive powers of f, with syntactic stabilization.
 
     Level n is (I : f^n) = ((I : f^(n-1)) : f) (Cox, Little & O'Shea,
     §4.4): one colon by f of the level before, so f^n is never formed.
+    The first level that repeats the one before is the last computed:
+    a colon of the same reduced basis by the same f is the same basis,
+    so it is copied to the levels after it.
     """
     order = order or MonomialOrder()
     if not f:
@@ -288,14 +291,11 @@ def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int = 10,
     if n_max < 1:
         raise StructuralError(
             f"annihilator chain needs at least 1 level, got {n_max}")
-    chain = []
-    level = list(gens)
-    for n in range(1, n_max + 1):
-        chain.append(colon_principal(level, f, order))
-        level = list(chain[-1].gens)
+    chain = [colon_principal(list(gens), f, order)]
     stab = None
-    for n in range(1, len(chain)):
-        if chain[n - 1].gens == chain[n].gens:
-            stab = n
-            break
+    while stab is None and len(chain) < n_max:
+        chain.append(colon_principal(list(chain[-1].gens), f, order))
+        if chain[-1].gens == chain[-2].gens:
+            stab = len(chain) - 1
+    chain += chain[-1:] * (n_max - len(chain))
     return AnnChain(colon_bases=chain, stabilized_at=stab)

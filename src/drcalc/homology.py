@@ -41,10 +41,10 @@ degree at a time.  The rows a complex stores are never handed to
 ``subcomplex_cohomology`` and ``induced_map_vanishes`` feed it copies.
 
 d o d = 0 is checked once, where a complex is assembled:
-``weight_truncate`` (and the conerve's retract in ``derham``) call
-``check_composition`` on what they build.  Everything else is derived
-from a checked complex by a degree shift, is a quotient by a
-subcomplex or is a spanned subcomplex, again a complex;
+``weight_truncate`` calls ``check_composition`` on what it builds (the
+conerve's minimal model in ``derham`` has no differential).  Everything
+else is derived from a checked complex by a degree shift, is a quotient
+by a subcomplex or is a spanned subcomplex, again a complex;
 ``subcomplex_cohomology`` raises unless what it is given is closed
 under d, so no derived complex needs a second check and
 ``cohomology`` is rank-nullity only.
@@ -95,9 +95,10 @@ class MatrixComplex:
     """Bases (as key lists) per degree plus one matrix per step up.
 
     ``labels[n]`` lists opaque hashable basis keys: exponent tuples for
-    assembled complexes, ``(p, slot keys)`` pairs for the conerve's
-    retract (column p, one Koszul exponent tuple per tensor slot),
-    anything hashable for hand-built ones.  ``diffs[n] / dens[n]``
+    assembled complexes, anything hashable for hand-built ones.  It is
+    a tuple, or a ``range`` when the keys are mere counters, as for the
+    classes of the conerve's minimal model in ``derham``, which can
+    number millions.  ``diffs[n] / dens[n]``
     maps degree ``n`` to degree ``n + 1``: ``diffs[n]`` holds the
     nonzero rows ``{row: {col: int}}``, rows indexed by the target
     basis and columns by the source basis, and ``dens[n]`` is the
@@ -106,13 +107,14 @@ class MatrixComplex:
     degree missing from ``dens`` has denominator 1.  The complex takes
     its rows and its labels as they are, without a copy, and never
     changes them; a caller hands over rows it no longer changes and
-    labels as tuples.
+    labels as tuples or ranges.
 
     ``light[n]`` is the complex's weight cut: the number of leading
     basis keys of degree ``n`` below its top weight, which
     ``cut_cohomology`` and ``subcomplex_cohomology`` read.  A degree
     missing from ``light`` has every key light, so a complex built
-    without a cut (the conerve, hand-built ones) cuts nothing.
+    without a cut (the conerve's minimal model, hand-built ones) cuts
+    nothing.
     """
 
     __slots__ = ("dims", "labels", "diffs", "dens", "light")

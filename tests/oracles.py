@@ -9,10 +9,10 @@ Each one takes a different road to the same answer:
   (p+1)-fold tensor power on p+1 renamed copies of the variables, the
   cofaces are presentation morphisms, and the totalization is the
   alternating sum of their matrices over every column (no
-  normalization).  ``conerve_totalization`` in the package builds only
-  the unit and the last column's keys whose first slot is not the unit,
-  the normalized conerve's retract by its extra codegeneracy; the two
-  agree on cohomology in the degrees the column cut leaves alone.
+  normalization); ``compose`` chains its cofaces.
+  ``conerve_totalization`` in the package builds no conerve: it
+  returns the closed-form cohomology of the normalized conerve, and
+  the two agree in the degrees the column cut leaves alone.
 - ``local_colength``: dim Q[x_1, ..., x_k]/(I + m^N) from monomials
   and a leading-term elimination of its own.
 - ``divergence_equations``: the raw coefficient equations of the
@@ -51,9 +51,7 @@ Each one takes a different road to the same answer:
   in the box the weight cap allows, each tested against the caps; the
   package walks only the monomials within them.
 - ``conerve_basis``: the whole normalized conerve's basis as slot
-  tuples, every column listed; the package walks the last column alone,
-  on packed slot codes, and keeps the unit and the keys whose first
-  slot is not the unit.
+  tuples, every column listed; the package lists no key of it.
 - ``two_build_stalk``: the stalk cohomology with the weight-``W`` and
   the weight-``W + 1`` quotients each built on its own, from
   ``truncation_basis``, ``fraction_matrices`` and
@@ -208,6 +206,15 @@ def conerve_cofaces(variables, f, p):
             images[f"xi{k}"] = GradedElement.generator(here.context, f"xi{new}")
         out.append(DGMorphism(prev, here, images))
     return out
+
+
+def compose(outer, inner) -> DGMorphism:
+    """``outer`` after ``inner``: each generator's image under ``inner``,
+    mapped by ``outer``."""
+    if inner.target != outer.source:
+        raise StructuralError("composition mismatch")
+    images = {name: outer.apply(img) for name, img in inner.images.items()}
+    return DGMorphism(inner.source, outer.target, images)
 
 
 def coface_totalization(variables, f, p_max, weight) -> MatrixComplex:

@@ -31,7 +31,6 @@ from drcalc.derham import (
     CotangentPresentation,
     DeRhamStage,
     _WedgeSource,
-    conerve_totalization,
     free_presentation,
 )
 from drcalc.dg import koszul_presentation, tower_map
@@ -42,9 +41,7 @@ from drcalc.poly import Poly
 from drcalc.reiffen import quotient_by_sequence
 
 from oracles import (
-    conerve_basis,
     conerve_cofaces,
-    conerve_fraction_matrices,
     flat_entries,
     fraction_cohomology,
     fraction_matrices,
@@ -429,28 +426,6 @@ def _check_stage(pres, hodge, weight):
     return stage, cx
 
 
-def _check_conerve(variables, f, p_max, weight):
-    """The package's retract against the oracle's full normalized
-    conerve: the unit and the keys of column ``p_max`` whose slot 0 is
-    not the unit, in the oracle's order, and, since they span a
-    subcomplex, the oracle's matrices on those keys."""
-    cx = conerve_totalization(variables, f, p_max, weight)
-    unit = (0,) * (len(variables) + 1)
-    labels = {}
-    for n, keys in conerve_basis(variables, f, p_max, weight).items():
-        kept = tuple(
-            (p, slots) for p, slots in keys
-            if slots == (unit,) or (p == p_max and slots[0] != unit)
-        )
-        if kept:
-            labels[n] = kept
-    assert cx.dims == {n: len(keys) for n, keys in labels.items()}
-    assert cx.labels == labels
-    want = conerve_fraction_matrices(variables, f, p_max, weight, cx.labels)
-    _check_against(cx, want)
-    return cx
-
-
 def _check_morphism(phi, weight):
     src = weight_truncate(phi.source, weight)
     tgt = weight_truncate(phi.target, weight)
@@ -508,13 +483,13 @@ def _check_stalk(gens, weight):
 
 
 def test_matrix_entries_are_integers_over_one_denominator():
-    f = P("2/3*x*y")
     pres = koszul_presentation(XY, [P("1/2*x^2 + y^3")], 1)
-    cx = _check_conerve(XY, f, 3, 5)
-    assert set(cx.dens.values()) == {1, 3}
     xyz = ("x", "y", "z")
-    cx = _check_conerve(xyz, P("x*y + 1/2*z^2", xyz), 3, 5)
-    assert set(cx.dens.values()) == {1, 2}
+    for f, den in ((P("2/3*x*y"), 3), (P("x*y + 1/2*z^2", xyz), 2)):
+        koszul = koszul_presentation(tuple(f.context), [f], 1)
+        cx = weight_truncate(koszul, 5)
+        _check_against(cx, fraction_matrices(koszul, 5, cx.labels))
+        assert set(cx.dens.values()) == {1, den}
     stage, cx = _check_stage(pres, 3, 7)
     assert set(cx.dens.values()) == {1, 2}
     _check_cut(stage, cx, 7)
@@ -546,7 +521,6 @@ def test_integer_matrices_match_the_fraction_oracle(f, weight):
     pres = koszul_presentation(variables, [f], 1)
     stage, cx = _check_stage(pres, 2, weight)
     _check_cut(stage, cx, weight)
-    _check_conerve(variables, f, 2, min(weight, 3))
     _check_morphism(tower_map(variables, [f], 2, 1), weight)
     _check_stalk([f], weight)
 

@@ -202,6 +202,32 @@ def test_annihilator_chain_nilpotent_direction():
     assert chain.stabilized_at == 3
 
 
+def test_annihilator_chain_stops_at_the_first_repeat(monkeypatch):
+    # a level equal to the one before is the last colon computed; the
+    # levels after it are copies, equal to the colons they stand for
+    calls = []
+
+    def spy(gens, f, order=None):
+        calls.append(tuple(gens))
+        return colon_principal(gens, f, order)
+
+    monkeypatch.setattr(groebner, "colon_principal", spy)
+    ctx = ("x",)
+    for gens, f, n_max, want in (
+        ([P("x*y")], P("x"), 4, 2),
+        ([P("x^3", ctx)], P("x", ctx), 5, 4),
+        ([P("x^3", ctx)], P("x", ctx), 3, 3),
+        ([P("x^2", ctx)], P("x", ctx), 1, 1),
+    ):
+        calls.clear()
+        chain = annihilator_chain(gens, f, n_max)
+        assert len(calls) == want
+        assert len(chain) == n_max
+        order = MonomialOrder()
+        for n, gb in enumerate(chain.colon_bases, start=1):
+            assert gb.gens == colon_principal(gens, f ** n, order).gens, n
+
+
 ANNIHILATOR_CASES = [
     (["3/2*x^2*y", "x*y^3-1/2*y^4"], "x+y"),
     (["x^3", "y^2"], "x-y"),

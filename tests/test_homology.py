@@ -10,7 +10,6 @@ from drcalc import elim
 from drcalc.derham import (
     CotangentPresentation,
     _WedgeSource,
-    conerve_totalization,
     cotangent_complex,
     derham_stage,
     free_presentation,
@@ -552,16 +551,18 @@ def _stalk_ambient(g, weight):
 
 def test_stored_rows_survive_every_consumer():
     # elim's kernel reduces the rows it is given in place, so a stored
-    # row must never reach it: every consumer leaves a stage, a conerve
-    # and a stalk's ambient (and a morphism's matrices) as they were.
-    # The stage and the stalk are cut below their top weight; the
-    # conerve carries no cut.
+    # row must never reach it: every consumer leaves a stage, a Koszul
+    # complex and a stalk's ambient (and a morphism's matrices) as they
+    # were.  The stage and the stalk are cut below their top weight; the
+    # Koszul complex is rebuilt without its cut, so it carries none.
     node = koszul_presentation(XY, [P("x*y")], 1)
     stage = derham_stage(node, 3, 5)
+    koszul = weight_truncate(node, 5)
     ambient, span, weight_of = _stalk_ambient(P("x^2+y^3"), 7)
     cases = [
         (stage.complex(), stage.truncation_data()[0].weight_of),
-        (conerve_totalization(XY, P("x*y"), 3, 5), _no_weight),
+        (MatrixComplex(koszul.dims, koszul.labels, koszul.diffs, koszul.dens),
+         _no_weight),
         (ambient, weight_of),
     ]
     seen = set()

@@ -5,8 +5,10 @@ comments or blank lines.
 
 prints one line per module and the total.  A line counts when some
 token other than a comment starts, ends or runs through it, and it
-lies outside every module, class and function docstring.  ``DIR``
-defaults to ``src/drcalc`` next to this script's parent directory.
+lies outside every module, class and function docstring.  A last line
+counts the parameters with a default value, over every function and
+method (lambdas excluded).  ``DIR`` defaults to ``src/drcalc`` next to
+this script's parent directory.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ def docstring_lines(tree):
     return lines
 
 
+def defaults(tree) -> int:
+    """Parameters with a default value, over every function and method."""
+    return sum(
+        len(node.args.defaults)
+        + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+
+
 def count(path: Path) -> int:
     source = path.read_text(encoding="utf-8")
     skip = docstring_lines(ast.parse(source))
@@ -52,12 +64,14 @@ def main(argv=None):
     root = Path(args[0]) if args else (
         Path(__file__).resolve().parent.parent / "src" / "drcalc"
     )
-    total = 0
+    total = params = 0
     for path in sorted(root.glob("*.py")):
         n = count(path)
         total += n
+        params += defaults(ast.parse(path.read_text(encoding="utf-8")))
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{params:6d}  parameters with a default")
     return 0
 
 
