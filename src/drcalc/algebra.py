@@ -41,16 +41,15 @@ checks; ``cast_to`` changes the context and returns a plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, itemgetter, mul
+from typing import NamedTuple
 
 from .errors import StructuralError
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     degree: int
     weight: int = 1

@@ -222,7 +222,7 @@ def _cmd_reiffen_check(args):
             f"{reiffen.DEFAULT_UNKNOWN_CAP}"
         )
     if verdict.status == "infeasible":
-        cert = ",".join(str(c) for c in verdict.certificate)
+        cert = ",".join(map(str, verdict.certificate))
         result = f"verdict=infeasible certificate=[{cert}]"
     else:
         body = "; ".join(str(h) for h in verdict.witness)

@@ -26,8 +26,8 @@ stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .algebra import (
     Derivation,
@@ -85,8 +85,7 @@ def _stage_derivations(pres: DGPresentation, ctx: GradedContext):
     return boundary, d_dr
 
 
-@dataclass(frozen=True)
-class DeRhamStage:
+class DeRhamStage(NamedTuple):
     """Truncated total complex of a presentation's de Rham theory."""
 
     presentation: DGPresentation
@@ -123,8 +122,7 @@ def free_presentation(variables) -> DGPresentation:
 # cotangent complex and wedge powers
 
 
-@dataclass(frozen=True)
-class CotangentPresentation:
+class CotangentPresentation(NamedTuple):
     """Two-term free-module complex ``B dxi -> B dx`` over the base.
 
     Internal degrees: the ``dx`` span sits in degree 0, each ``dxi``
@@ -216,8 +214,7 @@ def hodge_graded(pres: DGPresentation, k: int, weight: int) -> MatrixComplex:
 # Cartier comparison
 
 
-@dataclass(frozen=True)
-class CartierReport:
+class CartierReport(NamedTuple):
     k: int
     graded_dims: tuple  # ((degree, dim), ...) for the Hodge column
     wedge_dims: tuple  # ((degree, dim), ...) for the wedge power
@@ -267,8 +264,7 @@ def cartier_check(pres: DGPresentation, k: int, weight: int) -> CartierReport:
 # polynomial homotopy invariance
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     ok: bool
     compared: tuple  # ((degree, dim_base, dim_extended), ...) joint-stable
     skipped: tuple  # degrees excluded as unstable
@@ -326,8 +322,7 @@ def a1_invariance_check(
 # fibre-sequence bookkeeping
 
 
-@dataclass(frozen=True)
-class FibreReport:
+class FibreReport(NamedTuple):
     ambient: tuple  # ((degree, dim), ...) de Rham of the free algebra
     deep_part_dim: int  # dimension of the I^infinity subspace at W
     deep_power: int  # the power of f certified to leave the window
@@ -408,8 +403,7 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
 # tensor-power conerve vs the de Rham stage
 
 
-@dataclass(frozen=True)
-class AmitsurComparison:
+class AmitsurComparison(NamedTuple):
     trusted_degrees: tuple
     amitsur_dims: tuple  # ((degree, dim), ...) over the trusted range
     derham_dims: tuple

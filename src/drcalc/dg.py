@@ -17,7 +17,7 @@ built: ``derham`` reads its cohomology off a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     Derivation,
@@ -31,8 +31,7 @@ from .errors import StructuralError
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class OddGenerator:
+class OddGenerator(NamedTuple):
     name: str
     degree: int
     weight: int
@@ -88,8 +87,7 @@ class DGPresentation:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     failures: tuple = ()
 

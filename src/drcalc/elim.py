@@ -53,19 +53,22 @@ first and reruns tracked only when the right-hand side opens a pivot.
 ``integral`` turns a rational row into integers over its least common
 denominator, on a copy.  It is where rational input enters the kernel,
 once per row in ``echelon`` (and so in ``rank_sparse``, which calls
-it) and in ``solve_rational``, so these leave the rows they are given
-as they were; ``rank_split`` takes integer rows and reduces them in
-place, so its caller hands it rows it can give up.
+it), so these leave the rows they are given as they were;
+``rank_split`` takes integer rows and reduces them in place, so its
+caller hands it rows it can give up.
 
-Every matrix comes in as sparse rows, rational or integer.
-``rank_sparse`` takes ``{row: {col: value}}``, the form the complexes
-store their differentials in (as integers over one denominator, which
-no rank depends on, any more than on each row's own scale);
-``solve_rational`` takes a sequence of rows of ``(col, value)`` pairs,
-since its certificate is one multiplier per row.  No package code
-calls ``rank_sparse``: it is kept only as the function the benchmark's
-tracer wraps as its ``elim.rank`` span, and goes when that span moves
-to ``rank_split``.
+Every matrix comes in as sparse rows.  ``rank_sparse`` takes
+``{row: {col: value}}``, the form the complexes store their
+differentials in (as integers over one denominator, which no rank
+depends on, any more than on each row's own scale).
+``solve_rational`` takes a sequence of integer rows of ``(col, int)``
+pairs, since its certificate is one multiplier per row: a rational
+system comes in times one common denominator, as the divergence
+systems build their rows, and reads each row once, in order, on a
+copy, so rows built on demand are built only as far as elimination
+gets.  No package code calls ``rank_sparse``: it is kept only as the
+function the benchmark's tracer wraps as its ``elim.rank`` span, and
+goes when that span moves to ``rank_split``.
 """
 
 from __future__ import annotations
@@ -260,57 +263,71 @@ def rank_split(head, tail):
 def solve_rational(rows, rhs, ncols):
     """Solve A x = b exactly, reporting an infeasibility certificate.
 
-    ``rows`` holds each row of A as ``(col, value)`` pairs, ``rhs`` is
-    b and ``ncols`` the number of unknowns.  Returns ``("feasible", x)``
-    with free unknowns set to zero, or ``("infeasible", lam)`` where
-    ``lam`` are row multipliers with lam . A = 0 and lam . b = 1.  The
-    certificate is checked against the original data before it is
+    ``rows`` is a sequence holding each row of A as ``(col, int)``
+    pairs, ``rhs`` the ints of b and ``ncols`` the number of unknowns;
+    rational systems come in times a common denominator, which changes
+    neither the solutions nor, scaled back, the certificate.  Rows are
+    read one at a time, in order.  Returns ``("feasible", x)`` with free
+    unknowns set to zero, or ``("infeasible", lam)`` where ``lam`` are
+    row multipliers with lam . A = 0 and lam . b = 1.  The certificate
+    is checked against the rows as they were given before it is
     returned; a combination that fails the check raises
     ``ArithmeticError``.
 
     b is eliminated as column ``ncols`` of the augmented matrix: a pivot
     there is the row (0 | lead), and its combination of input rows,
     divided by the lead, is lam.  Elimination stops at that pivot, so
-    the rows after the one that opens it are never touched.
+    the rows after the one that opens it are never read.
 
     The first pass tracks no combinations: a feasible system needs only
     the pivot rows.  When column ``ncols`` opens a pivot, elimination
     reruns with tracking to read lam off it.  The rerun stops at the
     same row, because which columns the rows before it pivot on does
-    not depend on the rows after it.  Each row is cleared of its
-    denominators once, when elimination first reaches it; the rerun
-    eliminates copies of the kept ``(row, den)`` pairs, and lam
-    multiplies the combination of cleared rows by their denominators.
+    not depend on the rows after it.  Each row is read once, when
+    elimination first reaches it, and kept as it was read: the rerun
+    eliminates the kept rows again, and the check reads them.
     """
-    zero = Fraction(0)  # shared by every absent entry of the answer
-    cleared = []
+    kept = []  # (row, b) of each row read, as given
 
     def reached():
         for row, b in zip(rows, rhs):
-            aug = dict(row)
-            if b:
-                aug[ncols] = Fraction(b)
-            cleared.append(integral(aug))
-            yield dict(cleared[-1][0])
+            kept.append((row, b))
+            yield _augment(row, b, ncols)
 
     pivots = _echelon(reached(), until=ncols)
     if ncols in pivots:
         row, combo = _echelon(
-            (dict(row) for row, _ in cleared), track=True, until=ncols
+            (_augment(row, b, ncols) for row, b in kept),
+            track=True,
+            until=ncols,
         )[ncols]
-        lam = {
-            i: Fraction(w * cleared[i][1], row[ncols])
-            for i, w in combo.items()
-        }
-        # verify the certificate against the original data
+        lam = {i: Fraction(w, row[ncols]) for i, w in combo.items()}
+        # verify the certificate against the rows as given:
+        # lam . (A | b) = (0 | 1)
         residue = {}
         for i, w in lam.items():
-            _axpy(residue, w, dict(rows[i]))
-        lam_b = sum(w * rhs[i] for i, w in lam.items())
-        if any(residue.values()) or lam_b != 1:
+            _axpy(residue, w, _augment(*kept[i], ncols))
+        if residue != {ncols: 1}:
             raise ArithmeticError(
                 "infeasibility certificate fails lam . A = 0, lam . b = 1"
             )
-        return "infeasible", [lam.get(i, zero) for i in range(len(rows))]
+        return "infeasible", _dense(lam, len(rows))
     x = _back_substitute(pivots, {ncols: -1})
-    return "feasible", [x.get(c, zero) for c in range(ncols)]
+    del x[ncols]  # the right-hand side's column
+    return "feasible", _dense(x, ncols)
+
+
+def _augment(row, b, ncols):
+    """The row (a | b) of the augmented matrix, as a new ``{col: int}`` dict."""
+    aug = dict(row)
+    if b:
+        aug[ncols] = b
+    return aug
+
+
+def _dense(vector, size):
+    """Sparse ``{index: Fraction}`` as a list, one shared zero elsewhere."""
+    out = [Fraction(0)] * size
+    for i, v in vector.items():
+        out[i] = v
+    return out

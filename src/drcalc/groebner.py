@@ -32,10 +32,9 @@ Only the ``ideal`` commands use this module: dg presentations are free
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, le, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import multiply_terms
 from .errors import ResourceLimitError, StructuralError
@@ -62,18 +61,19 @@ def _elim_key(exps, base):
     return (exps[0], base(exps[1:]))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A monomial order on exponent tuples: 'grevlex' or 'lex'."""
 
     kind: str = "grevlex"
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise StructuralError(f"unknown order kind {self.kind!r}")
-
-    def key(self, exps):
-        return grevlex_key(exps) if self.kind == "grevlex" else lex_key(exps)
+    @property
+    def key(self):
+        """The sort key of exponent tuples under this order."""
+        if self.kind == "grevlex":
+            return grevlex_key
+        if self.kind == "lex":
+            return lex_key
+        raise StructuralError(f"unknown order kind {self.kind!r}")
 
 
 def _monic(terms, key):
@@ -209,8 +209,7 @@ def buchberger(gens: Iterable[Poly], order=None) -> "GroebnerBasis":
                          gens=tuple(Poly._of(ctx, terms) for _, terms in basis))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """A reduced Groebner basis (canonical for the ideal and order).
 
     Reduce modulo it with ``normal_form(p, basis.gens, basis.order)``.
@@ -264,15 +263,24 @@ def colon_principal(gens: Sequence[Poly], f: Poly,
     return buchberger(quotients, order)
 
 
-@dataclass
 class AnnChain:
     """The annihilator chain (I : f), (I : f^2), ... with stabilization info."""
 
-    colon_bases: list          # list[GroebnerBasis], index n-1 holds (I : f^n)
-    stabilized_at: int | None  # smallest n with (I:f^n) == (I:f^(n+1)); None if not seen
+    def __init__(self, colon_bases, stabilized_at):
+        self.colon_bases = colon_bases  # list[GroebnerBasis], index n-1 holds (I : f^n)
+        self.stabilized_at = stabilized_at  # smallest n with (I:f^n) == (I:f^(n+1)); None if not seen
 
     def __len__(self):
         return len(self.colon_bases)
+
+    def __eq__(self, other):
+        return type(other) is AnnChain and vars(self) == vars(other)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (f"AnnChain(colon_bases={self.colon_bases!r}, "
+                f"stabilized_at={self.stabilized_at!r})")
 
 
 def annihilator_chain(gens: Sequence[Poly], f: Poly, n_max: int,

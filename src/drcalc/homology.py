@@ -76,9 +76,9 @@ attention to degrees where both sides are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import le
+from typing import NamedTuple
 
 from . import elim
 from .algebra import (
@@ -303,8 +303,7 @@ class MatrixComplex:
         return sum((-d if n % 2 else d) for n, d in self.dims.items())
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Per-degree dimensions with optional stability flags."""
 
     dims: tuple  # ((degree, dim), ...) ascending
@@ -483,8 +482,7 @@ def chain_map_check(morphism, weight) -> "ChainMapReport":
     return ChainMapReport(True, None)
 
 
-@dataclass(frozen=True)
-class ChainMapReport:
+class ChainMapReport(NamedTuple):
     ok: bool
     first_failure_degree: object
 

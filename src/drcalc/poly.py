@@ -66,9 +66,12 @@ class Poly(GradedElement):
                         f"bad exponent tuple {exps!r} for context "
                         f"{tuple(self.context)!r}"
                     )
-                tidy[exps] = tidy.get(exps, Fraction(0)) + c
-                if tidy[exps] == 0:
-                    del tidy[exps]
+                if exps in tidy:  # another key names the same monomial
+                    c += tidy[exps]
+                    if not c:
+                        del tidy[exps]
+                        continue
+                tidy[exps] = c
         self.terms = tidy
 
     @classmethod
@@ -90,6 +93,9 @@ class Poly(GradedElement):
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:  # (c*x^e)^n = c^n * x^(n*e)
+            ((exps, c),) = self.terms.items()
+            return self._of(self.context, {tuple(e * n for e in exps): c ** n})
         result = self.const(self.context, 1)
         base = self
         while n:

@@ -15,7 +15,7 @@ parser's ``IDENTIFIER``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dg import DGPresentation, OddGenerator
 from .parse import IDENTIFIER, PolyParseError, integer, parse_poly
@@ -28,8 +28,7 @@ class PresentationFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+class PresentationFile(NamedTuple):
     presentation: DGPresentation
     truncate: int = None
     hodge: int = None

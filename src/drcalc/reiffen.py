@@ -12,7 +12,11 @@ infeasibility refutes solvability of the untruncated problem, because
 every row is a necessary condition on any formal solution.  Truncation
 soundness is asymmetric by design — infeasible verdicts are
 conclusive, feasible ones are limited to the window — and every
-verdict says so.
+verdict says so.  The system's rows are built only when the solve
+reads them, each from its monomial alone, with integer entries over
+one denominator of the whole system; an infeasible system is read in
+row order up to the row that opens its certificate, and the rows past
+it are never built.
 
 The running example throughout is the quasi-homogeneous-looking but
 obstinate curve x^q + y^p + y^{p-1} x.
@@ -20,17 +24,17 @@ obstinate curve x^q + y^p + y^{p-1} x.
 
 from __future__ import annotations
 
-import bisect
-from collections import defaultdict
+from collections import Counter
+from itertools import chain, compress
 import functools
 import math
 import operator
 import string
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import elim
-from .algebra import GradedElement, check_weight, enumerate_monomials
+from .algebra import GradedElement, check_weight
 from .derham import DeRhamStage, free_presentation
 from .errors import StructuralError
 from .homology import CohomologyReport, flag_stability, weight_truncate
@@ -131,7 +135,27 @@ def _label(i: int, exps) -> str:
     return _unknown_letter(i) + "".join(str(e) for e in exps)
 
 
-@dataclass(frozen=True)
+class _Rows:
+    """A read-only sequence whose items are built each time they are read."""
+
+    __slots__ = ("_item", "_len")
+
+    def __init__(self, item, length):
+        self._item = item
+        self._len = length
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, r):
+        if not 0 <= r < self._len:
+            raise IndexError("row index out of range")
+        return self._item(r)
+
+    def __iter__(self):
+        return map(self._item, range(self._len))
+
+
 class DivergenceSystem:
     """Exact linear system for f*g = sum_i d(f*h_i)/dx_i up to degree D.
 
@@ -154,18 +178,27 @@ class DivergenceSystem:
     unknowns are set to zero.  Each row lists its entries by ascending
     column.
 
-    The build packs each monomial x^m into one int, its code (Monagan &
-    Pearce, CASC 2007): from the top, a field for the total degree, then
-    one for each of m_1 ... m_n, every field ``bits`` wide.  A stored
-    code is a row monomial (degree at most D) or an unknown's exponent
-    (degree at most D - min_degree(f) + 1 <= D), so no field exceeds D,
-    and ``bits`` is the bit length of max(D, 1).  With every field in
-    range, the code of a product is the sum of the codes (no field
-    carries), and codes compare as ints exactly as the keys
-    ``(sum(m), m)`` do, which is the row order.  A term of f enters
-    through a precomputed difference of codes, which need not fit the
-    fields (see the build), so the width does not depend on f's degree.
-    Exponent tuples are decoded once per reported row.
+    Rows are built when read, from their monomial alone: the term
+    c*x^a of f puts c*(m_i + 1) into row x^m at the unknown (i, e) with
+    e = m - a + 1_i, whenever e has no negative exponent (the degree
+    bound on e then holds by itself).  ``integer_rows`` and
+    ``integer_rhs`` are the rows and right-hand sides times ``den``,
+    the least common denominator of the system, so their entries are
+    ints; ``rows`` and ``rhs`` divide them by ``den`` again.  A row read
+    twice is built twice.  ``row_monomials``, ``unknowns`` and
+    ``unknown_labels`` are built when first read.
+
+    Each monomial x^m is packed into one int, its code (Monagan &
+    Pearce, CASC 2007): from the top, a field for the total degree,
+    then one for each of m_1 ... m_n.  A variable's field is one bit
+    wider than D needs: the exponents of rows and unknowns (at most D)
+    stay below its top bit, the guard bit, and those of f's terms (at
+    most D + 1, as a term past D + 1 reaches no row) reach at most the
+    guard bit itself.  The code of a product is the sum of the codes,
+    and codes compare as ints exactly as the keys ``(sum(m), m)`` do,
+    which is the row order.  With every guard bit set in the code of a
+    row x^m, subtracting the code of x^b leaves them all set exactly
+    when x^b divides x^m.
 
     Rows are reported after one cleanup: whenever a homogeneous row
     pins a single coefficient to zero, that coefficient is dropped from
@@ -173,32 +206,238 @@ class DivergenceSystem:
     row is therefore an exact consequence of the coefficient equations
     (a raw row plus rational multiples of pinning rows), so
     certificates stated against the reported rows refute the raw
-    system too.
+    system too.  The pinning runs in passes: a pass pins the
+    coefficient of every homogeneous row left with one coefficient not
+    yet pinned, the first such row in row order pinning it.  The term
+    x^a and the variable i make one pair, which enters row x^m exactly
+    when its divisor, x^(a - 1_i) (or x^a when a_i = 0), divides x^m,
+    so the rows a pair enters are the multiples of its divisor up to
+    degree D.  A count over those, on codes and with no entry formed,
+    gives every row and the size of its support.  The first pass reads
+    the rows of support one; a later pass reads only the rows that
+    meet a coefficient the pass before pinned, since no other row's
+    count of coefficients not yet pinned has changed.
 
     ``unknown_labels`` names the unknowns (``A10`` is the coefficient
-    of x in h_1); the package never reads the names, so they are built
-    when first read.
+    of x in h_1); the package never reads the names.
     """
 
-    f: Poly
-    g: Poly
-    degree_bound: int
-    unknowns: tuple  # (variable index, exponent tuple)
-    row_monomials: tuple  # exponent tuples, sorted
-    rows: tuple  # per row: tuple of (unknown index, Fraction)
-    rhs: tuple  # per row: Fraction
+    def __init__(self, f: Poly, g: Poly, degree_bound: int):
+        self.f, self.g, self.degree_bound = f, g, degree_bound
+        n = len(f.context)
+        self.unknown_count = _unknown_total(f, degree_bound)
+        h_bound = degree_bound - f.min_degree() + 1
+        width = max(degree_bound, 1).bit_length() + 1
+        offsets = [width * k for k in range(n - 1, -1, -1)]  # x_1 ... x_n
+        self._offsets = offsets
+        self._field = (1 << width) - 1
+        self._degree_shift = shift = width * n
+        self._guard = sum(1 << (o + width - 1) for o in offsets)
+        one = 1 << shift  # a unit in the degree field
+        units = [one + (1 << o) for o in offsets]
+
+        def code(m):
+            return sum(m) * one + sum(map(operator.lshift, m, offsets))
+
+        # every monomial of degree at most h_bound, by code: an unknown's
+        # exponent, and the degree d ones fill [N(d - 1), N(d)) with
+        # N(d) = comb(d + n, n)
+        codes = [0] if h_bound >= 0 else []
+        for unit in units:
+            codes = [
+                c + k * unit
+                for c in codes for k in range(h_bound + 1 - (c >> shift))
+            ]
+        codes.sort()
+        self._codes = codes
+
+        target = {
+            code(m): c
+            for m, c in (f * g).terms.items()
+            if sum(m) <= degree_bound
+        }
+        # a term above D + 1 reaches no row
+        terms = [t for t in f.terms.items() if sum(t[0]) <= degree_bound + 1]
+        self.den = den = math.lcm(
+            *(c.denominator for _, c in terms),
+            *(c.denominator for c in target.values()),
+        )
+        self._target = {
+            m: c.numerator * (den // c.denominator) for m, c in target.items()
+        }
+
+        # the pairs, in the order of the columns they give any one row:
+        # ascending degree of a, then i, then a in descending lex order.
+        # A pair is (the code of its divisor; code(a) - code(1_i), which
+        # takes row x^m to x^e; i; c * den; and per row degree s, the
+        # index of the first unknown (i, e) of degree s - deg(a) + 1 less
+        # the position in ``codes`` of the first code of that degree)
+        bounds = [math.comb(d + n, n) for d in range(-1, h_bound + 1)]
+        firsts = [  # per variable i and degree d
+            [
+                n * (len(codes) - high) + i * (high - low) - low
+                for low, high in zip(bounds, bounds[1:])
+            ]
+            for i in range(n)
+        ]
+        self._pairs = [
+            (
+                ca - units[i] if a[i] else ca,
+                ca - units[i],
+                i,
+                c.numerator * (den // c.denominator),
+                [0] * (sum(a) - 1) + firsts[i],  # row degree deg(a) - 1 + d has d
+            )
+            for _, i, _, a, ca, c in sorted(
+                (sum(a), i, -ca, a, ca, c)
+                for a, ca, c in ((a, code(a), c) for a, c in terms)
+                for i in range(n)
+            )
+        ]
+
+        # every row and its support size: pair p enters the multiples of
+        # its divisor up to degree D, the divisor's code plus each code
+        # of degree at most D - deg(divisor), a prefix of ``codes``
+        sizes = Counter(chain.from_iterable(
+            map(fit.__add__, codes[:math.comb(room + n, n)])
+            for fit, *_ in self._pairs
+            for room in (degree_bound - (fit >> shift),)
+            if room >= 0
+        ))
+        ordered = sorted(sizes.keys() | target.keys())
+
+        forced = {}  # unknown index -> pinning row code
+        fresh = {}
+        for m in sorted(compress(sizes, map((1).__eq__, sizes.values()))):
+            if m not in target:
+                (j, _), = self._raw(m)
+                fresh.setdefault(j, m)
+        supports = {}  # the rows that meet a pinned unknown -> their unknowns
+        while fresh:
+            forced.update(fresh)
+            rows = sorted({r for j in fresh for r in self._rows_of(j)})
+            fresh = {}
+            for m in rows:
+                supports[m] = [j for j, _ in self._raw(m)]
+                if m in target:
+                    continue
+                support = [j for j in supports[m] if j not in forced]
+                if len(support) == 1 and support[0] not in fresh:
+                    fresh[support[0]] = m
+        self._forced, self._touched = forced, supports.keys()
+        pinning = set(forced.values())
+        dropped = {
+            m for m, support in supports.items()
+            if m not in target and m not in pinning
+            and all(j in forced for j in support)
+        }
+        self._row_codes = [m for m in ordered if m not in dropped]
+        count = len(self._row_codes)
+        self.integer_rows = _Rows(self._row, count)
+        self.integer_rhs = _Rows(self._rhs, count)
+
+    @functools.cached_property
+    def _positions(self):
+        """The position of each code in ``_codes``."""
+        return dict(zip(self._codes, range(len(self._codes))))
+
+    def _raw(self, m):
+        """Row x^m before the cleanup: ``(unknown index, int)`` pairs, ascending."""
+        guard = self._guard
+        lifted = m | guard
+        positions = self._positions
+        s = m >> self._degree_shift
+        lifts = [((m >> o) & self._field) + 1 for o in self._offsets]  # m_i + 1
+        return [
+            (positions[m - back] + first[s], c * lifts[i])
+            for fit, back, i, c, first in self._pairs
+            if (lifted - fit) & guard == guard
+        ]
+
+    def _unknown(self, j):
+        """``(i, code of x^e)`` of unknown j."""
+        n, codes = len(self._offsets), self._codes
+        total = len(codes)
+        # the degree d block of unknowns covers n * [total - N(d), total - N(d - 1))
+        d = codes[total - j // n - 1] >> self._degree_shift
+        low, high = math.comb(d - 1 + n, n), math.comb(d + n, n)
+        i, rank = divmod(j - n * (total - high), high - low)
+        return i, codes[low + rank]
+
+    def _rows_of(self, j):
+        """Codes of the rows unknown j enters.
+
+        Unknown (i, e) enters row x^(e + a - 1_i) for each term x^a of
+        f with a_i + e_i > 0, up to degree D; a pair's divisor is
+        ``code(a) - code(1_i)`` exactly when a_i > 0.
+        """
+        i, e = self._unknown(j)
+        lifted = (e >> self._offsets[i]) & self._field  # e_i
+        rows = [
+            e + back
+            for fit, back, k, _, _ in self._pairs
+            if k == i and (lifted or fit == back)
+        ]
+        return [r for r in rows if r >> self._degree_shift <= self.degree_bound]
+
+    def _row(self, r):
+        m = self._row_codes[r]
+        row = self._raw(m)
+        if m in self._touched:
+            forced = self._forced
+            row = [(j, v) for j, v in row if forced.get(j, m) == m]
+        return tuple(row)
+
+    def _rhs(self, r):
+        return self._target.get(self._row_codes[r], 0)
+
+    def _decode(self, code):
+        return tuple((code >> o) & self._field for o in self._offsets)
+
+    @property
+    def rows(self):
+        """Per row: ``(unknown index, Fraction)`` pairs."""
+        den = self.den
+        return _Rows(
+            lambda r: tuple((j, Fraction(v, den)) for j, v in self._row(r)),
+            len(self._row_codes),
+        )
+
+    @property
+    def rhs(self):
+        """Per row: the right-hand side as a Fraction."""
+        return _Rows(
+            lambda r: Fraction(self._rhs(r), self.den), len(self._row_codes)
+        )
+
+    @functools.cached_property
+    def row_monomials(self) -> tuple:
+        """Exponent tuple of each row, in row order."""
+        return tuple(map(self._decode, self._row_codes))
+
+    def unknown(self, j):
+        """``(variable index, exponent tuple)`` of unknown j."""
+        i, e = self._unknown(j)
+        return i, self._decode(e)
+
+    @functools.cached_property
+    def unknowns(self) -> tuple:
+        """``(variable index, exponent tuple)`` of each unknown."""
+        return tuple(map(self.unknown, range(self.unknown_count)))
 
     @functools.cached_property
     def unknown_labels(self) -> tuple:
         """(label, variable index, exponent tuple) per unknown."""
         return tuple((_label(i, e), i, e) for i, e in self.unknowns)
 
-    @property
-    def unknown_count(self) -> int:
-        return len(self.unknowns)
-
 
 def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
+    """The divergence system of f*g up to degree ``degree_bound``.
+
+    The walk over supports and the cleanup run here; the rows, integer
+    entries over the system's ``den``, are built when read (see
+    ``DivergenceSystem``).
+    """
     if not f:
         raise StructuralError("f must be nonzero")
     if f.min_degree() < 1:
@@ -206,118 +445,10 @@ def divergence_system(f: Poly, g: Poly, degree_bound: int) -> DivergenceSystem:
             "f has a unit part; the divergence equation is trivially "
             "solvable and the test says nothing"
         )
-    n = len(f.context)
-    h_bound = degree_bound - f.min_degree() + 1
-    exponents = [] if h_bound < 0 else enumerate_monomials(
-        f.context, max_weight=h_bound
-    )
-    bits = max(degree_bound, 1).bit_length()
-    mask = (1 << bits) - 1
-    offsets = [bits * k for k in range(n - 1, -1, -1)]  # x_1 ... x_n
-    one = 1 << (bits * n)  # a unit in the degree field
-
-    def code(m):
-        return sum(m) * one + sum(map(operator.lshift, m, offsets))
-
-    target = {
-        code(m): c
-        for m, c in (f * g).terms.items()
-        if sum(m) <= degree_bound
-    }
-    # column (i, e) is d/dx_i (f * x^e): the term c*x^a of f contributes
-    # c*(a_i + e_i) at a + e - 1_i, whose code is code(e) + shift with
-    # shift = code(a) - code(1_i), one per term and variable.  The shift
-    # is not itself a code (a - 1_i may have a -1 field), but code is
-    # linear, so the sum is exact in Z and, having every field in range,
-    # is the code of a + e - 1_i.  A term's table[k] is c*k, built once
-    # because a Fraction product per entry doubles the build time.
-    # Terms go by ascending degree: a column of degree d keeps those of
-    # degree at most D + 1 - d, so a term above D + 1 reaches no row.
-    terms = sorted(
-        (t for t in f.terms.items() if sum(t[0]) <= degree_bound + 1),
-        key=lambda t: sum(t[0]),
-    )
-    degrees = [sum(a) for a, _ in terms]
-    multiples = [
-        [c * k for k in range(sum(a) + h_bound + 1)] for a, c in terms
-    ]
-    shifted = [
-        [
-            (code(a) - one - (1 << offsets[i]), a[i], table)
-            for (a, _), table in zip(terms, multiples)
-        ]
-        for i in range(n)
-    ]
-    codes = [code(e) for e in exponents]
-    # row code -> {unknown index: coeff}
-    raw = defaultdict(dict, {m: {} for m in target})
-    unknowns = []
-    # enumerate_monomials lists exponents by ascending degree, lex within
-    # a degree, so degree d fills [comb(d - 1 + n, n), comb(d + n, n))
-    for d in range(h_bound, -1, -1):
-        first, stop = math.comb(d - 1 + n, n), math.comb(d + n, n)
-        live = bisect.bisect_right(degrees, degree_bound + 1 - d)
-        for i in range(n):
-            active = shifted[i][:live]
-            for t in range(first, stop):
-                e = exponents[t]
-                j = len(unknowns)
-                unknowns.append((i, e))
-                base = codes[t]
-                ei = e[i]
-                for shift, ai, table in active:
-                    k = ai + ei
-                    if k:
-                        raw[base + shift][j] = table[k]
-    ordered = sorted(raw)
-
-    # propagate zero-forced coefficients, batch per pass so the pinning
-    # row is always one that was a singleton at the same stage
-    forced = {}  # unknown index -> pinning row code
-    while True:
-        fresh = {}
-        for m in ordered:
-            if target.get(m):
-                continue
-            support = [j for j in raw[m] if j not in forced]
-            if len(support) == 1 and support[0] not in fresh:
-                fresh[support[0]] = m
-        if not fresh:
-            break
-        forced.update(fresh)
-    pinning = {m: j for j, m in forced.items()}
-
-    zero = Fraction(0)
-    monomials = []
-    rows = []
-    rhs = []
-    for m in ordered:
-        entries = {j: c for j, c in raw[m].items() if j not in forced}
-        value = target.get(m, zero)
-        if m in pinning:
-            j = pinning[m]
-            entries[j] = raw[m][j]  # back in last: this row alone is sorted
-            row = tuple(sorted(entries.items()))
-        elif entries or value:
-            row = tuple(entries.items())  # columns came in ascending order
-        else:
-            continue
-        monomials.append(tuple((m >> s) & mask for s in offsets))
-        rows.append(row)
-        rhs.append(value)
-    return DivergenceSystem(
-        f=f,
-        g=g,
-        degree_bound=degree_bound,
-        unknowns=tuple(unknowns),
-        row_monomials=tuple(monomials),
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-    )
+    return DivergenceSystem(f, g, degree_bound)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     status: str  # "feasible" | "infeasible" | "resource-limit"
     witness: tuple = ()  # Poly per variable when feasible
     certificate: tuple = ()  # Fraction per row when infeasible
@@ -363,9 +494,12 @@ def divergence_feasible(
         return FeasibilityVerdict(status="resource-limit", unknowns=predicted)
     system = divergence_system(f, g, degree_bound)
     tag, payload = elim.solve_rational(
-        system.rows, system.rhs, system.unknown_count
+        system.integer_rows, system.integer_rhs, system.unknown_count
     )
     if tag == "infeasible":
+        # lam . (den A) = 0 and lam . (den b) = 1: den * lam refutes A, b
+        if system.den != 1:
+            payload = [system.den * lam if lam else lam for lam in payload]
         return FeasibilityVerdict(
             status="infeasible",
             certificate=tuple(payload),
@@ -374,9 +508,9 @@ def divergence_feasible(
         )
     variables = tuple(f.context)
     per_var = {}
-    for value, (i, exps) in zip(payload, system.unknowns):
-        if value:
-            per_var.setdefault(i, {})[exps] = value
+    for j in compress(range(len(payload)), payload):
+        i, exps = system.unknown(j)
+        per_var.setdefault(i, {})[exps] = payload[j]
     witness = tuple(
         Poly(variables, per_var.get(i, {})) for i in range(len(variables))
     )
@@ -438,8 +572,7 @@ def family_member(q: int, p: int) -> Poly:
     return x ** q + y ** p + y ** (p - 1) * x
 
 
-@dataclass(frozen=True)
-class FamilyScan:
+class FamilyScan(NamedTuple):
     degree_bound: int
     entries: tuple  # ((q, p), status string)
 

@@ -36,8 +36,8 @@ module, as ``drcalc.cli`` does at start, does not load mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import StructuralError
 
@@ -45,8 +45,7 @@ DEFAULT_PRECISION = 200
 DEFAULT_GRID = 1024
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(NamedTuple):
     """A nonnegative real held as a sign and a log magnitude."""
 
     sign: str  # "zero" | "positive"
@@ -195,8 +194,7 @@ def zero_free_window(n: int):
     return lo + (hi - lo) / 10, hi
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(NamedTuple):
     n: int
     bound: LogValue
     verdict: str  # "positive" | "indeterminate"
@@ -211,8 +209,7 @@ class WitnessEntry:
         return f"n={self.n} logT_lower={value} verdict={self.verdict}"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     entries: tuple
 
     def format(self) -> str:

@@ -18,7 +18,10 @@ Each one takes a different road to the same answer:
 - ``divergence_equations``: the raw coefficient equations of the
   divergence equation, one ``Poly`` product and one ``Poly.partial``
   per unknown coefficient; ``divergence_system`` in the package builds
-  its columns by adding packed monomial codes instead.
+  each row when it is read, from its monomial and packed codes,
+  instead.  ``pinned_equations`` runs the zero-pinning cleanup on
+  them pass by pass over every equation; the package counts supports
+  and revisits only the rows a pass can change.
 - ``float64_lower_bound``: the flat-form integral sampled in binary64,
   the contrast to ``drcalc.witness``'s log-domain enclosures; it
   underflows to zero past n = 2.
@@ -366,6 +369,45 @@ def divergence_equations(f, g, degree_bound):
                 if sum(m) <= degree_bound:
                     equations.setdefault(m, ({}, Fraction(0)))[0][i, e] = c
     return equations
+
+
+def pinned_equations(equations, unknowns):
+    """The cleanup of ``divergence_equations``: ``(pins, reported)``.
+
+    In passes over the equations in row order (degree, then lex), each
+    homogeneous equation left with one unknown that is not pinned yet
+    pins it, the first such equation in a pass winning.  ``pins`` maps
+    each pinned unknown to its equation's monomial; ``reported`` maps
+    the monomial of every equation kept to its ``({unknown: coefficient},
+    rhs)``: the pinned unknowns dropped, save the one an equation pins,
+    and the equations left with neither an unknown nor a right-hand
+    side dropped.  ``unknowns`` lists every unknown in column order.
+    """
+    order = sorted(equations, key=lambda m: (sum(m), m))
+    pins = {}
+    while True:
+        fresh = {}
+        for m in order:
+            coeffs, b = equations[m]
+            if b:
+                continue
+            left = [u for u in coeffs if u not in pins]
+            if len(left) == 1 and left[0] not in fresh:
+                fresh[left[0]] = m
+        if not fresh:
+            break
+        pins.update(fresh)
+    column = {u: j for j, u in enumerate(unknowns)}
+    reported = {}
+    for m in order:
+        coeffs, b = equations[m]
+        kept = {
+            u: c for u, c in sorted(coeffs.items(), key=lambda t: column[t[0]])
+            if pins.get(u, m) == m
+        }
+        if kept or b:
+            reported[m] = (kept, b)
+    return pins, reported
 
 
 def float64_lower_bound(a: float, b: float, grid: int = DEFAULT_GRID) -> float:

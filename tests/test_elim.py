@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,22 @@ def _pairs(dense):
 
 
 def _solve(dense, rhs):
-    return elim.solve_rational(_pairs(dense), rhs, len(dense[0]))
+    """``solve_rational`` on a rational system, times its denominator.
+
+    The certificate of the integer system, times the denominator, is
+    the certificate of the rational one; solutions are shared.
+    """
+    den = lcm(
+        *(v.denominator for row in dense for v in row),
+        *(Fraction(b).denominator for b in rhs),
+    )
+    rows = [[(c, int(v * den)) for c, v in row] for row in _pairs(dense)]
+    tag, payload = elim.solve_rational(
+        rows, [int(b * den) for b in rhs], len(dense[0])
+    )
+    if tag == "infeasible":
+        payload = [den * v for v in payload]
+    return tag, payload
 
 
 def _random_matrix(rng, nr, nc, density=0.6):
@@ -106,7 +121,7 @@ def test_empty_and_zero():
     assert elim.rank_sparse({}, 5, 5) == 0
     assert elim.rank_sparse(_rows([[Fraction(0), Fraction(0)]]), 1, 2) == 0
     # no unknowns and an empty row with b != 0: 0 = b refutes on its own
-    assert elim.solve_rational([(), ()], [Fraction(0), Fraction(1)], 0) == (
+    assert elim.solve_rational([(), ()], [0, 1], 0) == (
         "infeasible", [0, 1]
     )
 
@@ -165,7 +180,7 @@ def test_solve_rational_random_infeasible():
 def _system(f_text, degree):
     f = parse_poly(("x", "y"), f_text)
     system = divergence_system(f, parse_poly(("x", "y"), "1"), degree)
-    return system, list(system.rows), list(system.rhs)
+    return system, list(system.integer_rows), list(system.integer_rhs)
 
 
 def test_solve_feasible_is_independent_of_row_order():
@@ -448,23 +463,36 @@ def test_solve_stops_at_the_certificate_row(monkeypatch):
     assert lam == [0, 0, 0, 7, 23, -29] + [0] * (len(rows) - 6)
 
 
-def _clearings(monkeypatch, rows, rhs, ncols):
-    """``solve_rational``'s answer, its ``integral`` calls, rows reached."""
-    cleared, reached = [], []
-    real_integral, real_clear = elim.integral, elim._clear
+class _Spy:
+    """A row sequence that records which rows are read."""
 
-    def integral(vector):
-        cleared.append(vector)
-        return real_integral(vector)
+    def __init__(self, rows):
+        self.rows, self.read = rows, []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, r):
+        self.read.append(r)
+        return self.rows[r]
+
+    def __iter__(self):
+        for r in range(len(self.rows)):
+            yield self[r]
+
+
+def _clearings(monkeypatch, rows, rhs, ncols):
+    """``solve_rational``'s answer, the rows it reads, the rows reached."""
+    spy, reached = _Spy(rows), []
+    real_clear = elim._clear
 
     def clear(pivots, row, combo):
         if combo is None:  # the untracked pass meets each row once
             reached.append(row)
         return real_clear(pivots, row, combo)
 
-    monkeypatch.setattr(elim, "integral", integral)
     monkeypatch.setattr(elim, "_clear", clear)
-    return elim.solve_rational(rows, rhs, ncols), len(cleared), len(reached)
+    return elim.solve_rational(spy, rhs, ncols), spy.read, len(reached)
 
 
 @pytest.mark.parametrize("f, degree, verdict", [
@@ -472,10 +500,12 @@ def _clearings(monkeypatch, rows, rhs, ncols):
     ("x^3+x^2*y+y^5", 12, "feasible"),
 ])
 def test_solve_clears_each_row_reached_once(monkeypatch, f, degree, verdict):
+    # the elimination pass reads each row once, in order, and stops at
+    # the certificate's row; the rerun and the check read no row again
     system, rows, rhs = _system(f, degree)
-    (tag, _), cleared, reached = _clearings(
+    (tag, _), read, reached = _clearings(
         monkeypatch, rows, rhs, system.unknown_count
     )
     assert tag == verdict
-    assert cleared == reached
+    assert read == list(range(reached))
     assert reached == (6 if verdict == "infeasible" else len(rows))

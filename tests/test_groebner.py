@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -73,11 +74,15 @@ def membership_oracle(f, gens, bound):
     for c in columns:
         keys.update(c.terms)
     keys = sorted(keys)
+    den = lcm(*(c.denominator for p in [f, *columns] for c in p.terms.values()))
     rows = []
     rhs = []
     for k in keys:
-        rows.append([(j, c.terms[k]) for j, c in enumerate(columns) if k in c.terms])
-        rhs.append(f.terms.get(k, Fraction(0)))
+        rows.append([
+            (j, int(c.terms[k] * den))
+            for j, c in enumerate(columns) if k in c.terms
+        ])
+        rhs.append(int(f.terms.get(k, 0) * den))
     tag, _ = elim.solve_rational(rows, rhs, len(columns))
     return tag == "feasible"
 

@@ -41,6 +41,22 @@ def test_pow():
         p ** -1
 
 
+def test_pow_of_a_single_term():
+    # one term is raised directly: exponents times n, coefficient ** n
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    t = Fraction(-2, 3) * x * y ** 2
+    for n in range(5):
+        want = Poly.const(XY, 1)
+        for _ in range(n):
+            want = want * t
+        assert t ** n == want
+        assert all(type(c) is Fraction for c in (t ** n).terms.values())
+    assert (t ** 3).terms == {(3, 6): Fraction(-8, 27)}
+    assert Poly.const(XY, 3) ** 2 == 9
+    assert Poly.zero(XY) ** 2 == 0
+    assert Poly.zero(XY) ** 0 == 1
+
+
 def test_degree_and_min_degree():
     x = Poly.var(XY, "x")
     y = Poly.var(XY, "y")

@@ -31,6 +31,7 @@ from oracles import (
     gauss_rank,
     local_colength,
     partial,
+    pinned_equations,
     reference_quotient,
     stalk_span,
     two_build_stalk,
@@ -253,7 +254,9 @@ def test_system_matches_the_poly_oracle(case):
     ]
     plain = gauss_rank([r[:-1] for r in dense])
     augmented = gauss_rank(dense)
-    tag, _ = elim.solve_rational(system.rows, system.rhs, system.unknown_count)
+    tag, _ = elim.solve_rational(
+        system.integer_rows, system.integer_rhs, system.unknown_count
+    )
     assert (tag == "infeasible") == (augmented > plain)
 
 
@@ -310,11 +313,74 @@ def test_packed_build_matches_the_poly_oracle(degree, data):
     )
     monomials = list(system.row_monomials)
     assert monomials == sorted(set(monomials), key=lambda m: (sum(m), m))
-    for row in system.rows:
+    # the rows the solve reads are ints over the one denominator den
+    assert type(system.den) is int and system.den > 0
+    for row in system.integer_rows:
         columns = [j for j, _ in row]
         assert columns == sorted(set(columns))
-        assert all(type(c) is Fraction for _, c in row)
-    assert all(type(b) is Fraction for b in system.rhs)
+        assert all(type(c) is int for _, c in row)
+    assert all(type(b) is int for b in system.integer_rhs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_divergence_inputs())
+def test_rows_built_on_demand_are_den_times_the_pinned_oracle(case):
+    # rational f and g, as the benchmark draws them past seed 0
+    f, g, degree = case
+    system = divergence_system(f, g, degree)
+    unknowns = list(system.unknowns)
+    pins, reported = pinned_equations(
+        divergence_equations(f, g, degree), unknowns
+    )
+    # the pinned set and the row count of the pass-by-pass cleanup
+    assert {
+        unknowns[j]: system.row_monomials[system._row_codes.index(m)]
+        for j, m in system._forced.items()
+    } == pins
+    assert list(system.row_monomials) == list(reported)
+    assert len(system.integer_rows) == len(system.rows) == len(reported)
+    # every row, pulled in full, is den times the oracle's
+    column = {u: j for j, u in enumerate(unknowns)}
+    den = system.den
+    for m, row, b in zip(reported, system.integer_rows, system.integer_rhs):
+        coeffs, rhs = reported[m]
+        assert row == tuple((column[u], c * den) for u, c in coeffs.items())
+        assert b == rhs * den
+        assert all(type(c) is int for _, c in row) and type(b) is int
+    assert [tuple(row) for row in system.rows] == [
+        tuple((column[u], c) for u, c in coeffs.items())
+        for coeffs, _ in reported.values()
+    ]
+    assert list(system.rhs) == [b for _, b in reported.values()]
+    # a certificate refutes the oracle's rows as they are
+    verdict = divergence_feasible(f, g, degree)
+    if verdict.status == "infeasible":
+        assert len(verdict.certificate) == len(reported)
+        acc, value = {}, Fraction(0)
+        for lam, (coeffs, b) in zip(verdict.certificate, reported.values()):
+            value += lam * b
+            for u, c in coeffs.items():
+                acc[u] = acc.get(u, 0) + lam * c
+        assert value == 1 and not any(acc.values())
+
+
+def test_infeasible_check_builds_no_row_past_the_certificate(monkeypatch):
+    built = []
+    real = reiffen_module.DivergenceSystem._row
+
+    def spy(system, r):
+        built.append(r)
+        return real(system, r)
+
+    monkeypatch.setattr(reiffen_module.DivergenceSystem, "_row", spy)
+    verdict = divergence_feasible(reiffen(), degree_bound=140)
+    assert verdict.status == "infeasible"
+    assert len(verdict.certificate) == len(verdict.system.rows) == 10_000
+    assert verdict.certificate[:7] == (0, 0, 0, 7, 23, -29, 0)
+    # rows 0 to 5 are built, once each: the elimination stops at row 5,
+    # which opens the certificate, and its rerun and check read no row
+    assert built == list(range(6))
+    assert not any(verdict.certificate[6:])
 
 
 QUARTIC_D5_LABELS = (
