@@ -615,14 +615,3 @@ def graded_monomials(context: GradedContext, max_weight, max_hodge, code):
             ]
     states.sort(key=itemgetter(1))
     return states
-
-
-def enumerate_monomials(context: GradedContext, max_weight):
-    """All exponent tuples within the weight cap, by weight, ties in lex order.
-
-    Together with the positive generator weights the cap is what keeps
-    the answer finite.  A negative cap is refused rather than read as an
-    empty window.  The cap prunes the walk (``graded_monomials``).
-    """
-    code = MonomialCode(context, exponent_caps(context, max_weight))
-    return [m[0] for m in graded_monomials(context, max_weight, None, code)]

@@ -1,11 +1,18 @@
 """Command-line driver.
 
 Every subcommand maps onto one library operation and prints a
-deterministic report: a command echo, a parameter block, then the
-result lines in the producing module's format.  Verdicts such as
-``infeasible`` or ``mismatch`` are successful computations and exit 0;
-exit 2 means the input could not be used (usage, parse, or structural
-errors) and exit 3 means a resource limit stopped the computation.
+deterministic report: a command echo, a parameter echo, then the
+result lines in the producing module's format.  The parameter echo
+lists every non-repeatable option of the subcommand, in the order the
+parser declares them, with its value as resolved: ``--truncate`` and
+``--hodge`` from the flag, else the presentation file's directive,
+else the default; a polynomial in its normal form.  The repeatable
+``--f`` and ``--gen`` are not echoed.  Inputs are read in that same
+order, so of two bad inputs the one declared first is reported.
+Verdicts such as ``infeasible`` or ``mismatch`` are successful
+computations and exit 0; exit 2 means the input could not be used
+(usage, parse or structural errors, or a file that cannot be read as
+UTF-8 text) and exit 3 means a resource limit stopped the computation.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ DEFAULT_WEIGHT = 6
 DEFAULT_HODGE = 3
 DEFAULT_DEGREE = 8
 
+# the options read as polynomials over --vars, and the defaults of the
+# options a presentation file's directives can fill
+_POLYNOMIALS = frozenset({"f", "g", "by", "gen"})
+_DEFAULTS = {"truncate": DEFAULT_WEIGHT, "hodge": DEFAULT_HODGE}
+
 
 def _vars(text):
     names = tuple(n for n in text.split(",") if n)
@@ -47,175 +59,124 @@ def _vars(text):
     return names
 
 
-def _emit(command, params, lines):
-    out = [f"command: {command}"]
-    if params:
-        out.append("params: " + " ".join(f"{k}={v}" for k, v in params))
-    out.extend(lines)
-    return out
+def _resolve(args):
+    """Read the subcommand's options in declaration order; return the echo.
 
-
-def _load_presentation(args):
-    with open(args.file, encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
-
-
-def _pick(flag_value, file_value, default):
-    if flag_value is not None:
-        return flag_value
-    if file_value is not None:
-        return file_value
-    return default
+    Each option's value in ``args`` is replaced by the one the handler
+    uses: ``--vars`` by its name tuple, a polynomial option by its
+    ``Poly`` (a list of them when repeatable), ``--file`` by its
+    ``PresentationFile``, and ``--truncate`` or ``--hodge`` by the flag,
+    else the file's directive, else the default (every subcommand that
+    takes ``--file`` declares it first).  The echo shows ``--vars`` and
+    ``--file`` as given and every other option as resolved.
+    """
+    variables = file = None
+    echo = []
+    for action in args.options:
+        name = action.dest
+        given = value = getattr(args, name)
+        if name == "vars":
+            value = variables = _vars(value)
+        elif name in _POLYNOMIALS:
+            if isinstance(value, list):
+                value = [parse_poly(variables, text) for text in value]
+            else:
+                value = parse_poly(variables, value)
+        elif name == "file":
+            try:
+                with open(value, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise StructuralError(
+                    f"{value}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})"
+                ) from None
+            value = file = parse_presentation(text)
+        elif name in _DEFAULTS:
+            if value is None and file is not None:
+                value = getattr(file, name)
+            if value is None:
+                value = _DEFAULTS[name]
+        setattr(args, name, value)
+        if not isinstance(value, list):
+            shown = given if name in ("vars", "file") else value
+            echo.append(f"{action.option_strings[0][2:]}={shown}")
+    return "params: " + " ".join(echo)
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each gets ``args`` as ``_resolve`` left it and returns the
+# result lines
 
 
 def _cmd_derham(args):
-    pf = _load_presentation(args)
-    weight = _pick(args.truncate, pf.truncate, DEFAULT_WEIGHT)
-    hodge = _pick(args.hodge, pf.hodge, DEFAULT_HODGE)
-    stage = derham.derham_stage(pf.presentation, hodge, weight)
-    return _emit(
-        "derham",
-        [("file", args.file), ("hodge", hodge), ("truncate", weight)],
-        stage.report().format().splitlines(),
+    stage = derham.derham_stage(
+        args.file.presentation, args.hodge, args.truncate
     )
+    return stage.report().format().splitlines()
 
 
 def _cmd_cotangent(args):
-    pf = _load_presentation(args)
-    weight = _pick(args.truncate, pf.truncate, DEFAULT_WEIGHT)
-    cot = derham.cotangent_complex(pf.presentation)
-    return _emit(
-        "cotangent",
-        [("file", args.file), ("truncate", weight)],
-        cot.report(weight).format().splitlines(),
-    )
+    cot = derham.cotangent_complex(args.file.presentation)
+    return cot.report(args.truncate).format().splitlines()
 
 
 def _cmd_cartier(args):
-    pf = _load_presentation(args)
-    weight = _pick(args.truncate, pf.truncate, DEFAULT_WEIGHT)
-    report = derham.cartier_check(pf.presentation, args.k, weight)
-    return _emit(
-        "cartier",
-        [("file", args.file), ("k", args.k), ("truncate", weight)],
-        [report.verdict_line()],
+    report = derham.cartier_check(
+        args.file.presentation, args.k, args.truncate
     )
+    return [report.verdict_line()]
 
 
 def _cmd_koszul(args):
-    variables = _vars(args.vars)
-    polys = [parse_poly(variables, text) for text in args.f]
-    pres = koszul_presentation(variables, polys, args.power)
-    return _emit(
-        "koszul",
-        [("vars", args.vars), ("power", args.power)],
-        serialize_presentation(pres).splitlines(),
-    )
+    pres = koszul_presentation(args.vars, args.f, args.power)
+    return serialize_presentation(pres).splitlines()
 
 
 def _cmd_tower(args):
-    variables = _vars(args.vars)
-    polys = [parse_poly(variables, text) for text in args.f]
-    weight = args.truncate if args.truncate is not None else DEFAULT_WEIGHT
-    morphism = tower_map(variables, polys, getattr(args, "from"), args.to)
-    report = chain_map_check(morphism, weight)
-    lines = []
-    for g in morphism.source.odd:
-        lines.append(f"{g.name} -> {morphism.images[g.name]}")
+    morphism = tower_map(args.vars, args.f, getattr(args, "from"), args.to)
+    report = chain_map_check(morphism, args.truncate)
+    lines = [
+        f"{g.name} -> {morphism.images[g.name]}" for g in morphism.source.odd
+    ]
     line = f"chain_map ok={'true' if report.ok else 'false'}"
     if not report.ok:
         line += f" first_failure_degree={report.first_failure_degree}"
-    lines.append(line)
-    return _emit(
-        "tower",
-        [
-            ("vars", args.vars),
-            ("from", getattr(args, "from")),
-            ("to", args.to),
-            ("truncate", weight),
-        ],
-        lines,
-    )
+    return lines + [line]
 
 
 def _cmd_amitsur_compare(args):
-    variables = _vars(args.vars)
-    f = parse_poly(variables, args.f)
-    weight = args.truncate if args.truncate is not None else DEFAULT_WEIGHT
-    hodge = args.hodge if args.hodge is not None else DEFAULT_HODGE
-    comparison = derham.amitsur_vs_derham(f, args.pmax, hodge, weight)
-    return _emit(
-        "amitsur-compare",
-        [
-            ("vars", args.vars),
-            ("f", f),
-            ("pmax", args.pmax),
-            ("hodge", hodge),
-            ("truncate", weight),
-        ],
-        comparison.format().splitlines(),
+    comparison = derham.amitsur_vs_derham(
+        args.f, args.pmax, args.hodge, args.truncate
     )
-
-
-def _order(args):
-    return MonomialOrder(args.order)
+    return comparison.format().splitlines()
 
 
 def _cmd_ideal_gb(args):
-    variables = _vars(args.vars)
-    gens = [parse_poly(variables, text) for text in args.gen]
-    gb = buchberger(gens, _order(args))
-    return _emit(
-        "ideal gb",
-        [("vars", args.vars), ("order", args.order)],
-        [str(g) for g in gb.gens] or ["0"],
-    )
+    gb = buchberger(args.gen, MonomialOrder(args.order))
+    return [str(g) for g in gb.gens] or ["0"]
 
 
 def _cmd_ideal_colon(args):
-    variables = _vars(args.vars)
-    gens = [parse_poly(variables, text) for text in args.gen]
-    by = parse_poly(variables, args.by)
-    gb = colon_principal(gens, by, _order(args))
-    return _emit(
-        "ideal colon",
-        [("vars", args.vars), ("by", by), ("order", args.order)],
-        [str(g) for g in gb.gens] or ["0"],
-    )
+    gb = colon_principal(args.gen, args.by, MonomialOrder(args.order))
+    return [str(g) for g in gb.gens] or ["0"]
 
 
 def _cmd_ideal_annchain(args):
-    variables = _vars(args.vars)
-    gens = [parse_poly(variables, text) for text in args.gen]
-    f = parse_poly(variables, args.f)
-    chain = annihilator_chain(gens, f, args.levels, _order(args))
+    chain = annihilator_chain(
+        args.gen, args.f, args.levels, MonomialOrder(args.order)
+    )
     lines = []
     for level, gb in enumerate(chain.colon_bases, start=1):
         body = ", ".join(str(g) for g in gb.gens) or "0"
         lines.append(f"level {level}: {body}")
     stab = chain.stabilized_at
     lines.append(f"stab={stab if stab is not None else 'none'}")
-    return _emit(
-        "ideal annchain",
-        [
-            ("vars", args.vars),
-            ("f", f),
-            ("levels", args.levels),
-            ("order", args.order),
-        ],
-        lines,
-    )
+    return lines
 
 
 def _cmd_reiffen_check(args):
-    variables = _vars(args.vars)
-    f = parse_poly(variables, args.f)
-    g = parse_poly(variables, args.g)
-    verdict = reiffen.divergence_feasible(f, g, args.degree)
+    verdict = reiffen.divergence_feasible(args.f, args.g, args.degree)
     if verdict.status == "resource-limit":
         raise ResourceLimitError(
             f"predicted unknown count {verdict.unknowns} exceeds the cap "
@@ -227,107 +188,67 @@ def _cmd_reiffen_check(args):
     else:
         body = "; ".join(str(h) for h in verdict.witness)
         result = f"verdict=feasible witness=[{body}]"
-    return _emit(
-        "reiffen check",
-        [
-            ("vars", args.vars),
-            ("f", f),
-            ("g", g),
-            ("degree", args.degree),
-        ],
-        [result, f"note: {verdict.note}"],
-    )
+    return [result, f"note: {verdict.note}"]
 
 
 def _cmd_reiffen_scan(args):
     scan = reiffen.family_scan(args.qmax, args.pmax, args.degree)
-    return _emit(
-        "reiffen scan",
-        [
-            ("qmax", args.qmax),
-            ("pmax", args.pmax),
-            ("degree", args.degree),
-        ],
-        scan.format().splitlines() + [f"note: {reiffen.SOUNDNESS_NOTE}"],
-    )
+    return scan.format().splitlines() + [f"note: {reiffen.SOUNDNESS_NOTE}"]
 
 
 def _cmd_stalk(args):
-    variables = _vars(args.vars)
-    gens = [parse_poly(variables, text) for text in args.f]
-    weight = args.truncate if args.truncate is not None else DEFAULT_WEIGHT
-    report = reiffen.classical_stalk_cohomology(gens, weight)
-    return _emit(
-        "stalk",
-        [("vars", args.vars), ("truncate", weight)],
-        report.format().splitlines(),
-    )
+    report = reiffen.classical_stalk_cohomology(args.f, args.truncate)
+    return report.format().splitlines()
 
 
 def _cmd_witness(args):
     report = witness.nonexactness_witness(
         args.nmax, grid=args.grid, precision_bits=args.precision_bits
     )
-    return _emit(
-        "witness",
-        [
-            ("nmax", args.nmax),
-            ("precision-bits", args.precision_bits),
-            ("grid", args.grid),
-        ],
-        report.format().splitlines(),
-    )
+    return report.format().splitlines()
 
 
 def _cmd_fibre_report(args):
-    variables = _vars(args.vars)
-    f = parse_poly(variables, args.f)
-    weight = args.truncate if args.truncate is not None else DEFAULT_WEIGHT
-    hodge = args.hodge if args.hodge is not None else DEFAULT_HODGE
-    report = derham.completion_fibre_report(f, hodge, weight)
-    return _emit(
-        "fibre-report",
-        [
-            ("vars", args.vars),
-            ("f", f),
-            ("hodge", hodge),
-            ("truncate", weight),
-        ],
-        report.format().splitlines(),
-    )
+    report = derham.completion_fibre_report(args.f, args.hodge, args.truncate)
+    return report.format().splitlines()
 
 
 def _cmd_a1_check(args):
-    pf = _load_presentation(args)
-    weight = _pick(args.truncate, pf.truncate, DEFAULT_WEIGHT)
-    hodge = _pick(args.hodge, pf.hodge, DEFAULT_HODGE)
-    report = derham.a1_invariance_check(pf.presentation, weight, hodge)
+    report = derham.a1_invariance_check(
+        args.file.presentation, args.truncate, args.hodge
+    )
     lines = [f"a1 ok={'true' if report.ok else 'false'}"]
     for degree, base, extended in report.compared:
         lines.append(f"H^{{{degree}}} base={base} extended={extended}")
-    return _emit(
-        "a1-check",
-        [("file", args.file), ("hodge", hodge), ("truncate", weight)],
-        lines,
-    )
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each option is (flag, add_argument keywords)
+
+_FILE = ("--file", {"required": True, "help": "presentation file"})
+_VARS = ("--vars", {"required": True})
+_F = ("--f", {"required": True})
+_HODGE = ("--hodge", {"type": integer, "metavar": "K",
+                      "help": f"Hodge level (default {DEFAULT_HODGE})"})
+_TRUNCATE = ("--truncate", {
+    "type": integer, "metavar": "W",
+    "help": f"weight window (default {DEFAULT_WEIGHT})",
+})
+_GEN = ("--gen", {"action": "append", "required": True,
+                  "help": "ideal generator (repeatable)"})
+_ORDER = ("--order", {"choices": ("grevlex", "lex"), "default": "grevlex"})
 
 
-def _add_file(p):
-    p.add_argument("--file", required=True, help="presentation file")
+def _command(sub, name, handler, *options, **kwargs):
+    """Add subcommand ``name`` (its last word) to ``sub``.
 
-
-def _add_truncate(p):
-    p.add_argument("--truncate", type=integer, default=None, metavar="W",
-                   help=f"weight window (default {DEFAULT_WEIGHT})")
-
-
-def _add_hodge(p):
-    p.add_argument("--hodge", type=integer, default=None, metavar="K",
-                   help=f"Hodge level (default {DEFAULT_HODGE})")
+    The ``Action`` of each option, in declaration order, is kept as
+    the parsed namespace's ``options`` for ``_resolve``.
+    """
+    p = sub.add_parser(name.split()[-1], **kwargs)
+    actions = [p.add_argument(flag, **keywords) for flag, keywords in options]
+    p.set_defaults(name=name, handler=handler, options=actions)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,111 +257,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact derived de Rham calculations at desk scale",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derham", help="cohomology of a de Rham stage")
-    _add_file(p)
-    _add_hodge(p)
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_derham)
-
-    p = sub.add_parser("cotangent", help="cotangent complex cohomology")
-    _add_file(p)
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_cotangent)
-
-    p = sub.add_parser("cartier", help="graded piece vs wedge power")
-    _add_file(p)
-    p.add_argument("--k", type=integer, default=1,
-                   help="Hodge column (default 1)")
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_cartier)
-
-    p = sub.add_parser("koszul", help="emit a Koszul presentation")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f", action="append", required=True,
-                   help="bounded polynomial (repeatable)")
-    p.add_argument("--power", type=integer, default=1, metavar="N")
-    p.set_defaults(handler=_cmd_koszul)
-
-    p = sub.add_parser("tower", help="tower map between Koszul levels")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f", action="append", required=True)
-    p.add_argument("--from", type=integer, required=True, metavar="N")
-    p.add_argument("--to", type=integer, required=True, metavar="n")
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_tower)
-
-    p = sub.add_parser("amitsur-compare",
-                       help="conerve totalization vs de Rham stage")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--pmax", type=integer, default=3)
-    _add_hodge(p)
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_amitsur_compare)
+    _command(sub, "derham", _cmd_derham, _FILE, _HODGE, _TRUNCATE,
+             help="cohomology of a de Rham stage")
+    _command(sub, "cotangent", _cmd_cotangent, _FILE, _TRUNCATE,
+             help="cotangent complex cohomology")
+    _command(sub, "cartier", _cmd_cartier, _FILE,
+             ("--k", {"type": integer, "default": 1,
+                      "help": "Hodge column (default 1)"}),
+             _TRUNCATE, help="graded piece vs wedge power")
+    _command(sub, "koszul", _cmd_koszul, _VARS,
+             ("--f", {"action": "append", "required": True,
+                      "help": "bounded polynomial (repeatable)"}),
+             ("--power", {"type": integer, "default": 1, "metavar": "N"}),
+             help="emit a Koszul presentation")
+    _command(sub, "tower", _cmd_tower, _VARS,
+             ("--f", {"action": "append", "required": True}),
+             ("--from", {"type": integer, "required": True, "metavar": "N"}),
+             ("--to", {"type": integer, "required": True, "metavar": "n"}),
+             _TRUNCATE, help="tower map between Koszul levels")
+    _command(sub, "amitsur-compare", _cmd_amitsur_compare, _VARS, _F,
+             ("--pmax", {"type": integer, "default": 3}), _HODGE, _TRUNCATE,
+             help="conerve totalization vs de Rham stage")
 
     p = sub.add_parser("ideal", help="Groebner computations")
     isub = p.add_subparsers(dest="ideal_command", required=True)
-    for name, handler in (
-        ("gb", _cmd_ideal_gb),
-        ("colon", _cmd_ideal_colon),
-        ("annchain", _cmd_ideal_annchain),
-    ):
-        q = isub.add_parser(name)
-        q.add_argument("--vars", required=True)
-        q.add_argument("--gen", action="append", required=True,
-                       help="ideal generator (repeatable)")
-        q.add_argument("--order", choices=("grevlex", "lex"),
-                       default="grevlex")
-        if name == "colon":
-            q.add_argument("--by", required=True)
-        if name == "annchain":
-            q.add_argument("--f", required=True)
-            q.add_argument("--levels", type=integer, default=4)
-        q.set_defaults(handler=handler)
+    _command(isub, "ideal gb", _cmd_ideal_gb, _VARS, _GEN, _ORDER)
+    _command(isub, "ideal colon", _cmd_ideal_colon, _VARS, _GEN,
+             ("--by", {"required": True}), _ORDER)
+    _command(isub, "ideal annchain", _cmd_ideal_annchain, _VARS, _GEN, _F,
+             ("--levels", {"type": integer, "default": 4}), _ORDER)
 
     p = sub.add_parser("reiffen", help="divergence-equation tests")
     rsub = p.add_subparsers(dest="reiffen_command", required=True)
-    q = rsub.add_parser("check")
-    q.add_argument("--vars", required=True)
-    q.add_argument("--f", required=True)
-    q.add_argument("--g", default="1")
-    q.add_argument("--degree", type=integer, default=DEFAULT_DEGREE,
-                   metavar="D")
-    q.set_defaults(handler=_cmd_reiffen_check)
-    q = rsub.add_parser("scan")
-    q.add_argument("--qmax", type=integer, default=4)
-    q.add_argument("--pmax", type=integer, default=6)
-    q.add_argument("--degree", type=integer, default=10, metavar="D")
-    q.set_defaults(handler=_cmd_reiffen_scan)
+    _command(rsub, "reiffen check", _cmd_reiffen_check, _VARS, _F,
+             ("--g", {"default": "1"}),
+             ("--degree", {"type": integer, "default": DEFAULT_DEGREE,
+                           "metavar": "D"}))
+    _command(rsub, "reiffen scan", _cmd_reiffen_scan,
+             ("--qmax", {"type": integer, "default": 4}),
+             ("--pmax", {"type": integer, "default": 6}),
+             ("--degree", {"type": integer, "default": 10, "metavar": "D"}))
 
-    p = sub.add_parser("stalk", help="classical stalk cohomology")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f", action="append", required=True,
-                   help="ideal generator (repeatable)")
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_stalk)
-
-    p = sub.add_parser("witness", help="flat-form positivity witness")
-    p.add_argument("--nmax", type=integer, default=3)
-    p.add_argument("--precision-bits", type=integer,
-                   default=witness.DEFAULT_PRECISION)
-    p.add_argument("--grid", type=integer, default=witness.DEFAULT_GRID)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("fibre-report", help="completion fibre bookkeeping")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--f", required=True)
-    _add_hodge(p)
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_fibre_report)
-
-    p = sub.add_parser("a1-check", help="affine-line invariance")
-    _add_file(p)
-    _add_hodge(p)
-    _add_truncate(p)
-    p.set_defaults(handler=_cmd_a1_check)
-
+    _command(sub, "stalk", _cmd_stalk, _VARS,
+             ("--f", {"action": "append", "required": True,
+                      "help": "ideal generator (repeatable)"}),
+             _TRUNCATE, help="classical stalk cohomology")
+    _command(sub, "witness", _cmd_witness,
+             ("--nmax", {"type": integer, "default": 3}),
+             ("--precision-bits", {"type": integer,
+                                   "default": witness.DEFAULT_PRECISION}),
+             ("--grid", {"type": integer, "default": witness.DEFAULT_GRID}),
+             help="flat-form positivity witness")
+    _command(sub, "fibre-report", _cmd_fibre_report, _VARS, _F, _HODGE,
+             _TRUNCATE, help="completion fibre bookkeeping")
+    _command(sub, "a1-check", _cmd_a1_check, _FILE, _HODGE, _TRUNCATE,
+             help="affine-line invariance")
     return parser
 
 
@@ -457,6 +328,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        params = _resolve(args)
         lines = args.handler(args)
     except (
         PolyParseError,
@@ -469,6 +341,8 @@ def main(argv=None) -> int:
     except (ResourceLimitError, PairBudgetExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    print(f"command: {args.name}")
+    print(params)
     for line in lines:
         print(line)
     return 0

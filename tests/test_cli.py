@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +328,164 @@ def test_flags_override_file_directives(tmp_path, capsys):
     )
     assert code == 0
     assert out[1] == f"params: file={path} hodge=3 truncate=6"
+
+
+# Every subcommand: a run, and each declared option's echoed value, as
+# resolved: the flag, else the file's directive, else the default;
+# polynomials in normal form.  None marks a repeatable option, which
+# is not echoed.  DIRECTIVES is the fat point with "truncate 5" and
+# "hodge 2".
+ECHO = {
+    "derham": (
+        ["--file", "{dir}", "--hodge", "4"],
+        {"--file": "{dir}", "--hodge": "4", "--truncate": "5"},
+    ),
+    "cotangent": (["--file", "{dir}"], {"--file": "{dir}", "--truncate": "5"}),
+    "cartier": (
+        ["--file", "{fat}", "--truncate", "4"],
+        {"--file": "{fat}", "--k": "1", "--truncate": "4"},
+    ),
+    "koszul": (
+        ["--vars", "x,y", "--f", "x*y", "--f", "y^2"],
+        {"--vars": "x,y", "--f": None, "--power": "1"},
+    ),
+    "tower": (
+        ["--vars", "x", "--f", "x^2", "--to", "1", "--from", "2"],
+        {"--vars": "x", "--f": None, "--from": "2", "--to": "1",
+         "--truncate": "6"},
+    ),
+    "amitsur-compare": (
+        ["--vars", "x", "--f", "x*x", "--truncate", "4"],
+        {"--vars": "x", "--f": "x^2", "--pmax": "3", "--hodge": "3",
+         "--truncate": "4"},
+    ),
+    "ideal gb": (
+        ["--vars", "x,y", "--gen", "y^2", "--gen", "x^2+y"],
+        {"--vars": "x,y", "--gen": None, "--order": "grevlex"},
+    ),
+    "ideal colon": (
+        ["--vars", "x,y", "--order", "lex", "--gen", "x*y", "--by", "x"],
+        {"--vars": "x,y", "--gen": None, "--by": "x", "--order": "lex"},
+    ),
+    "ideal annchain": (
+        ["--vars", "x", "--gen", "x^3", "--f", "x"],
+        {"--vars": "x", "--gen": None, "--f": "x", "--levels": "4",
+         "--order": "grevlex"},
+    ),
+    "reiffen check": (
+        ["--vars", "x,y", "--f", "y^2+x^2", "--degree", "4"],
+        {"--vars": "x,y", "--f": "x^2 + y^2", "--g": "1", "--degree": "4"},
+    ),
+    "reiffen scan": (
+        ["--degree", "8", "--pmax", "5"],
+        {"--qmax": "4", "--pmax": "5", "--degree": "8"},
+    ),
+    "stalk": (
+        ["--vars", "x,y", "--f", "x*y", "--truncate", "4"],
+        {"--vars": "x,y", "--f": None, "--truncate": "4"},
+    ),
+    "witness": (
+        ["--grid", "64", "--nmax", "1"],
+        {"--nmax": "1", "--precision-bits": "200", "--grid": "64"},
+    ),
+    "fibre-report": (
+        ["--vars", "x", "--f", "x^2"],
+        {"--vars": "x", "--f": "x^2", "--hodge": "3", "--truncate": "6"},
+    ),
+    "a1-check": (
+        ["--file", "{dir}", "--truncate", "3"],
+        {"--file": "{dir}", "--hodge": "2", "--truncate": "3"},
+    ),
+}
+
+DIRECTIVES = FAT + "truncate 5\nhodge 2\n"
+
+
+def _help(path):
+    """What ``drcalc PATH --help`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        cli.main([*path, "--help"])
+    return out.getvalue()
+
+
+def _subcommands(path=()):
+    """Every subcommand under ``path``, read off the help's choices."""
+    choices = re.search(r"^positional arguments:\n  \{([\w,-]+)\}",
+                        _help(path), re.MULTILINE)
+    if choices is None:
+        return [" ".join(path)]
+    return [
+        command
+        for name in choices.group(1).split(",")
+        for command in _subcommands((*path, name))
+    ]
+
+
+def test_echo_table_covers_every_subcommand():
+    assert sorted(_subcommands()) == sorted(ECHO)
+
+
+@pytest.mark.parametrize("command", sorted(ECHO))
+def test_echo_lists_declared_options_as_resolved(tmp_path, capsys, command):
+    fat, directives = tmp_path / "fat.dg", tmp_path / "dir.dg"
+    fat.write_text(FAT)
+    directives.write_text(DIRECTIVES)
+    argv, values = ECHO[command]
+    values = {
+        k: v if v is None else v.format(fat=fat, dir=directives)
+        for k, v in values.items()
+    }
+    declared = re.findall(r"^  (--[\w-]+)", _help(command.split()),
+                          re.MULTILINE)
+    assert sorted(declared) == sorted(values)
+    code, out, err = run(capsys, [
+        *command.split(), *(a.format(fat=fat, dir=directives) for a in argv)
+    ])
+    assert code == 0, err
+    echo = " ".join(
+        f"{option[2:]}={values[option]}"
+        for option in declared if values[option] is not None
+    )
+    assert out[:2] == [f"command: {command}", f"params: {echo}"]
+
+
+NUMBER = "expected a number, variable or '(' at column 2"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["reiffen", "check", "--vars", "x,y", "--f", "x+", "--g", "y+"],
+         f"{NUMBER}: 'x+'"),
+        (["ideal", "colon", "--vars", "x,y", "--by", "y+", "--gen", "x*"],
+         f"{NUMBER}: 'x*'"),
+        (["ideal", "annchain", "--vars", "x", "--f", "x+", "--gen", "x^"],
+         "expected integer exponent after '^' at column 2: 'x^'"),
+        (["stalk", "--f", "x+", "--vars", "x,1y"],
+         "--vars: '1y' is not an identifier"),
+    ],
+    ids=["check-f-before-g", "colon-gen-before-by", "annchain-gen-before-f",
+         "stalk-vars-before-f"],
+)
+def test_first_declared_bad_input_is_reported(capsys, argv, error):
+    # of two bad inputs, the one declared first is reported, whatever
+    # their order on the command line
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["derham", "cotangent", "cartier", "a1-check"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "utf16.dg"
+    path.write_bytes(FAT.encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    code, out, err = run(capsys, [command, "--file", str(path)])
+    assert code == 2
+    assert not out
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
 
 
 def test_repeat_runs_are_identical(capsys):
