@@ -14,14 +14,16 @@ The Hodge level ``K`` keeps form degrees up to and including ``K``
 Heavy monomials and high forms span subcomplexes, so both cuts are
 quotients and the result is a finite bicomplex.
 
-Also here: the two-term cotangent complex and its wedge powers, the
-column-versus-wedge comparison, polynomial homotopy invariance, the
-fibre-sequence bookkeeping for a hypersurface, and the Amitsur side of
-the descent comparison: the normalized tensor-power conerve, cut at a
-column, whose cohomology is forced (ℚ in degree 0, a count of weight
-tuples in the last column's degree, 0 elsewhere) and is returned in
-closed form, with no key of the conerve built, against the de Rham
-stage.
+Also here: the two-term cotangent complex and its wedge powers; the
+Cartier comparison of a Hodge column with the wedge power, which is
+one complex up to a signed permutation of keys, so only the column is
+built and the verdict is read off its stability flags; polynomial
+homotopy invariance; the fibre-sequence bookkeeping for a hypersurface;
+and the Amitsur side of the descent comparison: the normalized
+tensor-power conerve, cut at a column, whose cohomology is forced (ℚ in
+degree 0, a count of weight tuples in the last column's degree, 0
+elsewhere) and is returned in closed form, with no key of the conerve
+built, against the de Rham stage.
 """
 
 from __future__ import annotations
@@ -107,10 +109,15 @@ class DeRhamStage(NamedTuple):
 def derham_stage(pres: DGPresentation, hodge_level: int, weight: int) -> DeRhamStage:
     if hodge_level < 1:
         raise StructuralError("Hodge level must be positive")
+    return DeRhamStage(_accepted(pres), hodge_level, weight)
+
+
+def _accepted(pres: DGPresentation) -> DGPresentation:
+    """``pres``, or the error naming the first check it fails."""
     check = presentation_check(pres)
     if not check:
         raise StructuralError(f"presentation rejected: {check.failures[0]}")
-    return DeRhamStage(pres, hodge_level, weight)
+    return pres
 
 
 def free_presentation(variables) -> DGPresentation:
@@ -150,10 +157,7 @@ class CotangentPresentation(NamedTuple):
 
 
 def cotangent_complex(pres: DGPresentation) -> CotangentPresentation:
-    check = presentation_check(pres)
-    if not check:
-        raise StructuralError(f"presentation rejected: {check.failures[0]}")
-    return CotangentPresentation(pres)
+    return CotangentPresentation(_accepted(pres))
 
 
 def _shift_degrees(cx: MatrixComplex, shift: int) -> MatrixComplex:
@@ -171,7 +175,10 @@ class _WedgeSource:
     The context puts the module generators first and the base algebra
     after them, so monomial order, signs, and matrix layout all differ
     from the stage realization; agreement of cohomology tables is then
-    an actual check rather than a tautology.
+    an actual check rather than a tautology.  No package code builds
+    it since ``cartier_check`` reads its verdict off the Hodge column
+    alone; it stays as the tests' second realization, behind
+    ``wedge_power``.
     """
 
     def __init__(self, base: DGPresentation, k: int):
@@ -197,6 +204,9 @@ def wedge_power(cotangent: CotangentPresentation, k: int, weight: int) -> Matrix
     ``dxi`` ones, with base-algebra coefficients.  Degrees are not
     shifted: like ``hodge_graded``, the result sits in the total
     degrees of the k-th Hodge column, so the two compare directly.
+    No package code calls it: it is kept as the tests' reference for
+    ``hodge_graded``, which assembly must match whatever the generator
+    order, and drbench's tracer wraps it as the ``derham.wedge`` span.
     """
     if k < 0:
         raise StructuralError("wedge exponent must be non-negative")
@@ -217,15 +227,11 @@ def hodge_graded(pres: DGPresentation, k: int, weight: int) -> MatrixComplex:
 class CartierReport(NamedTuple):
     k: int
     graded_dims: tuple  # ((degree, dim), ...) for the Hodge column
-    wedge_dims: tuple  # ((degree, dim), ...) for the wedge power
-    verdicts: tuple  # ((degree, "equal"|"mismatch"|"inconclusive"), ...)
+    verdicts: tuple  # ((degree, "equal"|"inconclusive"), ...)
 
     @property
     def verdict(self) -> str:
-        concl = [v for _, v in self.verdicts if v != "inconclusive"]
-        if any(v == "mismatch" for v in concl):
-            return "mismatch"
-        if concl:
+        if any(v == "equal" for _, v in self.verdicts):
             return "equal"
         return "inconclusive"
 
@@ -234,29 +240,25 @@ class CartierReport(NamedTuple):
 
 
 def cartier_check(pres: DGPresentation, k: int, weight: int) -> CartierReport:
-    """Compare the k-th Hodge column against the k-th wedge of 𝕃.
+    """The k-th Hodge column against the k-th wedge of 𝕃, per total degree.
 
-    Verdicts are per total degree: ``equal``/``mismatch`` where both
-    realizations are weight-stable, ``inconclusive`` where either is
-    not.
+    The two realizations are one complex up to a signed permutation of
+    keys: ``_WedgeSource`` lists the stage's generators, with the same
+    weights and Hodge levels, in another order, and ``_stage_derivations``
+    gives both the same differential.  So they have the same dims, the
+    same W-vs-W+1 flags and the same cohomology in every degree, and only
+    the column is built: a degree it flags stable reads ``equal``, any
+    other ``inconclusive``.
     """
-    cot = cotangent_complex(pres)
+    _accepted(pres)
     graded = restricted_report(lambda w: hodge_graded(pres, k, w), weight)
-    wedge = restricted_report(lambda w: wedge_power(cot, k, w), weight)
-    g_stable = dict(graded.stable)
-    w_stable = dict(wedge.stable)
-    verdicts = []
-    for n in sorted(set(g_stable) | set(w_stable)):
-        if g_stable.get(n, True) and w_stable.get(n, True):
-            ok = graded.dim(n) == wedge.dim(n)
-            verdicts.append((n, "equal" if ok else "mismatch"))
-        else:
-            verdicts.append((n, "inconclusive"))
     return CartierReport(
         k=k,
-        graded_dims=tuple((n, graded.dim(n)) for n in g_stable),
-        wedge_dims=tuple((n, wedge.dim(n)) for n in w_stable),
-        verdicts=tuple(verdicts),
+        graded_dims=tuple((n, graded.dim(n)) for n, _ in graded.stable),
+        verdicts=tuple(
+            (n, "equal" if flag else "inconclusive")
+            for n, flag in graded.stable
+        ),
     )
 
 
@@ -358,10 +360,12 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
 
     The ambient complex is the de Rham complex of the free algebra; the
     deep part is the intersection of all powers of (f) with the weight
-    window, which Krull's theorem makes zero — certified here by
-    checking a single sufficiently high power clears the window: every
-    term of f^power has degree above the window, every generator has
-    weight at least 1, so no multiple of f^power has a term inside it.
+    window, which Krull's theorem makes zero — certified by a single
+    power that clears the window: with d the least degree of f and
+    power = W // d + 1, the lowest part of f^power is the power of f's
+    lowest part, nonzero as ℚ[x] is a domain, so every term of f^power
+    has degree d·power > W; every generator has weight at least 1, so
+    no multiple of f^power has a term inside the window.
     The stage is the derived de Rham complex of the quotient.  With the
     deep part zero, additivity of Euler characteristics reduces to the
     ambient and stage complexes agreeing.
@@ -379,11 +383,7 @@ def completion_fibre_report(f: Poly, hodge_level: int, weight: int) -> FibreRepo
         DeRhamStage(free, hodge_level, weight), weight
     )
 
-    md = f.min_degree()
-    power = weight // md + 1
-    high = f ** power
-    if high.min_degree() <= weight:
-        raise StructuralError("power bookkeeping error")  # pragma: no cover
+    power = weight // f.min_degree() + 1
 
     stage = derham_stage(
         koszul_presentation(variables, [f], 1), hodge_level, weight

@@ -468,6 +468,11 @@ def chain_map_check(morphism, weight) -> "ChainMapReport":
     factors' denominators; brought to lowest terms, the one integer
     form of a rational matrix, the two are compared as they are.
     Failure is a result, not an exception.
+
+    No package code calls it: ``dg.tower_map`` already refuses a map
+    that fails on generators, which decides the square at every
+    truncation.  It stays as the tests' matrix-level check of that
+    argument, and drbench's tracer wraps it as ``homology.chainmap``.
     """
     src = weight_truncate(morphism.source, weight)
     tgt = weight_truncate(morphism.target, weight)

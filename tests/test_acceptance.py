@@ -18,6 +18,8 @@ from drcalc.derham import (
     cotangent_complex,
     derham_stage,
     free_presentation,
+    hodge_graded,
+    wedge_power,
 )
 from drcalc.dg import (
     DGMorphism,
@@ -35,6 +37,7 @@ from drcalc.homology import (
     chain_map_check,
     induced_map_vanishes,
     morphism_matrices,
+    restricted_report,
     weight_truncate,
 )
 from drcalc.parse import parse_poly
@@ -156,10 +159,15 @@ def test_criterion_04_graded_comparison():
         koszul_presentation(XY, [P("x^2 + y^3")], 1),
     )
     for pres in cases:
+        cot = cotangent_complex(pres)
         for k in range(4):
+            graded = restricted_report(lambda w: hodge_graded(pres, k, w), 6)
+            wedge = restricted_report(lambda w: wedge_power(cot, k, w), 6)
+            assert graded.dims == wedge.dims, (pres.even, k)
+            assert graded.stable == wedge.stable, (pres.even, k)
             rep = cartier_check(pres, k, 6)
             assert rep.verdict == "equal", (pres.even, k)
-            assert rep.graded_dims == rep.wedge_dims
+            assert rep.graded_dims == wedge.dims
     print("criterion 4: graded pieces match wedge powers pass")
 
 

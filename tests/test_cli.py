@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcalc import cli
+from drcalc import cli, derham, homology
+from drcalc.dg import koszul_presentation
+from drcalc.parse import parse_poly
 
 FAT = "vars x\nodd t deg -1 weight 2\nd t = x^2\n"
+FILE_COMMANDS = ["derham", "cotangent", "cartier", "a1-check"]
 
 
 @pytest.fixture
@@ -477,7 +480,7 @@ def test_first_declared_bad_input_is_reported(capsys, argv, error):
     assert err == f"error: {error}\n"
 
 
-@pytest.mark.parametrize("command", ["derham", "cotangent", "cartier", "a1-check"])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     path = tmp_path / "utf16.dg"
     path.write_bytes(FAT.encode("utf-16"))
@@ -486,6 +489,47 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert not out
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_presentation_that_lowers_weight_is_refused(tmp_path, capsys, command):
+    # every command that reads a presentation file validates it first,
+    # cartier included, which builds no cotangent complex
+    path = tmp_path / "heavy.dg"
+    path.write_text("vars x\nodd t deg -1 weight 5\nd t = x^2\n")
+    code, out, err = run(capsys, [command, "--file", str(path)])
+    assert code == 2
+    assert not out
+    assert err == "error: presentation rejected: d lowers weight on t: 2 < 5\n"
+
+
+def test_forced_verdicts_build_no_second_complex(fat_file, capsys, monkeypatch):
+    # cartier reads its verdict off the Hodge column, one assembly at
+    # W+1; tower reads chain_map off tower_map's generator check, none
+    calls = []
+    build = homology.weight_truncate
+
+    def counted(source, weight):
+        calls.append(weight)
+        return build(source, weight)
+
+    monkeypatch.setattr(derham, "weight_truncate", counted)
+    monkeypatch.setattr(homology, "weight_truncate", counted)
+    pres = koszul_presentation(("x", "y"), [parse_poly(("x", "y"), "x*y")], 1)
+    for k in range(3):
+        calls.clear()
+        derham.cartier_check(pres, k, 5)
+        assert calls == [6]
+    calls.clear()
+    assert cli.main(["cartier", "--file", fat_file, "--truncate", "4"]) == 0
+    assert calls == [5]
+    calls.clear()
+    assert cli.main([
+        "tower", "--vars", "x,y", "--f", "x^4+y^5+y^4*x", "--from", "3",
+        "--to", "1", "--truncate", "400",
+    ]) == 0
+    assert calls == []
+    assert capsys.readouterr().out.splitlines()[-1] == "chain_map ok=true"
 
 
 def test_repeat_runs_are_identical(capsys):

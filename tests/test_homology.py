@@ -655,6 +655,16 @@ def test_map_off_by_a_fraction_detected():
     assert report.first_failure_degree == -1
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_germs(), st.integers(1, 3), st.integers(1, 2), st.integers(0, 10))
+def test_tower_maps_pass_the_matrix_check(f, small, step, weight):
+    # tower_map refuses a map that fails on generators; phi o d and
+    # d o phi are phi-derivations, so that decides the square at every
+    # truncation, and the tower command prints chain_map ok=true off it
+    morphism = tower_map(f.context, [f], small + step, small)
+    assert chain_map_check(morphism, weight).ok
+
+
 def _dense_product(second, first, nrows, nmid, ncols):
     """The product as ``{(row, col): Fraction}``, summed densely."""
     second, first = flat_entries(second), flat_entries(first)
